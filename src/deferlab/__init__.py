@@ -4,7 +4,7 @@ The package has one module per concern:
 
 * :mod:`deferlab.core` -- data model, prediction semantics, 0-1 system loss
 * :mod:`deferlab.datagen` -- synthetic planted-halfspace and grouped-expert data
-* :mod:`deferlab.lp` -- bounded-variable two-phase simplex solver
+* :mod:`deferlab.lp` -- bounded-variable simplex solver with dual warm starts
 * :mod:`deferlab.milp` -- exact big-M deferral formulation and branch-and-bound
 * :mod:`deferlab.surrogates` -- surrogate losses and analytic gradients
 * :mod:`deferlab.train` -- score models, Adam, training loops, two-stage baselines

@@ -1,11 +1,32 @@
-"""Bounded-variable linear programming via the two-phase simplex method.
+"""Bounded-variable linear programming by the simplex method, with warm starts.
 
 Minimization convention throughout. Rows carry a sense in {"<=", ">=", "="}
-and every variable has a (possibly infinite) box. The solver refactors the
-basis each iteration, which keeps it simple and numerically fresh; the MILP
-relaxations solved here are dense and of modest size, so correctness and
-determinism are worth far more than pivot-level speed. Interior-point
-methods, sparse factorization, and dual warm starts are out of scope.
+and every variable has a (possibly infinite) box. Each row gets a slack
+column whose box encodes the sense, so the solver works on the equality
+form [A | I] z = b.
+
+A solve takes one of two paths:
+
+* cold, the two-phase method: phase 1 starts from m artificial columns and
+  drives their sum to zero; the artificials are then pivoted out of the
+  basis and dropped, and primal phase 2 optimizes the real objective;
+* warm, from a given basis of an LP with the same c, A, senses and b but
+  other variable bounds, such as the optimal basis of a branch-and-bound
+  parent. Changing bounds keeps that basis dual feasible, so the bounded dual
+  simplex restores primal feasibility and primal phase 2 cleans up,
+  without phase 1. A warm basis that cannot be factored or is not dual
+  feasible falls back to the cold path.
+
+The solver keeps a dense explicit basis inverse. It updates the inverse
+with a product-form (rank-1) update after each pivot and recomputes it from
+scratch every ``REFACTOR_EVERY`` pivots, before taking a pivot element
+smaller than ``TINY_PIVOT``, and before reporting a solution. The
+relaxations solved here are dense and small, so dense linear algebra and
+determinism are worth more than sparsity.
+
+Statuses: ``optimal`` (with the final basis), ``infeasible``,
+``unbounded``, ``iteration_limit``, and ``numerical`` for a singular basis
+or a phase 1 that ran unbounded, where the LP's true status is unknown.
 """
 
 from __future__ import annotations
@@ -15,10 +36,16 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["LinearProgram", "LpSolution", "solve_lp", "format_lp_text", "dump_lp"]
+__all__ = ["Basis", "LinearProgram", "LpSolution", "solve_lp", "format_lp_text", "dump_lp"]
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
+# reduced-cost slack allowed when a warm basis is checked for dual feasibility
+DUAL_TOL = 1e-9
+# a pivot element below this is taken only on a freshly computed inverse
+TINY_PIVOT = 1e-7
+# product-form updates between two inverses computed from scratch
+REFACTOR_EVERY = 32
 SENSES = ("<=", ">=", "=")
 
 # variable states
@@ -63,12 +90,26 @@ class LinearProgram:
         return self.A.shape[1]
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis over the structural columns, then one slack per row.
+
+    ``basic`` holds the m basic column ids in row order. ``at_upper`` has one
+    flag per column; it marks the nonbasic columns that sit at their upper
+    bound, the others sit at their lower bound (or at zero when free).
+    """
+
+    basic: np.ndarray
+    at_upper: np.ndarray
+
+
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration_limit
+    status: str  # optimal | infeasible | unbounded | iteration_limit | numerical
     x: Optional[np.ndarray]
     objective_value: Optional[float]
     iterations: int = 0
+    basis: Optional[Basis] = None  # the optimal basis, for a warm start
 
 
 def format_lp_text(lp: LinearProgram) -> str:
@@ -91,10 +132,15 @@ def dump_lp(lp: LinearProgram, path) -> None:
         fh.write(format_lp_text(lp))
 
 
+def _invert(B: np.ndarray) -> np.ndarray:
+    """Dense inverse of a basis matrix; raises LinAlgError when singular."""
+    return np.linalg.inv(B)
+
+
 class _Simplex:
     """Bounded-variable simplex on the equality form [A | I] z = b."""
 
-    def __init__(self, lp: LinearProgram, max_iter: int):
+    def __init__(self, lp: LinearProgram, lo: np.ndarray, hi: np.ndarray, max_iter: int):
         m, v = lp.A.shape
         self.m, self.nv = m, v
         self.max_iter = max_iter
@@ -104,183 +150,339 @@ class _Simplex:
         # Bland's rule kicks in after a stall to guarantee termination
         self.stall_threshold = 3 * (m + v)
 
-        slack_lo = np.empty(m)
-        slack_hi = np.empty(m)
-        for i, s in enumerate(lp.senses):
-            if s == "<=":
-                slack_lo[i], slack_hi[i] = 0.0, np.inf
-            elif s == ">=":
-                slack_lo[i], slack_hi[i] = -np.inf, 0.0
-            else:
-                slack_lo[i], slack_hi[i] = 0.0, 0.0
+        senses = np.asarray(lp.senses)
+        self.T = np.hstack([lp.A, np.eye(m)])
+        self.lo = np.concatenate([lo, np.where(senses == ">=", -np.inf, 0.0)])
+        self.hi = np.concatenate([hi, np.where(senses == "<=", np.inf, 0.0)])
+        self.movable = self.lo < self.hi  # fixed columns never enter the basis
+        self.b = lp.b
+        self.basis = np.empty(0, dtype=np.intp)
+        self.binv = np.empty((0, 0))
+        self.since_refactor = 0
 
-        # columns: structural | slack | artificial
-        self.ncols = v + m + m
-        self.T = np.hstack([lp.A, np.eye(m), np.zeros((m, m))])
-        self.lo = np.concatenate([lp.lo, slack_lo, np.zeros(m)])
-        self.hi = np.concatenate([lp.hi, slack_hi, np.full(m, np.inf)])
-        self.b = lp.b.copy()
+    # ---- basis bookkeeping ---------------------------------------------------
+    def _place_nonbasic(self, upper: np.ndarray) -> None:
+        """Put every column at a finite bound: the upper one where ``upper``
+        asks for it or the lower one is infinite, else the lower one, else
+        zero (free). Basic columns are then marked as such."""
+        lo, hi = self.lo, self.hi
+        up = np.isfinite(hi) & (upper | ~np.isfinite(lo))
+        down = ~up & np.isfinite(lo)
+        self.x = np.where(up, hi, np.where(down, lo, 0.0))
+        self.state = np.where(up, _AT_HI, np.where(down, _AT_LO, _FREE)).astype(np.int8)
+        self.state[self.basis] = _BASIC
 
-        # start every non-artificial variable at a finite bound near zero
-        self.x = np.zeros(self.ncols)
-        self.state = np.full(self.ncols, _AT_LO, dtype=np.int8)
-        for j in range(v + m):
-            lo, hi = self.lo[j], self.hi[j]
-            if np.isfinite(lo) and (not np.isfinite(hi) or abs(lo) <= abs(hi)):
-                self.x[j], self.state[j] = lo, _AT_LO
-            elif np.isfinite(hi):
-                self.x[j], self.state[j] = hi, _AT_HI
-            else:
-                self.x[j], self.state[j] = 0.0, _FREE
+    def _basic_values(self) -> None:
+        x_n = self.x.copy()
+        x_n[self.basis] = 0.0
+        self.x[self.basis] = self.binv @ (self.b - self.T @ x_n)
 
-        resid = self.b - self.T[:, : v + m] @ self.x[: v + m]
-        sign = np.where(resid >= 0.0, 1.0, -1.0)
-        for i in range(m):
-            col = v + m + i
-            self.T[i, col] = sign[i]
-            self.x[col] = abs(resid[i])
-            self.state[col] = _BASIC
-        self.basis = np.arange(v + m, v + m + m)
+    def _refactor(self) -> None:
+        self.binv = _invert(self.T[:, self.basis])
+        self.since_refactor = 0
+        self._basic_values()
 
-    def _solve_phase(self, cost: np.ndarray):
-        """Run simplex iterations for one phase. Returns a status string."""
-        m = self.m
+    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        return cost - (cost[self.basis] @ self.binv) @ self.T
+
+    def _infeasibility(self) -> np.ndarray:
+        xb = self.x[self.basis]
+        return np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis])
+
+    def _pivot(self, r: int, q: int, w: np.ndarray) -> None:
+        """Column q enters the basis in row r, given w = B^-1 a_q; the values
+        and the leaving column's state are already updated."""
+        row = self.binv[r] / w[r]
+        self.binv -= np.outer(w, row)
+        self.binv[r] = row
+        self.basis[r] = q
+        self.state[q] = _BASIC
+        self.since_refactor += 1
+        if self.since_refactor >= REFACTOR_EVERY:
+            self._refactor()
+
+    def _count_pivot(self, step: float) -> None:
+        self.iterations += 1
+        if step <= 1e-12:
+            self.degenerate += 1
+            if self.degenerate >= self.stall_threshold:
+                self.bland = True
+
+    # ---- primal simplex ------------------------------------------------------
+    def _primal_ratio(self, step: np.ndarray):
+        """Leaving row when the basic values move by -step * delta.
+
+        Smallest ratio within 1e-12, then the largest |step|, then the
+        lowest basic id; the lowest basic id alone under Bland's rule.
+        Returns (row, delta, leaves_at_upper), row -1 when nothing limits.
+        """
+        xb = self.x[self.basis]
+        ratio = np.full(self.m, np.inf)
+        pos = step > PIVOT_TOL
+        neg = step < -PIVOT_TOL
+        ratio[pos] = (xb[pos] - self.lo[self.basis[pos]]) / step[pos]
+        ratio[neg] = (self.hi[self.basis[neg]] - xb[neg]) / -step[neg]
+        best = ratio.min(initial=np.inf)
+        if not np.isfinite(best):
+            return -1, np.inf, False
+        ties = np.flatnonzero(ratio <= best + 1e-12)
+        if not self.bland:
+            mag = np.abs(step[ties])
+            ties = ties[mag == mag.max()]
+        r = int(ties[np.argmin(self.basis[ties])])
+        return r, max(best, 0.0), bool(neg[r])
+
+    def _primal(self, cost: np.ndarray) -> str:
+        """Primal simplex from a primal feasible basis."""
         while True:
             if self.iterations >= self.max_iter:
                 return "iteration_limit"
-            B = self.T[:, self.basis]
-            nonbasic = np.flatnonzero(self.state != _BASIC)
-            rhs = self.b - self.T[:, nonbasic] @ self.x[nonbasic]
-            try:
-                xb = np.linalg.solve(B, rhs)
-                y = np.linalg.solve(B.T, cost[self.basis])
-            except np.linalg.LinAlgError:
-                return "singular"
-            self.x[self.basis] = xb
-
-            red = cost[nonbasic] - self.T[:, nonbasic].T @ y
-            st = self.state[nonbasic]
-            # a variable can improve by moving up from its lower bound,
-            # down from its upper bound, or either way if free
-            up = ((st == _AT_LO) | (st == _FREE)) & (red < -PIVOT_TOL)
-            dn = ((st == _AT_HI) | (st == _FREE)) & (red > PIVOT_TOL)
-            eligible = up | dn
-            if not np.any(eligible):
+            d = self._reduced_costs(cost)
+            st = self.state
+            # a column improves by moving up from its lower bound, down from
+            # its upper bound, or either way if free
+            up = ((st == _AT_LO) | (st == _FREE)) & (d < -PIVOT_TOL)
+            dn = ((st == _AT_HI) | (st == _FREE)) & (d > PIVOT_TOL)
+            eligible = np.flatnonzero((up | dn) & self.movable)
+            if eligible.size == 0:
                 return "optimal"
-
-            idx = np.flatnonzero(eligible)
             if self.bland:
-                pick = idx[np.argmin(nonbasic[idx])]
+                q = int(eligible[0])
             else:
-                pick = idx[np.argmax(np.abs(red[idx]))]
-            q = int(nonbasic[pick])
-            direction = 1.0 if (red[pick] < 0) else -1.0
+                q = int(eligible[np.argmax(np.abs(d[eligible]))])
+            direction = 1.0 if d[q] < 0 else -1.0
 
-            w = np.linalg.solve(B, self.T[:, q])
-            step_w = direction * w
-            # limits from basic variables hitting their own bounds
-            best_delta = np.inf
-            leave_pos = -1
-            leave_to = _AT_LO
-            for i in range(m):
-                bi = self.basis[i]
-                if step_w[i] > PIVOT_TOL:
-                    lim = self.lo[bi]
-                    if np.isfinite(lim):
-                        delta = (xb[i] - lim) / step_w[i]
-                        if delta < best_delta - 1e-12 or (
-                            delta < best_delta + 1e-12
-                            and (leave_pos < 0 or self._prefer(bi, i, step_w, leave_pos))
-                        ):
-                            best_delta, leave_pos, leave_to = max(delta, 0.0), i, _AT_LO
-                elif step_w[i] < -PIVOT_TOL:
-                    lim = self.hi[bi]
-                    if np.isfinite(lim):
-                        delta = (lim - xb[i]) / (-step_w[i])
-                        if delta < best_delta - 1e-12 or (
-                            delta < best_delta + 1e-12
-                            and (leave_pos < 0 or self._prefer(bi, i, step_w, leave_pos))
-                        ):
-                            best_delta, leave_pos, leave_to = max(delta, 0.0), i, _AT_HI
-
-            flip_delta = self.hi[q] - self.lo[q]  # inf unless both bounds finite
-            if flip_delta < best_delta - 1e-12:
+            w = self.binv @ self.T[:, q]
+            step = direction * w
+            r, delta, to_upper = self._primal_ratio(step)
+            flip = self.hi[q] - self.lo[q]  # inf unless both bounds finite
+            if flip < delta - 1e-12:
                 # bound flip: q crosses its box without any basis change
+                self.x[self.basis] -= step * flip
                 self.x[q] = self.hi[q] if direction > 0 else self.lo[q]
                 self.state[q] = _AT_HI if direction > 0 else _AT_LO
                 self.iterations += 1
                 continue
-            if not np.isfinite(best_delta):
+            if r < 0:
                 return "unbounded"
+            if abs(w[r]) < TINY_PIVOT and self.since_refactor:
+                self._refactor()
+                continue
 
-            self.iterations += 1
-            if best_delta <= 1e-12:
-                self.degenerate += 1
-                if self.degenerate >= self.stall_threshold:
-                    self.bland = True
-            leaving = int(self.basis[leave_pos])
-            self.x[self.basis] = xb - step_w * best_delta
-            self.x[q] = self.x[q] + direction * best_delta
-            self.x[leaving] = self.lo[leaving] if leave_to == _AT_LO else self.hi[leaving]
-            self.state[leaving] = leave_to
-            self.state[q] = _BASIC
-            self.basis[leave_pos] = q
+            self._count_pivot(delta)
+            leaving = self.basis[r]
+            self.x[self.basis] -= step * delta
+            self.x[q] += direction * delta
+            self.x[leaving] = self.hi[leaving] if to_upper else self.lo[leaving]
+            self.state[leaving] = _AT_HI if to_upper else _AT_LO
+            self._pivot(r, q, w)
 
-    def _prefer(self, bi, i, step_w, cur_pos) -> bool:
-        """Tie-break among equal ratio-test limits."""
-        if self.bland:
-            return bi < self.basis[cur_pos]
-        a, b = abs(step_w[i]), abs(step_w[cur_pos])
-        if a != b:
-            return a > b
-        return bi < self.basis[cur_pos]
+    # ---- dual simplex --------------------------------------------------------
+    def _dual(self, cost: np.ndarray) -> str:
+        """Bounded dual simplex from a dual feasible basis, until the basic
+        values are within their bounds. Returns ``optimal`` once they are."""
+        d = self._reduced_costs(cost)
+        while True:
+            if self.iterations >= self.max_iter:
+                return "iteration_limit"
+            infeas = self._infeasibility()
+            if self.bland:
+                rows = np.flatnonzero(infeas > FEAS_TOL)
+                if rows.size == 0:
+                    return "optimal"
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(np.argmax(infeas))
+                if infeas[r] <= FEAS_TOL:
+                    return "optimal"
+            p = self.basis[r]
+            below = self.x[p] < self.lo[p]
+
+            # row r of B^-1 [A | I]; the entering column must push x_p
+            # toward the violated bound from the side its state allows
+            alpha = self.binv[r] @ self.T
+            toward = alpha if below else -alpha
+            st = self.state
+            cand = self.movable & (
+                ((st == _AT_LO) & (toward < -PIVOT_TOL))
+                | ((st == _AT_HI) & (toward > PIVOT_TOL))
+                | ((st == _FREE) & (np.abs(alpha) > PIVOT_TOL))
+            )
+            idx = np.flatnonzero(cand)
+            if idx.size == 0:
+                if self.since_refactor:
+                    self._refactor()
+                    d = self._reduced_costs(cost)
+                    continue
+                return "infeasible"  # row r is a Farkas certificate
+
+            # dual ratio test: the reduced cost that first reaches zero
+            slack = np.where(st[idx] == _AT_HI, -d[idx], np.where(st[idx] == _FREE, 0.0, d[idx]))
+            ratio = np.maximum(slack, 0.0) / np.abs(alpha[idx])
+            best = ratio.min()
+            ties = idx[ratio <= best + 1e-12]
+            if not self.bland:
+                mag = np.abs(alpha[ties])
+                ties = ties[mag == mag.max()]
+            q = int(ties[0])
+
+            w = self.binv @ self.T[:, q]
+            if abs(w[r]) < TINY_PIVOT and self.since_refactor:
+                self._refactor()
+                d = self._reduced_costs(cost)
+                continue
+
+            self._count_pivot(best)
+            target = self.lo[p] if below else self.hi[p]
+            delta = (self.x[p] - target) / w[r]
+            self.x[self.basis] -= w * delta
+            self.x[q] += delta
+            self.x[p] = target
+            self.state[p] = _AT_LO if below else _AT_HI
+            d -= (d[q] / alpha[q]) * alpha
+            self._pivot(r, q, w)
+            if self.since_refactor == 0:
+                d = self._reduced_costs(cost)
+
+    # ---- solve paths ---------------------------------------------------------
+    def optimize(self, cost: np.ndarray) -> str:
+        """Dual simplex until the basic values are within their bounds, then
+        primal phase 2, repeated until a fresh inverse confirms the optimum.
+
+        Needs a basis that is dual feasible or primal feasible (the dual
+        part then makes no pivot)."""
+        while True:
+            status = self._dual(cost)
+            if status != "optimal":
+                return status
+            status = self._primal(cost)
+            if status != "optimal" or self.since_refactor == 0:
+                return status
+            self._refactor()
+
+    def warm(self, basis: Basis, cost: np.ndarray) -> bool:
+        """Install ``basis`` with every nonbasic column at the bound it names.
+
+        Returns False when the basis is not dual feasible; raises LinAlgError
+        when it cannot be factored.
+        """
+        basic = np.asarray(basis.basic, dtype=np.intp)
+        at_upper = np.asarray(basis.at_upper, dtype=bool)
+        ncols = self.nv + self.m
+        if basic.shape != (self.m,) or at_upper.shape != (ncols,):
+            raise ValueError("basis does not match the LP's dimensions")
+        if np.unique(basic).size != self.m or basic.min() < 0 or basic.max() >= ncols:
+            raise ValueError("basis must name m distinct column ids")
+        self.basis = basic.copy()
+        self._place_nonbasic(at_upper)
+        self._refactor()
+        d = self._reduced_costs(cost)
+        st = self.state
+        wrong = (
+            ((st == _AT_LO) & (d < -DUAL_TOL))
+            | ((st == _AT_HI) & (d > DUAL_TOL))
+            | ((st == _FREE) & (np.abs(d) > DUAL_TOL))
+        )
+        return not np.any(wrong & self.movable)
+
+    def cold(self, cost: np.ndarray) -> str:
+        """The two-phase method from an artificial basis."""
+        m, n = self.m, self.nv + self.m
+        # start every column at a finite bound near zero
+        self._place_nonbasic(np.abs(self.hi) < np.abs(self.lo))
+        resid = self.b - self.T @ self.x
+        sign = np.where(resid >= 0.0, 1.0, -1.0)
+        self.T = np.hstack([self.T, np.diag(sign)])
+        self.lo = np.concatenate([self.lo, np.zeros(m)])
+        self.hi = np.concatenate([self.hi, np.full(m, np.inf)])
+        self.movable = np.concatenate([self.movable, np.ones(m, dtype=bool)])
+        self.x = np.concatenate([self.x, np.abs(resid)])
+        self.state = np.concatenate([self.state, np.full(m, _BASIC, dtype=np.int8)])
+        self.basis = np.arange(n, n + m)
+        self._refactor()
+
+        phase1 = np.zeros(n + m)
+        phase1[n:] = 1.0
+        status = self._primal(phase1)
+        if status == "unbounded":
+            return "numerical"  # phase 1 is bounded below by zero
+        if status != "optimal":
+            return status
+        if self.since_refactor:
+            self._refactor()
+        if float(np.sum(self.x[n:])) > 1e-7:
+            return "infeasible"
+
+        # pivot the remaining artificials out at zero: [A | I] has full row
+        # rank, so each of their rows has a nonzero entry in a nonbasic column
+        for r in np.flatnonzero(self.basis >= n):
+            alpha = self.binv[r] @ self.T[:, :n]
+            alpha[self.state[:n] == _BASIC] = 0.0
+            q = int(np.argmax(np.abs(alpha)))
+            if abs(alpha[q]) <= PIVOT_TOL:
+                return "numerical"
+            self.state[self.basis[r]] = _AT_LO
+            self._pivot(r, q, self.binv @ self.T[:, q])
+        self.T = self.T[:, :n]
+        self.lo, self.hi, self.movable = self.lo[:n], self.hi[:n], self.movable[:n]
+        self.x, self.state = self.x[:n], self.state[:n]
+        self._refactor()
+        return self.optimize(cost)
+
+    def result(self, status: str, c: np.ndarray) -> LpSolution:
+        if status != "optimal":
+            return LpSolution(status, None, None, self.iterations)
+        x = self.x[: self.nv].copy()
+        basis = Basis(self.basis.copy(), self.state == _AT_HI)
+        return LpSolution("optimal", x, float(c @ x), self.iterations, basis)
 
 
-def solve_lp(lp: LinearProgram, max_iter: Optional[int] = None) -> LpSolution:
-    """Solve a bounded-variable LP by the two-phase simplex method.
+def solve_lp(
+    lp: LinearProgram,
+    max_iter: Optional[int] = None,
+    basis: Optional[Basis] = None,
+    lo: Optional[np.ndarray] = None,
+    hi: Optional[np.ndarray] = None,
+) -> LpSolution:
+    """Solve a bounded-variable LP by the simplex method.
 
-    Phase 1 drives artificial variables to zero to find a basic feasible
-    solution; phase 2 optimizes the real objective. The solver is
-    deterministic: re-solving the same LP gives the same answer.
+    ``lo`` and ``hi`` replace the LP's variable bounds when given. ``basis``
+    is an optional warm start, typically the ``basis`` of an earlier
+    solution of an LP with the same c, A, senses and b: the solve runs the
+    bounded dual simplex from it, falling back to the cold two-phase method
+    when it cannot be factored or is not dual feasible. The solver is
+    deterministic: re-solving the same LP from the same start gives the same
+    answer in the same number of iterations.
     """
+    lo = lp.lo if lo is None else np.asarray(lo, dtype=float)
+    hi = lp.hi if hi is None else np.asarray(hi, dtype=float)
     m, v = lp.A.shape
+    if lo.shape != (v,) or hi.shape != (v,) or np.any(lo > hi):
+        raise ValueError("need lo <= hi with one entry per variable")
     if max_iter is None:
         max_iter = 50 * (m + v)
     if m == 0:
         # pure box problem
-        x = np.where(lp.c > 0, lp.lo, np.where(lp.c < 0, lp.hi, np.where(np.isfinite(lp.lo), lp.lo, 0.0)))
+        x = np.where(lp.c > 0, lo, np.where(lp.c < 0, hi, np.where(np.isfinite(lo), lo, 0.0)))
         if np.any(~np.isfinite(x) & (lp.c != 0)):
             return LpSolution("unbounded", None, None, 0)
         x = np.where(np.isfinite(x), x, 0.0)
         return LpSolution("optimal", x, float(lp.c @ x), 0)
 
-    sx = _Simplex(lp, max_iter)
-    ncols = sx.ncols
-
-    phase1_cost = np.zeros(ncols)
-    phase1_cost[v + m :] = 1.0
-    status = sx._solve_phase(phase1_cost)
-    if status == "iteration_limit":
-        return LpSolution("iteration_limit", None, None, sx.iterations)
-    if status in ("singular", "unbounded"):
-        # phase 1 is bounded below by zero, so these signal numerical failure
-        return LpSolution("infeasible", None, None, sx.iterations)
-    art_sum = float(np.sum(sx.x[v + m :]))
-    if art_sum > 1e-7:
-        return LpSolution("infeasible", None, None, sx.iterations)
-
-    # pin artificials at zero for phase 2
-    sx.lo[v + m :] = 0.0
-    sx.hi[v + m :] = 0.0
-    phase2_cost = np.zeros(ncols)
-    phase2_cost[:v] = lp.c
-    status = sx._solve_phase(phase2_cost)
-    if status == "iteration_limit":
-        return LpSolution("iteration_limit", None, None, sx.iterations)
-    if status == "singular":
-        return LpSolution("infeasible", None, None, sx.iterations)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, sx.iterations)
-
-    x = sx.x[:v].copy()
-    return LpSolution("optimal", x, float(lp.c @ x), sx.iterations)
+    cost = np.concatenate([lp.c, np.zeros(m)])
+    spent = 0
+    if basis is not None:
+        sx = _Simplex(lp, lo, hi, max_iter)
+        try:
+            if sx.warm(basis, cost):
+                return sx.result(sx.optimize(cost), lp.c)
+        except np.linalg.LinAlgError:
+            pass
+        spent = sx.iterations
+    sx = _Simplex(lp, lo, hi, max_iter)
+    sx.iterations = spent
+    try:
+        status = sx.cold(cost)
+    except np.linalg.LinAlgError:
+        status = "numerical"
+    return sx.result(status, lp.c)

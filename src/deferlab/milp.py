@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DeferDataset, HalfspacePair, pair_decisions, system_loss_01
-from .lp import LinearProgram, solve_lp
+from .lp import Basis, LinearProgram, solve_lp
 
 __all__ = [
     "MilpConfig",
@@ -746,10 +746,16 @@ class _Node:
     bound: float
     depth: int
     cuts: list = field(default_factory=list)  # cutting-plane engine only
+    basis: Optional[Basis] = None  # parent's optimal LP basis, exact engine only
 
 
 class _ExactRelaxation:
-    """Full LP relaxation per node, solved with the bounded simplex."""
+    """Full LP relaxation per node, solved with the bounded simplex.
+
+    A node LP differs from its parent's only in the bounds of the binaries
+    fixed on the way down, so it is re-solved from the parent's optimal
+    basis with the dual simplex; the root is solved cold.
+    """
 
     def __init__(self, problem: MilpProblem):
         self.problem = problem
@@ -761,16 +767,14 @@ class _ExactRelaxation:
         hi = self.lp.hi.copy()
         for vid, val in node.fixed.items():
             lo[vid] = hi[vid] = val
-        lp = LinearProgram(
-            c=self.lp.c, A=self.lp.A, senses=self.lp.senses, b=self.lp.b, lo=lo, hi=hi
-        )
-        sol = solve_lp(lp)
+        sol = solve_lp(self.lp, basis=node.basis, lo=lo, hi=hi)
         if sol.status == "infeasible":
             return None
         if sol.status != "optimal":
-            # unresolved relaxation: fall back to the parent bound
-            return {"bound": node.bound, "x": None}
-        return {"bound": max(node.bound, sol.objective_value), "x": sol.x}
+            # unresolved relaxation (iteration limit or numerical failure):
+            # fall back to the parent bound and basis
+            return {"bound": node.bound, "x": None, "basis": node.basis}
+        return {"bound": max(node.bound, sol.objective_value), "x": sol.x, "basis": sol.basis}
 
     def fractional_values(self, info):
         if info["x"] is None:
@@ -1089,6 +1093,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
                 bound=node_lb,
                 depth=node.depth + 1,
                 cuts=info.get("cuts", []) if isinstance(engine, _CutPlaneRelaxation) else [],
+                basis=info.get("basis"),
             )
             heapq.heappush(heap, (node_lb, seq, child))
             seq += 1
@@ -1109,7 +1114,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
             pair=None,
             objective=np.inf,
             train_loss=np.inf,
-            status=status if status == "infeasible" else status,
+            status=status,
             nodes_explored=nodes,
             wall_time_s=wall,
             best_bound=global_bound,

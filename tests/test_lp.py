@@ -2,8 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import deferlab.lp as lp_module
+from deferlab.core import DeferDataset
 from deferlab.lp import LinearProgram, LpSolution, dump_lp, format_lp_text, solve_lp
+from deferlab.milp import INT_TOL, MilpConfig, add_coverage_constraint, build_binary_milp
 
 
 def brute_force_vertex_min(lp, tol=1e-9):
@@ -209,6 +214,183 @@ class TestInvariants:
         assert a.objective_value == b2.objective_value
         np.testing.assert_array_equal(a.x, b2.x)
         assert a.iterations == b2.iterations
+
+
+def _capped_random_lp(seed, v, m):
+    """A random LP over the box [-2, 2]^v with mixed row senses.
+
+    It is feasible at an interior point x0, and its first row caps x_0 at
+    x0_0 + gap < 2, so fixing x_0 above the cap makes it infeasible.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, v))
+    A[0] = 0.0
+    A[0, 0] = 1.0
+    x0 = rng.uniform(-1.0, 1.0, size=v)
+    senses = ["<="] + [("<=", ">=", "=")[k] for k in rng.integers(0, 3, size=m - 1)]
+    side = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in senses])
+    b = A @ x0 + side * rng.uniform(0.1, 1.0, size=m)
+    return LinearProgram(
+        c=rng.normal(size=v), A=A, senses=senses, b=b, lo=np.full(v, -2.0), hi=np.full(v, 2.0)
+    )
+
+
+def _assert_feasible(lp, sol, lo, hi, tol=1e-9):
+    ax = lp.A @ sol.x
+    for i, s in enumerate(lp.senses):
+        if s == "<=":
+            assert ax[i] <= lp.b[i] + tol
+        elif s == ">=":
+            assert ax[i] >= lp.b[i] - tol
+        else:
+            assert abs(ax[i] - lp.b[i]) <= tol
+    assert np.all(sol.x >= lo - tol) and np.all(sol.x <= hi + tol)
+
+
+def _assert_same_solve(warm, cold):
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+
+
+class TestWarmStart:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        v=st.integers(1, 6),
+        m=st.integers(1, 8),
+        pick=st.integers(0, 5),
+        mode=st.sampled_from(["lo", "hi", "infeasible"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fixing_one_variable(self, seed, v, m, pick, mode):
+        lp = _capped_random_lp(seed, v, m)
+        parent = solve_lp(lp)
+        assert parent.status == "optimal"
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        j = pick % v
+        if mode == "lo":
+            value = lp.lo[j]
+        elif mode == "hi":
+            value = lp.hi[j]
+        else:
+            j, value = 0, 0.5 * (lp.b[0] + lp.hi[0])  # interior, above the cap row
+        lo[j] = hi[j] = value
+
+        warm = solve_lp(lp, basis=parent.basis, lo=lo, hi=hi)
+        cold = solve_lp(lp, lo=lo, hi=hi)
+        _assert_same_solve(warm, cold)
+        if mode == "infeasible":
+            assert warm.status == "infeasible"
+        if warm.status == "optimal":
+            _assert_feasible(lp, warm, lo, hi)
+        if v <= 3 and m <= 4:
+            child = LinearProgram(c=lp.c, A=lp.A, senses=lp.senses, b=lp.b, lo=lo, hi=hi)
+            oracle = brute_force_vertex_min(child)
+            if warm.status == "optimal":
+                assert warm.objective_value == pytest.approx(oracle, abs=1e-7)
+            else:
+                assert oracle == np.inf
+
+    def test_returned_basis_resolves_without_pivots(self):
+        lp = _capped_random_lp(3, 4, 5)
+        sol = solve_lp(lp)
+        again = solve_lp(lp, basis=sol.basis)
+        assert again.status == "optimal"
+        assert again.iterations == 0
+        assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-12)
+
+    def test_dual_infeasible_basis_falls_back_to_cold(self):
+        lp = _capped_random_lp(3, 4, 5)
+        sol = solve_lp(lp)
+        basis = sol.basis
+        nonbasic = np.ones(lp.num_vars + lp.num_rows, dtype=bool)
+        nonbasic[basis.basic] = False
+        # every nonbasic column at its other bound: not dual feasible
+        flipped = lp_module.Basis(basis.basic, basis.at_upper ^ nonbasic)
+        again = solve_lp(lp, basis=flipped)
+        assert again.status == "optimal"
+        assert again.iterations == sol.iterations  # the cold path from scratch
+        assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-12)
+
+    def test_unfactorable_basis_falls_back_to_cold(self, monkeypatch):
+        lp = _capped_random_lp(3, 4, 5)
+        sol = solve_lp(lp)
+        calls = []
+        invert = lp_module._invert
+
+        def fail_first(B):
+            calls.append(B.shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return invert(B)
+
+        monkeypatch.setattr(lp_module, "_invert", fail_first)
+        again = solve_lp(lp, basis=sol.basis)
+        assert len(calls) > 1
+        assert again.status == "optimal"
+        assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-12)
+
+    def test_malformed_warm_start_raises(self):
+        lp = _capped_random_lp(3, 4, 5)
+        basis = solve_lp(lp).basis
+        with pytest.raises(ValueError):
+            solve_lp(lp, basis=lp_module.Basis(basis.basic[:-1], basis.at_upper))
+        with pytest.raises(ValueError):
+            solve_lp(lp, basis=basis, lo=lp.hi, hi=lp.lo)
+
+    @pytest.mark.parametrize("beta", [None, 0.25])
+    def test_branch_path_of_a_deferral_milp(self, beta):
+        # a 6-point instance: 3 points per class, the human wrong on 4
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(6, 2))
+        y = np.array([0, 1, 0, 1, 0, 1])
+        h = y.copy()
+        h[[0, 1, 2, 5]] = 1 - h[[0, 1, 2, 5]]
+        problem = build_binary_milp(DeferDataset(x, y, h, 2), MilpConfig())
+        if beta is not None:
+            problem = add_coverage_constraint(problem, beta)
+        lp = problem.lp_relaxation
+        binaries = problem.binary_var_ids
+        lo, hi = lp.lo.copy(), lp.hi.copy()
+        parent = solve_lp(lp)
+        depth = 0
+        warm_iters = cold_iters = 0
+        while True:
+            frac = parent.x[binaries]
+            dist = np.abs(frac - np.round(frac))
+            if not np.any(dist > INT_TOL):
+                break
+            vid = int(binaries[np.argmin(np.where(dist > INT_TOL, np.abs(frac - 0.5), np.inf))])
+            follow = None
+            for value in (0.0, 1.0):
+                clo, chi = lo.copy(), hi.copy()
+                clo[vid] = chi[vid] = value
+                warm = solve_lp(lp, basis=parent.basis, lo=clo, hi=chi)
+                cold = solve_lp(lp, lo=clo, hi=chi)
+                _assert_same_solve(warm, cold)
+                warm_iters += warm.iterations
+                cold_iters += cold.iterations
+                if warm.status == "optimal":
+                    _assert_feasible(lp, warm, clo, chi)
+                    if follow is None:
+                        follow = (warm, clo, chi)
+            if follow is None:
+                break
+            parent, lo, hi = follow
+            depth += 1
+        assert depth >= 3
+        # the parent's basis is a few dual pivots from the child's optimum
+        assert warm_iters * 8 <= cold_iters
+
+
+class TestNumericalStatus:
+    def test_singular_factorization_is_numerical(self, monkeypatch):
+        def singular(B):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(lp_module, "_invert", singular)
+        lp = _capped_random_lp(5, 3, 4)
+        assert solve_lp(lp).status == "numerical"
 
 
 class TestDump:

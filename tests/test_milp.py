@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import deferlab.lp as lp_module
 from deferlab.core import DeferDataset, pair_decisions, system_loss_01
 from deferlab.datagen import SyntheticConfig, generate_synthetic
 from deferlab.lp import solve_lp
@@ -153,6 +154,27 @@ class TestSolveBasics:
         sol = solve_milp(build_binary_milp(ds, cfg), cfg)
         assert sol.status == "proven_optimal"
         assert abs(sol.objective - sol.best_bound) <= 0.4 / ds.n + 1e-12
+
+
+class TestNumericalFailures:
+    def test_numerical_lps_never_prove_optimality(self, monkeypatch):
+        # alternating labels on a line with the human always wrong: no
+        # halfspace pair reaches zero loss
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        y = np.array([0, 1, 0, 1])
+        ds = DeferDataset(x, y, 1 - y, 2)
+        problem = build_binary_milp(ds, MilpConfig())
+        sound = solve_milp(problem, MilpConfig())
+        assert sound.status == "proven_optimal" and sound.objective > 0.0
+
+        def singular(B):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(lp_module, "_invert", singular)
+        assert solve_lp(problem.lp_relaxation).status == "numerical"
+        sol = solve_milp(problem, MilpConfig())
+        assert sol.status != "proven_optimal"
+        assert sol.objective >= sound.objective - 1e-12
 
 
 class TestIntegralSolutionSemantics:
