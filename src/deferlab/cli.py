@@ -520,7 +520,6 @@ def build_parser() -> _Parser:
     p.add_argument("--methods")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, default=1, help="reserved; trials run sequentially")
     _add_data_flags(p)
     _add_solver_flags(p)
     _add_train_flags(p)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -169,10 +169,8 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _generate_instance(instance, seed):
-    from dataclasses import replace as _replace
-
     if isinstance(instance, SyntheticConfig):
-        inst = generate_synthetic(_replace(instance, seed=seed))
+        inst = generate_synthetic(replace(instance, seed=seed))
         return inst.dataset
     if isinstance(instance, GroupedExpertConfig):
         return generate_grouped_expert(
@@ -225,14 +223,12 @@ def run_benchmark(instance, methods, trials: int, seed: int = 0, *,
         train = dataset.subset(order[:n_train])
         val = dataset.subset(order[n_train : n_train + n_val])
         test = dataset.subset(order[n_train + n_val :])
-        from dataclasses import replace as _replace
-
         for method in methods:
             if method == "milp":
                 system = _fit_milp(train, milp_config)
             else:
                 system = train_method(method, train, val,
-                                      _replace(train_config, seed=tseed % (2**32)))
+                                      replace(train_config, seed=tseed % (2**32)))
             records.append(TrialRecord(
                 method=method, trial=trial,
                 report=evaluate(system, test),

@@ -92,10 +92,23 @@ def _softplus(z):
     return np.where(z > 0, z + np.log1p(np.exp(-np.abs(z))), np.log1p(np.exp(z)))
 
 
+def _check_alpha(alpha, n):
+    """alpha as a float array: a scalar, or one value per score row."""
+    a = np.asarray(alpha, dtype=float)
+    if a.ndim > 1 or (a.ndim == 1 and a.shape != (n,)):
+        raise ValueError("alpha must be a scalar or have one entry per row")
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ValueError("alpha must lie in [0, 1]")
+    return a
+
+
 def loss_rs_batch(scores, y, human_correct):
     """Realizable surrogate: -2*log2((e^g_y + I{h=y} e^g_bot) / sum over all)."""
-    g, y, hc = _check_batch(scores, y, human_correct)
-    n, cp1 = g.shape
+    return _rs(*_check_batch(scores, y, human_correct))
+
+
+def _rs(g, y, hc):
+    n = g.shape[0]
     rows = np.arange(n)
     zmax = g.max(axis=1, keepdims=True)
     e = np.exp(g - zmax)
@@ -112,13 +125,15 @@ def loss_rs_batch(scores, y, human_correct):
 
 
 def loss_rs_alpha_batch(scores, y, human_correct, alpha):
-    """Convex mix of the realizable surrogate with plain class log-loss (base 2)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    """Convex mix of the realizable surrogate with plain class log-loss (base 2).
+
+    ``alpha`` is a scalar or one weight per row, each in [0, 1].
+    """
     g, y, hc = _check_batch(scores, y, human_correct)
     n = g.shape[0]
+    a = _check_alpha(alpha, n)
     rows = np.arange(n)
-    rs_vals, rs_grads = loss_rs_batch(g, y, hc)
+    rs_vals, rs_grads = _rs(g, y, hc)
     gy = g[:, :-1]
     p = _softmax(gy)
     logp = _log_softmax(gy)
@@ -126,7 +141,8 @@ def loss_rs_alpha_batch(scores, y, human_correct, alpha):
     ce_grads = np.zeros_like(g)
     ce_grads[:, :-1] = p / LN2
     ce_grads[rows, y] -= 1.0 / LN2
-    return alpha * rs_vals + (1 - alpha) * ce_vals, alpha * rs_grads + (1 - alpha) * ce_grads
+    ag = a[..., None]
+    return a * rs_vals + (1 - a) * ce_vals, ag * rs_grads + (1 - ag) * ce_grads
 
 
 def loss_rs2_batch(scores, y, human_correct):
@@ -152,15 +168,17 @@ def loss_rs2_batch(scores, y, human_correct):
 
 
 def loss_ce_alpha_batch(scores, y, human_correct, alpha):
-    """Cross-entropy deferral surrogate with target weight alpha on human-correct points."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    """Cross-entropy deferral surrogate with target weight alpha on human-correct points.
+
+    ``alpha`` is a scalar or one weight per row, each in [0, 1].
+    """
     g, y, hc = _check_batch(scores, y, human_correct)
     n = g.shape[0]
+    a = _check_alpha(alpha, n)
     rows = np.arange(n)
     logq = _log_softmax(g)
     q = np.exp(logq)
-    w = np.where(hc, alpha, 1.0)
+    w = np.where(hc, a, 1.0)
     k = hc.astype(float)
     vals = -w * logq[rows, y] - k * logq[:, -1]
     grads = (w + k)[:, None] * q
@@ -247,7 +265,7 @@ def loss_moe(scores, y, human_correct) -> LossEval:
 
 
 def _rs_dispatch(g, y, hc, alpha):
-    if alpha is None or alpha == 1.0:
+    if alpha is None or (np.ndim(alpha) == 0 and alpha == 1.0):
         return loss_rs_batch(g, y, hc)
     return loss_rs_alpha_batch(g, y, hc, alpha)
 
@@ -256,7 +274,8 @@ def _ce_dispatch(g, y, hc, alpha):
     return loss_ce_alpha_batch(g, y, hc, 1.0 if alpha is None else alpha)
 
 
-# id -> batch callable taking (scores, y, human_correct, alpha or None)
+# id -> batch callable taking (scores, y, human_correct, alpha or None); the
+# alpha losses take a scalar alpha or one alpha per score row
 LOSSES = {
     "rs": _rs_dispatch,
     "rs2": lambda g, y, hc, alpha: loss_rs2_batch(g, y, hc),

@@ -8,6 +8,12 @@ returned model (ties go to the earlier epoch). Two-stage baselines train a
 classifier first and derive their deferral rule from auxiliary models or
 confidence thresholds.
 
+Every trainer runs one loop, which trains a stack of parameter rows that
+share their initial weights, minibatch order and Adam settings. An alpha
+grid trains as one stacked pass, one row per alpha, and each row follows
+bit for bit the path a lone run with that alpha takes; a single model is
+the one-row case.
+
 Deferral semantics per method, all expressed as ``defer iff
 rejection_score(x) >= tau``:
 
@@ -27,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DeferDataset
-from .surrogates import LOSSES
+from .surrogates import LOSSES, _sigmoid, _softmax
 
 __all__ = [
     "ScoreModel",
@@ -47,6 +53,11 @@ __all__ = [
 
 class TrainingDiverged(RuntimeError):
     """Raised when a training loss stops being finite."""
+
+
+def _t(a):
+    """Transpose each matrix of a stack."""
+    return a.swapaxes(1, 2)
 
 
 @dataclass
@@ -78,46 +89,59 @@ class ScoreModel:
             raise ValueError(f"unknown architecture {arch!r}")
         return cls(arch, input_dim, output_dim, hidden_units, params)
 
-    def _unpack(self):
+    def _unpack(self, stack):
+        """Weights (K, fan_out, fan_in) and biases (K, 1, fan_out) of each row
+        of a (K, p) parameter stack."""
         d, out, h = self.input_dim, self.output_dim, self.hidden_units
-        p = self.params
+        k = stack.shape[0]
         if self.arch == "linear":
-            w = p[: d * out].reshape(out, d)
-            b = p[d * out :]
+            w = stack[:, : d * out].reshape(k, out, d)
+            b = stack[:, None, d * out :]
             return w, b
         n1 = d * h
-        w1 = p[:n1].reshape(h, d)
-        b1 = p[n1 : n1 + h]
+        w1 = stack[:, :n1].reshape(k, h, d)
+        b1 = stack[:, None, n1 : n1 + h]
         n2 = n1 + h
-        w2 = p[n2 : n2 + h * out].reshape(out, h)
-        b2 = p[n2 + h * out :]
+        w2 = stack[:, n2 : n2 + h * out].reshape(k, out, h)
+        b2 = stack[:, None, n2 + h * out :]
         return w1, b1, w2, b2
+
+    def _stack_forward(self, stack, x):
+        """Scores (K, n, output_dim) of each row of a (K, p) parameter stack."""
+        if self.arch == "linear":
+            w, b = self._unpack(stack)
+            return x @ _t(w) + b
+        w1, b1, w2, b2 = self._unpack(stack)
+        hidden = np.maximum(0.0, x @ _t(w1) + b1)
+        return hidden @ _t(w2) + b2
+
+    def _stack_backward(self, stack, x, dscores):
+        """Gradients (K, p) of sum(dscores[k] * scores[k]) in each row of a
+        (K, p) parameter stack; ``dscores`` is (K, n, output_dim)."""
+        k = stack.shape[0]
+        if self.arch == "linear":
+            dw = _t(dscores) @ x
+            db = dscores.sum(axis=1)
+            return np.concatenate([dw.reshape(k, -1), db], axis=1)
+        w1, b1, w2, _ = self._unpack(stack)
+        z1 = x @ _t(w1) + b1
+        a1 = np.maximum(0.0, z1)
+        dw2 = _t(dscores) @ a1
+        db2 = dscores.sum(axis=1)
+        da1 = dscores @ w2
+        dz1 = da1 * (z1 > 0)
+        dw1 = _t(dz1) @ x
+        db1 = dz1.sum(axis=1)
+        return np.concatenate([dw1.reshape(k, -1), db1, dw2.reshape(k, -1), db2], axis=1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.arch == "linear":
-            w, b = self._unpack()
-            return x @ w.T + b
-        w1, b1, w2, b2 = self._unpack()
-        hidden = np.maximum(0.0, x @ w1.T + b1)
-        return hidden @ w2.T + b2
+        scores = self._stack_forward(self.params[None], np.atleast_2d(x))[0]
+        return scores.reshape(x.shape[:-1] + (self.output_dim,))
 
     def backward(self, x: np.ndarray, dscores: np.ndarray) -> np.ndarray:
         """Gradient of sum(dscores * scores) in the flat parameters."""
-        if self.arch == "linear":
-            dw = dscores.T @ x
-            db = dscores.sum(axis=0)
-            return np.concatenate([dw.ravel(), db])
-        w1, b1, w2, b2 = self._unpack()
-        z1 = x @ w1.T + b1
-        a1 = np.maximum(0.0, z1)
-        dw2 = dscores.T @ a1
-        db2 = dscores.sum(axis=0)
-        da1 = dscores @ w2
-        dz1 = da1 * (z1 > 0)
-        dw1 = dz1.T @ x
-        db1 = dz1.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        return self._stack_backward(self.params[None], x, np.asarray(dscores)[None])[0]
 
     def copy(self) -> "ScoreModel":
         return ScoreModel(self.arch, self.input_dim, self.output_dim,
@@ -196,21 +220,6 @@ class TrainedSystem:
         return replace(self, tau=float(tau))
 
 
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _softmax(scores):
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def system_accuracy(deferred, clf_labels, dataset: DeferDataset) -> float:
     """Empirical accuracy of the combined system decisions on a dataset."""
     correct = np.where(np.asarray(deferred), dataset.human_correct,
@@ -219,9 +228,9 @@ def system_accuracy(deferred, clf_labels, dataset: DeferDataset) -> float:
 
 
 class _Adam:
-    def __init__(self, size, config: TrainConfig):
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+    def __init__(self, shape, config: TrainConfig):
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
         self.cfg = config
 
@@ -236,48 +245,112 @@ class _Adam:
 
 
 def _run_training(model: ScoreModel, dataset: DeferDataset, config: TrainConfig,
-                  loss_fn, val_metric, rng, train_metric=None):
-    """Generic epoch loop: minibatch Adam plus best-epoch snapshotting.
+                  loss_fn, val_metric, rng, rows=1, train_metric=None):
+    """Generic epoch loop: minibatch Adam plus best-epoch snapshotting, run on
+    a stack of ``rows`` copies of ``model``'s parameters.
 
-    ``loss_fn(scores, idx) -> (values, score_grads)`` evaluates the training
-    loss on a batch given row indices; ``val_metric(model) -> float`` scores
-    a snapshot after each epoch (higher is better). ``train_metric`` is an
-    optional per-epoch diagnostic whose maximum is also returned.
+    The rows share the initial weights, the minibatch order and the Adam
+    settings; only the loss tells them apart, so each row follows exactly
+    the path a one-row run with its loss would. ``loss_fn(scores, idx) ->
+    (values, score_grads)`` evaluates the training loss on a batch given
+    row indices, with the rows' scores stacked row after row into one
+    (rows * len(idx), output_dim) array. ``val_metric(stack) -> (rows,)``
+    scores each row of a parameter stack after each epoch (higher is
+    better), and each row keeps its best epoch's snapshot (ties go to the
+    earlier epoch). ``train_metric`` is an optional per-epoch diagnostic of
+    the same shape whose maximum is also returned. Any row that stops being
+    finite raises TrainingDiverged at once.
+
+    Returns the best snapshots as a (rows, p) stack, then each row's best
+    metric, best epoch and best train metric.
     """
     n = dataset.n
     x = dataset.features
-    adam = _Adam(model.params.size, config)
+    params = np.repeat(model.params[None], rows, axis=0)
+    adam = _Adam(params.shape, config)
     batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
-    best_metric = -np.inf
-    best_train_metric = -np.inf
-    best_params = model.params.copy()
-    best_epoch = 0
+    best_metric = np.full(rows, -np.inf)
+    best_train_metric = np.full(rows, -np.inf)
+    best_params = params.copy()
+    best_epoch = np.zeros(rows, dtype=np.int64)
     for epoch in range(1, config.epochs + 1):
         order = np.arange(n) if batch == n else rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            scores = model.forward(x[idx])
+            xb = x[idx]
+            scores = model._stack_forward(params, xb)
             if not np.all(np.isfinite(scores)):
                 raise TrainingDiverged(f"non-finite scores at epoch {epoch}")
-            vals, grads = loss_fn(scores, idx)
-            mean_loss = float(np.mean(vals))
-            if not np.isfinite(mean_loss):
+            vals, grads = loss_fn(scores.reshape(-1, scores.shape[2]), idx)
+            mean_loss = vals.reshape(rows, -1).mean(axis=1)
+            if not np.all(np.isfinite(mean_loss)):
                 raise TrainingDiverged(
                     f"non-finite loss {mean_loss!r} at epoch {epoch}"
                 )
-            pgrad = model.backward(x[idx], grads / len(idx))
-            model.params = adam.step(model.params, pgrad)
-            if not np.all(np.isfinite(model.params)):
+            pgrad = model._stack_backward(params, xb, grads.reshape(scores.shape) / len(idx))
+            params = adam.step(params, pgrad)
+            if not np.all(np.isfinite(params)):
                 raise TrainingDiverged(f"non-finite parameters at epoch {epoch}")
-        metric = val_metric(model)
-        if metric > best_metric:
-            best_metric = metric
-            best_params = model.params.copy()
-            best_epoch = epoch
+        metric = val_metric(params)
+        better = metric > best_metric
+        best_metric[better] = metric[better]
+        best_params[better] = params[better]
+        best_epoch[better] = epoch
         if train_metric is not None:
-            best_train_metric = max(best_train_metric, train_metric(model))
-    model.params = best_params
-    return best_metric, best_epoch, best_train_metric
+            best_train_metric = np.maximum(best_train_metric, train_metric(params))
+    return best_params, best_metric, best_epoch, best_train_metric
+
+
+def _train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
+                      config: TrainConfig, alphas) -> list:
+    """Train one joint C+1-head model per alpha as a single stacked pass.
+
+    Every model starts from ``config.seed``'s initial weights and sees the
+    same minibatch order, so each equals a lone run with its alpha. The loss
+    gets one alpha per score row (None when ``alphas`` is ``[None]``).
+    """
+    if config.loss not in LOSSES:
+        raise ValueError(f"unknown loss id {config.loss!r}")
+    if dataset.d != val_dataset.d or dataset.num_classes != val_dataset.num_classes:
+        raise ValueError("train and validation datasets must share d and C")
+    c = dataset.num_classes
+    k = len(alphas)
+    rng = np.random.default_rng(config.seed)
+    arch = "one_hidden" if config.hidden_units > 0 else "linear"
+    model = ScoreModel.initialize(arch, dataset.d, c + 1, config.hidden_units, rng)
+    batch_loss = LOSSES[config.loss]
+    y = dataset.labels
+    hc = dataset.human_correct
+    row_alpha = None if alphas[0] is None else np.asarray(alphas, dtype=float)
+    score_kind = "defer_head" if config.loss in ("rs2", "moe") else "gap"
+
+    def loss_fn(scores, idx):
+        stacked = np.concatenate([idx] * k)
+        alpha = None if row_alpha is None else np.repeat(row_alpha, len(idx))
+        return batch_loss(scores, y[stacked], hc[stacked], alpha)
+
+    def _system_acc(stack, ds):
+        scores = model._stack_forward(stack, ds.features)
+        labels = np.argmax(scores[:, :, :c], axis=2)
+        if score_kind == "gap":
+            defer = scores[:, :, -1] - scores[:, :, :c].max(axis=2) >= 0.0
+        else:
+            defer = scores[:, :, -1] >= 0.0
+        return np.mean(np.where(defer, ds.human_correct, labels == ds.labels), axis=1)
+
+    params, best_acc, best_epoch, best_train = _run_training(
+        model, dataset, config, loss_fn, lambda st: _system_acc(st, val_dataset), rng,
+        rows=k, train_metric=lambda st: _system_acc(st, dataset),
+    )
+    return [
+        TrainedSystem(
+            model=replace(model, params=params[i].copy()), num_classes=c, tau=0.0,
+            method=config.loss, score_kind=score_kind, alpha=alpha,
+            best_val_accuracy=float(best_acc[i]), best_epoch=int(best_epoch[i]),
+            min_train_error=1.0 - float(best_train[i]),
+        )
+        for i, alpha in enumerate(alphas)
+    ]
 
 
 def train_surrogate(dataset: DeferDataset, val_dataset: DeferDataset,
@@ -287,59 +360,29 @@ def train_surrogate(dataset: DeferDataset, val_dataset: DeferDataset,
     Tracks validation system accuracy at tau = 0 after every epoch and
     returns the best epoch's snapshot (ties resolve to the earliest epoch).
     """
-    if config.loss not in LOSSES:
-        raise ValueError(f"unknown loss id {config.loss!r}")
-    if dataset.d != val_dataset.d or dataset.num_classes != val_dataset.num_classes:
-        raise ValueError("train and validation datasets must share d and C")
-    c = dataset.num_classes
-    rng = np.random.default_rng(config.seed)
-    arch = "one_hidden" if config.hidden_units > 0 else "linear"
-    model = ScoreModel.initialize(arch, dataset.d, c + 1, config.hidden_units, rng)
-    batch_loss = LOSSES[config.loss]
-    y = dataset.labels
-    hc = dataset.human_correct
-    score_kind = "defer_head" if config.loss in ("rs2", "moe") else "gap"
-
-    def loss_fn(scores, idx):
-        return batch_loss(scores, y[idx], hc[idx], config.alpha)
-
-    def _system_acc(m, ds):
-        scores = m.forward(ds.features)
-        labels = np.argmax(scores[:, :c], axis=1)
-        if score_kind == "gap":
-            defer = scores[:, -1] - scores[:, :c].max(axis=1) >= 0.0
-        else:
-            defer = scores[:, -1] >= 0.0
-        return system_accuracy(defer, labels, ds)
-
-    best_acc, best_epoch, best_train = _run_training(
-        model, dataset, config, loss_fn, lambda m: _system_acc(m, val_dataset), rng,
-        train_metric=lambda m: _system_acc(m, dataset),
-    )
-    return TrainedSystem(
-        model=model, num_classes=c, tau=0.0, method=config.loss,
-        score_kind=score_kind, alpha=config.alpha, best_val_accuracy=best_acc,
-        best_epoch=best_epoch, min_train_error=1.0 - best_train,
-    )
+    return _train_surrogates(dataset, val_dataset, config, [config.alpha])[0]
 
 
 def search_alpha(dataset: DeferDataset, val_dataset: DeferDataset,
                  config: TrainConfig) -> TrainedSystem:
     """Train one system per alpha in the grid; keep the best validation
-    system accuracy, ties resolving to the smaller alpha."""
+    system accuracy, ties resolving to the smaller alpha.
+
+    The whole grid trains as one stacked pass, and each alpha's system is
+    bit for bit the one ``train_surrogate`` returns for that alpha alone.
+    """
     grid = sorted(config.alpha_grid)
     if not grid:
         raise ValueError("alpha_grid must be nonempty")
-    best = None
-    lowest_train = None
-    for alpha in grid:
-        system = train_surrogate(dataset, val_dataset, replace(config, alpha=alpha))
-        if lowest_train is None or system.min_train_error < lowest_train:
-            lowest_train = system.min_train_error
-        if best is None or system.best_val_accuracy > best.best_val_accuracy:
+    if not all(0.0 <= a <= 1.0 for a in grid):
+        raise ValueError("alpha must lie in [0, 1]")
+    systems = _train_surrogates(dataset, val_dataset, config, grid)
+    best = systems[0]
+    for system in systems[1:]:
+        if system.best_val_accuracy > best.best_val_accuracy:
             best = system
     # the search procedure's reached-train-error spans every alpha run
-    return replace(best, min_train_error=lowest_train)
+    return replace(best, min_train_error=min(s.min_train_error for s in systems))
 
 
 def _threshold_candidates(scores: np.ndarray) -> np.ndarray:
@@ -352,17 +395,23 @@ def _threshold_candidates(scores: np.ndarray) -> np.ndarray:
 def _line_search_threshold(scores, human_correct, clf_correct) -> float:
     """Threshold on rejection scores maximizing system accuracy.
 
-    Ties pick the candidate closest to zero, then the smaller one.
+    Ties pick the candidate closest to zero, then the smaller one. One sort
+    and cumulative counts give every candidate's number of correct points.
     """
-    best = None  # maximize (accuracy, -|tau|, -tau) lexicographically
-    best_tau = 0.0
-    for tau in _threshold_candidates(np.asarray(scores, dtype=float)):
-        acc = float(np.mean(np.where(scores >= tau, human_correct, clf_correct)))
-        key = (acc, -abs(tau), -tau)
-        if best is None or key > best:
-            best = key
-            best_tau = float(tau)
-    return best_tau
+    scores = np.asarray(scores, dtype=float)
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    # correct points when the i lowest scores are kept and the rest deferred
+    kept_ok = np.concatenate([[0], np.cumsum(np.asarray(clf_correct, dtype=bool)[order])])
+    hum_ok = np.asarray(human_correct, dtype=bool)[order]
+    deferred_ok = np.concatenate([np.cumsum(hum_ok[::-1])[::-1], [0]])
+    candidates = _threshold_candidates(scores)
+    # a midpoint can round onto a score, so split at each candidate's value
+    kept = np.searchsorted(sorted_scores, candidates, side="left")
+    correct = kept_ok[kept] + deferred_ok[kept]
+    best = candidates[correct == correct.max()]
+    best = best[np.abs(best) == np.abs(best).min()]
+    return float(best.min())
 
 
 def fit_tau(system: TrainedSystem, val_dataset: DeferDataset) -> float:
@@ -401,6 +450,16 @@ def _logistic_batch(logits, targets01):
     return vals, grads
 
 
+def _class_accuracy(model, val_dataset):
+    """Validation metric: class accuracy of each row of a parameter stack."""
+
+    def metric(stack):
+        pred = np.argmax(model._stack_forward(stack, val_dataset.features), axis=2)
+        return np.mean(pred == val_dataset.labels, axis=1)
+
+    return metric
+
+
 def _train_classifier(dataset, val_dataset, config):
     """Cross-entropy classifier head; tracks validation class accuracy."""
     rng = np.random.default_rng(config.seed)
@@ -412,11 +471,8 @@ def _train_classifier(dataset, val_dataset, config):
     def loss_fn(scores, idx):
         return _ce_batch(scores, y[idx])
 
-    def val_metric(m):
-        pred = np.argmax(m.forward(val_dataset.features), axis=1)
-        return float(np.mean(pred == val_dataset.labels))
-
-    _run_training(model, dataset, config, loss_fn, val_metric, rng)
+    model.params = _run_training(model, dataset, config, loss_fn,
+                                 _class_accuracy(model, val_dataset), rng)[0][0]
     return model
 
 
@@ -429,11 +485,11 @@ def _train_binary_head(dataset, targets01, val_dataset, val_targets01, config, s
     def loss_fn(scores, idx):
         return _logistic_batch(scores, targets01[idx])
 
-    def val_metric(m):
-        pred = m.forward(val_dataset.features)[:, 0] >= 0
-        return float(np.mean(pred == val_targets01))
+    def val_metric(stack):
+        pred = model._stack_forward(stack, val_dataset.features)[:, :, 0] >= 0
+        return np.mean(pred == val_targets01, axis=1)
 
-    _run_training(model, dataset, config, loss_fn, val_metric, rng)
+    model.params = _run_training(model, dataset, config, loss_fn, val_metric, rng)[0][0]
     return model
 
 
@@ -481,11 +537,8 @@ def train_differentiable_triage(dataset, val_dataset, config: TrainConfig) -> Tr
         keep = (clf01 <= hum01[idx]).astype(float)
         return vals * keep, grads * keep[:, None]
 
-    def val_metric(m):
-        pred = np.argmax(m.forward(val_dataset.features), axis=1)
-        return float(np.mean(pred == val_dataset.labels))
-
-    _run_training(model, dataset, config, loss_fn, val_metric, rng)
+    model.params = _run_training(model, dataset, config, loss_fn,
+                                 _class_accuracy(model, val_dataset), rng)[0][0]
 
     pred = np.argmax(model.forward(dataset.features), axis=1)
     clf01 = (pred != y).astype(float)

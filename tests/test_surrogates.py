@@ -266,3 +266,48 @@ class TestValidation:
     def test_rejects_bad_class(self):
         with pytest.raises(ValueError):
             loss_rs([0.0, 0.0, 0.0], 2, True)
+
+
+ALPHA_LOSSES = [("rs_alpha", loss_rs_alpha_batch), ("ce_alpha", loss_ce_alpha_batch)]
+
+
+class TestPerRowAlpha:
+    """The alpha losses take one alpha per row, as a stacked alpha grid does."""
+
+    def _batch(self, n=12, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, 4)) * 3, rng.integers(0, 3, n), rng.random(n) < 0.5
+
+    @pytest.mark.parametrize("name,batch_fn", ALPHA_LOSSES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_scalar_equals_constant_array(self, name, batch_fn, alpha):
+        g, y, hc = self._batch()
+        v_s, g_s = batch_fn(g, y, hc, alpha)
+        v_a, g_a = batch_fn(g, y, hc, np.full(len(y), alpha))
+        np.testing.assert_array_equal(v_s, v_a)
+        np.testing.assert_array_equal(g_s, g_a)
+
+    @pytest.mark.parametrize("name,batch_fn", ALPHA_LOSSES)
+    def test_each_row_uses_its_own_alpha(self, name, batch_fn):
+        g, y, hc = self._batch(n=9, seed=1)
+        alphas = np.repeat([0.0, 0.4, 1.0], 3)
+        vals, grads = batch_fn(g, y, hc, alphas)
+        for a in (0.0, 0.4, 1.0):
+            rows = alphas == a
+            v_s, g_s = batch_fn(g[rows], y[rows], hc[rows], a)
+            np.testing.assert_array_equal(vals[rows], v_s)
+            np.testing.assert_array_equal(grads[rows], g_s)
+
+    @pytest.mark.parametrize("name,batch_fn", ALPHA_LOSSES)
+    @pytest.mark.parametrize("alpha", [[0.2, 1.5, 0.3, 0.3], [0.2, -0.1, 0.3, 0.3],
+                                       [0.2, np.nan, 0.3, 0.3]])
+    def test_out_of_range_array_raises(self, name, batch_fn, alpha):
+        g, y, hc = self._batch(n=4)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            batch_fn(g, y, hc, np.array(alpha))
+
+    @pytest.mark.parametrize("name,batch_fn", ALPHA_LOSSES)
+    def test_wrong_length_array_raises(self, name, batch_fn):
+        g, y, hc = self._batch(n=4)
+        with pytest.raises(ValueError, match="one entry per row"):
+            batch_fn(g, y, hc, np.full(3, 0.5))

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deferlab import surrogates
 from deferlab.core import DeferDataset
-from deferlab.datagen import SyntheticConfig, generate_synthetic
+from deferlab.datagen import SyntheticConfig, generate_grouped_expert, generate_synthetic
 from deferlab.surrogates import loss_rs_batch
 from deferlab.train import (
     ScoreModel,
@@ -11,6 +16,8 @@ from deferlab.train import (
     TrainingDiverged,
     _Adam,
     _line_search_threshold,
+    _threshold_candidates,
+    _train_surrogates,
     fit_tau,
     search_alpha,
     system_accuracy,
@@ -37,14 +44,20 @@ class TestScoreModel:
     def test_linear_forward_shape(self):
         rng = np.random.default_rng(0)
         m = ScoreModel.initialize("linear", 4, 3, 0, rng)
-        out = m.forward(rng.normal(size=(7, 4)))
+        x = rng.normal(size=(7, 4))
+        out = m.forward(x)
         assert out.shape == (7, 3)
+        # a single feature vector gives one score vector
+        np.testing.assert_allclose(m.forward(x[2]), out[2], rtol=1e-12)
 
     def test_hidden_forward_shape(self):
         rng = np.random.default_rng(0)
         m = ScoreModel.initialize("one_hidden", 4, 3, 16, rng)
-        out = m.forward(rng.normal(size=(7, 4)))
+        x = rng.normal(size=(7, 4))
+        out = m.forward(x)
         assert out.shape == (7, 3)
+        # a single feature vector gives one score vector
+        np.testing.assert_allclose(m.forward(x[2]), out[2], rtol=1e-12)
 
     def test_deterministic_init(self):
         a = ScoreModel.initialize("linear", 4, 3, 0, np.random.default_rng(5))
@@ -180,8 +193,139 @@ class TestSearchAlpha:
         with pytest.raises(ValueError):
             search_alpha(train, val, TrainConfig(alpha_grid=()))
 
+    def test_out_of_range_grid(self):
+        train, val, _ = planted_splits(seed=9)
+        with pytest.raises(ValueError, match="alpha"):
+            search_alpha(train, val, TrainConfig(loss="ova", alpha_grid=(0.5, 1.5)))
+
+
+def _sequential_search(train, val, config):
+    """The alpha search as separate runs, one train_surrogate call per alpha:
+    best validation accuracy, ties to the smaller alpha, and the lowest
+    train error over the grid."""
+    systems = [train_surrogate(train, val, replace(config, alpha=a))
+               for a in sorted(config.alpha_grid)]
+    best = systems[0]
+    for system in systems[1:]:
+        if system.best_val_accuracy > best.best_val_accuracy:
+            best = system
+    return systems, best, min(s.min_train_error for s in systems)
+
+
+def _assert_same_system(a, b):
+    np.testing.assert_array_equal(a.model.params, b.model.params)
+    assert a.alpha == b.alpha
+    assert a.best_epoch == b.best_epoch
+    assert a.best_val_accuracy == b.best_val_accuracy
+    assert a.min_train_error == b.min_train_error
+
+
+class TestStackedGrid:
+    """An alpha grid trains as one stacked pass that equals the lone runs bit for bit."""
+
+    GRIDS = {"rs": (0.0, 0.25, 0.5, 0.75, 1.0), "ce": (0.0, 0.1, 0.5, 1.0)}
+
+    @pytest.mark.parametrize("loss", ["rs", "ce"])
+    @pytest.mark.parametrize("hidden_units", [0, 4])
+    @pytest.mark.parametrize("batch_size", [0, 32])
+    def test_grid_equals_sequential_runs(self, loss, hidden_units, batch_size):
+        train, val, _ = planted_splits(seed=40 + hidden_units + batch_size, n_train=150, n_val=60)
+        cfg = TrainConfig(loss=loss, epochs=6, batch_size=batch_size, seed=17,
+                          hidden_units=hidden_units, alpha_grid=self.GRIDS[loss])
+        systems, best, lowest = _sequential_search(train, val, cfg)
+        for stacked, lone in zip(_train_surrogates(train, val, cfg, sorted(cfg.alpha_grid)),
+                                 systems):
+            _assert_same_system(stacked, lone)
+        _assert_same_system(search_alpha(train, val, cfg),
+                            replace(best, min_train_error=lowest))
+
+    @pytest.mark.parametrize("loss", ["rs", "ce"])
+    def test_multiclass_grid_equals_sequential_runs(self, loss):
+        ds = generate_grouped_expert(d=4, n=240, C=3, K=1, seed=3, U=3.0)
+        train, val = ds.subset(np.arange(160)), ds.subset(np.arange(160, 240))
+        cfg = TrainConfig(loss=loss, epochs=5, batch_size=48, seed=5,
+                          alpha_grid=self.GRIDS[loss])
+        _, best, lowest = _sequential_search(train, val, cfg)
+        _assert_same_system(search_alpha(train, val, cfg),
+                            replace(best, min_train_error=lowest))
+
+    def test_ties_keep_the_earlier_epoch(self):
+        # a negligible step leaves every row's validation accuracy unchanged
+        train, val, _ = planted_splits(seed=13, n_train=100, n_val=40)
+        cfg = TrainConfig(loss="rs", epochs=4, learning_rate=1e-12, seed=13)
+        systems = _train_surrogates(train, val, cfg, [0.0, 0.5, 1.0])
+        assert [s.best_epoch for s in systems] == [1, 1, 1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where", ["values", "gradients"])
+    def test_one_diverging_row_raises(self, monkeypatch, where):
+        train, val, _ = planted_splits(seed=12, n_train=100, n_val=40)
+        cfg = TrainConfig(loss="rs", epochs=3, batch_size=25, seed=12,
+                          alpha_grid=(0.0, 0.5, 1.0))
+        real = surrogates.LOSSES["rs"]
+
+        def breaks_at_half(g, y, hc, alpha):
+            vals, grads = real(g, y, hc, alpha)
+            bad = np.asarray(alpha) == 0.5
+            if where == "values":
+                vals = np.where(bad, np.nan, vals)
+            else:
+                grads = np.where(bad[..., None], np.inf, grads)
+            return vals, grads
+
+        monkeypatch.setitem(surrogates.LOSSES, "rs", breaks_at_half)
+        # the other rows train on their own; the grid still fails as a whole
+        for alpha in (0.0, 1.0):
+            train_surrogate(train, val, replace(cfg, alpha=alpha))
+        with pytest.raises(TrainingDiverged):
+            search_alpha(train, val, cfg)
+
+
+def _quadratic_threshold(scores, human_correct, clf_correct):
+    """The threshold search as a scan: the accuracy of every candidate in
+    turn, maximizing (accuracy, -|tau|, -tau)."""
+    best = None
+    best_tau = 0.0
+    for tau in _threshold_candidates(np.asarray(scores, dtype=float)):
+        acc = float(np.mean(np.where(scores >= tau, human_correct, clf_correct)))
+        key = (acc, -abs(tau), -tau)
+        if best is None or key > best:
+            best = key
+            best_tau = float(tau)
+    return best_tau
+
+
+@st.composite
+def _threshold_cases(draw):
+    """Small score arrays drawn from a few values, their negations and their
+    floating-point neighbours, so duplicates, all-equal arrays, symmetric
+    pairs and adjacent floats all occur; masks may be all true or all false."""
+    n = draw(st.integers(1, 10))
+    base = draw(st.lists(st.floats(-4, 4, allow_nan=False, width=64), min_size=1, max_size=3))
+    pool = sorted({v for b in base for v in (b, -b, np.nextafter(b, np.inf),
+                                             np.nextafter(b, -np.inf))})
+    scores = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    mask = st.one_of(st.just([True] * n), st.just([False] * n),
+                     st.lists(st.booleans(), min_size=n, max_size=n))
+    return scores, np.array(draw(mask), dtype=bool), np.array(draw(mask), dtype=bool)
+
 
 class TestFitTau:
+    @given(_threshold_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_quadratic_scan(self, case):
+        scores, hc, clf_ok = case
+        assert _line_search_threshold(scores, hc, clf_ok) == _quadratic_threshold(scores, hc, clf_ok)
+
+    def test_midpoint_rounding_onto_a_score(self):
+        # the midpoint of two adjacent floats is one of them
+        a = 1.0
+        b = np.nextafter(a, np.inf)
+        scores = np.array([a, b, b])
+        hc = np.array([False, True, True])
+        clf_ok = np.array([True, False, False])
+        assert _line_search_threshold(scores, hc, clf_ok) == _quadratic_threshold(scores, hc, clf_ok)
+
     def _system_with_scores(self, scores, clf_ok):
         # wrap fixed arrays in a fake system via the line-search primitive
         return scores, clf_ok
