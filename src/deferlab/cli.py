@@ -123,77 +123,71 @@ def _resolve_seed(args, cfg):
     return int(env) if env else 0
 
 
+def _setting(args, flag, section, key, cast, default):
+    """The flag's value if given, else the config section's, else the default."""
+    value = getattr(args, flag, None)
+    if value is not None:
+        return cast(value)
+    return cast(section[key]) if key in section else default
+
+
 def _data_config(args, cfg):
     d = cfg["data"]
-    get = lambda key, flag, cast, default: (
-        cast(flag) if flag is not None else (cast(d[key]) if key in d else default)
-    )
-    kind = get("kind", getattr(args, "preset", None), str, "synthetic")
+    kind = _setting(args, "preset", d, "kind", str, "synthetic")
     seed = _resolve_seed(args, cfg)
     if kind == "grouped":
         return GroupedExpertConfig(
-            d=get("d", getattr(args, "d", None), int, 10),
-            n=get("n", getattr(args, "n", None), int, 1000),
-            C=get("C", getattr(args, "C", None), int, 10),
-            K=get("expert_k", getattr(args, "K", None), int, 5),
-            U=get("U", getattr(args, "U", None), float, 5.0),
-            blob_std=get("blob_std", getattr(args, "blob_std", None), float, 2.0),
+            d=_setting(args, "d", d, "d", int, 10),
+            n=_setting(args, "n", d, "n", int, 1000),
+            C=_setting(args, "C", d, "C", int, 10),
+            K=_setting(args, "K", d, "expert_k", int, 5),
+            U=_setting(args, "U", d, "U", float, 5.0),
+            blob_std=_setting(args, "blob_std", d, "blob_std", float, 2.0),
             seed=seed,
         )
     if kind != "synthetic":
         raise UsageError(f"unknown data kind {kind!r} (use synthetic or grouped)")
     return SyntheticConfig(
-        d=get("d", getattr(args, "d", None), int, 10),
-        n=get("n", getattr(args, "n", None), int, 1000),
-        distribution=get("distribution", getattr(args, "distribution", None), str,
-                         "gaussian_mixture"),
-        U=get("U", getattr(args, "U", None), float, 10.0),
-        K=get("K", getattr(args, "K", None), int, 10),
-        std_scale=get("std_scale", getattr(args, "std_scale", None), float, 1.0),
-        margin=get("margin", getattr(args, "margin", None), float, 0.0),
-        p_m=get("p_m", getattr(args, "pm", None), float, 0.0),
-        p_h0=get("p_h0", getattr(args, "ph0", None), float, 0.3),
-        p_h1=get("p_h1", getattr(args, "ph1", None), float, 0.0),
+        d=_setting(args, "d", d, "d", int, 10),
+        n=_setting(args, "n", d, "n", int, 1000),
+        distribution=_setting(args, "distribution", d, "distribution", str, "gaussian_mixture"),
+        U=_setting(args, "U", d, "U", float, 10.0),
+        K=_setting(args, "K", d, "K", int, 10),
+        std_scale=_setting(args, "std_scale", d, "std_scale", float, 1.0),
+        margin=_setting(args, "margin", d, "margin", float, 0.0),
+        p_m=_setting(args, "pm", d, "p_m", float, 0.0),
+        p_h0=_setting(args, "ph0", d, "p_h0", float, 0.3),
+        p_h1=_setting(args, "ph1", d, "p_h1", float, 0.0),
         seed=seed,
     )
 
 
 def _solver_config(args, cfg) -> MilpConfig:
     s = cfg["solver"]
-    get = lambda key, flag, cast, default: (
-        cast(flag) if flag is not None else (cast(s[key]) if key in s else default)
-    )
     return MilpConfig(
-        gamma=get("gamma", getattr(args, "gamma", None), float, 1e-5),
-        box=get("box", getattr(args, "box", None), float, 1.0),
-        lambda_reg=get("lambda_reg", getattr(args, "lambda_reg", None), float, 0.0),
-        coverage_beta=get("beta", getattr(args, "beta", None), float, None)
-        if (getattr(args, "beta", None) is not None or "beta" in s) else None,
-        time_limit_s=get("time_limit", getattr(args, "time_limit", None), float, None)
-        if (getattr(args, "time_limit", None) is not None or "time_limit" in s) else None,
-        abs_gap=get("gap", getattr(args, "gap", None), float, None)
-        if (getattr(args, "gap", None) is not None or "gap" in s) else None,
+        gamma=_setting(args, "gamma", s, "gamma", float, 1e-5),
+        box=_setting(args, "box", s, "box", float, 1.0),
+        lambda_reg=_setting(args, "lambda_reg", s, "lambda_reg", float, 0.0),
+        coverage_beta=_setting(args, "beta", s, "beta", float, None),
+        time_limit_s=_setting(args, "time_limit", s, "time_limit", float, None),
+        abs_gap=_setting(args, "gap", s, "gap", float, None),
     )
 
 
 def _train_config(args, cfg) -> TrainConfig:
     t = cfg["train"]
     m = cfg["method"]
-    get = lambda sec, key, flag, cast, default: (
-        cast(flag) if flag is not None else (cast(sec[key]) if key in sec else default)
-    )
     alpha_grid = getattr(args, "alpha_grid", None) or m.get("alpha_grid")
     if isinstance(alpha_grid, str):
         alpha_grid = tuple(float(v) for v in alpha_grid.split(","))
     return TrainConfig(
-        epochs=get(t, "epochs", getattr(args, "epochs", None), int, 300),
-        batch_size=get(t, "batch_size", getattr(args, "batch_size", None), int, 64),
-        learning_rate=get(t, "lr", getattr(args, "lr", None), float, 0.1),
+        epochs=_setting(args, "epochs", t, "epochs", int, 300),
+        batch_size=_setting(args, "batch_size", t, "batch_size", int, 64),
+        learning_rate=_setting(args, "lr", t, "lr", float, 0.1),
         seed=_resolve_seed(args, cfg),
-        alpha=get(m, "alpha", getattr(args, "alpha", None), float, None)
-        if (getattr(args, "alpha", None) is not None or "alpha" in m) else None,
+        alpha=_setting(args, "alpha", m, "alpha", float, None),
         alpha_grid=alpha_grid or TrainConfig().alpha_grid,
-        hidden_units=get(t, "hidden_units", getattr(args, "hidden", None), int, 0),
+        hidden_units=_setting(args, "hidden", t, "hidden_units", int, 0),
     )
 
 

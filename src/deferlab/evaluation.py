@@ -25,7 +25,7 @@ import numpy as np
 from .core import DeferDataset, HalfspacePair, pair_decisions
 from .datagen import GroupedExpertConfig, SyntheticConfig, generate_grouped_expert, generate_synthetic
 from .milp import MilpConfig, build_binary_milp, build_multiclass_milp, solve_milp
-from .train import TrainConfig, TrainedSystem, train_method
+from .train import TrainConfig, TrainedSystem, _threshold_candidates, _threshold_counts, train_method
 
 __all__ = [
     "EvalReport",
@@ -103,22 +103,17 @@ def coverage_curve(system: Union[TrainedSystem, HalfspacePair], dataset: DeferDa
     scores, subsampled to ``grid_size`` if larger; the -inf and +inf
     endpoints always remain, forcing coverage 0 and 1.
     """
-    deferred_at_tau, labels, scores = _decisions(system, dataset)
-    distinct = np.unique(scores)
-    mids = (distinct[:-1] + distinct[1:]) / 2.0 if distinct.size > 1 else np.empty(0)
+    _, labels, scores = _decisions(system, dataset)
+    candidates = _threshold_candidates(scores)
+    mids = candidates[1:-1]
     if grid_size and mids.size > max(0, grid_size - 2):
         pick = np.linspace(0, mids.size - 1, max(0, grid_size - 2)).round().astype(int)
         mids = mids[np.unique(pick)]
-    thresholds = np.concatenate([[-np.inf], mids, [np.inf]])
-    hum_ok = dataset.human_correct
-    clf_ok = labels == dataset.labels
-    coverages = np.empty(thresholds.size)
-    accuracies = np.empty(thresholds.size)
-    for k, tau in enumerate(thresholds):
-        defer = scores >= tau
-        coverages[k] = float(np.mean(~defer))
-        accuracies[k] = float(np.mean(np.where(defer, hum_ok, clf_ok)))
-    return CoverageCurve(thresholds=thresholds, coverages=coverages, accuracies=accuracies)
+    thresholds = np.concatenate([candidates[:1], mids, candidates[-1:]])
+    kept, correct = _threshold_counts(scores, dataset.human_correct,
+                                      labels == dataset.labels, thresholds)
+    return CoverageCurve(thresholds=thresholds, coverages=kept / dataset.n,
+                         accuracies=correct / dataset.n)
 
 
 def generalization_bound(train_loss: float, k_m: float, k_r: float, d: int, n: int,

@@ -575,22 +575,26 @@ def _pocket_perceptron(xt, targets, w0, epochs, rng):
     """Pocket perceptron on +-1 targets, full per-sample epochs.
 
     Converges to an exact separator on separable data given enough epochs;
-    otherwise returns the lowest-error weights seen.
+    otherwise returns the lowest-error weights seen. Each row's test is one
+    BLAS dot product of the row with ``w``: a matrix-vector product or a
+    Python sum rounds differently and would change which updates happen.
     """
     w = w0.copy()
     n = len(targets)
     best_w = w.copy()
-    best_wrong = int(np.sum(targets * (xt @ w) <= 0))
+    best_wrong = np.count_nonzero(targets * (xt @ w) <= 0)
     if best_wrong == 0:
         return w
+    rows = list(xt)
+    signs = targets.tolist()
+    steps = list(targets[:, None] * xt)
     for _ in range(epochs):
-        order = rng.permutation(n)
         updated = False
-        for i in order:
-            if targets[i] * (xt[i] @ w) <= 0:
-                w = w + targets[i] * xt[i]
+        for i in rng.permutation(n).tolist():
+            if signs[i] * rows[i].dot(w) <= 0:
+                w = w + steps[i]
                 updated = True
-        wrong = int(np.sum(targets * (xt @ w) <= 0))
+        wrong = np.count_nonzero(targets * (xt @ w) <= 0)
         if wrong < best_wrong:
             best_wrong, best_w = wrong, w.copy()
             if wrong == 0:
@@ -605,30 +609,36 @@ def _irls_logistic(xt, targets, iters=25, ridge=1e-8):
 
     The dimension is small, so exact Hessian solves are cheap; on separable
     data the margins grow every step and training separation is usually
-    perfect after a handful of iterations.
+    perfect after a handful of iterations. A pure function of its inputs.
     """
     w = np.zeros(xt.shape[1])
+    damp = ridge * np.eye(xt.shape[1])
     for _ in range(iters):
         z = targets * (xt @ w)
-        p = 1.0 / (1.0 + np.exp(np.clip(z, -500.0, 500.0)))
+        p = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(z, -500.0), 500.0)))
         wt = p * (1.0 - p) + 1e-12
         grad = xt.T @ (targets * p)
-        hess = (xt * wt[:, None]).T @ xt + ridge * np.eye(xt.shape[1])
+        hess = (xt * wt[:, None]).T @ xt + damp
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             break
         w = w + step
-        if np.max(np.abs(step)) > 1e8:
+        if np.abs(step).max() > 1e8:
             break
     return w
 
 
-def _fit_separator(xt, targets, rng, epochs=60):
-    """IRLS warm start, pocket-perceptron cleanup; exact on separable data."""
-    w = _irls_logistic(xt, targets)
-    if int(np.sum(targets * (xt @ w) <= 0)) == 0:
-        return w
+def _fit_separator(xt, targets, rng, epochs=60, w=None):
+    """IRLS warm start, pocket-perceptron cleanup; exact on separable data.
+
+    ``w`` is the IRLS fit of (xt, targets) when the caller already has it;
+    it is neither modified nor returned.
+    """
+    if w is None:
+        w = _irls_logistic(xt, targets)
+    if np.count_nonzero(targets * (xt @ w) <= 0) == 0:
+        return w.copy()
     scale = np.max(np.abs(w))
     if scale > 0:
         w = w / scale
@@ -643,16 +653,29 @@ def _binary_heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3
     misses, and defer every kept point the classifier misses when the human
     is right. The alternation fixes one side, derives the other side's
     must-sets, and fits an exact separator on them.
+
+    The alternation often returns to a row subset and target vector it has
+    already fitted. IRLS is pure, so each distinct (subset, targets) pair is
+    fitted once per call; the pocket perceptron draws from ``rng`` and runs
+    on every fit that IRLS leaves unseparated, as it would without the memo.
     """
     xt, ypm, err = problem.xt, problem.ypm, problem.err
     n, d1 = xt.shape
     bias_only = np.zeros(d1)
     bias_only[-1] = 1.0
+    irls_fits = {}  # (row mask, target bytes) -> IRLS weights; lives for this call
+
+    def fit(mask, targets):
+        rows = xt[mask]
+        key = (mask.tobytes(), targets.tobytes())
+        if key not in irls_fits:
+            irls_fits[key] = _irls_logistic(rows, targets)
+        return _fit_separator(rows, targets, rng, w=irls_fits[key])
 
     def out_of_time():
         return deadline is not None and time.monotonic() > deadline
 
-    m_all = _fit_separator(xt, ypm, rng)
+    m_all = fit(np.ones(n, dtype=bool), ypm)
     yield m_all, bias_only.copy()  # defer everything
     yield m_all, -bias_only  # defer nothing
 
@@ -661,7 +684,7 @@ def _binary_heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3
         return
 
     # human-wrong points can never be deferred for free; anchor the classifier there
-    m_hw = _fit_separator(xt[hw], ypm[hw], rng)
+    m_hw = fit(hw, ypm[hw])
 
     for start in range(restarts):
         if out_of_time():
@@ -683,12 +706,12 @@ def _binary_heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3
                 break
             alive = must_defer | hw
             t = np.where(must_defer, 1.0, -1.0)
-            r = _fit_separator(xt[alive], t[alive], rng)
+            r = fit(alive, t[alive])
             yield m.copy(), r.copy()
             kept = xt @ r < 0
             if not kept.any():
                 break
-            m = _fit_separator(xt[kept], ypm[kept], rng)
+            m = fit(kept, ypm[kept])
             yield m.copy(), r.copy()
 
 
@@ -964,7 +987,8 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     Branches on the binary with fractional part closest to 0.5 (ties toward
     the lowest variable id). Incumbents are seeded by rounding node
     relaxations into weight candidates and re-scoring them through the true
-    0-1 loss, plus alternating-fit primal heuristics at the root. With
+    0-1 loss, plus alternating-fit primal heuristics at the root, each
+    distinct proposal of which is scored once. With
     lambda_reg = 0 an incumbent of objective 0 is proven optimal outright
     since every objective term is nonnegative.
     """
@@ -993,12 +1017,18 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         if problem.kind == "binary"
         else _multiclass_heuristic_candidates(problem, rng)
     )
+    # scoring is pure, so a repeated proposal (and its shifted variants) can
+    # never beat the incumbent its first copy already competed against
+    scored = set()
     for m_cand, r_cand in gen:
-        consider(_score_candidate(problem, m_cand, r_cand))
-        if problem.coverage_beta is not None:
-            # shift the rejector bias so the deferral budget holds exactly
-            for shifted in _coverage_shifted(problem, r_cand):
-                consider(_score_candidate(problem, m_cand, shifted))
+        key = (m_cand.tobytes(), r_cand.tobytes())
+        if key not in scored:
+            scored.add(key)
+            consider(_score_candidate(problem, m_cand, r_cand))
+            if problem.coverage_beta is not None:
+                # shift the rejector bias so the deferral budget holds exactly
+                for shifted in _coverage_shifted(problem, r_cand):
+                    consider(_score_candidate(problem, m_cand, shifted))
         if deadline is not None and time.monotonic() > deadline:
             break
 

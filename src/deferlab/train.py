@@ -392,23 +392,30 @@ def _threshold_candidates(scores: np.ndarray) -> np.ndarray:
     return np.concatenate([[-np.inf], mids, [np.inf]])
 
 
-def _line_search_threshold(scores, human_correct, clf_correct) -> float:
-    """Threshold on rejection scores maximizing system accuracy.
+def _threshold_counts(scores, human_correct, clf_correct, thresholds):
+    """Points kept and points correct when every score >= tau is deferred.
 
-    Ties pick the candidate closest to zero, then the smaller one. One sort
-    and cumulative counts give every candidate's number of correct points.
+    Returns two integer arrays, one entry per threshold. One stable sort and
+    cumulative counts give every threshold at once.
     """
     scores = np.asarray(scores, dtype=float)
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
     # correct points when the i lowest scores are kept and the rest deferred
     kept_ok = np.concatenate([[0], np.cumsum(np.asarray(clf_correct, dtype=bool)[order])])
     hum_ok = np.asarray(human_correct, dtype=bool)[order]
     deferred_ok = np.concatenate([np.cumsum(hum_ok[::-1])[::-1], [0]])
-    candidates = _threshold_candidates(scores)
-    # a midpoint can round onto a score, so split at each candidate's value
-    kept = np.searchsorted(sorted_scores, candidates, side="left")
-    correct = kept_ok[kept] + deferred_ok[kept]
+    # a midpoint can round onto a score, so split at each threshold's value
+    kept = np.searchsorted(scores[order], thresholds, side="left")
+    return kept, kept_ok[kept] + deferred_ok[kept]
+
+
+def _line_search_threshold(scores, human_correct, clf_correct) -> float:
+    """Threshold on rejection scores maximizing system accuracy.
+
+    Ties pick the candidate closest to zero, then the smaller one.
+    """
+    candidates = _threshold_candidates(np.asarray(scores, dtype=float))
+    _, correct = _threshold_counts(scores, human_correct, clf_correct, candidates)
     best = candidates[correct == correct.max()]
     best = best[np.abs(best) == np.abs(best).min()]
     return float(best.min())

@@ -1,0 +1,30 @@
+"""Smoke test: the fast demos run to completion against the source tree.
+
+Demos 01, 03, 05 and 06 take about 8 s together. Demos 02 (the exact
+solver, about 41 s) and 04 (training and baselines, about 15 s) are left
+out to keep the Tier-1 run short; run them by hand with
+``PYTHONPATH=src python3 demos/02_exact_milp_solver.py``.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FAST_DEMOS = (
+    "01_data_model_and_system_loss.py",
+    "03_surrogate_losses.py",
+    "05_benchmark_and_curves.py",
+    "06_generalization_bound.py",
+)
+
+
+@pytest.mark.parametrize("demo", FAST_DEMOS)
+def test_demo_exits_zero(demo, tmp_path):
+    # TMPDIR keeps the files a demo writes inside the test's own directory
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), TMPDIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

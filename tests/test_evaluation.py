@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deferlab.core import DeferDataset, HalfspacePair
 from deferlab.datagen import GroupedExpertConfig, SyntheticConfig
@@ -124,6 +126,77 @@ class TestCoverageCurve:
         assert len(curve) <= 20
         assert curve.thresholds[0] == -np.inf and curve.thresholds[-1] == np.inf
         assert curve.coverages[0] == 0.0 and curve.coverages[-1] == 1.0
+
+
+class _FixedScores:
+    """A deferral system with given rejection scores and classifier labels."""
+
+    def __init__(self, scores, labels):
+        self.scores = np.asarray(scores, dtype=float)
+        self.labels = np.asarray(labels)
+
+    def decide(self, features):
+        return self.scores >= 0.0, self.labels
+
+    def rejection_scores(self, features):
+        return self.scores
+
+
+def _curve_by_scan(scores, labels, dataset, grid_size):
+    """The coverage curve as a scan: one pass over the data per threshold."""
+    distinct = np.unique(scores)
+    mids = (distinct[:-1] + distinct[1:]) / 2.0 if distinct.size > 1 else np.empty(0)
+    if grid_size and mids.size > max(0, grid_size - 2):
+        pick = np.linspace(0, mids.size - 1, max(0, grid_size - 2)).round().astype(int)
+        mids = mids[np.unique(pick)]
+    thresholds = np.concatenate([[-np.inf], mids, [np.inf]])
+    hum_ok = dataset.human_correct
+    clf_ok = labels == dataset.labels
+    coverages = np.empty(thresholds.size)
+    accuracies = np.empty(thresholds.size)
+    for k, tau in enumerate(thresholds):
+        defer = scores >= tau
+        coverages[k] = float(np.mean(~defer))
+        accuracies[k] = float(np.mean(np.where(defer, hum_ok, clf_ok)))
+    return thresholds, coverages, accuracies
+
+
+@st.composite
+def _curve_cases(draw):
+    """Scores drawn from a few values, their negations and their floating-point
+    neighbours, so ties, all-equal scores and adjacent floats all occur."""
+    n = draw(st.integers(1, 12))
+    base = draw(st.lists(st.floats(-4, 4, allow_nan=False, width=64), min_size=1, max_size=3))
+    pool = sorted({v for b in base for v in (b, -b, np.nextafter(b, np.inf),
+                                             np.nextafter(b, -np.inf))})
+    scores = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    y, h, labels = (np.array(draw(bits)) for _ in range(3))
+    grid_size = draw(st.sampled_from([0, 2, 50, n + 3]))
+    return scores, y, h, labels, grid_size
+
+
+class TestCoverageCurveEqualsScan:
+    def _check(self, scores, y, h, labels, grid_size):
+        ds = DeferDataset(np.zeros((len(y), 1)), y, h, 2)
+        curve = coverage_curve(_FixedScores(scores, labels), ds, grid_size=grid_size)
+        thresholds, coverages, accuracies = _curve_by_scan(scores, labels, ds, grid_size)
+        np.testing.assert_array_equal(curve.thresholds, thresholds)
+        np.testing.assert_array_equal(curve.coverages, coverages)
+        np.testing.assert_array_equal(curve.accuracies, accuracies)
+
+    @given(_curve_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scan(self, case):
+        self._check(*case)
+
+    def test_every_midpoint_on_5000_points(self):
+        rng = np.random.default_rng(8)
+        n = 5000
+        scores = np.round(rng.normal(size=n), 3)  # ties among the scores
+        y, h, labels = (rng.integers(0, 2, n) for _ in range(3))
+        for grid_size in (0, 2, 50, n + 1):
+            self._check(scores, y, h, labels, grid_size)
 
 
 class TestGeneralizationBound:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deferlab.lp as lp_module
+import deferlab.milp as milp
 from deferlab.core import DeferDataset, pair_decisions, system_loss_01
 from deferlab.datagen import SyntheticConfig, generate_synthetic
 from deferlab.lp import solve_lp
@@ -411,3 +414,190 @@ class TestTimeLimit:
         assert sol.status in ("time_limit_incumbent", "proven_optimal")
         assert sol.pair is not None
         assert sol.train_loss <= 1.0
+
+
+# The primal heuristics as they were before fits and candidates were
+# deduplicated within a solve, kept verbatim as the reference the memoized
+# heuristics must reproduce bit for bit.
+
+
+def _oracle_pocket_perceptron(xt, targets, w0, epochs, rng):
+    w = w0.copy()
+    n = len(targets)
+    best_w = w.copy()
+    best_wrong = int(np.sum(targets * (xt @ w) <= 0))
+    if best_wrong == 0:
+        return w
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        updated = False
+        for i in order:
+            if targets[i] * (xt[i] @ w) <= 0:
+                w = w + targets[i] * xt[i]
+                updated = True
+        wrong = int(np.sum(targets * (xt @ w) <= 0))
+        if wrong < best_wrong:
+            best_wrong, best_w = wrong, w.copy()
+            if wrong == 0:
+                return best_w
+        if not updated:
+            return w
+    return best_w
+
+
+def _oracle_irls_logistic(xt, targets, iters=25, ridge=1e-8):
+    w = np.zeros(xt.shape[1])
+    for _ in range(iters):
+        z = targets * (xt @ w)
+        p = 1.0 / (1.0 + np.exp(np.clip(z, -500.0, 500.0)))
+        wt = p * (1.0 - p) + 1e-12
+        grad = xt.T @ (targets * p)
+        hess = (xt * wt[:, None]).T @ xt + ridge * np.eye(xt.shape[1])
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            break
+        w = w + step
+        if np.max(np.abs(step)) > 1e8:
+            break
+    return w
+
+
+def _oracle_fit_separator(xt, targets, rng, epochs=60):
+    w = _oracle_irls_logistic(xt, targets)
+    if int(np.sum(targets * (xt @ w) <= 0)) == 0:
+        return w
+    scale = np.max(np.abs(w))
+    if scale > 0:
+        w = w / scale
+    return _oracle_pocket_perceptron(xt, targets, w, epochs, rng)
+
+
+@st.composite
+def _separator_cases(draw):
+    """Small +-1 problems whose rows come from a pool of at most four, so
+    duplicate rows occur; targets may all share one class. The start weights
+    may put the first row's activation at a cancellation, where only the
+    same dot product as the reference rounds to the same sign."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    # tenths have inexact products, so different summation orders round apart
+    coord = st.one_of(st.floats(-5, 5, allow_nan=False, width=64),
+                      st.integers(-50, 50).map(lambda k: k / 10))
+    pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    xt = np.hstack([np.array(rows), np.ones((n, 1))])
+    sign = st.sampled_from([-1.0, 1.0])
+    targets = draw(st.one_of(st.just([1.0] * n), st.just([-1.0] * n),
+                             st.lists(sign, min_size=n, max_size=n)))
+    w0 = np.array(draw(st.lists(coord, min_size=d + 1, max_size=d + 1)))
+    if draw(st.booleans()):
+        w0[-1] = -(xt[0, :-1] @ w0[:-1])
+    return xt, np.array(targets), w0, draw(st.integers(0, 2**32 - 1))
+
+
+def _heuristic_stream(problem):
+    rng = np.random.default_rng(0x5EED5EED)
+    out = [(m.tobytes(), r.tobytes()) for m, r in milp._binary_heuristic_candidates(problem, rng)]
+    return out, rng.bit_generator.state
+
+
+def _patch_oracle(monkeypatch, fits=None):
+    def fit(xt, targets, rng, epochs=60, w=None):
+        if fits is not None:
+            fits.append((xt.tobytes(), targets.tobytes()))
+        return _oracle_fit_separator(xt, targets, rng, epochs)
+
+    monkeypatch.setattr(milp, "_fit_separator", fit)
+
+
+def _heuristic_problems():
+    """Plain, coverage and fairness problems at n=6, criterion-3-style draws
+    at n=4..12, and one 400-point non-realizable instance."""
+    rng = np.random.default_rng(606)
+    plain = build_binary_milp(random_binary_dataset(rng, 6), MilpConfig())
+    out = [plain, add_coverage_constraint(plain, 0.25),
+           add_fairness_constraint(plain, np.array([0, 1] * 3))]
+    for _ in range(8):
+        n = int(rng.integers(4, 13))
+        x = rng.normal(size=(n, 2)) * rng.uniform(0.5, 3.0)
+        y = rng.integers(0, 2, n)
+        h = np.where(rng.random(n) < rng.uniform(0.2, 0.9), y, 1 - y)
+        out.append(build_binary_milp(DeferDataset(x, y, h, 2), MilpConfig()))
+    big = generate_synthetic(SyntheticConfig(
+        d=10, n=400, distribution="gaussian_mixture", U=10.0, K=20, std_scale=1.3,
+        margin=0.0, p_m=0.1, p_h0=0.4, p_h1=0.1, seed=3)).dataset
+    out.append(build_binary_milp(big, MilpConfig()))
+    return out
+
+
+class TestHeuristicsEqualReference:
+    @given(_separator_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_fits_and_rng_equal_reference(self, case):
+        xt, targets, w0, seed = case
+        assert milp._irls_logistic(xt, targets).tobytes() == \
+            _oracle_irls_logistic(xt, targets).tobytes()
+        runs = []
+        for pocket, fit in ((milp._pocket_perceptron, milp._fit_separator),
+                            (_oracle_pocket_perceptron, _oracle_fit_separator)):
+            rng = np.random.default_rng(seed)
+            runs.append((pocket(xt, targets, w0, 60, rng).tobytes(),
+                         fit(xt, targets, rng).tobytes(), rng.bit_generator.state))
+        assert runs[0] == runs[1]
+
+    def test_candidate_stream_and_one_irls_fit_per_subset(self, monkeypatch):
+        repeated_fits = 0
+        for problem in _heuristic_problems():
+            irls_keys = []
+            irls = milp._irls_logistic
+
+            def counting_irls(xt, targets):
+                irls_keys.append((xt.tobytes(), targets.tobytes()))
+                return irls(xt, targets)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(milp, "_irls_logistic", counting_irls)
+                new = _heuristic_stream(problem)
+            fits = []
+            with monkeypatch.context() as mp:
+                _patch_oracle(mp, fits)
+                old = _heuristic_stream(problem)
+            assert new == old
+            assert len(irls_keys) == len(set(irls_keys))
+            assert set(irls_keys) == set(fits)
+            repeated_fits += len(fits) - len(irls_keys)
+        assert repeated_fits > 0  # the memo had repeats to skip
+
+    def test_heuristic_incumbents_equal_scoring_every_candidate(self):
+        # node_limit=0 stops right after the heuristics, so the incumbent and
+        # its history come from the deduplicated scoring loop alone
+        for problem in _heuristic_problems()[:3]:
+            sol = solve_milp(problem, MilpConfig(node_limit=0))
+            rng = np.random.default_rng(0x5EED5EED)
+            best, history = None, []
+            for m, r in milp._binary_heuristic_candidates(problem, rng):
+                variants = [r]
+                if problem.coverage_beta is not None:
+                    variants += milp._coverage_shifted(problem, r)
+                for rv in variants:
+                    cand = milp._score_candidate(problem, m, rv)
+                    if cand is not None and (best is None or cand.objective < best.objective - 1e-12):
+                        best = cand
+                        history.append(cand.objective)
+            assert sol.incumbent_history == history
+            assert sol.objective == best.objective
+            expected = milp._unnormalize_pair(problem, best.m_norm, best.r_norm)
+            np.testing.assert_array_equal(sol.pair.classifier_weights, expected.classifier_weights)
+            np.testing.assert_array_equal(sol.pair.rejector_weights, expected.rejector_weights)
+
+    def test_solve_equal_with_reference_heuristics(self, monkeypatch):
+        for problem in _heuristic_problems()[:3]:
+            new = solve_milp(problem)
+            with monkeypatch.context() as mp:
+                _patch_oracle(mp)
+                old = solve_milp(problem)
+            assert (new.objective, new.status, new.nodes_explored, new.incumbent_history) == \
+                (old.objective, old.status, old.nodes_explored, old.incumbent_history)
+            np.testing.assert_array_equal(new.pair.classifier_weights, old.pair.classifier_weights)
+            np.testing.assert_array_equal(new.pair.rejector_weights, old.pair.rejector_weights)
