@@ -101,6 +101,11 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def _load_config(args) -> dict:
+    """The parsed ``--config`` file, or every section empty without one."""
+    return parse_config_file(args.config) if args.config else {k: {} for k in CONFIG_SCHEMA}
+
+
 def _atomic_write(path, writer):
     """Write via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -112,6 +117,16 @@ def _atomic_write(path, writer):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _write_text(path, text: str) -> None:
+    """Write a string atomically as UTF-8."""
+
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    _atomic_write(path, write)
 
 
 def _resolve_seed(args, cfg):
@@ -199,37 +214,25 @@ def _train_config(args, cfg) -> TrainConfig:
 def save_halfspace_pair(pair: HalfspacePair, path, num_classes=2) -> None:
     """Line 1: ``halfspace_pair,<C>,<d>``; then the classifier row(s); last
     line is the rejector row. Values are comma-joined reprs."""
-    rows = np.atleast_2d(pair.classifier_weights)
-
-    def write(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"halfspace_pair,{num_classes},{pair.dim}\n")
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-            fh.write(",".join(repr(float(v)) for v in pair.rejector_weights) + "\n")
-
-    _atomic_write(path, write)
+    rows = list(np.atleast_2d(pair.classifier_weights)) + [pair.rejector_weights]
+    lines = [f"halfspace_pair,{num_classes},{pair.dim}"]
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def save_score_system(system: TrainedSystem, path) -> None:
     """Architecture header line plus one comma-joined flat weight line per
     model. Header: ``score_model,<arch>,<d>,<out>,<hidden>,<tau>,<kind>,<C>,
     <method>``; an auxiliary model adds an ``aux,...`` header and weights."""
-
-    def write(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            m = system.model
-            fh.write(
-                f"score_model,{m.arch},{m.input_dim},{m.output_dim},{m.hidden_units},"
-                f"{system.tau!r},{system.score_kind},{system.num_classes},{system.method}\n"
-            )
-            fh.write(",".join(repr(float(v)) for v in m.params) + "\n")
-            if system.aux_model is not None:
-                a = system.aux_model
-                fh.write(f"aux,{a.arch},{a.input_dim},{a.output_dim},{a.hidden_units}\n")
-                fh.write(",".join(repr(float(v)) for v in a.params) + "\n")
-
-    _atomic_write(path, write)
+    m = system.model
+    lines = [f"score_model,{m.arch},{m.input_dim},{m.output_dim},{m.hidden_units},"
+             f"{system.tau!r},{system.score_kind},{system.num_classes},{system.method}",
+             ",".join(repr(float(v)) for v in m.params)]
+    if system.aux_model is not None:
+        a = system.aux_model
+        lines += [f"aux,{a.arch},{a.input_dim},{a.output_dim},{a.hidden_units}",
+                  ",".join(repr(float(v)) for v in a.params)]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model_file(path):
@@ -294,7 +297,7 @@ def _resolved_config_text(data_cfg, milp_cfg, train_cfg, methods, trials, split,
 
 
 def cmd_gen(args):
-    cfg = parse_config_file(args.config) if args.config else {k: {} for k in CONFIG_SCHEMA}
+    cfg = _load_config(args)
     data_cfg = _data_config(args, cfg)
     if isinstance(data_cfg, GroupedExpertConfig):
         dataset = generate_grouped_expert(d=data_cfg.d, n=data_cfg.n, C=data_cfg.C,
@@ -310,18 +313,15 @@ def cmd_gen(args):
     if meta_cfg is not None:
         _atomic_write(meta_path, lambda tmp: save_instance_metadata(tmp, meta_cfg, pair))
     else:
-        def write(tmp):
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(f"kind=grouped\nseed={data_cfg.seed}\nd={data_cfg.d}\n"
-                         f"n={data_cfg.n}\nC={data_cfg.C}\nexpert_k={data_cfg.K}\n"
-                         f"U={data_cfg.U!r}\nblob_std={data_cfg.blob_std!r}\n")
-        _atomic_write(meta_path, write)
+        _write_text(meta_path, f"kind=grouped\nseed={data_cfg.seed}\nd={data_cfg.d}\n"
+                               f"n={data_cfg.n}\nC={data_cfg.C}\nexpert_k={data_cfg.K}\n"
+                               f"U={data_cfg.U!r}\nblob_std={data_cfg.blob_std!r}\n")
     print(f"wrote {args.out} and {meta_path}")
     return 0
 
 
 def cmd_milp(args):
-    cfg = parse_config_file(args.config) if args.config else {k: {} for k in CONFIG_SCHEMA}
+    cfg = _load_config(args)
     dataset = load_dataset_csv(args.data)
     milp_cfg = _solver_config(args, cfg)
     builder = build_binary_milp if dataset.num_classes == 2 else build_multiclass_milp
@@ -343,7 +343,7 @@ def cmd_milp(args):
                    "lambda_reg": milp_cfg.lambda_reg, "beta": milp_cfg.coverage_beta,
                    "time_limit": milp_cfg.time_limit_s, "gap": milp_cfg.abs_gap},
     }
-    _atomic_write(args.out_record, lambda tmp: open(tmp, "w").write(json.dumps(record, indent=2) + "\n"))
+    _write_text(args.out_record, json.dumps(record, indent=2) + "\n")
     _atomic_write(args.out_weights,
                   lambda tmp: save_halfspace_pair(solution.pair, tmp, dataset.num_classes))
     print(f"status={solution.status} objective={solution.objective:.6f} "
@@ -352,7 +352,7 @@ def cmd_milp(args):
 
 
 def cmd_train(args):
-    cfg = parse_config_file(args.config) if args.config else {k: {} for k in CONFIG_SCHEMA}
+    cfg = _load_config(args)
     dataset = load_dataset_csv(args.data)
     train_cfg = _train_config(args, cfg)
     if args.val_data:
@@ -391,7 +391,7 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
-    cfg = parse_config_file(args.config) if args.config else {k: {} for k in CONFIG_SCHEMA}
+    cfg = _load_config(args)
     data_cfg = _data_config(args, cfg)
     milp_cfg = _solver_config(args, cfg)
     train_cfg = _train_config(args, cfg)
@@ -414,8 +414,7 @@ def cmd_bench(args):
         _atomic_write(os.path.join(args.out_dir, "plot.svg"),
                       lambda tmp: write_curves_svg(result, tmp))
     resolved = _resolved_config_text(data_cfg, milp_cfg, train_cfg, methods, trials, split, seed)
-    _atomic_write(os.path.join(args.out_dir, "resolved_config.cfg"),
-                  lambda tmp: open(tmp, "w").write(resolved))
+    _write_text(os.path.join(args.out_dir, "resolved_config.cfg"), resolved)
     for method, (mean, stderr) in result.aggregates.items():
         err = "" if stderr is None else f" +- {stderr:.4f}"
         print(f"{method}: system_accuracy {mean:.4f}{err}")

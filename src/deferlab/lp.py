@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["Basis", "LinearProgram", "LpSolution", "solve_lp", "format_lp_text", "dump_lp"]
+__all__ = ["Basis", "LinearProgram", "LpSolution", "solve_lp"]
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
@@ -110,26 +110,6 @@ class LpSolution:
     objective_value: Optional[float]
     iterations: int = 0
     basis: Optional[Basis] = None  # the optimal basis, for a warm start
-
-
-def format_lp_text(lp: LinearProgram) -> str:
-    """Plain-text dump of an LP for fault reproduction.
-
-    Format: one `min` line of objective coefficients, one line per row as
-    `coeffs... SENSE rhs`, then one `bounds` line per variable as `lo hi`.
-    """
-    out = ["min " + " ".join(repr(float(v)) for v in lp.c)]
-    for i in range(lp.num_rows):
-        coeffs = " ".join(repr(float(v)) for v in lp.A[i])
-        out.append(f"{coeffs} {lp.senses[i]} {float(lp.b[i])!r}")
-    for j in range(lp.num_vars):
-        out.append(f"bounds {float(lp.lo[j])!r} {float(lp.hi[j])!r}")
-    return "\n".join(out) + "\n"
-
-
-def dump_lp(lp: LinearProgram, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_lp_text(lp))
 
 
 def _invert(B: np.ndarray) -> np.ndarray:

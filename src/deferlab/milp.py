@@ -26,6 +26,12 @@ come from one of two engines, both built on :mod:`deferlab.lp`:
   heuristics supply incumbents. Exactness claims are unaffected: pruning
   only ever uses true lower bounds.
 
+Both engines answer one call, ``relax(node, prune_level, deadline)``, with
+a ``_NodeInfo``: the node's bound, the weights to re-score, the relaxation
+values of the binaries, an LP vertex that may be adopted when integral, and
+the warm start its children inherit (an LP basis or a list of cuts). The
+branch-and-bound loop never asks which engine it has.
+
 Incumbents are never trusted from relaxation values: every candidate pair
 is re-scored through the true 0-1 loss and re-checked against margins, the
 weight box, and any coverage or fairness rows before adoption.
@@ -41,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DeferDataset, HalfspacePair, pair_decisions, system_loss_01
-from .lp import Basis, LinearProgram, solve_lp
+from .lp import LinearProgram, solve_lp
 
 __all__ = [
     "MilpConfig",
@@ -171,32 +177,6 @@ class MilpProblem:
         ids.append(np.arange(lay["r"].start, lay["r"].stop))
         return np.concatenate(ids)
 
-    @property
-    def var_roles(self) -> dict:
-        lay = self._layout()
-        roles = {}
-        d1 = self.d1
-        for k, j in enumerate(range(lay["M"].start, lay["M"].stop)):
-            roles[j] = ("M", k // d1, k % d1) if self.kind == "multiclass" else ("M", k)
-        for k, j in enumerate(range(lay["R"].start, lay["R"].stop)):
-            roles[j] = ("R", k)
-        for name in ("phi", "t", "r"):
-            for k, j in enumerate(range(lay[name].start, lay[name].stop)):
-                roles[j] = (name, k)
-        if "c" in lay:
-            cm1 = self.num_classes - 1
-            for k, j in enumerate(range(lay["c"].start, lay["c"].stop)):
-                roles[j] = ("c", k // cm1, k % cm1)
-        if "aux" in lay:
-            for k, j in enumerate(range(lay["aux"].start, lay["aux"].stop)):
-                roles[j] = ("norm_aux", k)
-        return roles
-
-    def _other_classes(self, i: int) -> np.ndarray:
-        """Class ids j != y_i, ascending; position order of the c_ij block."""
-        y = int(self.dataset.labels[i])
-        return np.array([j for j in range(self.num_classes) if j != y])
-
     # ---- LP relaxation ----------------------------------------------------
     @property
     def lp_relaxation(self) -> LinearProgram:
@@ -207,90 +187,75 @@ class MilpProblem:
     def _build_lp(self) -> LinearProgram:
         lay = self._layout()
         nv, n, d1 = lay["total"], self.n, self.d1
-        rows, senses, rhs = [], [], []
-
-        def row():
-            rows.append(np.zeros(nv))
-            return rows[-1]
-
         km, kr, g = self.k_m, self.k_r, self.gamma
-        for i in range(n):
-            a = row()  # phi_i - t_i + r_i >= 0
-            a[lay["phi"].start + i] = 1.0
-            a[lay["t"].start + i] = -1.0
-            a[lay["r"].start + i] = 1.0
-            senses.append(">=")
-            rhs.append(0.0)
-            if self.kind == "binary":
-                a = row()  # K_m t_i + y_i M.x_i >= gamma
-                a[lay["t"].start + i] = km
-                a[lay["M"]] = self.ypm[i] * self.xt[i]
-                senses.append(">=")
-                rhs.append(g)
-            else:
-                cm1 = self.num_classes - 1
-                a = row()  # t_i + sum_j c_ij / (C-1) >= 1
-                a[lay["t"].start + i] = 1.0
-                a[lay["c"].start + i * cm1 : lay["c"].start + (i + 1) * cm1] = 1.0 / cm1
-                senses.append(">=")
-                rhs.append(1.0)
-                y = int(self.dataset.labels[i])
-                for pos, j in enumerate(self._other_classes(i)):
-                    cid = lay["c"].start + i * cm1 + pos
-                    diff = np.zeros(nv)
-                    diff[lay["M"].start + y * d1 : lay["M"].start + (y + 1) * d1] = self.xt[i]
-                    diff[lay["M"].start + j * d1 : lay["M"].start + (j + 1) * d1] = -self.xt[i]
-                    up = diff.copy()  # (M_y - M_j).x_i - (2K_m + g) c_ij <= -g
-                    up[cid] = -(2 * km + g)
-                    rows.append(up)
-                    senses.append("<=")
-                    rhs.append(-g)
-                    lo = diff  # (M_y - M_j).x_i - (2K_m + g) c_ij >= -2K_m
-                    lo[cid] = -(2 * km + g)
-                    rows.append(lo)
-                    senses.append(">=")
-                    rhs.append(-2 * km)
-            a = row()  # R.x_i - (K_r + g) r_i <= -g
-            a[lay["R"]] = self.xt[i]
-            a[lay["r"].start + i] = -(kr + g)
-            senses.append("<=")
-            rhs.append(-g)
-            a = row()  # R.x_i - (K_r + g) r_i >= -K_r
-            a[lay["R"]] = self.xt[i]
-            a[lay["r"].start + i] = -(kr + g)
-            senses.append(">=")
-            rhs.append(-kr)
+        pts = np.arange(n)
+        phi, t, r = (lay[name].start + pts for name in ("phi", "t", "r"))
+        multi = self.kind == "multiclass"
+        cm1 = self.num_classes - 1
+        # per point: the phi row, the t row, an (up, lo) row pair per other
+        # class when multiclass, then the two rejector rows
+        rpp = 4 + (2 * cm1 if multi else 0)
+        block = np.zeros((n, rpp, nv))
+        block[pts, 0, phi] = 1.0  # phi_i - t_i + r_i >= 0
+        block[pts, 0, t] = -1.0
+        block[pts, 0, r] = 1.0
+        if multi:
+            block[pts, 1, t] = 1.0  # t_i + sum_j c_ij / (C-1) >= 1
+            cid = lay["c"].start + pts[:, None] * cm1 + np.arange(cm1)
+            block[pts[:, None], 1, cid] = 1.0 / cm1
+            # (M_y - M_j).x_i - (2K_m + g) c_ij <= -g, and >= -2K_m; the
+            # classes j != y_i ascend with the position of c_ij in its block
+            y = np.asarray(self.dataset.labels, dtype=int)[:, None]
+            pos = np.arange(cm1)
+            m_y = (y * d1)[:, :, None] + np.arange(d1)
+            m_j = ((pos + (pos >= y)) * d1)[:, :, None] + np.arange(d1)
+            for rows in (2 + 2 * pos, 3 + 2 * pos):
+                block[pts[:, None, None], rows[:, None], m_y] = self.xt[:, None, :]
+                block[pts[:, None, None], rows[:, None], m_j] = -self.xt[:, None, :]
+                block[pts[:, None], rows, cid] = -(2 * km + g)
+            point_senses = [">="] + ["<=", ">="] * cm1
+            point_rhs = [1.0] + [-g, -2 * km] * cm1
+        else:
+            block[pts, 1, t] = km  # K_m t_i + y_i M.x_i >= gamma
+            block[:, 1, lay["M"]] = self.ypm[:, None] * self.xt
+            point_senses, point_rhs = [">="], [g]
+        block[:, -2:, lay["R"]] = self.xt[:, None, :]  # R.x_i - (K_r + g) r_i <= -g, >= -K_r
+        block[pts, -2, r] = -(kr + g)
+        block[pts, -1, r] = -(kr + g)
+        blocks = [block.reshape(n * rpp, nv)]
+        senses = ([">="] + point_senses + ["<=", ">="]) * n
+        rhs = [np.tile([0.0] + point_rhs + [-g, -kr], n)]
 
         if self.lambda_reg > 0:
-            w_ids = list(range(lay["M"].start, lay["M"].stop)) + list(
-                range(lay["R"].start, lay["R"].stop)
-            )
-            for k, wid in enumerate(w_ids):
-                for sign in (1.0, -1.0):
-                    a = row()  # aux_k >= +-w
-                    a[lay["aux"].start + k] = 1.0
-                    a[wid] = -sign
-                    senses.append(">=")
-                    rhs.append(0.0)
+            # aux_k >= w_k and aux_k >= -w_k over the weights M then R
+            nw = lay["R"].stop
+            w = np.arange(nw)
+            reg = np.zeros((nw, 2, nv))
+            reg[w, :, lay["aux"].start + w] = 1.0
+            reg[w, 0, w] = -1.0
+            reg[w, 1, w] = 1.0
+            blocks.append(reg.reshape(2 * nw, nv))
+            senses += [">="] * (2 * nw)
+            rhs.append(np.zeros(2 * nw))
 
         if self.coverage_beta is not None:
-            a = row()
-            a[lay["r"]] = 1.0
+            cover = np.zeros((1, nv))
+            cover[0, lay["r"]] = 1.0
+            blocks.append(cover)
             senses.append("<=")
-            rhs.append(self.coverage_beta * n)
+            rhs.append([self.coverage_beta * n])
 
         if self.fairness_groups is not None:
             groups = np.asarray(self.fairness_groups)
-            for gid in np.unique(groups):
-                inside = groups == gid
-                w_in, w_out = 1.0 / inside.sum(), 1.0 / (~inside).sum()
-                coef = np.where(inside, w_in, -w_out)
-                for sense, bound in (("<=", FAIRNESS_SLACK), (">=", -FAIRNESS_SLACK)):
-                    a = row()
-                    a[lay["phi"]] = coef
-                    a[lay["r"]] = coef * self.err
-                    senses.append(sense)
-                    rhs.append(bound)
+            inside = np.unique(groups)[:, None] == groups[None, :]
+            w_in, w_out = 1.0 / inside.sum(axis=1), 1.0 / (~inside).sum(axis=1)
+            coef = np.where(inside, w_in[:, None], -w_out[:, None])
+            fair = np.zeros((len(coef), 2, nv))
+            fair[:, :, lay["phi"]] = coef[:, None, :]
+            fair[:, :, lay["r"]] = (coef * self.err)[:, None, :]
+            blocks.append(fair.reshape(2 * len(coef), nv))
+            senses += ["<=", ">="] * len(coef)
+            rhs.append(np.tile([FAIRNESS_SLACK, -FAIRNESS_SLACK], len(coef)))
 
         c = np.zeros(nv)
         c[lay["phi"]] = 1.0 / n
@@ -305,7 +270,8 @@ class MilpProblem:
         if "aux" in lay:
             c[lay["aux"]] = self.lambda_reg
             lo[lay["aux"]], hi[lay["aux"]] = 0.0, self.box
-        return LinearProgram(c=c, A=np.array(rows), senses=senses, b=np.array(rhs), lo=lo, hi=hi)
+        return LinearProgram(c=c, A=np.concatenate(blocks), senses=senses,
+                             b=np.concatenate(rhs), lo=lo, hi=hi)
 
     @property
     def has_side_constraints(self) -> bool:
@@ -453,10 +419,17 @@ def extract_pair(problem: MilpProblem, x: np.ndarray) -> HalfspacePair:
     frac = x[problem.binary_var_ids]
     if np.max(np.abs(frac - np.round(frac)), initial=0.0) > INT_TOL:
         raise RuntimeError("fractional binary variables in a supposedly integral solution")
+    return _unnormalize_pair(problem, *_split_weights(problem, x))
+
+
+def _split_weights(problem: MilpProblem, x: np.ndarray):
+    """(M, R) as views of a vector that starts with them in layout order,
+    M reshaped to one row per class when multiclass."""
+    lay = problem._layout()
     m = x[lay["M"]]
     if problem.kind == "multiclass":
         m = m.reshape(problem.num_classes, problem.d1)
-    return _unnormalize_pair(problem, m, x[lay["R"]])
+    return m, x[lay["R"]]
 
 
 class _Incumbent:
@@ -481,10 +454,7 @@ def _incumbent_from_lp_point(problem: MilpProblem, x: np.ndarray) -> _Incumbent:
     reg = 0.0
     if problem.lambda_reg > 0:
         reg = problem.lambda_reg * float(np.sum(x[lay["aux"]]))
-    m = x[lay["M"]]
-    if problem.kind == "multiclass":
-        m = m.reshape(problem.num_classes, problem.d1)
-    return _Incumbent(train_cost + reg, m, x[lay["R"]], train_cost, reg)
+    return _Incumbent(train_cost + reg, *_split_weights(problem, x), train_cost, reg)
 
 
 def _score_candidate(problem: MilpProblem, m_norm, r_norm) -> Optional[_Incumbent]:
@@ -767,9 +737,24 @@ def _multiclass_heuristic_candidates(problem: MilpProblem, rng):
 class _Node:
     fixed: dict  # var id -> 0.0 or 1.0
     bound: float
-    depth: int
-    cuts: list = field(default_factory=list)  # cutting-plane engine only
-    basis: Optional[Basis] = None  # parent's optimal LP basis, exact engine only
+    warm: object = None  # the parent's _NodeInfo.warm; None at the root
+
+
+@dataclass
+class _NodeInfo:
+    """What a relaxation engine reports for one node.
+
+    ``weights`` is an (M, R) pair to re-score, ``frac`` the relaxation
+    values of ``binary_var_ids`` in that order, and ``point`` a full LP
+    vertex that may be adopted as an incumbent when ``frac`` is integral;
+    each may be None. ``warm`` is what the node's children start from.
+    """
+
+    bound: float
+    weights: Optional[tuple]
+    frac: Optional[np.ndarray]
+    point: Optional[np.ndarray]
+    warm: object
 
 
 class _ExactRelaxation:
@@ -777,41 +762,31 @@ class _ExactRelaxation:
 
     A node LP differs from its parent's only in the bounds of the binaries
     fixed on the way down, so it is re-solved from the parent's optimal
-    basis with the dual simplex; the root is solved cold.
+    basis (the node's ``warm``) with the dual simplex; the root is solved
+    cold. One LP solve per node, so ``prune_level`` and ``deadline`` are
+    not consulted.
     """
 
     def __init__(self, problem: MilpProblem):
         self.problem = problem
         self.lp = problem.lp_relaxation
-        self.lay = problem._layout()
+        self.binary_ids = problem.binary_var_ids
 
-    def solve(self, node: _Node):
+    def relax(self, node: _Node, prune_level: float, deadline: Optional[float]):
         lo = self.lp.lo.copy()
         hi = self.lp.hi.copy()
         for vid, val in node.fixed.items():
             lo[vid] = hi[vid] = val
-        sol = solve_lp(self.lp, basis=node.basis, lo=lo, hi=hi)
+        sol = solve_lp(self.lp, basis=node.warm, lo=lo, hi=hi)
         if sol.status == "infeasible":
             return None
         if sol.status != "optimal":
             # unresolved relaxation (iteration limit or numerical failure):
             # fall back to the parent bound and basis
-            return {"bound": node.bound, "x": None, "basis": node.basis}
-        return {"bound": max(node.bound, sol.objective_value), "x": sol.x, "basis": sol.basis}
-
-    def fractional_values(self, info):
-        if info["x"] is None:
-            return None
-        return info["x"][self.problem.binary_var_ids]
-
-    def weights(self, info):
-        if info["x"] is None:
-            return None
-        x = info["x"]
-        m = x[self.lay["M"]]
-        if self.problem.kind == "multiclass":
-            m = m.reshape(self.problem.num_classes, self.problem.d1)
-        return m, x[self.lay["R"]]
+            return _NodeInfo(node.bound, None, None, None, node.warm)
+        x = sol.x
+        return _NodeInfo(max(node.bound, sol.objective_value), _split_weights(self.problem, x),
+                         x[self.binary_ids], x, sol.basis)
 
 
 class _CutPlaneRelaxation:
@@ -821,18 +796,19 @@ class _CutPlaneRelaxation:
     the objective, which is convex in (M, R). Objective cuts come from exact
     evaluations of V; domain rows (margin implications of fixed binaries
     and the rejector's big-M range) are added lazily when violated. The
-    master LP is a relaxation throughout, so its value is a true bound.
+    master LP is a relaxation throughout, so its value is a true bound. A
+    node's children start from its cut list.
     """
 
     MAX_ITERS = 30
     MAX_CUTS = 160
 
-    def __init__(self, problem: MilpProblem, warm_weights=None):
+    def __init__(self, problem: MilpProblem, start_weights=None):
         self.p = problem
         self.lay = problem._layout()
         self.d1 = problem.d1
         self.nv = 2 * self.d1 + 1  # M, R, theta
-        self.warm = warm_weights
+        self.start = start_weights
 
     def _node_bounds(self, node: _Node):
         p = self.p
@@ -893,37 +869,35 @@ class _CutPlaneRelaxation:
         r_star = np.where(err1, np.clip(t_star, rl, ru), ru)
         return (value, np.concatenate([gm, gr]), t_star, r_star), None
 
-    def solve(self, node: _Node, prune_level: float, deadline: Optional[float]):
+    def _domain_rows(self, viol, thi, rlo, rhi):
+        """Rows for up to 40 violated points of each kind, in the order
+        margin, rejector upper range, rejector lower range."""
+        p, d1 = self.p, self.d1
+        g, km, kr = p.gamma, p.k_m, p.k_r
+        vt, vh, vl = (np.flatnonzero(v)[:40] for v in viol)
+        rows = np.zeros((vt.size + vh.size + vl.size, self.nv))
+        rows[: vt.size, :d1] = p.ypm[vt, None] * p.xt[vt]
+        rows[vt.size :, d1 : 2 * d1] = p.xt[np.concatenate([vh, vl])]
+        senses = [">="] * vt.size + ["<="] * vh.size + [">="] * vl.size
+        rhs = np.concatenate([g - km * thi[vt], (kr + g) * rhi[vh] - g, (kr + g) * rlo[vl] - kr])
+        return list(zip(rows, senses, rhs))
+
+    def relax(self, node: _Node, prune_level: float, deadline: Optional[float]):
         p = self.p
         tlo, thi, rlo, rhi = self._node_bounds(node)
-        cuts = list(node.cuts)
+        cuts = list(node.warm or [])
         feas_rows = []
         bound = node.bound
         best = None  # (value, w, t_star, r_star)
 
-        w = None
-        if self.warm is not None:
-            w = self.warm
+        w = self.start
         for it in range(self.MAX_ITERS):
             if deadline is not None and time.monotonic() > deadline:
                 break
             if w is not None:
                 out, viol = self._value(w, tlo, thi, rlo, rhi)
                 if out is None:
-                    vt, vh, vl = viol
-                    g, km, kr = p.gamma, p.k_m, p.k_r
-                    for i in np.flatnonzero(vt)[:40]:
-                        row = np.zeros(self.nv)
-                        row[: self.d1] = p.ypm[i] * p.xt[i]
-                        feas_rows.append((row, ">=", g - km * thi[i]))
-                    for i in np.flatnonzero(vh)[:40]:
-                        row = np.zeros(self.nv)
-                        row[self.d1 : 2 * self.d1] = p.xt[i]
-                        feas_rows.append((row, "<=", (kr + g) * rhi[i] - g))
-                    for i in np.flatnonzero(vl)[:40]:
-                        row = np.zeros(self.nv)
-                        row[self.d1 : 2 * self.d1] = p.xt[i]
-                        feas_rows.append((row, ">=", (kr + g) * rlo[i] - kr))
+                    feas_rows += self._domain_rows(viol, thi, rlo, rhi)
                 else:
                     value, grad, t_star, r_star = out
                     if best is None or value < best[0]:
@@ -960,20 +934,11 @@ class _CutPlaneRelaxation:
             if best is not None and best[0] - bound <= 1e-7 * max(1.0, abs(best[0])):
                 break
 
-        return {"bound": bound, "best": best, "cuts": cuts}
-
-    def fractional_values(self, info):
-        if info["best"] is None:
-            return None
-        _, _, t_star, r_star = info["best"]
-        # order matches binary_var_ids: t block then r block
-        return np.concatenate([t_star, r_star])
-
-    def weights(self, info):
-        if info["best"] is None:
-            return None
-        w = info["best"][1]
-        return w[: self.d1], w[self.d1 : 2 * self.d1]
+        if best is None:
+            return _NodeInfo(bound, None, None, None, cuts)
+        _, w, t_star, r_star = best
+        # frac follows binary_var_ids: the t block, then the r block
+        return _NodeInfo(bound, _split_weights(p, w), np.concatenate([t_star, r_star]), None, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -1040,20 +1005,19 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     if use_exact:
         engine = _ExactRelaxation(problem)
     else:
-        warm = None
+        start_w = None
         if incumbent is not None:
-            warm = np.concatenate([incumbent.m_norm, incumbent.r_norm])
-        engine = _CutPlaneRelaxation(problem, warm_weights=warm)
+            start_w = np.concatenate([incumbent.m_norm, incumbent.r_norm])
+        engine = _CutPlaneRelaxation(problem, start_weights=start_w)
 
     binary_ids = problem.binary_var_ids
     trivial_bound = 0.0  # every objective term is nonnegative
-    heap = [(trivial_bound, 0, _Node(fixed={}, bound=trivial_bound, depth=0))]
+    heap = [(trivial_bound, 0, _Node(fixed={}, bound=trivial_bound))]
     seq = 1
     nodes = 0
     global_bound = trivial_bound
     bound_history.append(global_bound)
     status = None
-    root_infeasible = False
     dropped_unresolved = False
 
     def inc_obj():
@@ -1075,26 +1039,20 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
             break
         nodes += 1
 
-        if isinstance(engine, _CutPlaneRelaxation):
-            info = engine.solve(node, prune_level=inc_obj() - abs_gap, deadline=deadline)
-        else:
-            info = engine.solve(node)
+        info = engine.relax(node, inc_obj() - abs_gap, deadline)
         if info is None:
-            if node.depth == 0:
-                root_infeasible = True
-            continue
-        node_lb = info["bound"]
+            continue  # infeasible node
+        node_lb = info.bound
         if node_lb >= inc_obj() - abs_gap + 1e-12:
             continue
 
-        weights = engine.weights(info)
-        if weights is not None:
-            consider(_score_candidate(problem, weights[0], weights[1]))
+        if info.weights is not None:
+            consider(_score_candidate(problem, *info.weights))
             if node_lb >= inc_obj() - abs_gap + 1e-12:
                 continue
 
         free_mask = np.array([vid not in node.fixed for vid in binary_ids])
-        frac = engine.fractional_values(info)
+        frac = info.frac
         vid = None
         if frac is not None:
             dist = np.abs(frac - np.round(frac))
@@ -1103,9 +1061,9 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
                 # most fractional: fractional part closest to 0.5, ties to lowest id
                 half_dist = np.where(fractional, np.abs(frac - 0.5), np.inf)
                 vid = int(binary_ids[int(np.argmin(half_dist))])
-            elif isinstance(engine, _ExactRelaxation) and info["x"] is not None:
+            elif info.point is not None:
                 # integral LP vertex: this node is solved exactly
-                consider(_incumbent_from_lp_point(problem, info["x"]))
+                consider(_incumbent_from_lp_point(problem, info.point))
                 continue
         if vid is None:
             # unresolved or untrusted relaxation point: never close the node
@@ -1118,13 +1076,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         for val in (0.0, 1.0):
             child_fixed = dict(node.fixed)
             child_fixed[vid] = val
-            child = _Node(
-                fixed=child_fixed,
-                bound=node_lb,
-                depth=node.depth + 1,
-                cuts=info.get("cuts", []) if isinstance(engine, _CutPlaneRelaxation) else [],
-                basis=info.get("basis"),
-            )
+            child = _Node(fixed=child_fixed, bound=node_lb, warm=info.warm)
             heapq.heappush(heap, (node_lb, seq, child))
             seq += 1
 

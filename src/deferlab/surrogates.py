@@ -88,8 +88,8 @@ def _sigmoid(z):
 
 
 def _softplus(z):
-    # log(1 + e^z), overflow-free
-    return np.where(z > 0, z + np.log1p(np.exp(-np.abs(z))), np.log1p(np.exp(z)))
+    # log(1 + e^z) without a branch: exp only ever sees -|z|, so nothing overflows
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def _check_alpha(alpha, n):

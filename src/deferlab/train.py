@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DeferDataset
-from .surrogates import LOSSES, _sigmoid, _softmax
+from .surrogates import LOSSES, _log_softmax, _sigmoid, _softmax, _softplus
 
 __all__ = [
     "ScoreModel",
@@ -440,8 +440,7 @@ def fit_tau(system: TrainedSystem, val_dataset: DeferDataset) -> float:
 
 
 def _ce_batch(scores, y):
-    z = scores - scores.max(axis=1, keepdims=True)
-    logq = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    logq = _log_softmax(scores)
     rows = np.arange(len(y))
     vals = -logq[rows, y]
     grads = np.exp(logq)
@@ -452,7 +451,7 @@ def _ce_batch(scores, y):
 def _logistic_batch(logits, targets01):
     z = logits[:, 0]
     t = targets01.astype(float)
-    vals = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z))) - t * z
+    vals = _softplus(z) - t * z
     grads = (_sigmoid(z) - t)[:, None]
     return vals, grads
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +61,20 @@ class TestMilpCmd:
         pair = load_model_file(weights)
         assert isinstance(pair, HalfspacePair)
 
+    def test_no_unclosed_file_under_dev_mode(self, tmp_path):
+        data = tmp_path / "d.csv"
+        run_cli("gen", "--d", "2", "--n", "16", "--seed", "3", "--out", str(data))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "deferlab.cli",
+             "milp", "--data", str(data), "--out-record", str(tmp_path / "r.json"),
+             "--out-weights", str(tmp_path / "w.csv")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
+
     def test_flags_accepted(self, tmp_path):
         data = tmp_path / "d.csv"
         run_cli("gen", "--d", "2", "--n", "12", "--seed", "1", "--out", str(data))
@@ -112,7 +128,6 @@ class TestTrainEvalRoundTrip:
             "\n".join("0.0,0.0,0.0,0.0" for _ in range(10)) +  # classifier rows
             "\n0.0,0.0,0.0,1.0\n"  # rejector: positive bias defers everything
         )
-        import subprocess, sys
         out = subprocess.run(
             [sys.executable, "-m", "deferlab.cli", "eval", "--data", str(data),
              "--model", str(pair_file)],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import deferlab.lp as lp_module
 from deferlab.core import DeferDataset
-from deferlab.lp import LinearProgram, LpSolution, dump_lp, format_lp_text, solve_lp
+from deferlab.lp import LinearProgram, LpSolution, solve_lp
 from deferlab.milp import INT_TOL, MilpConfig, add_coverage_constraint, build_binary_milp
 
 
@@ -392,15 +392,3 @@ class TestNumericalStatus:
         lp = _capped_random_lp(5, 3, 4)
         assert solve_lp(lp).status == "numerical"
 
-
-class TestDump:
-    def test_format_round_words(self, tmp_path):
-        lp = LinearProgram(
-            c=[1.0, -1.0], A=[[1.0, 2.0]], senses=["<="], b=[3.0], lo=[0.0, 0.0], hi=[1.0, np.inf]
-        )
-        text = format_lp_text(lp)
-        assert text.startswith("min ")
-        assert "<= 3.0" in text
-        path = tmp_path / "debug.lp"
-        dump_lp(lp, path)
-        assert path.read_text() == text

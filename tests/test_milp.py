@@ -7,7 +7,7 @@ import deferlab.lp as lp_module
 import deferlab.milp as milp
 from deferlab.core import DeferDataset, pair_decisions, system_loss_01
 from deferlab.datagen import SyntheticConfig, generate_synthetic
-from deferlab.lp import solve_lp
+from deferlab.lp import LinearProgram, solve_lp
 from deferlab.milp import (
     MilpConfig,
     add_coverage_constraint,
@@ -52,9 +52,10 @@ class TestBuildBinary:
         prob = build_binary_milp(ds, MilpConfig())
         lp = prob.lp_relaxation
         assert len(prob.binary_var_ids) == 2  # t_1, r_1
-        roles = list(prob.var_roles.values())
-        assert sum(1 for r in roles if r[0] == "phi") == 1
-        assert sum(1 for r in roles if r[0] in ("M", "R")) == 4  # two length-2 vectors
+        lay = prob._layout()
+        assert len(range(prob.num_vars)[lay["phi"]]) == 1
+        # two length-2 vectors, M then R, at the front of the layout
+        assert (lay["M"], lay["R"]) == (slice(0, 2), slice(2, 4))
         assert lp.num_rows == 4  # the four per-point constraint rows
 
     def test_regularization_adds_aux(self):
@@ -63,8 +64,9 @@ class TestBuildBinary:
         reg = build_binary_milp(ds, MilpConfig(lambda_reg=0.01))
         d1 = ds.d + 1
         assert reg.num_vars - plain.num_vars == 2 * d1
-        aux = [r for r in reg.var_roles.values() if r[0] == "norm_aux"]
-        assert len(aux) == 2 * d1
+        aux = reg._layout()["aux"]
+        assert (aux.start, aux.stop) == (plain.num_vars, reg.num_vars)
+        assert "aux" not in plain._layout()
 
     def test_rejects_multiclass_data(self):
         ds = DeferDataset(np.ones((3, 1)), [0, 1, 2], [0, 1, 2], 3)
@@ -601,3 +603,260 @@ class TestHeuristicsEqualReference:
                 (old.objective, old.status, old.nodes_explored, old.incumbent_history)
             np.testing.assert_array_equal(new.pair.classifier_weights, old.pair.classifier_weights)
             np.testing.assert_array_equal(new.pair.rejector_weights, old.pair.rejector_weights)
+
+
+# The LP builder as it was before it filled blocks, kept verbatim (with its
+# per-point class lookup inlined) as the reference the block builder must
+# reproduce bit for bit, signs of zeros included.
+
+
+def _oracle_other_classes(self, i):
+    y = int(self.dataset.labels[i])
+    return np.array([j for j in range(self.num_classes) if j != y])
+
+
+def _oracle_build_lp(self):
+    lay = self._layout()
+    nv, n, d1 = lay["total"], self.n, self.d1
+    rows, senses, rhs = [], [], []
+
+    def row():
+        rows.append(np.zeros(nv))
+        return rows[-1]
+
+    km, kr, g = self.k_m, self.k_r, self.gamma
+    for i in range(n):
+        a = row()  # phi_i - t_i + r_i >= 0
+        a[lay["phi"].start + i] = 1.0
+        a[lay["t"].start + i] = -1.0
+        a[lay["r"].start + i] = 1.0
+        senses.append(">=")
+        rhs.append(0.0)
+        if self.kind == "binary":
+            a = row()  # K_m t_i + y_i M.x_i >= gamma
+            a[lay["t"].start + i] = km
+            a[lay["M"]] = self.ypm[i] * self.xt[i]
+            senses.append(">=")
+            rhs.append(g)
+        else:
+            cm1 = self.num_classes - 1
+            a = row()  # t_i + sum_j c_ij / (C-1) >= 1
+            a[lay["t"].start + i] = 1.0
+            a[lay["c"].start + i * cm1 : lay["c"].start + (i + 1) * cm1] = 1.0 / cm1
+            senses.append(">=")
+            rhs.append(1.0)
+            y = int(self.dataset.labels[i])
+            for pos, j in enumerate(_oracle_other_classes(self, i)):
+                cid = lay["c"].start + i * cm1 + pos
+                diff = np.zeros(nv)
+                diff[lay["M"].start + y * d1 : lay["M"].start + (y + 1) * d1] = self.xt[i]
+                diff[lay["M"].start + j * d1 : lay["M"].start + (j + 1) * d1] = -self.xt[i]
+                up = diff.copy()  # (M_y - M_j).x_i - (2K_m + g) c_ij <= -g
+                up[cid] = -(2 * km + g)
+                rows.append(up)
+                senses.append("<=")
+                rhs.append(-g)
+                lo = diff  # (M_y - M_j).x_i - (2K_m + g) c_ij >= -2K_m
+                lo[cid] = -(2 * km + g)
+                rows.append(lo)
+                senses.append(">=")
+                rhs.append(-2 * km)
+        a = row()  # R.x_i - (K_r + g) r_i <= -g
+        a[lay["R"]] = self.xt[i]
+        a[lay["r"].start + i] = -(kr + g)
+        senses.append("<=")
+        rhs.append(-g)
+        a = row()  # R.x_i - (K_r + g) r_i >= -K_r
+        a[lay["R"]] = self.xt[i]
+        a[lay["r"].start + i] = -(kr + g)
+        senses.append(">=")
+        rhs.append(-kr)
+
+    if self.lambda_reg > 0:
+        w_ids = list(range(lay["M"].start, lay["M"].stop)) + list(
+            range(lay["R"].start, lay["R"].stop)
+        )
+        for k, wid in enumerate(w_ids):
+            for sign in (1.0, -1.0):
+                a = row()  # aux_k >= +-w
+                a[lay["aux"].start + k] = 1.0
+                a[wid] = -sign
+                senses.append(">=")
+                rhs.append(0.0)
+
+    if self.coverage_beta is not None:
+        a = row()
+        a[lay["r"]] = 1.0
+        senses.append("<=")
+        rhs.append(self.coverage_beta * n)
+
+    if self.fairness_groups is not None:
+        groups = np.asarray(self.fairness_groups)
+        for gid in np.unique(groups):
+            inside = groups == gid
+            w_in, w_out = 1.0 / inside.sum(), 1.0 / (~inside).sum()
+            coef = np.where(inside, w_in, -w_out)
+            for sense, bound in (("<=", milp.FAIRNESS_SLACK), (">=", -milp.FAIRNESS_SLACK)):
+                a = row()
+                a[lay["phi"]] = coef
+                a[lay["r"]] = coef * self.err
+                senses.append(sense)
+                rhs.append(bound)
+
+    c = np.zeros(nv)
+    c[lay["phi"]] = 1.0 / n
+    c[lay["r"]] = self.err / n
+    lo = np.full(nv, -np.inf)
+    hi = np.full(nv, np.inf)
+    lo[lay["M"]], hi[lay["M"]] = -self.box, self.box
+    lo[lay["R"]], hi[lay["R"]] = -self.box, self.box
+    lo[lay["phi"]], hi[lay["phi"]] = 0.0, np.inf
+    for name in ("t", "r") + (("c",) if "c" in lay else ()):
+        lo[lay[name]], hi[lay[name]] = 0.0, 1.0
+    if "aux" in lay:
+        c[lay["aux"]] = self.lambda_reg
+        lo[lay["aux"]], hi[lay["aux"]] = 0.0, self.box
+    return LinearProgram(c=c, A=np.array(rows), senses=senses, b=np.array(rhs), lo=lo, hi=hi)
+
+
+@st.composite
+def _milp_problems(draw):
+    """Binary and 2-4-class problems at n=1..30 with signed zeros among the
+    features, with or without regularization, a coverage row and 2-3
+    fairness groups."""
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 3))
+    binary = draw(st.booleans())
+    C = 2 if binary else draw(st.integers(2, 4))
+    coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5, 5, allow_nan=False, width=64))
+    x = np.array(draw(st.lists(coord, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n))
+    h = draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n))
+    cfg = MilpConfig(lambda_reg=draw(st.sampled_from([0.0, 0.01, 0.5])))
+    build = build_binary_milp if binary else build_multiclass_milp
+    problem = build(DeferDataset(x, y, h, C), cfg)
+    if draw(st.booleans()):
+        problem = add_coverage_constraint(problem, draw(st.floats(0.0, 1.0)))
+    n_groups = draw(st.integers(2, 3))
+    if draw(st.booleans()) and n >= n_groups:
+        groups = draw(st.permutations(np.arange(n) % n_groups))
+        problem = add_fairness_constraint(problem, np.array(groups))
+    return problem
+
+
+class TestBlockBuiltLp:
+    @given(_milp_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_row_by_row_builder(self, problem):
+        new, old = problem._build_lp(), _oracle_build_lp(problem)
+        for name in ("c", "A", "b", "lo", "hi"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+        assert np.array_equal(np.signbit(new.A), np.signbit(old.A))
+        assert new.senses == old.senses
+
+    def test_domain_rows_equal_per_point_loops(self):
+        rng = np.random.default_rng(8)
+        ds = random_binary_dataset(rng, 120, d=3)
+        problem = build_binary_milp(ds, MilpConfig())
+        engine = milp._CutPlaneRelaxation(problem)
+        p, d1, nv = problem, problem.d1, engine.nv
+        g, km, kr = p.gamma, p.k_m, p.k_r
+        for density in (0.0, 0.05, 0.5):  # at 0.5 every kind passes the cap of 40
+            viol = tuple(rng.random(p.n) < density for _ in range(3))
+            thi, rlo, rhi = (rng.integers(0, 2, p.n).astype(float) for _ in range(3))
+            old = []
+            for i in np.flatnonzero(viol[0])[:40]:
+                row = np.zeros(nv)
+                row[:d1] = p.ypm[i] * p.xt[i]
+                old.append((row, ">=", g - km * thi[i]))
+            for i in np.flatnonzero(viol[1])[:40]:
+                row = np.zeros(nv)
+                row[d1 : 2 * d1] = p.xt[i]
+                old.append((row, "<=", (kr + g) * rhi[i] - g))
+            for i in np.flatnonzero(viol[2])[:40]:
+                row = np.zeros(nv)
+                row[d1 : 2 * d1] = p.xt[i]
+                old.append((row, ">=", (kr + g) * rlo[i] - kr))
+            new = engine._domain_rows(viol, thi, rlo, rhi)
+            assert len(new) == len(old)
+            for (ra, sa, ba), (rb, sb, bb) in zip(new, old):
+                assert ra.tobytes() == rb.tobytes() and sa == sb and ba == bb
+
+
+def _six_point_instances(seed, count):
+    """6 points in 2-D, 3 per class, a human wrong on 4; instances whose
+    optimum is 0 are redrawn."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        x = rng.normal(size=(6, 2)) * rng.uniform(0.5, 3.0)
+        y = rng.permutation(np.arange(6) % 2)
+        h = y.copy()
+        wrong = rng.choice(6, 4, replace=False)
+        h[wrong] = 1 - h[wrong]
+        ds = DeferDataset(x, y, h, 2)
+        if brute_force_deferral_optimum(ds) > 0.0:
+            out.append(ds)
+    return out
+
+
+class TestCutPlaneEngine:
+    def test_forced_cut_plane_proves_the_enumerated_optimum(self, monkeypatch):
+        monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
+        for ds in _six_point_instances(7, 7):
+            oracle = brute_force_deferral_optimum(ds)
+            sol = solve_milp(build_binary_milp(ds, MilpConfig()))
+            assert sol.status == "proven_optimal"
+            assert sol.train_loss == oracle
+            assert sol.best_bound <= oracle
+
+
+# solve_milp outputs recorded before both engines answered one relax() call:
+# (objective, status, nodes_explored, best_bound, bound_history,
+# incumbent_history)
+_PINNED_SOLVES = {
+    "plain": (0.16666666666666666, "proven_optimal", 29, 0.16666666666666666,
+              [0.0, 3.859083384931904e-06, 3.859083384987071e-06, 5.165633673451937e-06,
+               5.562291464888339e-06, 5.56229146492217e-06, 8.76115738833598e-06,
+               8.761157388369815e-06, 9.397091249357434e-06, 1.1513598032907383e-05,
+               1.1513598032938237e-05, 2.4465365442476075e-05, 0.16666666666666666],
+              [0.6666666666666666, 0.16666666666666666]),
+    "covered": (0.16666666666666666, "proven_optimal", 19, 0.16666666666666666,
+                [0.0, 3.8590833849570285e-06, 3.859083384969108e-06, 5.1656336734362124e-06,
+                 5.562291464923927e-06, 8.76115738837157e-06, 9.397091249315524e-06,
+                 1.1513598032942969e-05, 2.4465365442476075e-05, 0.16666666666666666],
+                [0.16666666666666666]),
+    "three_class": (0.16666666666666666, "proven_optimal", 17, 0.16666666666666666,
+                    [0.0, 1.3293158572976016e-06, 1.5371229250737534e-06,
+                     1.8199953830435428e-06, 2.233382483997746e-06, 0.08333333333333334,
+                     0.08333333333333336, 0.16666666666666666],
+                    [1.0, 0.3333333333333333, 0.16666666666666666]),
+    "cut_plane": (0.16666666666666666, "proven_optimal", 5, 0.16666666666666666,
+                  [0.0, 0.07148876305639092, 0.16666666666666666],
+                  [0.6666666666666666, 0.16666666666666666]),
+}
+
+
+class TestPinnedSolves:
+    def _check(self, name, sol):
+        got = (sol.objective, sol.status, sol.nodes_explored, sol.best_bound,
+               list(sol.bound_history), list(sol.incumbent_history))
+        assert got == _PINNED_SOLVES[name]
+
+    def test_exact_engine_plain_and_covered(self):
+        plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
+        self._check("plain", solve_milp(plain))
+        self._check("covered", solve_milp(add_coverage_constraint(plain, 0.25)))
+
+    def test_exact_engine_three_classes(self):
+        rng = np.random.default_rng(45)
+        x = rng.normal(size=(6, 2)) * 1.5
+        y = np.arange(6) % 3
+        h = np.where(rng.random(6) < 0.4, y, (y + 1) % 3)
+        self._check("three_class", solve_milp(build_multiclass_milp(DeferDataset(x, y, h, 3),
+                                                                    MilpConfig())))
+
+    def test_forced_cut_plane_engine(self, monkeypatch):
+        monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
+        plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
+        self._check("cut_plane", solve_milp(plain))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from deferlab.surrogates import (
     loss_rs_alpha,
     loss_rs_alpha_batch,
     loss_rs_batch,
+    _sigmoid,
+    _softplus,
 )
+from deferlab.train import _logistic_batch
 
 LOG2 = math.log(2.0)
 
@@ -311,3 +315,53 @@ class TestPerRowAlpha:
         g, y, hc = self._batch(n=4)
         with pytest.raises(ValueError, match="one entry per row"):
             batch_fn(g, y, hc, np.full(3, 0.5))
+
+
+# softplus and the logistic head's loss as they were before both shared one
+# branch-free softplus, kept as the reference for bit-for-bit equality
+
+
+def _oracle_softplus(z):
+    return np.where(z > 0, z + np.log1p(np.exp(-np.abs(z))), np.log1p(np.exp(z)))
+
+
+def _oracle_logistic_batch(logits, targets01):
+    z = logits[:, 0]
+    t = targets01.astype(float)
+    vals = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z))) - t * z
+    grads = (_sigmoid(z) - t)[:, None]
+    return vals, grads
+
+
+def _softplus_grid():
+    edges = [1000.0, 709.8, 710.0, 1e308, 5e-324, 0.0, 36.0, 37.0, 1e-17]
+    rng = np.random.default_rng(3)
+    return np.concatenate([edges, np.negative(edges), np.linspace(-60.0, 60.0, 24001),
+                           rng.normal(scale=30.0, size=20000)])
+
+
+class TestBranchFreeSoftplus:
+    def test_equal_to_the_branching_softplus_without_warnings(self):
+        z = _softplus_grid()
+        with np.errstate(over="ignore"):
+            old = _oracle_softplus(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = _softplus(z)
+        assert new.tobytes() == old.tobytes()
+        # the branching form does overflow on the grid's large values
+        with pytest.warns(RuntimeWarning):
+            _oracle_softplus(np.array([1000.0]))
+
+    def test_logistic_batch_equal_without_warnings(self):
+        z = _softplus_grid()
+        targets = np.random.default_rng(4).integers(0, 2, z.size)
+        with np.errstate(over="ignore"):
+            old = _oracle_logistic_batch(z[:, None], targets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = _logistic_batch(z[:, None], targets)
+        for a, b in zip(new, old):
+            assert a.tobytes() == b.tobytes()
+        with pytest.warns(RuntimeWarning):
+            _oracle_logistic_batch(np.array([[-1000.0]]), np.array([0]))
