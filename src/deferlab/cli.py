@@ -2,14 +2,20 @@
 
 Runs are driven by flags, optionally layered over a plain-text config file
 (key=value lines under [data], [method], [solver], [train], [eval]
-sections; unknown sections or keys are rejected). Flags always override
-config values. Every output file is written atomically (temp file in the
-same directory, then rename), and `bench` drops a fully resolved config
-next to its results so any run can be reproduced from its own artifacts.
+sections; unknown sections or keys are rejected). Each config-driven
+setting is declared once, as a row of the settings table below: section,
+key, flag, cast, default and the config field it fills. The data rows come
+in one table per kind, since `U` defaults to 10.0 for synthetic data and
+5.0 for grouped data, and `--K` sets `K` or `expert_k`. The table gives the
+accepted keys, the flags of gen, milp, train and bench, the resolution
+(flag, then config key, then default) and the resolved config that `bench`
+writes next to its results. That file holds `kind` and every other key of
+the run, so `bench --config <dir>/resolved_config.cfg` replays the run.
 
-Exit codes: 0 on success, 1 on usage or parse errors, 2 when a solver or
-training run fails. The DEFERLAB_SEED environment variable supplies the
-seed when neither flag nor config gives one.
+Every output file is written atomically (temp file in the same directory,
+then rename). Exit codes: 0 on success, 1 on usage or parse errors, 2 when
+a solver or training run fails. The seed comes from --seed, else the
+[data] seed key, else the DEFERLAB_SEED environment variable, else 0.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -52,6 +58,9 @@ from .train import (
 
 __all__ = ["main"]
 
+# the share of --data that `train` holds out for validation without --val-data
+VAL_FRACTION = 0.1
+
 
 class UsageError(Exception):
     pass
@@ -63,17 +72,153 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config files
+# settings table
 # ---------------------------------------------------------------------------
 
-CONFIG_SCHEMA = {
-    "data": {"kind", "d", "n", "distribution", "U", "K", "std_scale", "margin",
-             "p_m", "p_h0", "p_h1", "seed", "C", "expert_k", "blob_std"},
-    "method": {"methods", "alpha", "alpha_grid"},
-    "solver": {"gamma", "box", "lambda_reg", "beta", "time_limit", "gap"},
-    "train": {"epochs", "batch_size", "lr", "seed", "hidden_units"},
-    "eval": {"trials", "split", "curve_grid"},
+
+def _env_seed() -> int:
+    env = os.environ.get("DEFERLAB_SEED")
+    return int(env) if env else 0
+
+
+def _floats(text) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _names(text) -> tuple:
+    return tuple(text.split(","))
+
+
+class Setting(NamedTuple):
+    """One config-driven setting: ``[section] key=...``, the flag
+    ``--dest`` (``-`` for ``_``; no flag when ``dest`` is None), the cast of
+    flag and key text, the value used when neither is given (called when
+    callable), and the config field the value fills."""
+
+    section: str
+    key: str
+    dest: Optional[str]
+    cast: Callable
+    default: Any
+    field: str
+    choices: Optional[tuple] = None
+
+
+# flag > [data] seed > DEFERLAB_SEED > 0
+_SEED = Setting("data", "seed", "seed", int, _env_seed, "seed")
+
+# each group is (the class its fields build, rows); the data rows depend on the kind
+DATA_SETTINGS = {
+    "synthetic": (SyntheticConfig, (
+        Setting("data", "d", "d", int, 10, "d"),
+        Setting("data", "n", "n", int, 1000, "n"),
+        Setting("data", "distribution", "distribution", str, "gaussian_mixture",
+                "distribution", ("uniform", "gaussian_mixture")),
+        Setting("data", "U", "U", float, 10.0, "U"),
+        Setting("data", "K", "K", int, 10, "K"),
+        Setting("data", "std_scale", "std_scale", float, 1.0, "std_scale"),
+        Setting("data", "margin", "margin", float, 0.0, "margin"),
+        Setting("data", "p_m", "pm", float, 0.0, "p_m"),
+        Setting("data", "p_h0", "ph0", float, 0.3, "p_h0"),
+        Setting("data", "p_h1", "ph1", float, 0.0, "p_h1"),
+        _SEED,
+    )),
+    "grouped": (GroupedExpertConfig, (
+        Setting("data", "d", "d", int, 10, "d"),
+        Setting("data", "n", "n", int, 1000, "n"),
+        Setting("data", "C", "C", int, 10, "C"),
+        Setting("data", "expert_k", "K", int, 5, "K"),
+        Setting("data", "U", "U", float, 5.0, "U"),
+        Setting("data", "blob_std", "blob_std", float, 2.0, "blob_std"),
+        _SEED,
+    )),
 }
+KIND = Setting("data", "kind", "preset", str, "synthetic", "kind", tuple(DATA_SETTINGS))
+SOLVER_SETTINGS = (MilpConfig, (
+    Setting("solver", "gamma", "gamma", float, 1e-5, "gamma"),
+    Setting("solver", "box", "box", float, 1.0, "box"),
+    Setting("solver", "lambda_reg", "lambda_reg", float, 0.0, "lambda_reg"),
+    Setting("solver", "beta", "beta", float, None, "coverage_beta"),
+    Setting("solver", "time_limit", "time_limit", float, None, "time_limit_s"),
+    Setting("solver", "gap", "gap", float, None, "abs_gap"),
+))
+TRAIN_SETTINGS = (TrainConfig, (
+    _SEED,
+    Setting("method", "alpha", "alpha", float, None, "alpha"),
+    Setting("method", "alpha_grid", "alpha_grid", _floats, TrainConfig.alpha_grid, "alpha_grid"),
+    Setting("train", "epochs", "epochs", int, 300, "epochs"),
+    Setting("train", "batch_size", "batch_size", int, 64, "batch_size"),
+    Setting("train", "lr", "lr", float, 0.1, "learning_rate"),
+    Setting("train", "hidden_units", "hidden", int, 0, "hidden_units"),
+))
+BENCH_SETTINGS = (dict, (
+    Setting("method", "methods", "methods", _names, ("rs",), "methods"),
+    Setting("eval", "trials", "trials", int, 5, "trials"),
+    Setting("eval", "split", None, _floats, (0.7, 0.1, 0.2), "split"),
+))
+
+_DATA_ROWS = (KIND,) + tuple(row for _, rows in DATA_SETTINGS.values() for row in rows)
+_ALL_ROWS = _DATA_ROWS + SOLVER_SETTINGS[1] + TRAIN_SETTINGS[1] + BENCH_SETTINGS[1]
+CONFIG_SCHEMA = {section: {row.key for row in _ALL_ROWS if row.section == section}
+                 for section in ("data", "method", "solver", "train", "eval")}
+
+
+def _value(row: Setting, args, cfg):
+    """The row's flag if given, else its config key, else its default."""
+    raw = getattr(args, row.dest, None) if row.dest else None
+    if raw is None:
+        raw = cfg[row.section].get(row.key)
+    if raw is None:
+        return row.default() if callable(row.default) else row.default
+    value = row.cast(raw)
+    if row.choices and value not in row.choices:
+        raise UsageError(f"[{row.section}] {row.key}={value}: use one of {', '.join(row.choices)}")
+    return value
+
+
+def _build(group, values):
+    cls, rows = group
+    return cls(**{row.field: values[row] for row in rows})
+
+
+def _config(args, cfg, group):
+    return _build(group, {row: _value(row, args, cfg) for row in group[1]})
+
+
+def _bench_groups(kind):
+    return BENCH_SETTINGS, DATA_SETTINGS[kind], SOLVER_SETTINGS, TRAIN_SETTINGS
+
+
+def _bench_values(args, cfg) -> dict:
+    """Every setting of a bench run, ``{row: value}``, the kind first."""
+    kind = _value(KIND, args, cfg)
+    return {KIND: kind, **{row: _value(row, args, cfg)
+                           for _, rows in _bench_groups(kind) for row in rows}}
+
+
+def _config_text(values) -> str:
+    """The settings as a config file that reads back to the same values."""
+    blocks = []
+    for section in CONFIG_SCHEMA:
+        lines = [f"[{section}]"]
+        for row, value in values.items():
+            if row.section == section and value is not None:
+                text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+                lines.append(f"{row.key}={text}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
+
+
+def _add_setting_flags(p, rows):
+    """One flag per distinct dest, typed when the row casts to int or float."""
+    for row in {row.dest: row for row in rows if row.dest}.values():
+        p.add_argument("--" + row.dest.replace("_", "-"),
+                       type=row.cast if row.cast in (int, float) else None, choices=row.choices)
+
+
+# ---------------------------------------------------------------------------
+# config files
+# ---------------------------------------------------------------------------
 
 
 def parse_config_file(path) -> dict:
@@ -127,83 +272,6 @@ def _write_text(path, text: str) -> None:
             fh.write(text)
 
     _atomic_write(path, write)
-
-
-def _resolve_seed(args, cfg):
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    if cfg["data"].get("seed") is not None:
-        return int(cfg["data"]["seed"])
-    env = os.environ.get("DEFERLAB_SEED")
-    return int(env) if env else 0
-
-
-def _setting(args, flag, section, key, cast, default):
-    """The flag's value if given, else the config section's, else the default."""
-    value = getattr(args, flag, None)
-    if value is not None:
-        return cast(value)
-    return cast(section[key]) if key in section else default
-
-
-def _data_config(args, cfg):
-    d = cfg["data"]
-    kind = _setting(args, "preset", d, "kind", str, "synthetic")
-    seed = _resolve_seed(args, cfg)
-    if kind == "grouped":
-        return GroupedExpertConfig(
-            d=_setting(args, "d", d, "d", int, 10),
-            n=_setting(args, "n", d, "n", int, 1000),
-            C=_setting(args, "C", d, "C", int, 10),
-            K=_setting(args, "K", d, "expert_k", int, 5),
-            U=_setting(args, "U", d, "U", float, 5.0),
-            blob_std=_setting(args, "blob_std", d, "blob_std", float, 2.0),
-            seed=seed,
-        )
-    if kind != "synthetic":
-        raise UsageError(f"unknown data kind {kind!r} (use synthetic or grouped)")
-    return SyntheticConfig(
-        d=_setting(args, "d", d, "d", int, 10),
-        n=_setting(args, "n", d, "n", int, 1000),
-        distribution=_setting(args, "distribution", d, "distribution", str, "gaussian_mixture"),
-        U=_setting(args, "U", d, "U", float, 10.0),
-        K=_setting(args, "K", d, "K", int, 10),
-        std_scale=_setting(args, "std_scale", d, "std_scale", float, 1.0),
-        margin=_setting(args, "margin", d, "margin", float, 0.0),
-        p_m=_setting(args, "pm", d, "p_m", float, 0.0),
-        p_h0=_setting(args, "ph0", d, "p_h0", float, 0.3),
-        p_h1=_setting(args, "ph1", d, "p_h1", float, 0.0),
-        seed=seed,
-    )
-
-
-def _solver_config(args, cfg) -> MilpConfig:
-    s = cfg["solver"]
-    return MilpConfig(
-        gamma=_setting(args, "gamma", s, "gamma", float, 1e-5),
-        box=_setting(args, "box", s, "box", float, 1.0),
-        lambda_reg=_setting(args, "lambda_reg", s, "lambda_reg", float, 0.0),
-        coverage_beta=_setting(args, "beta", s, "beta", float, None),
-        time_limit_s=_setting(args, "time_limit", s, "time_limit", float, None),
-        abs_gap=_setting(args, "gap", s, "gap", float, None),
-    )
-
-
-def _train_config(args, cfg) -> TrainConfig:
-    t = cfg["train"]
-    m = cfg["method"]
-    alpha_grid = getattr(args, "alpha_grid", None) or m.get("alpha_grid")
-    if isinstance(alpha_grid, str):
-        alpha_grid = tuple(float(v) for v in alpha_grid.split(","))
-    return TrainConfig(
-        epochs=_setting(args, "epochs", t, "epochs", int, 300),
-        batch_size=_setting(args, "batch_size", t, "batch_size", int, 64),
-        learning_rate=_setting(args, "lr", t, "lr", float, 0.1),
-        seed=_resolve_seed(args, cfg),
-        alpha=_setting(args, "alpha", m, "alpha", float, None),
-        alpha_grid=alpha_grid or TrainConfig().alpha_grid,
-        hidden_units=_setting(args, "hidden", t, "hidden_units", int, 0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +335,6 @@ def load_model_file(path):
     raise UsageError(f"{path}: unknown model file kind {head[0]!r}")
 
 
-def _resolved_config_text(data_cfg, milp_cfg, train_cfg, methods, trials, split, seed):
-    lines = ["[data]"]
-    for key, value in sorted(vars(data_cfg).items() if not hasattr(data_cfg, "__dataclass_fields__")
-                             else ((f, getattr(data_cfg, f)) for f in data_cfg.__dataclass_fields__)):
-        lines.append(f"{key}={value}")
-    lines += ["", "[method]", f"methods={','.join(methods)}"]
-    if train_cfg.alpha is not None:
-        lines.append(f"alpha={train_cfg.alpha}")
-    lines.append(f"alpha_grid={','.join(str(a) for a in train_cfg.alpha_grid)}")
-    lines += ["", "[solver]", f"gamma={milp_cfg.gamma}", f"box={milp_cfg.box}",
-              f"lambda_reg={milp_cfg.lambda_reg}"]
-    if milp_cfg.coverage_beta is not None:
-        lines.append(f"beta={milp_cfg.coverage_beta}")
-    if milp_cfg.time_limit_s is not None:
-        lines.append(f"time_limit={milp_cfg.time_limit_s}")
-    if milp_cfg.abs_gap is not None:
-        lines.append(f"gap={milp_cfg.abs_gap}")
-    lines += ["", "[train]", f"epochs={train_cfg.epochs}", f"batch_size={train_cfg.batch_size}",
-              f"lr={train_cfg.learning_rate}", f"seed={seed}",
-              f"hidden_units={train_cfg.hidden_units}",
-              "", "[eval]", f"trials={trials}", f"split={','.join(str(v) for v in split)}"]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -298,7 +342,7 @@ def _resolved_config_text(data_cfg, milp_cfg, train_cfg, methods, trials, split,
 
 def cmd_gen(args):
     cfg = _load_config(args)
-    data_cfg = _data_config(args, cfg)
+    data_cfg = _config(args, cfg, DATA_SETTINGS[_value(KIND, args, cfg)])
     if isinstance(data_cfg, GroupedExpertConfig):
         dataset = generate_grouped_expert(d=data_cfg.d, n=data_cfg.n, C=data_cfg.C,
                                           K=data_cfg.K, seed=data_cfg.seed,
@@ -323,7 +367,7 @@ def cmd_gen(args):
 def cmd_milp(args):
     cfg = _load_config(args)
     dataset = load_dataset_csv(args.data)
-    milp_cfg = _solver_config(args, cfg)
+    milp_cfg = _config(args, cfg, SOLVER_SETTINGS)
     builder = build_binary_milp if dataset.num_classes == 2 else build_multiclass_milp
     solution = solve_milp(builder(dataset, milp_cfg), milp_cfg)
     if solution.pair is None:
@@ -339,9 +383,7 @@ def cmd_milp(args):
         "wall_time_s": solution.wall_time_s,
         "classifier_weights": np.atleast_2d(solution.pair.classifier_weights).tolist(),
         "rejector_weights": solution.pair.rejector_weights.tolist(),
-        "config": {"gamma": milp_cfg.gamma, "box": milp_cfg.box,
-                   "lambda_reg": milp_cfg.lambda_reg, "beta": milp_cfg.coverage_beta,
-                   "time_limit": milp_cfg.time_limit_s, "gap": milp_cfg.abs_gap},
+        "config": {row.key: getattr(milp_cfg, row.field) for row in SOLVER_SETTINGS[1]},
     }
     _write_text(args.out_record, json.dumps(record, indent=2) + "\n")
     _atomic_write(args.out_weights,
@@ -354,12 +396,12 @@ def cmd_milp(args):
 def cmd_train(args):
     cfg = _load_config(args)
     dataset = load_dataset_csv(args.data)
-    train_cfg = _train_config(args, cfg)
+    train_cfg = _config(args, cfg, TRAIN_SETTINGS)
     if args.val_data:
         val = load_dataset_csv(args.val_data)
         train = dataset
     else:
-        n_val = max(1, int(round(train_cfg.val_fraction * dataset.n)))
+        n_val = max(1, int(round(VAL_FRACTION * dataset.n)))
         order = np.random.default_rng(train_cfg.seed).permutation(dataset.n)
         val = dataset.subset(order[:n_val])
         train = dataset.subset(order[n_val:])
@@ -391,19 +433,13 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
-    cfg = _load_config(args)
-    data_cfg = _data_config(args, cfg)
-    milp_cfg = _solver_config(args, cfg)
-    train_cfg = _train_config(args, cfg)
-    methods = (args.methods or cfg["method"].get("methods", "rs")).split(",")
-    trials = args.trials if args.trials is not None else int(cfg["eval"].get("trials", 5))
-    split_text = cfg["eval"].get("split", "0.7,0.1,0.2")
-    split = tuple(float(v) for v in split_text.split(","))
-    seed = _resolve_seed(args, cfg)
+    values = _bench_values(args, _load_config(args))
+    run, data_cfg, milp_cfg, train_cfg = (_build(g, values) for g in _bench_groups(values[KIND]))
+    methods = run["methods"]
 
     os.makedirs(args.out_dir, exist_ok=True)
-    result = run_benchmark(data_cfg, methods, trials, seed=seed, split=split,
-                           train_config=train_cfg, milp_config=milp_cfg)
+    result = run_benchmark(data_cfg, methods, run["trials"], seed=values[_SEED],
+                           split=run["split"], train_config=train_cfg, milp_config=milp_cfg)
     _atomic_write(os.path.join(args.out_dir, "results.csv"),
                   lambda tmp: write_results_csv(result, tmp))
     for method in methods:
@@ -413,8 +449,7 @@ def cmd_bench(args):
     if not args.no_plot:
         _atomic_write(os.path.join(args.out_dir, "plot.svg"),
                       lambda tmp: write_curves_svg(result, tmp))
-    resolved = _resolved_config_text(data_cfg, milp_cfg, train_cfg, methods, trials, split, seed)
-    _write_text(os.path.join(args.out_dir, "resolved_config.cfg"), resolved)
+    _write_text(os.path.join(args.out_dir, "resolved_config.cfg"), _config_text(values))
     for method, (mean, stderr) in result.aggregates.items():
         err = "" if stderr is None else f" +- {stderr:.4f}"
         print(f"{method}: system_accuracy {mean:.4f}{err}")
@@ -433,40 +468,6 @@ def cmd_bound(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_data_flags(p):
-    p.add_argument("--preset", choices=["synthetic", "grouped"])
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--distribution", choices=["uniform", "gaussian_mixture"])
-    p.add_argument("--U", type=float)
-    p.add_argument("--K", type=int)
-    p.add_argument("--C", type=int)
-    p.add_argument("--std-scale", dest="std_scale", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--blob-std", dest="blob_std", type=float)
-    p.add_argument("--pm", type=float)
-    p.add_argument("--ph0", type=float)
-    p.add_argument("--ph1", type=float)
-
-
-def _add_solver_flags(p):
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--box", type=float)
-    p.add_argument("--lambda-reg", dest="lambda_reg", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--time-limit", dest="time_limit", type=float)
-    p.add_argument("--gap", type=float)
-
-
-def _add_train_flags(p):
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-grid", dest="alpha_grid")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--hidden", type=int)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="deferlab",
                      description="learn classifier/rejector pairs for human-AI deferral")
@@ -474,8 +475,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV plus metadata sidecar")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    _add_data_flags(p)
+    _add_setting_flags(p, _DATA_ROWS)
     p.add_argument("--out", required=True)
     p.add_argument("--meta")
     p.set_defaults(func=cmd_gen)
@@ -483,7 +483,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("milp", help="solve the exact deferral MILP on a dataset CSV")
     p.add_argument("--config")
     p.add_argument("--data", required=True)
-    _add_solver_flags(p)
+    _add_setting_flags(p, SOLVER_SETTINGS[1])
     p.add_argument("--out-record", dest="out_record", required=True)
     p.add_argument("--out-weights", dest="out_weights", required=True)
     p.set_defaults(func=cmd_milp)
@@ -494,8 +494,7 @@ def build_parser() -> _Parser:
     p.add_argument("--val-data", dest="val_data")
     p.add_argument("--method", required=True,
                    choices=["rs", "rs2", "ce", "ova", "moe", "triage", "confidence", "selective"])
-    p.add_argument("--seed", type=int)
-    _add_train_flags(p)
+    _add_setting_flags(p, TRAIN_SETTINGS[1])
     p.add_argument("--fit-tau", dest="fit_tau", action="store_true",
                    help="line-search the rejection threshold on validation after training")
     p.add_argument("--out", required=True)
@@ -510,12 +509,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="run the benchmark harness")
     p.add_argument("--config")
-    p.add_argument("--methods")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    _add_data_flags(p)
-    _add_solver_flags(p)
-    _add_train_flags(p)
+    _add_setting_flags(p, _ALL_ROWS)
     p.add_argument("--out-dir", dest="out_dir", required=True)
     p.add_argument("--no-plot", dest="no_plot", action="store_true")
     p.set_defaults(func=cmd_bench)

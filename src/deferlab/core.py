@@ -136,10 +136,6 @@ class HalfspacePair:
         """Raw feature dimension d (weights have length d+1)."""
         return self.rejector_weights.shape[0] - 1
 
-    @property
-    def is_multiclass(self) -> bool:
-        return self.classifier_weights.ndim == 2
-
 
 @dataclass(frozen=True)
 class Prediction:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -152,10 +152,6 @@ class BenchmarkResult:
 
     records: list
     aggregates: dict  # method -> (mean system accuracy, stderr or None)
-    resolved: dict = field(default_factory=dict)
-
-    def rows(self):
-        return self.records
 
 
 def _trial_seed(seed: int, trial: int) -> int:

@@ -320,34 +320,19 @@ def build_binary_milp(dataset: DeferDataset, config: MilpConfig) -> MilpProblem:
     """Assemble the binary big-M formulation for a 2-class dataset."""
     if dataset.num_classes != 2:
         raise ValueError("binary builder requires num_classes == 2; use the multiclass builder")
-    xt, scale = _normalize(dataset)
-    km, kr = config.resolved_big_m()
-    problem = MilpProblem(
-        kind="binary",
-        dataset=dataset,
-        xt=xt,
-        err=(dataset.human_preds != dataset.labels).astype(float),
-        norm_scale=scale,
-        gamma=config.gamma,
-        box=config.box,
-        k_m=km,
-        k_r=kr,
-        lambda_reg=config.lambda_reg,
-        ypm=(2 * dataset.labels - 1).astype(float),
-    )
-    if config.coverage_beta is not None:
-        problem = add_coverage_constraint(problem, config.coverage_beta)
-    if config.fairness_groups is not None:
-        problem = add_fairness_constraint(problem, config.fairness_groups)
-    return problem
+    return _build_milp(dataset, config, "binary", (2 * dataset.labels - 1).astype(float))
 
 
 def build_multiclass_milp(dataset: DeferDataset, config: MilpConfig) -> MilpProblem:
     """Assemble the multiclass formulation (per-class weight vectors)."""
+    return _build_milp(dataset, config, "multiclass", None)
+
+
+def _build_milp(dataset: DeferDataset, config: MilpConfig, kind: str, ypm) -> MilpProblem:
     xt, scale = _normalize(dataset)
     km, kr = config.resolved_big_m()
     problem = MilpProblem(
-        kind="multiclass",
+        kind=kind,
         dataset=dataset,
         xt=xt,
         err=(dataset.human_preds != dataset.labels).astype(float),
@@ -357,6 +342,7 @@ def build_multiclass_milp(dataset: DeferDataset, config: MilpConfig) -> MilpProb
         k_m=km,
         k_r=kr,
         lambda_reg=config.lambda_reg,
+        ypm=ypm,
     )
     if config.coverage_beta is not None:
         problem = add_coverage_constraint(problem, config.coverage_beta)

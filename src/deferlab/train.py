@@ -50,6 +50,11 @@ __all__ = [
     "METHODS",
 ]
 
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when a training loss stops being finite."""
@@ -156,13 +161,9 @@ class TrainConfig:
     epochs: int = 300
     batch_size: int = 0  # 0 means full batch
     learning_rate: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     alpha: Optional[float] = None
     alpha_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
-    val_fraction: float = 0.1
     hidden_units: int = 0
 
     def __post_init__(self):
@@ -235,13 +236,12 @@ class _Adam:
         self.cfg = config
 
     def step(self, params, grad):
-        c = self.cfg
         self.t += 1
-        self.m = c.beta1 * self.m + (1 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1 - c.beta2) * grad * grad
-        mh = self.m / (1 - c.beta1**self.t)
-        vh = self.v / (1 - c.beta2**self.t)
-        return params - c.learning_rate * mh / (np.sqrt(vh) + c.eps)
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
+        mh = self.m / (1 - ADAM_BETA1**self.t)
+        vh = self.v / (1 - ADAM_BETA2**self.t)
+        return params - self.cfg.learning_rate * mh / (np.sqrt(vh) + ADAM_EPS)
 
 
 def _run_training(model: ScoreModel, dataset: DeferDataset, config: TrainConfig,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from deferlab.cli import load_model_file, main, parse_config_file
+from deferlab.cli import (
+    CONFIG_SCHEMA,
+    DATA_SETTINGS,
+    _bench_values,
+    _config_text,
+    build_parser,
+    load_model_file,
+    main,
+    parse_config_file,
+)
 from deferlab.core import HalfspacePair, load_dataset_csv
 from deferlab.train import TrainedSystem
 
@@ -169,12 +179,191 @@ class TestBench:
         assert len(lines) == 1 + 2 * 2  # header + methods x trials
 
     def test_reproducible_from_resolved_config(self, tmp_path):
-        args = ["bench", "--methods", "selective", "--trials", "1", "--seed", "9",
-                "--d", "3", "--n", "150", "--epochs", "5"]
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert run_cli(*args, "--out-dir", str(out1)) == 0
-        assert run_cli(*args, "--out-dir", str(out2)) == 0
-        assert (out1 / "results.csv").read_text() == (out2 / "results.csv").read_text()
+        # each run replays from its own resolved config: same results and
+        # curves, and the replay resolves to the same config (a fixed point)
+        runs = {
+            "grouped": ["--preset", "grouped", "--n", "60", "--d", "2", "--C", "3", "--K", "1",
+                        "--methods", "rs", "--trials", "1", "--epochs", "3", "--seed", "4"],
+            "synthetic": ["--methods", "rs,milp", "--trials", "2", "--seed", "9", "--d", "2",
+                          "--n", "30", "--epochs", "5", "--beta", "0.6", "--alpha", "0.5",
+                          "--hidden", "3"],
+        }
+        for name, flags in runs.items():
+            first, replay = tmp_path / name, tmp_path / (name + "-replay")
+            assert run_cli("bench", *flags, "--no-plot", "--out-dir", str(first)) == 0
+            resolved = first / "resolved_config.cfg"
+            assert run_cli("bench", "--config", str(resolved), "--no-plot",
+                           "--out-dir", str(replay)) == 0
+            files = sorted(p.name for p in first.iterdir())
+            assert files == sorted(p.name for p in replay.iterdir())
+            assert "results.csv" in files and any(f.startswith("curve_") for f in files)
+            for f in files:
+                assert (first / f).read_bytes() == (replay / f).read_bytes(), (name, f)
+
+
+# every [section] key with a value other than its default, per data kind
+NON_DEFAULT = {
+    ("data", "kind"): "grouped", ("data", "seed"): "5", ("data", "d"): "3", ("data", "n"): "50",
+    ("data", "distribution"): "uniform", ("data", "U"): "4.0", ("data", "K"): "3",
+    ("data", "std_scale"): "0.5", ("data", "margin"): "0.1", ("data", "p_m"): "0.05",
+    ("data", "p_h0"): "0.2", ("data", "p_h1"): "0.1", ("data", "C"): "4",
+    ("data", "expert_k"): "2", ("data", "blob_std"): "1.5",
+    ("method", "methods"): "rs,ce", ("method", "alpha"): "0.5",
+    ("method", "alpha_grid"): "0.5,1.0",
+    ("solver", "gamma"): "0.001", ("solver", "box"): "2.0", ("solver", "lambda_reg"): "0.01",
+    ("solver", "beta"): "0.5", ("solver", "time_limit"): "7.5", ("solver", "gap"): "0.05",
+    ("train", "epochs"): "7", ("train", "batch_size"): "16", ("train", "lr"): "0.05",
+    ("train", "hidden_units"): "3",
+    ("eval", "trials"): "2", ("eval", "split"): "0.6,0.2,0.2",
+}
+
+# every option of each subcommand as the parser had it before the settings
+# table: option -> (dest, type, default, choices, required)
+FLAG_SURFACE = {
+    "bench": {
+        "--C": ("C", "int", None, None, False),
+        "--K": ("K", "int", None, None, False),
+        "--U": ("U", "float", None, None, False),
+        "--alpha": ("alpha", "float", None, None, False),
+        "--alpha-grid": ("alpha_grid", None, None, None, False),
+        "--batch-size": ("batch_size", "int", None, None, False),
+        "--beta": ("beta", "float", None, None, False),
+        "--blob-std": ("blob_std", "float", None, None, False),
+        "--box": ("box", "float", None, None, False),
+        "--config": ("config", None, None, None, False),
+        "--d": ("d", "int", None, None, False),
+        "--distribution": ("distribution", None, None, ("uniform", "gaussian_mixture"), False),
+        "--epochs": ("epochs", "int", None, None, False),
+        "--gamma": ("gamma", "float", None, None, False),
+        "--gap": ("gap", "float", None, None, False),
+        "--hidden": ("hidden", "int", None, None, False),
+        "--lambda-reg": ("lambda_reg", "float", None, None, False),
+        "--lr": ("lr", "float", None, None, False),
+        "--margin": ("margin", "float", None, None, False),
+        "--methods": ("methods", None, None, None, False),
+        "--n": ("n", "int", None, None, False),
+        "--no-plot": ("no_plot", None, False, None, False),
+        "--out-dir": ("out_dir", None, None, None, True),
+        "--ph0": ("ph0", "float", None, None, False),
+        "--ph1": ("ph1", "float", None, None, False),
+        "--pm": ("pm", "float", None, None, False),
+        "--preset": ("preset", None, None, ("synthetic", "grouped"), False),
+        "--seed": ("seed", "int", None, None, False),
+        "--std-scale": ("std_scale", "float", None, None, False),
+        "--time-limit": ("time_limit", "float", None, None, False),
+        "--trials": ("trials", "int", None, None, False),
+    },
+    "bound": {
+        "--d": ("d", "int", None, None, True),
+        "--delta": ("delta", "float", None, None, True),
+        "--km": ("km", "float", None, None, True),
+        "--kr": ("kr", "float", None, None, True),
+        "--n": ("n", "int", None, None, True),
+        "--perr": ("perr", "float", None, None, True),
+        "--train-loss": ("train_loss", "float", 0.0, None, False),
+    },
+    "eval": {
+        "--curve-grid": ("curve_grid", "int", 50, None, False),
+        "--curve-out": ("curve_out", None, None, None, False),
+        "--data": ("data", None, None, None, True),
+        "--model": ("model", None, None, None, True),
+    },
+    "gen": {
+        "--C": ("C", "int", None, None, False),
+        "--K": ("K", "int", None, None, False),
+        "--U": ("U", "float", None, None, False),
+        "--blob-std": ("blob_std", "float", None, None, False),
+        "--config": ("config", None, None, None, False),
+        "--d": ("d", "int", None, None, False),
+        "--distribution": ("distribution", None, None, ("uniform", "gaussian_mixture"), False),
+        "--margin": ("margin", "float", None, None, False),
+        "--meta": ("meta", None, None, None, False),
+        "--n": ("n", "int", None, None, False),
+        "--out": ("out", None, None, None, True),
+        "--ph0": ("ph0", "float", None, None, False),
+        "--ph1": ("ph1", "float", None, None, False),
+        "--pm": ("pm", "float", None, None, False),
+        "--preset": ("preset", None, None, ("synthetic", "grouped"), False),
+        "--seed": ("seed", "int", None, None, False),
+        "--std-scale": ("std_scale", "float", None, None, False),
+    },
+    "milp": {
+        "--beta": ("beta", "float", None, None, False),
+        "--box": ("box", "float", None, None, False),
+        "--config": ("config", None, None, None, False),
+        "--data": ("data", None, None, None, True),
+        "--gamma": ("gamma", "float", None, None, False),
+        "--gap": ("gap", "float", None, None, False),
+        "--lambda-reg": ("lambda_reg", "float", None, None, False),
+        "--out-record": ("out_record", None, None, None, True),
+        "--out-weights": ("out_weights", None, None, None, True),
+        "--time-limit": ("time_limit", "float", None, None, False),
+    },
+    "train": {
+        "--alpha": ("alpha", "float", None, None, False),
+        "--alpha-grid": ("alpha_grid", None, None, None, False),
+        "--batch-size": ("batch_size", "int", None, None, False),
+        "--config": ("config", None, None, None, False),
+        "--data": ("data", None, None, None, True),
+        "--epochs": ("epochs", "int", None, None, False),
+        "--fit-tau": ("fit_tau", None, False, None, False),
+        "--hidden": ("hidden", "int", None, None, False),
+        "--lr": ("lr", "float", None, None, False),
+        "--method": ("method", None, None,
+                     ("rs", "rs2", "ce", "ova", "moe", "triage", "confidence", "selective"), True),
+        "--out": ("out", None, None, None, True),
+        "--seed": ("seed", "int", None, None, False),
+        "--val-data": ("val_data", None, None, None, False),
+    },
+}
+
+
+def _resolved_text(tmp_path, body):
+    """The resolved config `bench` would write for a config file with this body."""
+    path = tmp_path / "settings.cfg"
+    path.write_text(body)
+    args = build_parser().parse_args(["bench", "--config", str(path), "--out-dir", "unused"])
+    return _config_text(_bench_values(args, parse_config_file(path)))
+
+
+class TestSettingsTable:
+    def test_every_key_changes_the_resolved_config_and_replays(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DEFERLAB_SEED", raising=False)
+        schema = {(section, key) for section, keys in CONFIG_SCHEMA.items() for key in keys}
+        assert schema == set(NON_DEFAULT)
+        assert _resolved_text(tmp_path, "") != _resolved_text(tmp_path, "[data]\nkind=grouped\n")
+        for kind, (_, rows) in DATA_SETTINGS.items():
+            own = {row.key for row in rows}
+            base = f"[data]\nkind={kind}\n"
+            base_text = _resolved_text(tmp_path, base)
+            for (section, key), value in NON_DEFAULT.items():
+                if section == "data" and key not in own:
+                    continue  # kind, or a key of the other kind
+                line = f"{key}={value}\n"
+                text = _resolved_text(tmp_path, base + (line if section == "data"
+                                                        else f"[{section}]\n{line}"))
+                assert text != base_text and "\n" + line in text, (kind, section, key)
+                assert _resolved_text(tmp_path, text) == text, (kind, section, key)
+
+    def test_flag_surface_is_unchanged(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: {a.option_strings[0]: (a.dest, a.type.__name__ if a.type else None, a.default,
+                                         None if a.choices is None else tuple(a.choices),
+                                         a.required)
+                   for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+            for name, parser in sub.choices.items()
+        }
+        assert surface == FLAG_SURFACE
+
+    @pytest.mark.parametrize("section,key", [("train", "seed"), ("eval", "curve_grid")])
+    def test_removed_keys_are_rejected(self, tmp_path, capsys, section, key):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"[{section}]\n{key}=3\n")
+        assert run_cli("bench", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 1
+        assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestBound:
