@@ -10,7 +10,8 @@ in one table per kind, since `U` defaults to 10.0 for synthetic data and
 accepted keys, the flags of gen, milp, train and bench, the resolution
 (flag, then config key, then default) and the resolved config that `bench`
 writes next to its results. That file holds `kind` and every other key of
-the run, so `bench --config <dir>/resolved_config.cfg` replays the run.
+the run, so `bench --config <dir>/resolved_config.cfg` replays the run. A
+data flag or key that only the other kind reads is a usage error.
 
 Every output file is written atomically (temp file in the same directory,
 then rename). Exit codes: 0 on success, 1 on usage or parse errors, 2 when
@@ -185,13 +186,27 @@ def _config(args, cfg, group):
     return _build(group, {row: _value(row, args, cfg) for row in group[1]})
 
 
+def _kind(args, cfg) -> str:
+    """The run's data kind. A data flag or key that only the other kind
+    reads is a usage error, not silently ignored."""
+    kind = _value(KIND, args, cfg)
+    own = (KIND,) + DATA_SETTINGS[kind][1]
+    dests, keys = {row.dest for row in own}, {row.key for row in own}
+    for row in _DATA_ROWS:
+        if row.dest not in dests and getattr(args, row.dest, None) is not None:
+            raise UsageError(f"--{row.dest.replace('_', '-')} does not apply to kind={kind}")
+        if row.key not in keys and row.key in cfg["data"]:
+            raise UsageError(f"[data] {row.key} does not apply to kind={kind}")
+    return kind
+
+
 def _bench_groups(kind):
     return BENCH_SETTINGS, DATA_SETTINGS[kind], SOLVER_SETTINGS, TRAIN_SETTINGS
 
 
 def _bench_values(args, cfg) -> dict:
     """Every setting of a bench run, ``{row: value}``, the kind first."""
-    kind = _value(KIND, args, cfg)
+    kind = _kind(args, cfg)
     return {KIND: kind, **{row: _value(row, args, cfg)
                            for _, rows in _bench_groups(kind) for row in rows}}
 
@@ -342,7 +357,7 @@ def load_model_file(path):
 
 def cmd_gen(args):
     cfg = _load_config(args)
-    data_cfg = _config(args, cfg, DATA_SETTINGS[_value(KIND, args, cfg)])
+    data_cfg = _config(args, cfg, DATA_SETTINGS[_kind(args, cfg)])
     if isinstance(data_cfg, GroupedExpertConfig):
         dataset = generate_grouped_expert(d=data_cfg.d, n=data_cfg.n, C=data_cfg.C,
                                           K=data_cfg.K, seed=data_cfg.seed,
@@ -389,7 +404,8 @@ def cmd_milp(args):
     _atomic_write(args.out_weights,
                   lambda tmp: save_halfspace_pair(solution.pair, tmp, dataset.num_classes))
     print(f"status={solution.status} objective={solution.objective:.6f} "
-          f"train_loss={solution.train_loss:.6f} nodes={solution.nodes_explored}")
+          f"train_loss={solution.train_loss:.6f} bound={solution.best_bound:.6f} "
+          f"gap={solution.objective - solution.best_bound:.6f} nodes={solution.nodes_explored}")
     return 0
 
 

@@ -43,3 +43,24 @@ def brute_force_deferral_optimum(dataset):
             if v < best:
                 best = v
     return best
+
+
+def highs_optimum(problem):
+    """Optimum of a built deferral MILP by scipy's HiGHS: the problem's own
+    LP relaxation with its binary variables made integral (an oracle
+    independent of the package's simplex and branch-and-bound). Callers
+    ``pytest.importorskip("scipy.optimize")`` first."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp = problem.lp_relaxation
+    senses = np.asarray(lp.senses)
+    lower = np.where(senses == "<=", -np.inf, lp.b)
+    upper = np.where(senses == ">=", np.inf, lp.b)
+    integrality = np.zeros(len(lp.c))
+    integrality[problem.binary_var_ids] = 1
+    res = milp(lp.c, constraints=LinearConstraint(lp.A, lower, upper),
+               bounds=Bounds(lp.lo, lp.hi), integrality=integrality,
+               options={"mip_rel_gap": 0.0, "time_limit": 60.0})
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS did not prove an optimum: {res.message}")
+    return float(res.fun)

@@ -54,6 +54,25 @@ class TestGen:
         assert a.read_text() == b.read_text()
         assert "seed=123" in open(str(a) + ".meta").read()
 
+    @pytest.mark.parametrize("argv,config", [
+        (["--C", "7"], None), (["--blob-std", "9"], None),
+        (["--preset", "grouped", "--pm", "0.1"], None),
+        (["--preset", "grouped", "--std-scale", "0.5"], None),
+        ([], "[data]\nkind=grouped\nK=3\n"), ([], "[data]\nexpert_k=3\n"),
+    ])
+    def test_settings_of_the_other_kind_are_usage_errors(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "data.csv"
+        assert run_cli("gen", "--d", "2", "--n", "20", "--seed", "1", *argv,
+                       "--out", str(out)) == 1
+        assert "does not apply to kind=" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("bench", *argv, "--out-dir", str(tmp_path / "o")) == 1
+        assert not (tmp_path / "o").exists()
+
 
 class TestMilpCmd:
     def test_solve_and_record(self, tmp_path):
@@ -84,6 +103,21 @@ class TestMilpCmd:
         )
         assert proc.returncode == 0, proc.stderr
         assert "Warning" not in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("gap", [None, "0.3"])
+    def test_summary_prints_bound_and_gap(self, tmp_path, capsys, gap):
+        data = tmp_path / "d.csv"
+        run_cli("gen", "--d", "2", "--n", "12", "--seed", "2", "--pm", "0.2", "--out", str(data))
+        capsys.readouterr()
+        rec = tmp_path / "r.json"
+        code = run_cli("milp", "--data", str(data), *(["--gap", gap] if gap else []),
+                       "--out-record", str(rec), "--out-weights", str(tmp_path / "w.csv"))
+        assert code == 0
+        summary = dict(field.split("=") for field in capsys.readouterr().out.split())
+        record = json.loads(rec.read_text())
+        assert summary["bound"] == f"{record['best_bound']:.6f}"
+        assert summary["gap"] == f"{record['objective'] - record['best_bound']:.6f}"
+        assert (float(summary["gap"]) > 0.0) == (gap is not None)
 
     def test_flags_accepted(self, tmp_path):
         data = tmp_path / "d.csv"

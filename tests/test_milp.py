@@ -504,6 +504,29 @@ def _heuristic_stream(problem):
     return out, rng.bit_generator.state
 
 
+def _best_of_every_candidate(problem):
+    """The incumbent and incumbent history of scoring the whole heuristic
+    stream (and each coverage-shifted variant) with no tree."""
+    rng = np.random.default_rng(0x5EED5EED)
+    best, history = None, []
+    for m, r in milp._binary_heuristic_candidates(problem, rng):
+        variants = [r]
+        if problem.coverage_beta is not None:
+            variants += milp._coverage_shifted(problem, r)
+        for rv in variants:
+            cand = milp._score_candidate(problem, m, rv)
+            if cand is not None and (best is None or cand.objective < best.objective - 1e-12):
+                best = cand
+                history.append(cand.objective)
+    return best, history
+
+
+def _assert_pair_of(sol, problem, incumbent):
+    expected = milp._unnormalize_pair(problem, incumbent.m_norm, incumbent.r_norm)
+    np.testing.assert_array_equal(sol.pair.classifier_weights, expected.classifier_weights)
+    np.testing.assert_array_equal(sol.pair.rejector_weights, expected.rejector_weights)
+
+
 def _patch_oracle(monkeypatch, fits=None):
     def fit(xt, targets, rng, epochs=60, w=None):
         if fits is not None:
@@ -576,22 +599,10 @@ class TestHeuristicsEqualReference:
         # its history come from the deduplicated scoring loop alone
         for problem in _heuristic_problems()[:3]:
             sol = solve_milp(problem, MilpConfig(node_limit=0))
-            rng = np.random.default_rng(0x5EED5EED)
-            best, history = None, []
-            for m, r in milp._binary_heuristic_candidates(problem, rng):
-                variants = [r]
-                if problem.coverage_beta is not None:
-                    variants += milp._coverage_shifted(problem, r)
-                for rv in variants:
-                    cand = milp._score_candidate(problem, m, rv)
-                    if cand is not None and (best is None or cand.objective < best.objective - 1e-12):
-                        best = cand
-                        history.append(cand.objective)
+            best, history = _best_of_every_candidate(problem)
             assert sol.incumbent_history == history
             assert sol.objective == best.objective
-            expected = milp._unnormalize_pair(problem, best.m_norm, best.r_norm)
-            np.testing.assert_array_equal(sol.pair.classifier_weights, expected.classifier_weights)
-            np.testing.assert_array_equal(sol.pair.rejector_weights, expected.rejector_weights)
+            _assert_pair_of(sol, problem, best)
 
     def test_solve_equal_with_reference_heuristics(self, monkeypatch):
         for problem in _heuristic_problems()[:3]:
@@ -811,29 +822,23 @@ class TestCutPlaneEngine:
             assert sol.best_bound <= oracle
 
 
-# solve_milp outputs recorded before both engines answered one relax() call:
+# solve_milp outputs recorded once node bounds were rounded up to the 1/n
+# grid and the full-LP engine solved its root before the heuristics:
 # (objective, status, nodes_explored, best_bound, bound_history,
 # incumbent_history)
 _PINNED_SOLVES = {
-    "plain": (0.16666666666666666, "proven_optimal", 29, 0.16666666666666666,
-              [0.0, 3.859083384931904e-06, 3.859083384987071e-06, 5.165633673451937e-06,
-               5.562291464888339e-06, 5.56229146492217e-06, 8.76115738833598e-06,
-               8.761157388369815e-06, 9.397091249357434e-06, 1.1513598032907383e-05,
-               1.1513598032938237e-05, 2.4465365442476075e-05, 0.16666666666666666],
-              [0.6666666666666666, 0.16666666666666666]),
-    "covered": (0.16666666666666666, "proven_optimal", 19, 0.16666666666666666,
-                [0.0, 3.8590833849570285e-06, 3.859083384969108e-06, 5.1656336734362124e-06,
-                 5.562291464923927e-06, 8.76115738837157e-06, 9.397091249315524e-06,
-                 1.1513598032942969e-05, 2.4465365442476075e-05, 0.16666666666666666],
-                [0.16666666666666666]),
-    "three_class": (0.16666666666666666, "proven_optimal", 17, 0.16666666666666666,
-                    [0.0, 1.3293158572976016e-06, 1.5371229250737534e-06,
-                     1.8199953830435428e-06, 2.233382483997746e-06, 0.08333333333333334,
-                     0.08333333333333336, 0.16666666666666666],
+    "plain": (0.16666666666666666, "proven_optimal", 1, 0.16666666666666666,
+              [0.0, 0.16666666666666666], [0.6666666666666666, 0.16666666666666666]),
+    "covered": (0.16666666666666666, "proven_optimal", 1, 0.16666666666666666,
+                [0.0, 0.16666666666666666], [0.16666666666666666]),
+    "three_class": (0.16666666666666666, "proven_optimal", 5, 0.16666666666666666,
+                    [0.0, 0.16666666666666666, 0.16666666666666666],
                     [1.0, 0.3333333333333333, 0.16666666666666666]),
-    "cut_plane": (0.16666666666666666, "proven_optimal", 5, 0.16666666666666666,
-                  [0.0, 0.07148876305639092, 0.16666666666666666],
-                  [0.6666666666666666, 0.16666666666666666]),
+    "cut_plane": (0.16666666666666666, "proven_optimal", 1, 0.16666666666666666,
+                  [0.0, 0.16666666666666666], [0.6666666666666666, 0.16666666666666666]),
+    "fourteen_points": (0.14285714285714285, "proven_optimal", 77, 0.14285714285714285,
+                        [0.0, 0.07142857142857142, 0.14285714285714285],
+                        [0.7142857142857143, 0.21428571428571427, 0.14285714285714285]),
 }
 
 
@@ -860,3 +865,169 @@ class TestPinnedSolves:
         monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
         plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
         self._check("cut_plane", solve_milp(plain))
+
+    def test_exact_engine_tree_search(self):
+        ds = random_binary_dataset(np.random.default_rng(1), 14, human_acc=0.4)
+        self._check("fourteen_points", solve_milp(build_binary_milp(ds, MilpConfig())))
+
+
+class TestObjectiveGrid:
+    @pytest.mark.parametrize("n", [1, 6, 7, 30, 1000])
+    def test_bound_rounding_tolerance(self, n):
+        for k in range(min(n, 40) + 1):
+            assert milp._grid_bound(k / n, n) == k / n
+            # simplex noise around a grid point stays on it
+            assert milp._grid_bound(k / n + 0.5 * milp.GRID_TOL / n, n) == k / n
+            assert milp._grid_bound(k / n + 1e-9 / n, n) == k / n
+            assert milp._grid_bound(k / n - 1e-15, n) == k / n
+            # a gamma-scale excess proves the next point
+            assert milp._grid_bound(k / n + 1e-5 / n, n) == (k + 1) / n
+
+    def test_one_lp_solve_per_node(self, monkeypatch):
+        calls = []
+        real = milp.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(milp, "solve_lp", counting)
+        plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
+        deep_ds = random_binary_dataset(np.random.default_rng(1), 14, human_acc=0.4)
+        deep = build_binary_milp(deep_ds, MilpConfig())
+        realizable = generate_synthetic(
+            SyntheticConfig(d=2, n=20, p_m=0.0, p_h0=0.3, p_h1=0.0, seed=1)).dataset
+        rng = np.random.default_rng(45)
+        y = np.arange(6) % 3
+        three = DeferDataset(rng.normal(size=(6, 2)), y, (y + 1) % 3, 3)
+        runs = [(plain, None), (add_coverage_constraint(plain, 0.25), None), (deep, None),
+                (deep, MilpConfig(node_limit=3)), (deep, MilpConfig(node_limit=0)),
+                (build_binary_milp(realizable, MilpConfig()), None),
+                (build_multiclass_milp(three, MilpConfig()), None)]
+        for problem, cfg in runs:
+            calls.clear()
+            sol = solve_milp(problem, cfg)
+            assert len(calls) == sol.nodes_explored
+        assert sol.nodes_explored > 1
+
+    def test_early_stopped_proposals_are_a_prefix_with_the_same_pair(self, monkeypatch):
+        real = milp._binary_heuristic_candidates
+        stopped = 0
+        for ds in _six_point_instances(11, 6):
+            plain = build_binary_milp(ds, MilpConfig())
+            for problem in (plain, add_coverage_constraint(plain, 0.25)):
+                full = [(m.tobytes(), r.tobytes())
+                        for m, r in real(problem, np.random.default_rng(0x5EED5EED))]
+                taken = []
+
+                def recording(*args, **kwargs):
+                    for m, r in real(*args, **kwargs):
+                        taken.append((m.tobytes(), r.tobytes()))
+                        yield m, r
+
+                with monkeypatch.context() as mp:
+                    mp.setattr(milp, "_binary_heuristic_candidates", recording)
+                    sol = solve_milp(problem)
+                assert taken == full[: len(taken)]
+                if len(taken) < len(full):
+                    stopped += 1
+                    best, _ = _best_of_every_candidate(problem)
+                    assert sol.objective == best.objective
+                    _assert_pair_of(sol, problem, best)
+        assert stopped > 0
+
+
+def _highs():
+    pytest.importorskip("scipy.optimize")
+    from oracles import highs_optimum
+
+    return highs_optimum
+
+
+def _oracle_instances(kind, count, sizes, highs_optimum):
+    """2-D datasets whose optimum by HiGHS is above 0 (the heuristics alone
+    prove an optimum of 0), binary or 3-class."""
+    rng = np.random.default_rng({"binary": 808, "three": 809}[kind])
+    classes = 2 if kind == "binary" else 3
+    build = build_binary_milp if classes == 2 else build_multiclass_milp
+    out = []
+    while len(out) < count:
+        n = sizes[len(out) % len(sizes)]
+        x = rng.normal(size=(n, 2)) * rng.uniform(0.5, 3.0)
+        y = rng.integers(0, classes, n)
+        h = np.where(rng.random(n) < rng.uniform(0.3, 0.8), y, (y + 1) % classes)
+        ds = DeferDataset(x, y, h, classes)
+        if highs_optimum(build(ds, MilpConfig())) > 0.0:
+            out.append(ds)
+    return out
+
+
+def _criterion7_instance():
+    """The acceptance suite's 30-point coverage and fairness instance."""
+    rng = np.random.default_rng(303)
+    x = rng.normal(size=(30, 2)) * 1.5
+    y = rng.integers(0, 2, 30)
+    groups = np.arange(30) % 2
+    h = y.copy()
+    for g in (0, 1):
+        wrong = rng.choice(np.flatnonzero(groups == g), size=4, replace=False)
+        h[wrong] = 1 - h[wrong]
+    return DeferDataset(x, y, h, 2)
+
+
+class TestHighsOracle:
+    """scipy's HiGHS solves the same formulation as an independent oracle."""
+
+    def _assert_proven(self, problem, highs_optimum):
+        sol = solve_milp(problem)
+        assert sol.status == "proven_optimal"
+        assert sol.objective == pytest.approx(highs_optimum(problem), abs=1e-9)
+        assert max(sol.bound_history) <= sol.objective
+
+    @pytest.mark.parametrize("beta", [None, 0.25])
+    def test_binary_optima(self, beta):
+        highs_optimum = _highs()
+        for ds in _oracle_instances("binary", 4, (8, 12, 16, 20), highs_optimum):
+            problem = build_binary_milp(ds, MilpConfig())
+            if beta is not None:
+                problem = add_coverage_constraint(problem, beta)
+            self._assert_proven(problem, highs_optimum)
+
+    def test_three_class_optima(self):
+        highs_optimum = _highs()
+        for ds in _oracle_instances("three", 3, (8, 9, 10), highs_optimum):
+            self._assert_proven(build_multiclass_milp(ds, MilpConfig()), highs_optimum)
+
+    def test_forced_cut_plane_optima(self, monkeypatch):
+        highs_optimum = _highs()
+        monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
+        for ds in _oracle_instances("binary", 3, (8, 10, 12), highs_optimum):
+            self._assert_proven(build_binary_milp(ds, MilpConfig()), highs_optimum)
+
+    @pytest.mark.parametrize("beta", [None, 0.25])
+    def test_node_limited_bounds_stay_below_the_optimum(self, beta):
+        highs_optimum = _highs()
+        problem = build_binary_milp(_criterion7_instance(), MilpConfig())
+        if beta is not None:
+            problem = add_coverage_constraint(problem, beta)
+        sol = solve_milp(problem, MilpConfig(node_limit=150))
+        assert sol.status == "time_limit_incumbent"
+        optimum = highs_optimum(problem)
+        assert 0.0 < sol.best_bound <= optimum <= sol.objective
+        assert max(sol.bound_history) <= optimum
+
+    def test_no_rounding_with_regularization_or_fairness(self, monkeypatch):
+        highs_optimum = _highs()
+        rounded = []
+        real = milp._grid_bound
+        monkeypatch.setattr(milp, "_grid_bound", lambda lb, n: rounded.append(lb) or real(lb, n))
+        ds = _six_point_instances(11, 3)[2]
+        plain = build_binary_milp(ds, MilpConfig())
+        solve_milp(plain)
+        assert rounded
+        for problem in (build_binary_milp(ds, MilpConfig(lambda_reg=0.01)),
+                        add_fairness_constraint(plain, np.arange(6) % 2)):
+            rounded.clear()
+            sol = solve_milp(problem)
+            assert not rounded
+            assert sol.best_bound <= highs_optimum(problem) + 1e-9
