@@ -39,7 +39,9 @@ for beta in (0.75, 0.5, 0.25, 0.0):
     print(f"  beta={beta:4.2f}: objective={sol.objective:.4f}  "
           f"deferral={deferred.mean():.2f}  status={sol.status}")
     assert deferred.mean() <= beta + 1e-9
-    assert sol.objective >= last - 1e-9 or True  # objective is monotone vs unconstrained
+    assert sol.status == "proven_optimal"
+    assert sol.objective >= last - 1e-9  # each budget is tighter than the one before
+    last = sol.objective
 
 # The weight box and margin defaults mirror the formulation's constants;
 # gamma must stay strictly positive or the zero rejector becomes feasible.

@@ -49,6 +49,7 @@ from .evaluation import (
 )
 from .milp import MilpConfig, build_binary_milp, build_multiclass_milp, solve_milp
 from .train import (
+    METHODS,
     ScoreModel,
     TrainConfig,
     TrainedSystem,
@@ -146,7 +147,7 @@ SOLVER_SETTINGS = (MilpConfig, (
 TRAIN_SETTINGS = (TrainConfig, (
     _SEED,
     Setting("method", "alpha", "alpha", float, None, "alpha"),
-    Setting("method", "alpha_grid", "alpha_grid", _floats, TrainConfig.alpha_grid, "alpha_grid"),
+    Setting("method", "alpha_grid", "alpha_grid", _floats, None, "alpha_grid"),
     Setting("train", "epochs", "epochs", int, 300, "epochs"),
     Setting("train", "batch_size", "batch_size", int, 64, "batch_size"),
     Setting("train", "lr", "lr", float, 0.1, "learning_rate"),
@@ -508,8 +509,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--val-data", dest="val_data")
-    p.add_argument("--method", required=True,
-                   choices=["rs", "rs2", "ce", "ova", "moe", "triage", "confidence", "selective"])
+    p.add_argument("--method", required=True, choices=METHODS)
     _add_setting_flags(p, TRAIN_SETTINGS[1])
     p.add_argument("--fit-tau", dest="fit_tau", action="store_true",
                    help="line-search the rejection threshold on validation after training")

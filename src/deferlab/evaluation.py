@@ -25,7 +25,14 @@ import numpy as np
 from .core import DeferDataset, HalfspacePair, pair_decisions
 from .datagen import GroupedExpertConfig, SyntheticConfig, generate_grouped_expert, generate_synthetic
 from .milp import MilpConfig, build_binary_milp, build_multiclass_milp, solve_milp
-from .train import TrainConfig, TrainedSystem, _threshold_candidates, _threshold_counts, train_method
+from .train import (
+    METHODS,
+    TrainConfig,
+    TrainedSystem,
+    _threshold_candidates,
+    _threshold_counts,
+    train_method,
+)
 
 __all__ = [
     "EvalReport",
@@ -42,7 +49,7 @@ __all__ = [
     "BENCHMARK_METHODS",
 ]
 
-BENCHMARK_METHODS = ("rs", "rs2", "ce", "ova", "moe", "confidence", "selective", "triage", "milp")
+BENCHMARK_METHODS = METHODS + ("milp",)
 
 
 @dataclass(frozen=True)

@@ -15,22 +15,14 @@ activations stay comparable to the weight box. gamma must be strictly
 positive: at gamma = 0 the all-zero rejector satisfies both rejector rows
 for either value of r_i and the constraint is void.
 
-The solver is a deterministic best-bound branch-and-bound. Node relaxations
-come from one of two engines, both built on :mod:`deferlab.lp`:
-
-* small or side-constrained problems solve the full LP relaxation per node;
-* large unconstrained binary problems bound each node by a cutting-plane
-  model of the relaxation's value function in (M, R), which is convex
-  because it is the partial minimum of the LP over (phi, t, r). Master
-  problems stay tiny, every master value is a valid lower bound, and primal
-  heuristics supply incumbents. Exactness claims are unaffected: pruning
-  only ever uses true lower bounds.
-
-Both engines answer one call, ``relax(node, prune_level, deadline)``, with
-a ``_NodeInfo``: the node's bound, the weights to re-score, the relaxation
-values of the binaries, an LP vertex that may be adopted when integral, and
-the warm start its children inherit (an LP basis or a list of cuts). The
-branch-and-bound loop never asks which engine it has.
+The solver is a deterministic best-bound branch-and-bound whose node
+relaxations are the full LP relaxation, solved with :mod:`deferlab.lp`;
+each child node is re-solved from its parent's optimal basis. Primal
+heuristics supply incumbents before the tree starts. A binary problem
+without coverage or fairness rows whose LP would exceed ``EXACT_ROWS_MAX``
+rows is not searched: its solve returns the heuristics' incumbent with the
+trivial bound 0, as with ``node_limit=0``. Multiclass and side-constrained
+problems are searched at every size.
 
 Incumbents are never trusted from relaxation values: every candidate pair
 is re-scored through the true 0-1 loss and re-checked against margins, the
@@ -75,7 +67,7 @@ INT_TOL = 1e-6
 # fewer bounds up: snapping to the grid point below lb leaves a valid bound.
 GRID_TOL = 1e-6
 FAIRNESS_SLACK = 1e-6
-# node LPs beyond this many rows switch to the cutting-plane bound engine
+# binary problems without side rows whose LP has more rows are not searched
 EXACT_ROWS_MAX = 450
 
 
@@ -737,208 +729,38 @@ def _multiclass_heuristic_candidates(problem: MilpProblem, rng):
 class _Node:
     fixed: dict  # var id -> 0.0 or 1.0
     bound: float
-    warm: object = None  # the parent's _NodeInfo.warm; None at the root
+    basis: object = None  # the parent's optimal LP basis; None at the root
 
 
 @dataclass
 class _NodeInfo:
-    """What a relaxation engine reports for one node.
-
-    ``weights`` is an (M, R) pair to re-score, ``frac`` the relaxation
-    values of ``binary_var_ids`` in that order, and ``point`` a full LP
-    vertex that may be adopted as an incumbent when ``frac`` is integral;
-    each may be None. ``warm`` is what the node's children start from.
-    """
+    """A node's LP relaxation: its bound, the LP vertex (None when the LP
+    was unresolved) and the basis its children start from."""
 
     bound: float
-    weights: Optional[tuple]
-    frac: Optional[np.ndarray]
     point: Optional[np.ndarray]
-    warm: object
+    basis: object
 
 
-class _ExactRelaxation:
-    """Full LP relaxation per node, solved with the bounded simplex.
+def _relax(lp: LinearProgram, node: _Node) -> Optional[_NodeInfo]:
+    """Solve a node's LP relaxation; None when the node is infeasible.
 
     A node LP differs from its parent's only in the bounds of the binaries
     fixed on the way down, so it is re-solved from the parent's optimal
-    basis (the node's ``warm``) with the dual simplex; the root is solved
-    cold. One LP solve per node, so ``prune_level`` and ``deadline`` are
-    not consulted.
+    basis with the dual simplex; the root is solved cold.
     """
-
-    def __init__(self, problem: MilpProblem):
-        self.problem = problem
-        self.lp = problem.lp_relaxation
-        self.binary_ids = problem.binary_var_ids
-
-    def relax(self, node: _Node, prune_level: float, deadline: Optional[float]):
-        lo = self.lp.lo.copy()
-        hi = self.lp.hi.copy()
-        for vid, val in node.fixed.items():
-            lo[vid] = hi[vid] = val
-        sol = solve_lp(self.lp, basis=node.warm, lo=lo, hi=hi)
-        if sol.status == "infeasible":
-            return None
-        if sol.status != "optimal":
-            # unresolved relaxation (iteration limit or numerical failure):
-            # fall back to the parent bound and basis
-            return _NodeInfo(node.bound, None, None, None, node.warm)
-        x = sol.x
-        return _NodeInfo(max(node.bound, sol.objective_value), _split_weights(self.problem, x),
-                         x[self.binary_ids], x, sol.basis)
-
-
-class _CutPlaneRelaxation:
-    """Cutting-plane lower bounds for large unconstrained binary problems.
-
-    Bounds the node LP's value function V(M, R) = min over (phi, t, r) of
-    the objective, which is convex in (M, R). Objective cuts come from exact
-    evaluations of V; domain rows (margin implications of fixed binaries
-    and the rejector's big-M range) are added lazily when violated. The
-    master LP is a relaxation throughout, so its value is a true bound. A
-    node's children start from its cut list.
-    """
-
-    MAX_ITERS = 30
-    MAX_CUTS = 160
-
-    def __init__(self, problem: MilpProblem, start_weights=None):
-        self.p = problem
-        self.lay = problem._layout()
-        self.d1 = problem.d1
-        self.nv = 2 * self.d1 + 1  # M, R, theta
-        self.start = start_weights
-
-    def _node_bounds(self, node: _Node):
-        p = self.p
-        tlo = np.zeros(p.n)
-        thi = np.ones(p.n)
-        rlo = np.zeros(p.n)
-        rhi = np.ones(p.n)
-        t0, r0 = self.lay["t"].start, self.lay["r"].start
-        for vid, val in node.fixed.items():
-            if t0 <= vid < t0 + p.n:
-                tlo[vid - t0] = thi[vid - t0] = val
-            else:
-                rlo[vid - r0] = rhi[vid - r0] = val
-        return tlo, thi, rlo, rhi
-
-    def _value(self, w, tlo, thi, rlo, rhi):
-        """Exact V at (M, R) plus a subgradient and branching info."""
-        p = self.p
-        m, r = w[: self.d1], w[self.d1 : 2 * self.d1]
-        a = p.ypm * (p.xt @ m)
-        b = p.xt @ r
-        g, km, kr = p.gamma, p.k_m, p.k_r
-
-        viol_t = a < g - km * thi - 1e-9
-        viol_rhi = b > (kr + g) * rhi - g + 1e-9
-        viol_rlo = b < (kr + g) * rlo - kr - 1e-9
-        if viol_t.any() or viol_rhi.any() or viol_rlo.any():
-            return None, (viol_t, viol_rhi, viol_rlo)
-
-        t_need = (g - a) / km
-        t_star = np.clip(t_need, tlo, thi)
-        dt = np.where((t_need > tlo) & (t_need < thi), -1.0 / km, 0.0)
-        rl_raw = (b + g) / (kr + g)
-        ru_raw = (b + kr) / (kr + g)
-        rl = np.clip(rl_raw, rlo, rhi)
-        ru = np.clip(ru_raw, rlo, rhi)
-        drl = np.where((rl_raw > rlo) & (rl_raw < rhi), 1.0 / (kr + g), 0.0)
-        dru = np.where((ru_raw > rlo) & (ru_raw < rhi), 1.0 / (kr + g), 0.0)
-
-        err1 = p.err > 0.5
-        cost = np.where(err1, np.maximum(t_star, rl), np.maximum(0.0, t_star - ru))
-        da = np.zeros(p.n)
-        db = np.zeros(p.n)
-        keep_t = err1 & (t_star >= rl)
-        da[keep_t] = dt[keep_t]
-        db[err1 & ~keep_t] = drl[err1 & ~keep_t]
-        active0 = ~err1 & (t_star - ru > 0)
-        da[active0] = dt[active0]
-        db[active0] = -dru[active0]
-
-        value = float(cost.sum()) / p.n
-        gm = (p.xt * (da * p.ypm)[:, None]).sum(axis=0) / p.n
-        gr = (p.xt * db[:, None]).sum(axis=0) / p.n
-        if p.lambda_reg > 0:
-            value += p.lambda_reg * (np.abs(m).sum() + np.abs(r).sum())
-            gm = gm + p.lambda_reg * np.sign(m)
-            gr = gr + p.lambda_reg * np.sign(r)
-        r_star = np.where(err1, np.clip(t_star, rl, ru), ru)
-        return (value, np.concatenate([gm, gr]), t_star, r_star), None
-
-    def _domain_rows(self, viol, thi, rlo, rhi):
-        """Rows for up to 40 violated points of each kind, in the order
-        margin, rejector upper range, rejector lower range."""
-        p, d1 = self.p, self.d1
-        g, km, kr = p.gamma, p.k_m, p.k_r
-        vt, vh, vl = (np.flatnonzero(v)[:40] for v in viol)
-        rows = np.zeros((vt.size + vh.size + vl.size, self.nv))
-        rows[: vt.size, :d1] = p.ypm[vt, None] * p.xt[vt]
-        rows[vt.size :, d1 : 2 * d1] = p.xt[np.concatenate([vh, vl])]
-        senses = [">="] * vt.size + ["<="] * vh.size + [">="] * vl.size
-        rhs = np.concatenate([g - km * thi[vt], (kr + g) * rhi[vh] - g, (kr + g) * rlo[vl] - kr])
-        return list(zip(rows, senses, rhs))
-
-    def relax(self, node: _Node, prune_level: float, deadline: Optional[float]):
-        p = self.p
-        tlo, thi, rlo, rhi = self._node_bounds(node)
-        cuts = list(node.warm or [])
-        feas_rows = []
-        bound = node.bound
-        best = None  # (value, w, t_star, r_star)
-
-        w = self.start
-        for it in range(self.MAX_ITERS):
-            if deadline is not None and time.monotonic() > deadline:
-                break
-            if w is not None:
-                out, viol = self._value(w, tlo, thi, rlo, rhi)
-                if out is None:
-                    feas_rows += self._domain_rows(viol, thi, rlo, rhi)
-                else:
-                    value, grad, t_star, r_star = out
-                    if best is None or value < best[0]:
-                        best = (value, w.copy(), t_star, r_star)
-                    # theta >= value + grad . (w' - w)
-                    row = np.concatenate([-grad, [1.0]])
-                    cuts.append((row, ">=", value - float(grad @ w)))
-                    if len(cuts) > self.MAX_CUTS:
-                        cuts = cuts[-self.MAX_CUTS :]
-
-            rows = [c[0] for c in cuts] + [f[0] for f in feas_rows]
-            senses = [c[1] for c in cuts] + [f[1] for f in feas_rows]
-            rhs = [c[2] for c in cuts] + [f[2] for f in feas_rows]
-            if not rows:
-                rows = [np.zeros(self.nv)]
-                senses = ["<="]
-                rhs = [1.0]
-            lo = np.concatenate([np.full(2 * self.d1, -p.box), [0.0]])
-            hi = np.concatenate([np.full(2 * self.d1, p.box), [np.inf]])
-            c = np.zeros(self.nv)
-            c[-1] = 1.0
-            master = LinearProgram(
-                c=c, A=np.array(rows), senses=senses, b=np.array(rhs), lo=lo, hi=hi
-            )
-            sol = solve_lp(master)
-            if sol.status == "infeasible":
-                return None
-            if sol.status != "optimal":
-                break
-            bound = max(bound, sol.objective_value)
-            if bound >= prune_level - 1e-12:
-                break
-            w = sol.x[:-1]
-            if best is not None and best[0] - bound <= 1e-7 * max(1.0, abs(best[0])):
-                break
-
-        if best is None:
-            return _NodeInfo(bound, None, None, None, cuts)
-        _, w, t_star, r_star = best
-        # frac follows binary_var_ids: the t block, then the r block
-        return _NodeInfo(bound, _split_weights(p, w), np.concatenate([t_star, r_star]), None, cuts)
+    lo = lp.lo.copy()
+    hi = lp.hi.copy()
+    for vid, val in node.fixed.items():
+        lo[vid] = hi[vid] = val
+    sol = solve_lp(lp, basis=node.basis, lo=lo, hi=hi)
+    if sol.status == "infeasible":
+        return None
+    if sol.status != "optimal":
+        # unresolved relaxation (iteration limit or numerical failure):
+        # fall back to the parent bound and basis
+        return _NodeInfo(node.bound, None, node.basis)
+    return _NodeInfo(max(node.bound, sol.objective_value), sol.x, sol.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -961,17 +783,23 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     0-1 loss, plus alternating-fit primal heuristics at the root, each
     distinct proposal of which is scored once. With
     lambda_reg = 0 an incumbent of objective 0 is proven optimal outright
-    since every objective term is nonnegative.
+    since every objective term is nonnegative. A node or time limit that
+    stops the search once the least open bound meets the incumbent within
+    the gap leaves it proven optimal too.
 
     With lambda_reg = 0 and no fairness rows every objective value is a
     multiple of 1/n, and every node bound is rounded up to that grid
     (``_grid_bound``) before it is used: to prune, as the children's bound,
-    in ``best_bound`` and ``bound_history``, and in the prune level handed
-    to the relaxation. The full-LP engine solves the root LP before the
-    heuristics and stops taking proposals once the incumbent meets the
-    rounded root bound; that root solve is the tree's first node. The
-    cut-plane engine starts from the heuristics' incumbent, so it runs them
-    first and in full.
+    and in ``best_bound`` and ``bound_history``. The root LP is solved
+    before the heuristics, as the tree's first node, and the heuristics
+    stop taking proposals once the incumbent meets its rounded bound.
+
+    A binary problem without coverage or fairness rows whose LP would have
+    more than ``EXACT_ROWS_MAX`` rows is not searched, and its LP is never
+    built: the heuristics run in full and the solve ends as with
+    ``node_limit=0``, with the bound 0: ``proven_optimal`` when the
+    incumbent is within the gap of 0 (at the default gap, when it is 0) and
+    ``time_limit_incumbent`` otherwise.
     """
     if config is None:
         config = MilpConfig()
@@ -1004,27 +832,20 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         """The tree's prune test, on a bound already rounded to the grid."""
         return bound >= inc_obj() - abs_gap + 1e-12
 
-    def prune_level():
-        """The raw bound from which a relaxation's rounded bound prunes."""
-        level = inc_obj() - abs_gap
-        if on_grid and np.isfinite(level):
-            level = (math.ceil(n * level) - 1 + GRID_TOL) / n
-        return level
-
-    use_exact = (
+    searched = (
         problem.kind == "multiclass"
         or problem.has_side_constraints
         or problem.num_rows_estimate <= EXACT_ROWS_MAX
     )
+    node_limit = config.node_limit if searched else 0
     root = _Node(fixed={}, bound=0.0)  # every objective term is nonnegative
     nodes = 0
     solved_root = []  # the root's _NodeInfo while it waits for the tree
-    if use_exact:
-        engine = _ExactRelaxation(problem)
-        if config.node_limit is None or config.node_limit > 0:
-            nodes = 1
-            solved_root.append(engine.relax(root, np.inf, deadline))
-            root_bound = grid(solved_root[0].bound) if solved_root[0] is not None else np.inf
+    if node_limit is None or node_limit > 0:
+        lp = problem.lp_relaxation
+        nodes = 1
+        solved_root.append(_relax(lp, root))
+        root_bound = grid(solved_root[0].bound) if solved_root[0] is not None else np.inf
 
     gen = (
         _binary_heuristic_candidates(problem, rng, deadline=deadline)
@@ -1048,12 +869,6 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         if solved_root and prunes(root_bound):
             break  # the root is closed: the incumbent is within the gap of the optimum
 
-    if not use_exact:
-        start_w = None
-        if incumbent is not None:
-            start_w = np.concatenate([incumbent.m_norm, incumbent.r_norm])
-        engine = _CutPlaneRelaxation(problem, start_weights=start_w)
-
     binary_ids = problem.binary_var_ids
     heap = [(root.bound, 0, root)]
     seq = 1
@@ -1064,11 +879,12 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     dropped_unresolved = False
 
     while heap:
-        if deadline is not None and time.monotonic() > deadline:
-            status = "time_limit_incumbent"
-            break
-        if not solved_root and config.node_limit is not None and nodes >= config.node_limit:
-            status = "time_limit_incumbent"
+        if ((deadline is not None and time.monotonic() > deadline)
+                or (not solved_root and node_limit is not None and nodes >= node_limit)):
+            if prunes(heap[0][0]):  # the least open bound already meets the incumbent
+                closed_bound = min(closed_bound, heap[0][0])
+            else:
+                status = "time_limit_incumbent"
             break
         node_bound, _, node = heapq.heappop(heap)
         if node_bound > global_bound:
@@ -1082,33 +898,34 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
             info = solved_root.pop()
         else:
             nodes += 1
-            info = engine.relax(node, prune_level(), deadline)
+            info = _relax(lp, node)
         if info is None:
             continue  # infeasible node
         node_lb = grid(info.bound)
-        if info.weights is not None and not prunes(node_lb):
-            consider(_score_candidate(problem, *info.weights))
+        x = info.point
+        if x is not None and not prunes(node_lb):
+            consider(_score_candidate(problem, *_split_weights(problem, x)))
         if prunes(node_lb):
             closed_bound = min(closed_bound, node_lb)
             continue
 
         free_mask = np.array([vid not in node.fixed for vid in binary_ids])
-        frac = info.frac
         vid = None
-        if frac is not None:
+        if x is not None:
+            frac = x[binary_ids]
             dist = np.abs(frac - np.round(frac))
             fractional = (dist > INT_TOL) & free_mask
             if fractional.any():
                 # most fractional: fractional part closest to 0.5, ties to lowest id
                 half_dist = np.where(fractional, np.abs(frac - 0.5), np.inf)
                 vid = int(binary_ids[int(np.argmin(half_dist))])
-            elif info.point is not None:
+            else:
                 # integral LP vertex: this node is solved exactly
-                consider(_incumbent_from_lp_point(problem, info.point))
+                consider(_incumbent_from_lp_point(problem, x))
                 continue
         if vid is None:
-            # unresolved or untrusted relaxation point: never close the node
-            # silently, branch on the lowest free binary instead
+            # unresolved relaxation: never close the node silently, branch
+            # on the lowest free binary instead
             free_ids = binary_ids[free_mask]
             if free_ids.size == 0:
                 dropped_unresolved = True
@@ -1117,7 +934,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         for val in (0.0, 1.0):
             child_fixed = dict(node.fixed)
             child_fixed[vid] = val
-            child = _Node(fixed=child_fixed, bound=node_lb, warm=info.warm)
+            child = _Node(fixed=child_fixed, bound=node_lb, basis=info.basis)
             heapq.heappush(heap, (node_lb, seq, child))
             seq += 1
 

@@ -163,7 +163,7 @@ class TrainConfig:
     learning_rate: float = 0.1
     seed: int = 0
     alpha: Optional[float] = None
-    alpha_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
+    alpha_grid: Optional[tuple] = None  # None: the loss's ALPHA_GRIDS entry
     hidden_units: int = 0
 
     def __post_init__(self):
@@ -365,13 +365,16 @@ def train_surrogate(dataset: DeferDataset, val_dataset: DeferDataset,
 
 def search_alpha(dataset: DeferDataset, val_dataset: DeferDataset,
                  config: TrainConfig) -> TrainedSystem:
-    """Train one system per alpha in the grid; keep the best validation
-    system accuracy, ties resolving to the smaller alpha.
+    """Train one system per alpha in the grid (``ALPHA_GRIDS[config.loss]``
+    when ``alpha_grid`` is None); keep the best validation system accuracy,
+    ties resolving to the smaller alpha.
 
     The whole grid trains as one stacked pass, and each alpha's system is
     bit for bit the one ``train_surrogate`` returns for that alpha alone.
     """
-    grid = sorted(config.alpha_grid)
+    if config.alpha_grid is None and config.loss not in ALPHA_GRIDS:
+        raise ValueError(f"loss {config.loss!r} has no default alpha grid; set alpha_grid")
+    grid = sorted(ALPHA_GRIDS[config.loss] if config.alpha_grid is None else config.alpha_grid)
     if not grid:
         raise ValueError("alpha_grid must be nonempty")
     if not all(0.0 <= a <= 1.0 for a in grid):
@@ -559,19 +562,16 @@ def train_differentiable_triage(dataset, val_dataset, config: TrainConfig) -> Tr
 
 
 METHODS = ("rs", "rs2", "ce", "ova", "moe", "confidence", "selective", "triage")
+# the alpha grid each alpha-searched method trains unless given one
+ALPHA_GRIDS = {"rs": (0.0, 0.25, 0.5, 0.75, 1.0), "ce": (0.0, 0.1, 0.5, 1.0)}
 
 
 def train_method(method: str, dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
     """Dispatch a method id to its trainer, with alpha search where the
     method calls for it. Methods: rs, rs2, ce, ova, moe, confidence,
     selective, triage."""
-    if method in ("rs", "ce"):
-        if config.alpha is not None:
-            grid = (config.alpha,)
-        elif method == "ce" and tuple(config.alpha_grid) == TrainConfig().alpha_grid:
-            grid = (0.0, 0.1, 0.5, 1.0)  # the usual tuning grid for this surrogate
-        else:
-            grid = tuple(config.alpha_grid)
+    if method in ALPHA_GRIDS:
+        grid = config.alpha_grid if config.alpha is None else (config.alpha,)
         return search_alpha(dataset, val_dataset,
                             replace(config, loss=method, alpha_grid=grid))
     if method in ("rs2", "ova", "moe"):

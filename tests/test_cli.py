@@ -161,6 +161,20 @@ class TestTrainEvalRoundTrip:
         assert system.aux_model is not None
         assert system.score_kind == "confidence"
 
+    def test_explicit_alpha_grid_is_trained(self, tmp_path):
+        # ce's own grid is (0, 0.1, 0.5, 1); the rs grid given by flag must
+        # be the one trained, even though it is rs's unset default
+        data = tmp_path / "train.csv"
+        run_cli("gen", "--d", "4", "--n", "300", "--seed", "7", "--out", str(data))
+        models = {}
+        for name, extra in (("unset", []), ("own", ["--alpha-grid", "0.0,0.1,0.5,1.0"]),
+                            ("rs_grid", ["--alpha-grid", "0.0,0.25,0.5,0.75,1.0"])):
+            models[name] = tmp_path / f"{name}.csv"
+            assert run_cli("train", "--data", str(data), "--method", "ce", "--epochs", "5",
+                           "--seed", "1", "--out", str(models[name]), *extra) == 0
+        assert models["unset"].read_bytes() == models["own"].read_bytes()
+        assert models["unset"].read_bytes() != models["rs_grid"].read_bytes()
+
     def test_perfect_expert_always_defer(self, tmp_path):
         # gen --preset grouped --K 10 --C 10, then eval an always-defer pair
         data = tmp_path / "grouped.csv"
@@ -344,7 +358,7 @@ FLAG_SURFACE = {
         "--hidden": ("hidden", "int", None, None, False),
         "--lr": ("lr", "float", None, None, False),
         "--method": ("method", None, None,
-                     ("rs", "rs2", "ce", "ova", "moe", "triage", "confidence", "selective"), True),
+                     ("rs", "rs2", "ce", "ova", "moe", "confidence", "selective", "triage"), True),
         "--out": ("out", None, None, None, True),
         "--seed": ("seed", "int", None, None, False),
         "--val-data": ("val_data", None, None, None, False),

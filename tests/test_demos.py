@@ -1,9 +1,9 @@
 """Smoke test: the fast demos run to completion against the source tree.
 
-Demos 01, 03, 05 and 06 take about 8 s together. Demos 02 (the exact
-solver, about 41 s) and 04 (training and baselines, about 15 s) are left
-out to keep the Tier-1 run short; run them by hand with
-``PYTHONPATH=src python3 demos/02_exact_milp_solver.py``.
+Demos 01, 03, 05 and 06 take about 8 s together and demo 02 (the exact
+solver's coverage sweep) about 9 s. Demo 04 (training and baselines, about
+15 s) is left out to keep the Tier-1 run short; run it by hand with
+``PYTHONPATH=src python3 demos/04_training_and_baselines.py``.
 """
 
 import os
@@ -15,6 +15,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FAST_DEMOS = (
     "01_data_model_and_system_loss.py",
+    "02_exact_milp_solver.py",
     "03_surrogate_losses.py",
     "05_benchmark_and_curves.py",
     "06_generalization_bound.py",

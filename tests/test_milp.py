@@ -111,6 +111,16 @@ class TestSolveBasics:
         assert sol.status == "proven_optimal"
         assert sol.objective == 0.0
 
+    def test_node_limit_zero_proves_a_zero_incumbent(self):
+        # the root's bound 0 meets an incumbent of objective 0, so stopping
+        # before the first node leaves nothing unproven
+        inst = generate_synthetic(
+            SyntheticConfig(d=2, n=20, p_m=0.0, p_h0=0.3, p_h1=0.0, seed=1)
+        )
+        sol = solve_milp(build_binary_milp(inst.dataset, MilpConfig()), MilpConfig(node_limit=0))
+        assert (sol.status, sol.objective, sol.nodes_explored, sol.best_bound) == (
+            "proven_optimal", 0.0, 0, 0.0)
+
     def test_xor_instance(self):
         x = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         y = np.array([1, 0, 0, 1])
@@ -765,34 +775,6 @@ class TestBlockBuiltLp:
         assert np.array_equal(np.signbit(new.A), np.signbit(old.A))
         assert new.senses == old.senses
 
-    def test_domain_rows_equal_per_point_loops(self):
-        rng = np.random.default_rng(8)
-        ds = random_binary_dataset(rng, 120, d=3)
-        problem = build_binary_milp(ds, MilpConfig())
-        engine = milp._CutPlaneRelaxation(problem)
-        p, d1, nv = problem, problem.d1, engine.nv
-        g, km, kr = p.gamma, p.k_m, p.k_r
-        for density in (0.0, 0.05, 0.5):  # at 0.5 every kind passes the cap of 40
-            viol = tuple(rng.random(p.n) < density for _ in range(3))
-            thi, rlo, rhi = (rng.integers(0, 2, p.n).astype(float) for _ in range(3))
-            old = []
-            for i in np.flatnonzero(viol[0])[:40]:
-                row = np.zeros(nv)
-                row[:d1] = p.ypm[i] * p.xt[i]
-                old.append((row, ">=", g - km * thi[i]))
-            for i in np.flatnonzero(viol[1])[:40]:
-                row = np.zeros(nv)
-                row[d1 : 2 * d1] = p.xt[i]
-                old.append((row, "<=", (kr + g) * rhi[i] - g))
-            for i in np.flatnonzero(viol[2])[:40]:
-                row = np.zeros(nv)
-                row[d1 : 2 * d1] = p.xt[i]
-                old.append((row, ">=", (kr + g) * rlo[i] - kr))
-            new = engine._domain_rows(viol, thi, rlo, rhi)
-            assert len(new) == len(old)
-            for (ra, sa, ba), (rb, sb, bb) in zip(new, old):
-                assert ra.tobytes() == rb.tobytes() and sa == sb and ba == bb
-
 
 def _six_point_instances(seed, count):
     """6 points in 2-D, 3 per class, a human wrong on 4; instances whose
@@ -811,17 +793,6 @@ def _six_point_instances(seed, count):
     return out
 
 
-class TestCutPlaneEngine:
-    def test_forced_cut_plane_proves_the_enumerated_optimum(self, monkeypatch):
-        monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
-        for ds in _six_point_instances(7, 7):
-            oracle = brute_force_deferral_optimum(ds)
-            sol = solve_milp(build_binary_milp(ds, MilpConfig()))
-            assert sol.status == "proven_optimal"
-            assert sol.train_loss == oracle
-            assert sol.best_bound <= oracle
-
-
 # solve_milp outputs recorded once node bounds were rounded up to the 1/n
 # grid and the full-LP engine solved its root before the heuristics:
 # (objective, status, nodes_explored, best_bound, bound_history,
@@ -834,41 +805,78 @@ _PINNED_SOLVES = {
     "three_class": (0.16666666666666666, "proven_optimal", 5, 0.16666666666666666,
                     [0.0, 0.16666666666666666, 0.16666666666666666],
                     [1.0, 0.3333333333333333, 0.16666666666666666]),
-    "cut_plane": (0.16666666666666666, "proven_optimal", 1, 0.16666666666666666,
-                  [0.0, 0.16666666666666666], [0.6666666666666666, 0.16666666666666666]),
     "fourteen_points": (0.14285714285714285, "proven_optimal", 77, 0.14285714285714285,
                         [0.0, 0.07142857142857142, 0.14285714285714285],
                         [0.7142857142857143, 0.21428571428571427, 0.14285714285714285]),
 }
 
 
-class TestPinnedSolves:
-    def _check(self, name, sol):
-        got = (sol.objective, sol.status, sol.nodes_explored, sol.best_bound,
-               list(sol.bound_history), list(sol.incumbent_history))
-        assert got == _PINNED_SOLVES[name]
+def _check_pinned(name, sol):
+    got = (sol.objective, sol.status, sol.nodes_explored, sol.best_bound,
+           list(sol.bound_history), list(sol.incumbent_history))
+    assert got == _PINNED_SOLVES[name]
 
+
+def _pinned_three_class_problem():
+    rng = np.random.default_rng(45)
+    x = rng.normal(size=(6, 2)) * 1.5
+    y = np.arange(6) % 3
+    h = np.where(rng.random(6) < 0.4, y, (y + 1) % 3)
+    return build_multiclass_milp(DeferDataset(x, y, h, 3), MilpConfig())
+
+
+class TestPinnedSolves:
     def test_exact_engine_plain_and_covered(self):
         plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
-        self._check("plain", solve_milp(plain))
-        self._check("covered", solve_milp(add_coverage_constraint(plain, 0.25)))
+        _check_pinned("plain", solve_milp(plain))
+        _check_pinned("covered", solve_milp(add_coverage_constraint(plain, 0.25)))
 
     def test_exact_engine_three_classes(self):
-        rng = np.random.default_rng(45)
-        x = rng.normal(size=(6, 2)) * 1.5
-        y = np.arange(6) % 3
-        h = np.where(rng.random(6) < 0.4, y, (y + 1) % 3)
-        self._check("three_class", solve_milp(build_multiclass_milp(DeferDataset(x, y, h, 3),
-                                                                    MilpConfig())))
-
-    def test_forced_cut_plane_engine(self, monkeypatch):
-        monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
-        plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
-        self._check("cut_plane", solve_milp(plain))
+        _check_pinned("three_class", solve_milp(_pinned_three_class_problem()))
 
     def test_exact_engine_tree_search(self):
         ds = random_binary_dataset(np.random.default_rng(1), 14, human_acc=0.4)
-        self._check("fourteen_points", solve_milp(build_binary_milp(ds, MilpConfig())))
+        _check_pinned("fourteen_points", solve_milp(build_binary_milp(ds, MilpConfig())))
+
+
+class TestLargeBinaryProblemsAreNotSearched:
+    """Above EXACT_ROWS_MAX rows a binary problem without side rows ends as
+    its node_limit=0 solve; multiclass and side-constrained ones are
+    searched at every size."""
+
+    def test_equal_to_the_node_limit_zero_solve(self, monkeypatch):
+        realizable = generate_synthetic(
+            SyntheticConfig(d=2, n=20, p_m=0.0, p_h0=0.3, p_h1=0.0, seed=1)).dataset
+        datasets = _six_point_instances(7, 4) + [realizable]
+        limited = [solve_milp(build_binary_milp(ds, MilpConfig()), MilpConfig(node_limit=0))
+                   for ds in datasets]
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an unsearched problem solved an LP")
+
+        monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
+        monkeypatch.setattr(milp, "solve_lp", no_lp)
+        statuses = set()
+        for ds, ref in zip(datasets, limited):
+            problem = build_binary_milp(ds, MilpConfig())
+            sol = solve_milp(problem)
+            assert problem._lp is None  # the full LP is never built
+            assert (sol.objective, sol.status, sol.nodes_explored, sol.best_bound) == (
+                ref.objective, ref.status, 0, 0.0)
+            assert sol.incumbent_history == ref.incumbent_history
+            for a, b in ((sol.pair.classifier_weights, ref.pair.classifier_weights),
+                         (sol.pair.rejector_weights, ref.pair.rejector_weights)):
+                assert a.tobytes() == b.tobytes()
+            expected = "proven_optimal" if sol.objective == 0.0 else "time_limit_incumbent"
+            assert sol.status == expected
+            statuses.add(sol.status)
+        assert statuses == {"proven_optimal", "time_limit_incumbent"}
+
+    def test_side_constrained_and_multiclass_still_searched(self, monkeypatch):
+        monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
+        _check_pinned("three_class", solve_milp(_pinned_three_class_problem()))
+        plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
+        _check_pinned("covered", solve_milp(add_coverage_constraint(plain, 0.25)))
 
 
 class TestObjectiveGrid:
@@ -997,12 +1005,6 @@ class TestHighsOracle:
         highs_optimum = _highs()
         for ds in _oracle_instances("three", 3, (8, 9, 10), highs_optimum):
             self._assert_proven(build_multiclass_milp(ds, MilpConfig()), highs_optimum)
-
-    def test_forced_cut_plane_optima(self, monkeypatch):
-        highs_optimum = _highs()
-        monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
-        for ds in _oracle_instances("binary", 3, (8, 10, 12), highs_optimum):
-            self._assert_proven(build_binary_milp(ds, MilpConfig()), highs_optimum)
 
     @pytest.mark.parametrize("beta", [None, 0.25])
     def test_node_limited_bounds_stay_below_the_optimum(self, beta):

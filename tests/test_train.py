@@ -192,6 +192,8 @@ class TestSearchAlpha:
         train, val, _ = planted_splits(seed=9)
         with pytest.raises(ValueError):
             search_alpha(train, val, TrainConfig(alpha_grid=()))
+        with pytest.raises(ValueError, match="no default alpha grid"):
+            search_alpha(train, val, TrainConfig(loss="ova"))
 
     def test_out_of_range_grid(self):
         train, val, _ = planted_splits(seed=9)
