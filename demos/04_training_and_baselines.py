@@ -19,7 +19,7 @@ from deferlab import (
     solve_milp,
     train_method,
 )
-from deferlab.train import system_accuracy
+from deferlab.train import METHODS, system_accuracy
 
 n_train, n_val, n_test = 1000, 500, 2000
 total = n_train + n_val + n_test
@@ -34,7 +34,7 @@ test = ds.subset(np.arange(n_train + n_val, total))
 config = TrainConfig(epochs=300, batch_size=64, learning_rate=0.1, seed=0)
 
 print(f"{'method':12s} {'test error':>10s}  notes")
-for method in ("rs", "rs2", "ce", "ova", "moe", "confidence", "selective", "triage"):
+for method in METHODS:
     system = train_method(method, train, val, config)
     deferred, labels = system.decide(test.features)
     err = 1 - system_accuracy(deferred, labels, test)

@@ -34,8 +34,7 @@ from .core import HalfspacePair, load_dataset_csv, save_dataset_csv
 from .datagen import (
     GroupedExpertConfig,
     SyntheticConfig,
-    generate_grouped_expert,
-    generate_synthetic,
+    generate_instance,
     save_instance_metadata,
 )
 from .evaluation import (
@@ -49,6 +48,8 @@ from .evaluation import (
 )
 from .milp import MilpConfig, build_binary_milp, build_multiclass_milp, solve_milp
 from .train import (
+    AUX_KINDS,
+    JOINT_KINDS,
     METHODS,
     ScoreModel,
     TrainConfig,
@@ -319,36 +320,67 @@ def save_score_system(system: TrainedSystem, path) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def load_model_file(path):
-    """Load either model file kind; returns a TrainedSystem or HalfspacePair."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+def _weights(line) -> np.ndarray:
+    return np.array([float(v) for v in line.split(",")])
+
+
+def _score_model(fields, line, d, out) -> ScoreModel:
+    """A ScoreModel from its ``arch,d,out,hidden`` header fields and weight
+    line; it must map d inputs to out outputs."""
+    if len(fields) != 4:
+        raise ValueError("a model header needs arch,d,out,hidden")
+    model = ScoreModel(fields[0], int(fields[1]), int(fields[2]), int(fields[3]), _weights(line))
+    if (model.input_dim, model.output_dim) != (d, out):
+        raise ValueError(f"the {model.arch} model maps {model.input_dim} inputs to "
+                         f"{model.output_dim} outputs, expected {d} to {out}")
+    return model
+
+
+def _parse_model(lines):
     if not lines:
-        raise UsageError(f"{path}: empty model file")
+        raise ValueError("empty model file")
     head = lines[0].split(",")
+    fields = {"halfspace_pair": 3, "score_model": 9}
+    if head[0] not in fields:
+        raise ValueError(f"unknown model file kind {head[0]!r}")
+    if len(head) != fields[head[0]]:
+        raise ValueError(f"a {head[0]} header has {fields[head[0]]} fields, got {len(head)}")
     if head[0] == "halfspace_pair":
         num_classes, d = int(head[1]), int(head[2])
-        rows = [np.array([float(v) for v in line.split(",")]) for line in lines[1:]]
+        rows = [_weights(line) for line in lines[1:]]
         expected = (num_classes if num_classes > 2 else 1) + 1
         if len(rows) != expected:
-            raise UsageError(f"{path}: expected {expected} weight rows, got {len(rows)}")
+            raise ValueError(f"expected {expected} weight rows, got {len(rows)}")
+        if any(row.size != d + 1 for row in rows):
+            raise ValueError(f"every weight row needs d + 1 = {d + 1} values")
         classifier = rows[0] if len(rows) == 2 else np.vstack(rows[:-1])
         return HalfspacePair(classifier, rows[-1])
-    if head[0] == "score_model":
-        arch, d, out, hidden = head[1], int(head[2]), int(head[3]), int(head[4])
-        tau, kind, c, method = float(head[5]), head[6], int(head[7]), head[8]
-        params = np.array([float(v) for v in lines[1].split(",")])
-        model = ScoreModel(arch, d, out, hidden, params)
-        aux = None
-        if len(lines) > 2:
-            ah = lines[2].split(",")
-            if ah[0] != "aux":
-                raise UsageError(f"{path}: malformed aux header")
-            aux = ScoreModel(ah[1], int(ah[2]), int(ah[3]), int(ah[4]),
-                             np.array([float(v) for v in lines[3].split(",")]))
-        return TrainedSystem(model=model, num_classes=c, tau=tau, aux_model=aux,
-                             method=method, score_kind=kind)
-    raise UsageError(f"{path}: unknown model file kind {head[0]!r}")
+    d, tau, kind, c, method = int(head[2]), float(head[5]), head[6], int(head[7]), head[8]
+    if kind not in JOINT_KINDS + ("selective",) + AUX_KINDS:
+        raise ValueError(f"unknown score kind {kind!r}")
+    expected = 4 if kind in AUX_KINDS else 2
+    if len(lines) != expected:
+        raise ValueError(f"score kind {kind} needs {expected} lines, got {len(lines)}")
+    model = _score_model(head[1:5], lines[1], d, c + 1 if kind in JOINT_KINDS else c)
+    aux = None
+    if kind in AUX_KINDS:
+        aux_head = lines[2].split(",")
+        if aux_head[0] != "aux":
+            raise ValueError("malformed aux header")
+        aux = _score_model(aux_head[1:], lines[3], d, 1)
+    return TrainedSystem(model=model, num_classes=c, tau=tau, aux_model=aux,
+                         method=method, score_kind=kind)
+
+
+def load_model_file(path):
+    """Load either model file kind; returns a TrainedSystem or HalfspacePair.
+    A malformed file is a UsageError that names it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    try:
+        return _parse_model(lines)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -359,23 +391,10 @@ def load_model_file(path):
 def cmd_gen(args):
     cfg = _load_config(args)
     data_cfg = _config(args, cfg, DATA_SETTINGS[_kind(args, cfg)])
-    if isinstance(data_cfg, GroupedExpertConfig):
-        dataset = generate_grouped_expert(d=data_cfg.d, n=data_cfg.n, C=data_cfg.C,
-                                          K=data_cfg.K, seed=data_cfg.seed,
-                                          U=data_cfg.U, blob_std=data_cfg.blob_std)
-        pair = None
-        meta_cfg = None
-    else:
-        instance = generate_synthetic(data_cfg)
-        dataset, pair, meta_cfg = instance.dataset, instance.planted_pair, data_cfg
+    dataset, pair = generate_instance(data_cfg)
     _atomic_write(args.out, lambda tmp: save_dataset_csv(dataset, tmp))
     meta_path = args.meta or (str(args.out) + ".meta")
-    if meta_cfg is not None:
-        _atomic_write(meta_path, lambda tmp: save_instance_metadata(tmp, meta_cfg, pair))
-    else:
-        _write_text(meta_path, f"kind=grouped\nseed={data_cfg.seed}\nd={data_cfg.d}\n"
-                               f"n={data_cfg.n}\nC={data_cfg.C}\nexpert_k={data_cfg.K}\n"
-                               f"U={data_cfg.U!r}\nblob_std={data_cfg.blob_std!r}\n")
+    _atomic_write(meta_path, lambda tmp: save_instance_metadata(tmp, data_cfg, pair))
     print(f"wrote {args.out} and {meta_path}")
     return 0
 
@@ -435,6 +454,9 @@ def cmd_train(args):
 def cmd_eval(args):
     dataset = load_dataset_csv(args.data)
     system = load_model_file(args.model)
+    d = system.model.input_dim if isinstance(system, TrainedSystem) else system.dim
+    if d != dataset.d:
+        raise UsageError(f"{args.model}: the model takes d={d}, {args.data} has d={dataset.d}")
     report = evaluate(system, dataset)
     print(f"system_accuracy={report.system_accuracy!r}")
     print(f"coverage={report.coverage!r}")

@@ -16,7 +16,7 @@ others, and dataset seeds never interact with training seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
     "PlantedInstance",
     "generate_synthetic",
     "generate_grouped_expert",
+    "generate_instance",
     "save_instance_metadata",
 ]
 
@@ -221,22 +222,27 @@ def generate_grouped_expert(d: int, n: int, C: int, K: int, seed: int = 0, *,
     return DeferDataset(x, labels, human, C)
 
 
-def save_instance_metadata(path, config: SyntheticConfig,
-                           pair: Optional[HalfspacePair] = None) -> None:
-    """Write the plain-text key=value sidecar describing a generated instance."""
-    lines = [
-        f"seed={config.seed}",
-        f"d={config.d}",
-        f"n={config.n}",
-        f"distribution={config.distribution}",
-        f"U={config.U!r}",
-        f"K={config.K}",
-        f"std_scale={config.std_scale!r}",
-        f"margin={config.margin!r}",
-        f"p_m={config.p_m!r}",
-        f"p_h0={config.p_h0!r}",
-        f"p_h1={config.p_h1!r}",
-    ]
+def generate_instance(config) -> tuple:
+    """Generate from a config of either kind: the dataset and the planted
+    pair, which is None for grouped data."""
+    if isinstance(config, SyntheticConfig):
+        instance = generate_synthetic(config)
+        return instance.dataset, instance.planted_pair
+    if isinstance(config, GroupedExpertConfig):
+        return generate_grouped_expert(**asdict(config)), None
+    raise ValueError("config must be a SyntheticConfig or GroupedExpertConfig")
+
+
+def save_instance_metadata(path, config, pair: Optional[HalfspacePair] = None) -> None:
+    """Write the plain-text key=value sidecar describing a generated instance
+    of either kind: ``kind=grouped`` for grouped data, the seed, the other
+    config fields in order (a grouped config's K under its config-file key
+    ``expert_k``), then the planted pair when given."""
+    grouped = isinstance(config, GroupedExpertConfig)
+    lines = ["kind=grouped"] if grouped else []
+    for name in ["seed"] + [f.name for f in fields(config) if f.name != "seed"]:
+        key = "expert_k" if grouped and name == "K" else name
+        lines.append(f"{key}={getattr(config, name)}")
     if pair is not None:
         m = ",".join(repr(float(v)) for v in np.atleast_2d(pair.classifier_weights).ravel())
         r = ",".join(repr(float(v)) for v in pair.rejector_weights)

@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import DeferDataset, HalfspacePair, pair_decisions
-from .datagen import GroupedExpertConfig, SyntheticConfig, generate_grouped_expert, generate_synthetic
+from .datagen import generate_instance
 from .milp import MilpConfig, build_binary_milp, build_multiclass_milp, solve_milp
 from .train import (
     METHODS,
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 BENCHMARK_METHODS = METHODS + ("milp",)
+# thresholds on the coverage curve of each benchmark record
+BENCH_CURVE_GRID = 40
 
 
 @dataclass(frozen=True)
@@ -166,18 +168,6 @@ def _trial_seed(seed: int, trial: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] % (2**63))
 
 
-def _generate_instance(instance, seed):
-    if isinstance(instance, SyntheticConfig):
-        inst = generate_synthetic(replace(instance, seed=seed))
-        return inst.dataset
-    if isinstance(instance, GroupedExpertConfig):
-        return generate_grouped_expert(
-            d=instance.d, n=instance.n, C=instance.C, K=instance.K,
-            seed=seed, U=instance.U, blob_std=instance.blob_std,
-        )
-    raise ValueError("instance must be a SyntheticConfig or GroupedExpertConfig")
-
-
 def _fit_milp(train: DeferDataset, milp_config: MilpConfig):
     builder = build_binary_milp if train.num_classes == 2 else build_multiclass_milp
     solution = solve_milp(builder(train, milp_config), milp_config)
@@ -188,8 +178,7 @@ def _fit_milp(train: DeferDataset, milp_config: MilpConfig):
 
 def run_benchmark(instance, methods, trials: int, seed: int = 0, *,
                   split=(0.7, 0.1, 0.2), train_config: Optional[TrainConfig] = None,
-                  milp_config: Optional[MilpConfig] = None,
-                  curve_grid: int = 40) -> BenchmarkResult:
+                  milp_config: Optional[MilpConfig] = None) -> BenchmarkResult:
     """Train and evaluate each method over repeated trials.
 
     Per trial the instance is regenerated from a seed derived from
@@ -210,7 +199,7 @@ def run_benchmark(instance, methods, trials: int, seed: int = 0, *,
     records = []
     for trial in range(trials):
         tseed = _trial_seed(seed, trial)
-        dataset = _generate_instance(instance, tseed)
+        dataset = generate_instance(replace(instance, seed=tseed))[0]
         n = dataset.n
         if all(isinstance(v, float) and v <= 1.0 for v in split):
             n_train = int(round(split[0] * n))
@@ -230,7 +219,7 @@ def run_benchmark(instance, methods, trials: int, seed: int = 0, *,
             records.append(TrialRecord(
                 method=method, trial=trial,
                 report=evaluate(system, test),
-                curve=coverage_curve(system, test, grid_size=curve_grid),
+                curve=coverage_curve(system, test, grid_size=BENCH_CURVE_GRID),
             ))
 
     aggregates = {}

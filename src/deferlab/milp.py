@@ -75,8 +75,8 @@ EXACT_ROWS_MAX = 450
 class MilpConfig:
     """Formulation constants and solver knobs.
 
-    Defaults mirror the reference constants: weight box 1, margin 1e-5, and
-    big-M values box + gamma. ``abs_gap`` defaults to 0.4/n at solve time;
+    Defaults mirror the reference constants: weight box 1 and margin 1e-5;
+    the builder sets both big-M values to box + gamma. ``abs_gap`` defaults to 0.4/n at solve time;
     with lambda_reg = 0 objective values live on the grid {0, 1, ...}/n, so
     that gap certifies exact optimality. Without fairness rows the solver
     also rounds every node bound up to that grid (see ``GRID_TOL``); an
@@ -85,8 +85,6 @@ class MilpConfig:
 
     gamma: float = 1e-5
     box: float = 1.0
-    k_m: Optional[float] = None
-    k_r: Optional[float] = None
     lambda_reg: float = 0.0
     coverage_beta: Optional[float] = None
     fairness_groups: Optional[np.ndarray] = None
@@ -99,18 +97,10 @@ class MilpConfig:
             raise ValueError("gamma must be strictly positive")
         if self.box <= 0:
             raise ValueError("box must be positive")
-        km, kr = self.resolved_big_m()
-        if km < self.gamma or kr < self.gamma:
-            raise ValueError("big-M constants must be at least gamma")
         if self.coverage_beta is not None and not 0.0 <= self.coverage_beta <= 1.0:
             raise ValueError("coverage_beta must lie in [0, 1]")
         if self.lambda_reg < 0:
             raise ValueError("lambda_reg must be nonnegative")
-
-    def resolved_big_m(self):
-        km = self.box + self.gamma if self.k_m is None else self.k_m
-        kr = self.box + self.gamma if self.k_r is None else self.k_r
-        return km, kr
 
 
 @dataclass
@@ -336,7 +326,6 @@ def build_multiclass_milp(dataset: DeferDataset, config: MilpConfig) -> MilpProb
 
 def _build_milp(dataset: DeferDataset, config: MilpConfig, kind: str, ypm) -> MilpProblem:
     xt, scale = _normalize(dataset)
-    km, kr = config.resolved_big_m()
     problem = MilpProblem(
         kind=kind,
         dataset=dataset,
@@ -345,8 +334,8 @@ def _build_milp(dataset: DeferDataset, config: MilpConfig, kind: str, ypm) -> Mi
         norm_scale=scale,
         gamma=config.gamma,
         box=config.box,
-        k_m=km,
-        k_r=kr,
+        k_m=config.box + config.gamma,
+        k_r=config.box + config.gamma,
         lambda_reg=config.lambda_reg,
         ypm=ypm,
     )

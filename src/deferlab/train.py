@@ -8,11 +8,11 @@ returned model (ties go to the earlier epoch). Two-stage baselines train a
 classifier first and derive their deferral rule from auxiliary models or
 confidence thresholds.
 
-Every trainer runs one loop, which trains a stack of parameter rows that
-share their initial weights, minibatch order and Adam settings. An alpha
-grid trains as one stacked pass, one row per alpha, and each row follows
-bit for bit the path a lone run with that alpha takes; a single model is
-the one-row case.
+Every model, surrogate or two-stage, is built, trained and scored by one
+function, ``_fit``, which trains a stack of parameter rows that share their
+initial weights, minibatch order and Adam settings. An alpha grid trains as
+one stacked pass, one row per alpha, and each row follows bit for bit the
+path a lone run with that alpha takes; a single model is the one-row case.
 
 Deferral semantics per method, all expressed as ``defer iff
 rejection_score(x) >= tau``:
@@ -56,6 +56,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# rejection-score kinds read off a joint C+1-head model, and those that
+# need an auxiliary model
+JOINT_KINDS = ("gap", "defer_head")
+AUX_KINDS = ("confidence", "triage")
+
+
 class TrainingDiverged(RuntimeError):
     """Raised when a training loss stops being finite."""
 
@@ -75,24 +81,30 @@ class ScoreModel:
     hidden_units: int = 0
     params: np.ndarray = field(default=None, repr=False)
 
+    def __post_init__(self):
+        d, out, h = self.input_dim, self.output_dim, self.hidden_units
+        sizes = {"linear": (d + 1) * out, "one_hidden": (d + 1) * h + (h + 1) * out}
+        if self.arch not in sizes or h < 0 or (self.arch == "linear") != (h == 0):
+            raise ValueError(f"architecture {self.arch!r} with hidden_units={h}: use "
+                             "linear with 0 hidden units or one_hidden with at least 1")
+        if self.params is not None and self.params.size != sizes[self.arch]:
+            raise ValueError(f"{self.arch} model with d={d}, out={out}, hidden_units={h} "
+                             f"has {sizes[self.arch]} parameters, got {self.params.size}")
+
     @classmethod
     def initialize(cls, arch, input_dim, output_dim, hidden_units, rng) -> "ScoreModel":
         """Symmetric-uniform init scaled by 1/sqrt(fan_in), layer by layer."""
+        model = cls(arch, input_dim, output_dim, hidden_units)  # checks the shape
+        b1 = 1.0 / np.sqrt(input_dim)
         if arch == "linear":
-            bound = 1.0 / np.sqrt(input_dim)
-            params = rng.uniform(-bound, bound, size=(input_dim + 1) * output_dim)
-        elif arch == "one_hidden":
-            if hidden_units < 1:
-                raise ValueError("one_hidden needs hidden_units >= 1")
-            b1 = 1.0 / np.sqrt(input_dim)
+            model.params = rng.uniform(-b1, b1, size=(input_dim + 1) * output_dim)
+        else:
             b2 = 1.0 / np.sqrt(hidden_units)
-            params = np.concatenate([
+            model.params = np.concatenate([
                 rng.uniform(-b1, b1, size=(input_dim + 1) * hidden_units),
                 rng.uniform(-b2, b2, size=(hidden_units + 1) * output_dim),
             ])
-        else:
-            raise ValueError(f"unknown architecture {arch!r}")
-        return cls(arch, input_dim, output_dim, hidden_units, params)
+        return model
 
     def _unpack(self, stack):
         """Weights (K, fan_out, fan_in) and biases (K, 1, fan_out) of each row
@@ -144,14 +156,6 @@ class ScoreModel:
         scores = self._stack_forward(self.params[None], np.atleast_2d(x))[0]
         return scores.reshape(x.shape[:-1] + (self.output_dim,))
 
-    def backward(self, x: np.ndarray, dscores: np.ndarray) -> np.ndarray:
-        """Gradient of sum(dscores * scores) in the flat parameters."""
-        return self._stack_backward(self.params[None], x, np.asarray(dscores)[None])[0]
-
-    def copy(self) -> "ScoreModel":
-        return ScoreModel(self.arch, self.input_dim, self.output_dim,
-                          self.hidden_units, self.params.copy())
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -198,12 +202,8 @@ class TrainedSystem:
         return np.argmax(self.classifier_scores(x), axis=1).astype(np.int64)
 
     def rejection_scores(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.score_kind == "gap":
-            scores = self.model.forward(x)
-            return scores[:, -1] - scores[:, : self.num_classes].max(axis=1)
-        if self.score_kind == "defer_head":
-            return self.model.forward(x)[:, -1]
+        if self.score_kind in JOINT_KINDS:
+            return _joint_rejection(self.model.forward(x), self.num_classes, self.score_kind)
         if self.score_kind == "confidence":
             p_h = _sigmoid(self.aux_model.forward(x)[:, 0])
             return p_h - _softmax(self.classifier_scores(x)).max(axis=1)
@@ -219,6 +219,15 @@ class TrainedSystem:
 
     def with_tau(self, tau: float) -> "TrainedSystem":
         return replace(self, tau=float(tau))
+
+
+def _joint_rejection(scores, num_classes, score_kind):
+    """Rejection scores of joint C+1-head scores, along the last axis: the
+    deferral head minus the class max ("gap") or the head alone
+    ("defer_head")."""
+    if score_kind == "gap":
+        return scores[..., -1] - scores[..., :num_classes].max(axis=-1)
+    return scores[..., -1]
 
 
 def system_accuracy(deferred, clf_labels, dataset: DeferDataset) -> float:
@@ -244,26 +253,28 @@ class _Adam:
         return params - self.cfg.learning_rate * mh / (np.sqrt(vh) + ADAM_EPS)
 
 
-def _run_training(model: ScoreModel, dataset: DeferDataset, config: TrainConfig,
-                  loss_fn, val_metric, rng, rows=1, train_metric=None):
-    """Generic epoch loop: minibatch Adam plus best-epoch snapshotting, run on
-    a stack of ``rows`` copies of ``model``'s parameters.
+def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
+         out_dim, seed, loss_fn, val_metric, rows=1, train_metric=None):
+    """Build a model, train it with minibatch Adam and keep each row's
+    best-epoch snapshot: the one training path of every trainer.
 
-    The rows share the initial weights, the minibatch order and the Adam
-    settings; only the loss tells them apart, so each row follows exactly
-    the path a one-row run with its loss would. ``loss_fn(scores, idx) ->
-    (values, score_grads)`` evaluates the training loss on a batch given
-    row indices, with the rows' scores stacked row after row into one
-    (rows * len(idx), output_dim) array. ``val_metric(stack) -> (rows,)``
-    scores each row of a parameter stack after each epoch (higher is
-    better), and each row keeps its best epoch's snapshot (ties go to the
-    earlier epoch). ``train_metric`` is an optional per-epoch diagnostic of
-    the same shape whose maximum is also returned. Any row that stops being
-    finite raises TrainingDiverged at once.
+    The model is ``linear`` when ``config.hidden_units`` is 0, else
+    ``one_hidden``, with ``out_dim`` outputs; an rng seeded with ``seed``
+    draws its weights, then the minibatch orders. ``rows`` copies of the
+    weights train as one stack, told apart only by the loss, so each row
+    follows the path of a one-row run with its loss. ``loss_fn(scores, idx)
+    -> (values, score_grads)`` gets the rows' batch scores stacked row after
+    row. After each epoch ``val_metric`` rates the stack's (rows, n,
+    out_dim) validation scores, higher better, and each row keeps its best
+    epoch (ties go to the earlier one); ``train_metric`` rates the training
+    scores. Any row that stops being finite raises TrainingDiverged.
 
-    Returns the best snapshots as a (rows, p) stack, then each row's best
-    metric, best epoch and best train metric.
+    Returns one model per row holding its best snapshot, then each row's
+    best metric, best epoch and best train metric.
     """
+    rng = np.random.default_rng(seed)
+    arch = "one_hidden" if config.hidden_units > 0 else "linear"
+    model = ScoreModel.initialize(arch, dataset.d, out_dim, config.hidden_units, rng)
     n = dataset.n
     x = dataset.features
     params = np.repeat(model.params[None], rows, axis=0)
@@ -291,14 +302,16 @@ def _run_training(model: ScoreModel, dataset: DeferDataset, config: TrainConfig,
             params = adam.step(params, pgrad)
             if not np.all(np.isfinite(params)):
                 raise TrainingDiverged(f"non-finite parameters at epoch {epoch}")
-        metric = val_metric(params)
+        metric = val_metric(model._stack_forward(params, val_dataset.features))
         better = metric > best_metric
         best_metric[better] = metric[better]
         best_params[better] = params[better]
         best_epoch[better] = epoch
         if train_metric is not None:
-            best_train_metric = np.maximum(best_train_metric, train_metric(params))
-    return best_params, best_metric, best_epoch, best_train_metric
+            best_train_metric = np.maximum(best_train_metric,
+                                           train_metric(model._stack_forward(params, x)))
+    models = [replace(model, params=row.copy()) for row in best_params]
+    return models, best_metric, best_epoch, best_train_metric
 
 
 def _train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
@@ -315,9 +328,6 @@ def _train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
         raise ValueError("train and validation datasets must share d and C")
     c = dataset.num_classes
     k = len(alphas)
-    rng = np.random.default_rng(config.seed)
-    arch = "one_hidden" if config.hidden_units > 0 else "linear"
-    model = ScoreModel.initialize(arch, dataset.d, c + 1, config.hidden_units, rng)
     batch_loss = LOSSES[config.loss]
     y = dataset.labels
     hc = dataset.human_correct
@@ -329,22 +339,19 @@ def _train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
         alpha = None if row_alpha is None else np.repeat(row_alpha, len(idx))
         return batch_loss(scores, y[stacked], hc[stacked], alpha)
 
-    def _system_acc(stack, ds):
-        scores = model._stack_forward(stack, ds.features)
+    def system_acc(scores, ds):
         labels = np.argmax(scores[:, :, :c], axis=2)
-        if score_kind == "gap":
-            defer = scores[:, :, -1] - scores[:, :, :c].max(axis=2) >= 0.0
-        else:
-            defer = scores[:, :, -1] >= 0.0
+        defer = _joint_rejection(scores, c, score_kind) >= 0.0
         return np.mean(np.where(defer, ds.human_correct, labels == ds.labels), axis=1)
 
-    params, best_acc, best_epoch, best_train = _run_training(
-        model, dataset, config, loss_fn, lambda st: _system_acc(st, val_dataset), rng,
-        rows=k, train_metric=lambda st: _system_acc(st, dataset),
+    models, best_acc, best_epoch, best_train = _fit(
+        dataset, val_dataset, config, c + 1, config.seed, loss_fn,
+        lambda scores: system_acc(scores, val_dataset), rows=k,
+        train_metric=lambda scores: system_acc(scores, dataset),
     )
     return [
         TrainedSystem(
-            model=replace(model, params=params[i].copy()), num_classes=c, tau=0.0,
+            model=models[i], num_classes=c, tau=0.0,
             method=config.loss, score_kind=score_kind, alpha=alpha,
             best_val_accuracy=float(best_acc[i]), best_epoch=int(best_epoch[i]),
             min_train_error=1.0 - float(best_train[i]),
@@ -380,10 +387,7 @@ def search_alpha(dataset: DeferDataset, val_dataset: DeferDataset,
     if not all(0.0 <= a <= 1.0 for a in grid):
         raise ValueError("alpha must lie in [0, 1]")
     systems = _train_surrogates(dataset, val_dataset, config, grid)
-    best = systems[0]
-    for system in systems[1:]:
-        if system.best_val_accuracy > best.best_val_accuracy:
-            best = system
+    best = max(systems, key=lambda system: system.best_val_accuracy)  # the first of ties
     # the search procedure's reached-train-error spans every alpha run
     return replace(best, min_train_error=min(s.min_train_error for s in systems))
 
@@ -459,47 +463,44 @@ def _logistic_batch(logits, targets01):
     return vals, grads
 
 
-def _class_accuracy(model, val_dataset):
-    """Validation metric: class accuracy of each row of a parameter stack."""
+def _train_classifier(dataset, val_dataset, config, keep=None):
+    """Cross-entropy classifier head; tracks validation class accuracy.
 
-    def metric(stack):
-        pred = np.argmax(model._stack_forward(stack, val_dataset.features), axis=2)
-        return np.mean(pred == val_dataset.labels, axis=1)
-
-    return metric
-
-
-def _train_classifier(dataset, val_dataset, config):
-    """Cross-entropy classifier head; tracks validation class accuracy."""
-    rng = np.random.default_rng(config.seed)
-    arch = "one_hidden" if config.hidden_units > 0 else "linear"
-    model = ScoreModel.initialize(arch, dataset.d, dataset.num_classes,
-                                  config.hidden_units, rng)
+    ``keep(scores, idx)``, when given, weighs each point's loss in a batch.
+    """
     y = dataset.labels
 
     def loss_fn(scores, idx):
-        return _ce_batch(scores, y[idx])
+        vals, grads = _ce_batch(scores, y[idx])
+        if keep is None:
+            return vals, grads
+        weight = keep(scores, idx)
+        return vals * weight, grads * weight[:, None]
 
-    model.params = _run_training(model, dataset, config, loss_fn,
-                                 _class_accuracy(model, val_dataset), rng)[0][0]
-    return model
+    def class_accuracy(scores):
+        return np.mean(np.argmax(scores, axis=2) == val_dataset.labels, axis=1)
+
+    return _fit(dataset, val_dataset, config, dataset.num_classes, config.seed, loss_fn,
+                class_accuracy)[0][0]
 
 
-def _train_binary_head(dataset, targets01, val_dataset, val_targets01, config, seed_shift=1):
-    """Single-logit head with logistic loss; tracks validation accuracy."""
-    rng = np.random.default_rng(config.seed + seed_shift)
-    arch = "one_hidden" if config.hidden_units > 0 else "linear"
-    model = ScoreModel.initialize(arch, dataset.d, 1, config.hidden_units, rng)
+def _train_binary_head(dataset, targets01, val_dataset, val_targets01, config):
+    """Single-logit head with logistic loss; tracks validation accuracy. Its
+    rng is seeded one above the classifier's."""
 
     def loss_fn(scores, idx):
         return _logistic_batch(scores, targets01[idx])
 
-    def val_metric(stack):
-        pred = model._stack_forward(stack, val_dataset.features)[:, :, 0] >= 0
-        return np.mean(pred == val_targets01, axis=1)
+    def accuracy(scores):
+        return np.mean((scores[:, :, 0] >= 0) == val_targets01, axis=1)
 
-    model.params = _run_training(model, dataset, config, loss_fn, val_metric, rng)[0][0]
-    return model
+    return _fit(dataset, val_dataset, config, 1, config.seed + 1, loss_fn, accuracy)[0][0]
+
+
+def _with_val_accuracy(system, val_dataset):
+    """A two-stage system with its validation system accuracy recorded."""
+    defer, labels = system.decide(val_dataset.features)
+    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
 
 
 def train_compare_confidence(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
@@ -512,8 +513,7 @@ def train_compare_confidence(dataset, val_dataset, config: TrainConfig) -> Train
     )
     system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
                            aux_model=hum, method="confidence", score_kind="confidence")
-    defer, labels = system.decide(val_dataset.features)
-    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
+    return _with_val_accuracy(system, val_dataset)
 
 
 def train_selective_prediction(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
@@ -522,10 +522,7 @@ def train_selective_prediction(dataset, val_dataset, config: TrainConfig) -> Tra
     clf = _train_classifier(dataset, val_dataset, config)
     system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
                            method="selective", score_kind="selective")
-    tau = fit_tau(system, val_dataset)
-    system = system.with_tau(tau)
-    defer, labels = system.decide(val_dataset.features)
-    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
+    return _with_val_accuracy(system.with_tau(fit_tau(system, val_dataset)), val_dataset)
 
 
 def train_differentiable_triage(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
@@ -533,32 +530,21 @@ def train_differentiable_triage(dataset, val_dataset, config: TrainConfig) -> Tr
     where its current 0-1 loss is no worse than the human's, then fits a
     rejector to predict which of the two errs less per point (ties keep the
     classifier)."""
-    rng = np.random.default_rng(config.seed)
-    arch = "one_hidden" if config.hidden_units > 0 else "linear"
-    model = ScoreModel.initialize(arch, dataset.d, dataset.num_classes,
-                                  config.hidden_units, rng)
     y = dataset.labels
     hum01 = (~dataset.human_correct).astype(float)
 
-    def loss_fn(scores, idx):
-        vals, grads = _ce_batch(scores, y[idx])
-        clf01 = (np.argmax(scores, axis=1) != y[idx]).astype(float)
-        keep = (clf01 <= hum01[idx]).astype(float)
-        return vals * keep, grads * keep[:, None]
+    def keep(scores, idx):
+        return ((np.argmax(scores, axis=1) != y[idx]) <= hum01[idx]).astype(float)
 
-    model.params = _run_training(model, dataset, config, loss_fn,
-                                 _class_accuracy(model, val_dataset), rng)[0][0]
-
+    model = _train_classifier(dataset, val_dataset, config, keep)
     pred = np.argmax(model.forward(dataset.features), axis=1)
-    clf01 = (pred != y).astype(float)
-    defer_target = hum01 < clf01  # ties mean do not defer
+    defer_target = hum01 < (pred != y)  # ties mean do not defer
     val_pred = np.argmax(model.forward(val_dataset.features), axis=1)
     val_target = (~val_dataset.human_correct).astype(float) < (val_pred != val_dataset.labels)
     rejector = _train_binary_head(dataset, defer_target, val_dataset, val_target, config)
     system = TrainedSystem(model=model, num_classes=dataset.num_classes, tau=0.0,
                            aux_model=rejector, method="triage", score_kind="triage")
-    defer, labels = system.decide(val_dataset.features)
-    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
+    return _with_val_accuracy(system, val_dataset)
 
 
 METHODS = ("rs", "rs2", "ce", "ova", "moe", "confidence", "selective", "triage")

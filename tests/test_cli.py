@@ -204,6 +204,67 @@ class TestTrainEvalRoundTrip:
         assert code == 0
 
 
+def _edit_line(text, index, old, new):
+    lines = text.splitlines()
+    assert old in lines[index]
+    lines[index] = lines[index].replace(old, new, 1)
+    return "\n".join(lines) + "\n"
+
+
+class TestModelFileValidation:
+    """A malformed model file is a usage error (exit 1) that names the file."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("models")
+        out = {"data": root / "d.csv", "other_d": root / "d4.csv"}
+        run_cli("gen", "--d", "3", "--n", "60", "--seed", "1", "--out", str(out["data"]))
+        run_cli("gen", "--d", "4", "--n", "60", "--seed", "1", "--out", str(out["other_d"]))
+        for method in ("rs", "confidence"):
+            out[method] = root / f"{method}.csv"
+            assert run_cli("train", "--data", str(out["data"]), "--method", method,
+                           "--epochs", "3", "--out", str(out[method])) == 0
+        return out
+
+    @pytest.mark.parametrize("source,edit,message", [
+        ("confidence", lambda t: "\n".join(t.splitlines()[:2]) + "\n", "needs 4 lines, got 2"),
+        ("rs", lambda t: _edit_line(t, 0, "linear", "quadratic"), "architecture 'quadratic'"),
+        ("rs", lambda t: _edit_line(t, 0, "linear,3,3,0", "linear,3,3,7"), "hidden_units=7"),
+        ("rs", lambda t: _edit_line(t, 0, "linear,3,3,0", "one_hidden,3,3,0"), "hidden_units=0"),
+        ("rs", lambda t: _edit_line(t, 1, ",", ",1.0,"), "has 12 parameters, got 13"),
+        ("rs", lambda t: _edit_line(t, 0, ",gap,2,", ",gap,3,"), "expected 3 to 4"),
+        ("rs", lambda t: _edit_line(t, 0, ",gap,", ",margin,"), "unknown score kind"),
+        ("rs", lambda t: _edit_line(t, 0, ",gap,2,rs", ",gap,2"), "header has 9 fields"),
+        ("confidence", lambda t: _edit_line(t, 2, "aux,linear,3,1", "aux,linear,1,2"),
+         "expected 3 to 1"),
+        ("confidence", lambda t: _edit_line(t, 2, "aux,", "extra,"), "malformed aux header"),
+    ])
+    def test_malformed_score_model(self, files, tmp_path, capsys, source, edit, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(edit(files[source].read_text()))
+        assert run_cli("eval", "--data", str(files["data"]), "--model", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
+    def test_malformed_halfspace_pair(self, files, tmp_path, capsys):
+        bad = tmp_path / "pair.csv"
+        bad.write_text("halfspace_pair,2,3\n0.0,0.0,0.0,1.0\n0.0,0.0,1.0\n")
+        assert run_cli("eval", "--data", str(files["data"]), "--model", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "d + 1 = 4 values" in err
+
+    def test_model_and_data_dimensions_differ(self, files, capsys):
+        assert run_cli("eval", "--data", str(files["other_d"]),
+                       "--model", str(files["rs"])) == 1
+        err = capsys.readouterr().err
+        assert str(files["rs"]) in err and "d=3" in err
+
+    def test_valid_files_still_load(self, files):
+        for method in ("rs", "confidence"):
+            assert run_cli("eval", "--data", str(files["data"]),
+                           "--model", str(files[method])) == 0
+
+
 class TestBench:
     def test_bench_outputs(self, tmp_path):
         cfgfile = tmp_path / "bench.cfg"

@@ -6,6 +6,7 @@ from deferlab.datagen import (
     GroupedExpertConfig,
     SyntheticConfig,
     generate_grouped_expert,
+    generate_instance,
     generate_synthetic,
     save_instance_metadata,
 )
@@ -137,3 +138,25 @@ class TestMetadataSidecar:
         kv = dict(line.split("=", 1) for line in text.strip().splitlines())
         r = np.array([float(v) for v in kv["planted_rejector"].split(",")])
         np.testing.assert_allclose(r, inst.planted_pair.rejector_weights)
+
+    def test_either_kind_from_one_function(self, tmp_path):
+        # the dataset and sidecar of each kind, byte for byte
+        syn = SyntheticConfig(d=2, n=10, seed=5)
+        ds, pair = generate_instance(syn)
+        planted = generate_synthetic(syn)
+        np.testing.assert_array_equal(ds.features, planted.dataset.features)
+        np.testing.assert_array_equal(pair.rejector_weights, planted.planted_pair.rejector_weights)
+        save_instance_metadata(tmp_path / "syn.txt", syn)
+        assert (tmp_path / "syn.txt").read_text() == (
+            "seed=5\nd=2\nn=10\ndistribution=gaussian_mixture\nU=10.0\nK=10\n"
+            "std_scale=1.0\nmargin=0.0\np_m=0.0\np_h0=0.3\np_h1=0.0\n")
+        grouped = GroupedExpertConfig(d=3, n=40, C=4, K=2, U=3.5, blob_std=2.0, seed=9)
+        ds, pair = generate_instance(grouped)
+        assert pair is None
+        np.testing.assert_array_equal(
+            ds.features, generate_grouped_expert(3, 40, 4, 2, 9, U=3.5, blob_std=2.0).features)
+        save_instance_metadata(tmp_path / "grouped.txt", grouped)
+        assert (tmp_path / "grouped.txt").read_text() == (
+            "kind=grouped\nseed=9\nd=3\nn=40\nC=4\nexpert_k=2\nU=3.5\nblob_std=2.0\n")
+        with pytest.raises(ValueError):
+            generate_instance(object())

@@ -30,16 +30,18 @@ def random_binary_dataset(rng, n, d=2, human_acc=0.6):
 class TestConfig:
     def test_defaults_mirror_reference_constants(self):
         cfg = MilpConfig()
-        km, kr = cfg.resolved_big_m()
         assert cfg.gamma == 1e-5
         assert cfg.box == 1.0
-        assert km == kr == 1.0 + 1e-5
+        ds = random_binary_dataset(np.random.default_rng(0), 4)
+        for builder in (build_binary_milp, build_multiclass_milp):
+            problem = builder(ds, cfg)
+            assert problem.k_m == problem.k_r == 1.0 + 1e-5
+        problem = build_binary_milp(ds, MilpConfig(gamma=0.01, box=2.0))
+        assert problem.k_m == problem.k_r == 2.0 + 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MilpConfig(gamma=0.0)
-        with pytest.raises(ValueError):
-            MilpConfig(k_m=1e-9)
         with pytest.raises(ValueError):
             MilpConfig(coverage_beta=1.5)
         with pytest.raises(ValueError):

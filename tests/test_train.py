@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 from deferlab import surrogates
 from deferlab.core import DeferDataset
 from deferlab.datagen import SyntheticConfig, generate_grouped_expert, generate_synthetic
-from deferlab.surrogates import loss_rs_batch
+from deferlab.surrogates import LOSSES, loss_rs_batch
 from deferlab.train import (
+    METHODS,
     ScoreModel,
     TrainConfig,
     TrainedSystem,
     TrainingDiverged,
     _Adam,
+    _ce_batch,
     _line_search_threshold,
+    _logistic_batch,
     _threshold_candidates,
     _train_surrogates,
     fit_tau,
@@ -70,12 +73,12 @@ class TestScoreModel:
         m = ScoreModel.initialize(arch, 3, 4, hidden, rng)
         x = rng.normal(size=(6, 3))
         dscores = rng.normal(size=(6, 4))
-        grad = m.backward(x, dscores)
+        grad = m._stack_backward(m.params[None], x, dscores[None])[0]
         fd = np.zeros_like(grad)
         eps = 1e-6
         for j in range(m.params.size):
-            up = m.copy(); up.params[j] += eps
-            dn = m.copy(); dn.params[j] -= eps
+            up = replace(m, params=m.params.copy()); up.params[j] += eps
+            dn = replace(m, params=m.params.copy()); dn.params[j] -= eps
             fd[j] = (np.sum(dscores * up.forward(x)) - np.sum(dscores * dn.forward(x))) / (2 * eps)
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
@@ -95,14 +98,12 @@ class TestAdamStep:
         hc = rng.integers(0, 2, 10).astype(bool)
 
         def mean_loss(params):
-            m2 = model.copy()
-            m2.params = params
-            vals, _ = loss_rs_batch(m2.forward(x), y, hc)
+            vals, _ = loss_rs_batch(replace(model, params=params).forward(x), y, hc)
             return float(np.mean(vals))
 
         scores = model.forward(x)
         _, grads = loss_rs_batch(scores, y, hc)
-        analytic = model.backward(x, grads / len(x))
+        analytic = model._stack_backward(model.params[None], x, (grads / len(x))[None])[0]
         fd = np.zeros_like(analytic)
         eps = 1e-6
         for j in range(model.params.size):
@@ -152,8 +153,7 @@ class TestTrainSurrogate:
         train, val, _ = planted_splits(seed=5)
         cfg = TrainConfig(loss="rs", alpha=1.0, epochs=15, seed=5)
         system = train_surrogate(train, val, cfg)
-        scaled = system.model.copy()
-        scaled.params = scaled.params * 7.5
+        scaled = replace(system.model, params=system.model.params * 7.5)
         scaled_system = TrainedSystem(model=scaled, num_classes=2, tau=0.0,
                                       method="rs", score_kind="gap")
         d1, l1 = system.decide(val.features)
@@ -466,3 +466,266 @@ class TestTrainMethodDispatch:
         train, val, _ = planted_splits(seed=18)
         with pytest.raises(ValueError):
             train_method("oracle", train, val, TrainConfig())
+
+
+# The trainers as they were before every model went through one fit path,
+# kept verbatim as the reference the trainers must equal bit for bit.
+
+
+def _oracle_run_training(model: ScoreModel, dataset: DeferDataset, config: TrainConfig,
+                         loss_fn, val_metric, rng, rows=1, train_metric=None):
+    """Generic epoch loop: minibatch Adam plus best-epoch snapshotting, run on
+    a stack of ``rows`` copies of ``model``'s parameters.
+
+    The rows share the initial weights, the minibatch order and the Adam
+    settings; only the loss tells them apart, so each row follows exactly
+    the path a one-row run with its loss would. ``loss_fn(scores, idx) ->
+    (values, score_grads)`` evaluates the training loss on a batch given
+    row indices, with the rows' scores stacked row after row into one
+    (rows * len(idx), output_dim) array. ``val_metric(stack) -> (rows,)``
+    scores each row of a parameter stack after each epoch (higher is
+    better), and each row keeps its best epoch's snapshot (ties go to the
+    earlier epoch). ``train_metric`` is an optional per-epoch diagnostic of
+    the same shape whose maximum is also returned. Any row that stops being
+    finite raises TrainingDiverged at once.
+
+    Returns the best snapshots as a (rows, p) stack, then each row's best
+    metric, best epoch and best train metric.
+    """
+    n = dataset.n
+    x = dataset.features
+    params = np.repeat(model.params[None], rows, axis=0)
+    adam = _Adam(params.shape, config)
+    batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
+    best_metric = np.full(rows, -np.inf)
+    best_train_metric = np.full(rows, -np.inf)
+    best_params = params.copy()
+    best_epoch = np.zeros(rows, dtype=np.int64)
+    for epoch in range(1, config.epochs + 1):
+        order = np.arange(n) if batch == n else rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            xb = x[idx]
+            scores = model._stack_forward(params, xb)
+            if not np.all(np.isfinite(scores)):
+                raise TrainingDiverged(f"non-finite scores at epoch {epoch}")
+            vals, grads = loss_fn(scores.reshape(-1, scores.shape[2]), idx)
+            mean_loss = vals.reshape(rows, -1).mean(axis=1)
+            if not np.all(np.isfinite(mean_loss)):
+                raise TrainingDiverged(
+                    f"non-finite loss {mean_loss!r} at epoch {epoch}"
+                )
+            pgrad = model._stack_backward(params, xb, grads.reshape(scores.shape) / len(idx))
+            params = adam.step(params, pgrad)
+            if not np.all(np.isfinite(params)):
+                raise TrainingDiverged(f"non-finite parameters at epoch {epoch}")
+        metric = val_metric(params)
+        better = metric > best_metric
+        best_metric[better] = metric[better]
+        best_params[better] = params[better]
+        best_epoch[better] = epoch
+        if train_metric is not None:
+            best_train_metric = np.maximum(best_train_metric, train_metric(params))
+    return best_params, best_metric, best_epoch, best_train_metric
+
+
+def _oracle_train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
+                             config: TrainConfig, alphas) -> list:
+    """Train one joint C+1-head model per alpha as a single stacked pass.
+
+    Every model starts from ``config.seed``'s initial weights and sees the
+    same minibatch order, so each equals a lone run with its alpha. The loss
+    gets one alpha per score row (None when ``alphas`` is ``[None]``).
+    """
+    if config.loss not in LOSSES:
+        raise ValueError(f"unknown loss id {config.loss!r}")
+    if dataset.d != val_dataset.d or dataset.num_classes != val_dataset.num_classes:
+        raise ValueError("train and validation datasets must share d and C")
+    c = dataset.num_classes
+    k = len(alphas)
+    rng = np.random.default_rng(config.seed)
+    arch = "one_hidden" if config.hidden_units > 0 else "linear"
+    model = ScoreModel.initialize(arch, dataset.d, c + 1, config.hidden_units, rng)
+    batch_loss = LOSSES[config.loss]
+    y = dataset.labels
+    hc = dataset.human_correct
+    row_alpha = None if alphas[0] is None else np.asarray(alphas, dtype=float)
+    score_kind = "defer_head" if config.loss in ("rs2", "moe") else "gap"
+
+    def loss_fn(scores, idx):
+        stacked = np.concatenate([idx] * k)
+        alpha = None if row_alpha is None else np.repeat(row_alpha, len(idx))
+        return batch_loss(scores, y[stacked], hc[stacked], alpha)
+
+    def _system_acc(stack, ds):
+        scores = model._stack_forward(stack, ds.features)
+        labels = np.argmax(scores[:, :, :c], axis=2)
+        if score_kind == "gap":
+            defer = scores[:, :, -1] - scores[:, :, :c].max(axis=2) >= 0.0
+        else:
+            defer = scores[:, :, -1] >= 0.0
+        return np.mean(np.where(defer, ds.human_correct, labels == ds.labels), axis=1)
+
+    params, best_acc, best_epoch, best_train = _oracle_run_training(
+        model, dataset, config, loss_fn, lambda st: _system_acc(st, val_dataset), rng,
+        rows=k, train_metric=lambda st: _system_acc(st, dataset),
+    )
+    return [
+        TrainedSystem(
+            model=replace(model, params=params[i].copy()), num_classes=c, tau=0.0,
+            method=config.loss, score_kind=score_kind, alpha=alpha,
+            best_val_accuracy=float(best_acc[i]), best_epoch=int(best_epoch[i]),
+            min_train_error=1.0 - float(best_train[i]),
+        )
+        for i, alpha in enumerate(alphas)
+    ]
+
+def _oracle_class_accuracy(model, val_dataset):
+    """Validation metric: class accuracy of each row of a parameter stack."""
+
+    def metric(stack):
+        pred = np.argmax(model._stack_forward(stack, val_dataset.features), axis=2)
+        return np.mean(pred == val_dataset.labels, axis=1)
+
+    return metric
+
+
+def _oracle_train_classifier(dataset, val_dataset, config):
+    """Cross-entropy classifier head; tracks validation class accuracy."""
+    rng = np.random.default_rng(config.seed)
+    arch = "one_hidden" if config.hidden_units > 0 else "linear"
+    model = ScoreModel.initialize(arch, dataset.d, dataset.num_classes,
+                                  config.hidden_units, rng)
+    y = dataset.labels
+
+    def loss_fn(scores, idx):
+        return _ce_batch(scores, y[idx])
+
+    model.params = _oracle_run_training(model, dataset, config, loss_fn,
+                                        _oracle_class_accuracy(model, val_dataset), rng)[0][0]
+    return model
+
+
+def _oracle_train_binary_head(dataset, targets01, val_dataset, val_targets01, config, seed_shift=1):
+    """Single-logit head with logistic loss; tracks validation accuracy."""
+    rng = np.random.default_rng(config.seed + seed_shift)
+    arch = "one_hidden" if config.hidden_units > 0 else "linear"
+    model = ScoreModel.initialize(arch, dataset.d, 1, config.hidden_units, rng)
+
+    def loss_fn(scores, idx):
+        return _logistic_batch(scores, targets01[idx])
+
+    def val_metric(stack):
+        pred = model._stack_forward(stack, val_dataset.features)[:, :, 0] >= 0
+        return np.mean(pred == val_targets01, axis=1)
+
+    model.params = _oracle_run_training(model, dataset, config, loss_fn, val_metric, rng)[0][0]
+    return model
+
+
+def _oracle_train_compare_confidence(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
+    """Classifier on all data plus a human-correctness model; defer when the
+    predicted human-correctness probability beats the classifier's max
+    softmax probability."""
+    clf = _oracle_train_classifier(dataset, val_dataset, config)
+    hum = _oracle_train_binary_head(
+        dataset, dataset.human_correct, val_dataset, val_dataset.human_correct, config
+    )
+    system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
+                           aux_model=hum, method="confidence", score_kind="confidence")
+    defer, labels = system.decide(val_dataset.features)
+    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
+
+
+def _oracle_train_selective_prediction(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
+    """Classifier on all data; defer when its confidence falls below a
+    threshold line-searched on the validation set."""
+    clf = _oracle_train_classifier(dataset, val_dataset, config)
+    system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
+                           method="selective", score_kind="selective")
+    tau = fit_tau(system, val_dataset)
+    system = system.with_tau(tau)
+    defer, labels = system.decide(val_dataset.features)
+    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
+
+
+def _oracle_train_differentiable_triage(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
+    """Two-stage triage: each epoch updates the classifier only on points
+    where its current 0-1 loss is no worse than the human's, then fits a
+    rejector to predict which of the two errs less per point (ties keep the
+    classifier)."""
+    rng = np.random.default_rng(config.seed)
+    arch = "one_hidden" if config.hidden_units > 0 else "linear"
+    model = ScoreModel.initialize(arch, dataset.d, dataset.num_classes,
+                                  config.hidden_units, rng)
+    y = dataset.labels
+    hum01 = (~dataset.human_correct).astype(float)
+
+    def loss_fn(scores, idx):
+        vals, grads = _ce_batch(scores, y[idx])
+        clf01 = (np.argmax(scores, axis=1) != y[idx]).astype(float)
+        keep = (clf01 <= hum01[idx]).astype(float)
+        return vals * keep, grads * keep[:, None]
+
+    model.params = _oracle_run_training(model, dataset, config, loss_fn,
+                                        _oracle_class_accuracy(model, val_dataset), rng)[0][0]
+
+    pred = np.argmax(model.forward(dataset.features), axis=1)
+    clf01 = (pred != y).astype(float)
+    defer_target = hum01 < clf01  # ties mean do not defer
+    val_pred = np.argmax(model.forward(val_dataset.features), axis=1)
+    val_target = (~val_dataset.human_correct).astype(float) < (val_pred != val_dataset.labels)
+    rejector = _oracle_train_binary_head(dataset, defer_target, val_dataset, val_target, config)
+    system = TrainedSystem(model=model, num_classes=dataset.num_classes, tau=0.0,
+                           aux_model=rejector, method="triage", score_kind="triage")
+    defer, labels = system.decide(val_dataset.features)
+    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
+
+
+_ORACLE_BASELINES = {
+    "confidence": _oracle_train_compare_confidence,
+    "selective": _oracle_train_selective_prediction,
+    "triage": _oracle_train_differentiable_triage,
+}
+
+
+def _assert_same_bytes(a, b):
+    for ma, mb in ((a.model, b.model), (a.aux_model, b.aux_model)):
+        assert (ma is None) == (mb is None)
+        if ma is not None:
+            assert (ma.arch, ma.input_dim, ma.output_dim, ma.hidden_units) == \
+                (mb.arch, mb.input_dim, mb.output_dim, mb.hidden_units)
+            assert ma.params.tobytes() == mb.params.tobytes()
+    fields = ("method", "score_kind", "tau", "alpha", "best_epoch", "best_val_accuracy",
+              "min_train_error")
+    assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
+class TestOneFitPath:
+    """Every method trains bit for bit the system of the reference trainers."""
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("hidden_units", [0, 4])
+    @pytest.mark.parametrize("batch_size", [0, 32])
+    def test_every_method_equals_reference(self, classes, hidden_units, batch_size):
+        if classes == 2:
+            train, val, _ = planted_splits(seed=50, n_train=120, n_val=50)
+        else:
+            ds = generate_grouped_expert(d=4, n=170, C=3, K=1, seed=6, U=3.0)
+            train, val = ds.subset(np.arange(120)), ds.subset(np.arange(120, 170))
+        cfg = TrainConfig(epochs=4, batch_size=batch_size, hidden_units=hidden_units, seed=21)
+        surrogates_run = {"rs": [0.0, 0.5, 1.0], "ce": [0.0, 0.1, 1.0],
+                          "rs2": [None], "ova": [None], "moe": [None]}
+        assert set(surrogates_run) | set(_ORACLE_BASELINES) == set(METHODS)
+        for loss, alphas in surrogates_run.items():
+            new = _train_surrogates(train, val, replace(cfg, loss=loss), alphas)
+            old = _oracle_train_surrogates(train, val, replace(cfg, loss=loss), alphas)
+            for a, b in zip(new, old, strict=True):
+                _assert_same_bytes(a, b)
+                # the deferral rule the reference applied to its stacks
+                scores = a.model.forward(val.features)
+                rule = scores[:, -1] - scores[:, :classes].max(axis=1) \
+                    if a.score_kind == "gap" else scores[:, -1]
+                assert a.rejection_scores(val.features).tobytes() == rule.tobytes()
+        for method, oracle in _ORACLE_BASELINES.items():
+            _assert_same_bytes(train_method(method, train, val, cfg), oracle(train, val, cfg))
