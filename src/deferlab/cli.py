@@ -454,9 +454,17 @@ def cmd_train(args):
 def cmd_eval(args):
     dataset = load_dataset_csv(args.data)
     system = load_model_file(args.model)
-    d = system.model.input_dim if isinstance(system, TrainedSystem) else system.dim
+    if isinstance(system, TrainedSystem):
+        d, c = system.model.input_dim, system.num_classes
+    else:
+        w = system.classifier_weights
+        d, c = system.dim, 2 if w.ndim == 1 else w.shape[0]
     if d != dataset.d:
         raise UsageError(f"{args.model}: the model takes d={d}, {args.data} has d={dataset.d}")
+    top = int(dataset.labels.max())
+    if top >= c:
+        raise UsageError(f"{args.model}: the model predicts C={c} classes, "
+                         f"{args.data} has class labels up to {top}")
     report = evaluate(system, dataset)
     print(f"system_accuracy={report.system_accuracy!r}")
     print(f"coverage={report.coverage!r}")

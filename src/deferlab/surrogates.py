@@ -67,29 +67,39 @@ def _check_batch(scores, y, human_correct):
     return g, y, hc
 
 
-def _softmax(g):
+def _softmax_log_softmax(g):
+    """Softmax and log-softmax of each row, sharing one shifted exponential."""
     z = g - g.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, z - np.log(total)
+
+
+def _softmax(g):
+    return _softmax_log_softmax(g)[0]
 
 
 def _log_softmax(g):
-    z = g - g.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return _softmax_log_softmax(g)[1]
 
 
-def _sigmoid(z):
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+# The logistic helpers take ``ez = exp(-|z|)`` from a caller that already
+# has it, so sigmoid(z), sigmoid(-z) and softplus(+-z) share one
+# exponential. exp only ever sees -|z|, which equals -z exactly when
+# z >= 0, so nothing overflows and no branch is needed.
 
 
-def _softplus(z):
-    # log(1 + e^z) without a branch: exp only ever sees -|z|, so nothing overflows
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+def _sigmoid(z, ez=None):
+    if ez is None:
+        ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def _softplus(z, ez=None):
+    # log(1 + e^z)
+    if ez is None:
+        ez = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(ez)
 
 
 def _check_alpha(alpha, n):
@@ -100,6 +110,13 @@ def _check_alpha(alpha, n):
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError("alpha must lie in [0, 1]")
     return a
+
+
+# Each public ``loss_*_batch`` validates its inputs with _check_batch (and
+# _check_alpha) and then runs an unchecked body: ``g`` a finite float
+# (n, C+1) array, ``y`` int64 class ids in [0, C), ``hc`` bool, and ``a`` a
+# float array holding a scalar or one alpha per row. The trainer calls the
+# bodies through LOSSES; its inputs are checked once per fit.
 
 
 def loss_rs_batch(scores, y, human_correct):
@@ -130,13 +147,14 @@ def loss_rs_alpha_batch(scores, y, human_correct, alpha):
     ``alpha`` is a scalar or one weight per row, each in [0, 1].
     """
     g, y, hc = _check_batch(scores, y, human_correct)
+    return _rs_alpha(g, y, hc, _check_alpha(alpha, g.shape[0]))
+
+
+def _rs_alpha(g, y, hc, a):
     n = g.shape[0]
-    a = _check_alpha(alpha, n)
     rows = np.arange(n)
     rs_vals, rs_grads = _rs(g, y, hc)
-    gy = g[:, :-1]
-    p = _softmax(gy)
-    logp = _log_softmax(gy)
+    p, logp = _softmax_log_softmax(g[:, :-1])
     ce_vals = -logp[rows, y] / LN2
     ce_grads = np.zeros_like(g)
     ce_grads[:, :-1] = p / LN2
@@ -147,15 +165,18 @@ def loss_rs_alpha_batch(scores, y, human_correct, alpha):
 
 def loss_rs2_batch(scores, y, human_correct):
     """Halfspace-rejector variant: -log(softmax_Y(g)_y * sig(-g_bot) + I{h=y} sig(g_bot))."""
-    g, y, hc = _check_batch(scores, y, human_correct)
+    return _rs2(*_check_batch(scores, y, human_correct))
+
+
+def _rs2(g, y, hc):
     n = g.shape[0]
     rows = np.arange(n)
-    gy = g[:, :-1]
-    p = _softmax(gy)
+    p = _softmax(g[:, :-1])
     py = p[rows, y]
     gb = g[:, -1]
-    s_pos = _sigmoid(gb)
-    s_neg = _sigmoid(-gb)
+    eb = np.exp(-np.abs(gb))
+    s_pos = _sigmoid(gb, eb)
+    s_neg = _sigmoid(-gb, eb)
     arg = np.maximum(py * s_neg + hc * s_pos, 1e-300)
     vals = -np.log(arg)
     grads = np.zeros_like(g)
@@ -173,9 +194,11 @@ def loss_ce_alpha_batch(scores, y, human_correct, alpha):
     ``alpha`` is a scalar or one weight per row, each in [0, 1].
     """
     g, y, hc = _check_batch(scores, y, human_correct)
-    n = g.shape[0]
-    a = _check_alpha(alpha, n)
-    rows = np.arange(n)
+    return _ce_alpha(g, y, hc, _check_alpha(alpha, g.shape[0]))
+
+
+def _ce_alpha(g, y, hc, a):
+    rows = np.arange(g.shape[0])
     logq = _log_softmax(g)
     q = np.exp(logq)
     w = np.where(hc, a, 1.0)
@@ -189,34 +212,46 @@ def loss_ce_alpha_batch(scores, y, human_correct, alpha):
 
 def loss_ova_batch(scores, y, human_correct):
     """One-vs-all deferral surrogate built from logistic links."""
-    g, y, hc = _check_batch(scores, y, human_correct)
-    n, cp1 = g.shape
-    rows = np.arange(n)
+    return _ova(*_check_batch(scores, y, human_correct))
+
+
+def _ova(g, y, hc):
+    rows = np.arange(g.shape[0])
+    gc = g[:, :-1]
     gy = g[rows, y]
+    ec = np.exp(-np.abs(gc))
+    ey = ec[rows, y]
+    # the deferral term is phi(g_bot) where the human is right, else
+    # phi(-g_bot): one sign-flipped score sb covers both
     gb = g[:, -1]
-    # phi(g_y) + sum_{y' != y} phi(-g_{y'}) + deferral terms, phi(z) = log(1+e^-z)
-    other = _softplus(g[:, :-1])
+    sb = np.where(hc, -gb, gb)
+    eb = np.exp(-np.abs(gb))
+    # phi(g_y) + sum_{y' != y} phi(-g_{y'}) + deferral term, phi(z) = log(1+e^-z)
+    other = _softplus(gc, ec)
     other[rows, y] = 0.0
-    vals = _softplus(-gy) + other.sum(axis=1)
-    vals = vals + np.where(hc, _softplus(-gb), _softplus(gb))
-    grads = np.zeros_like(g)
-    grads[:, :-1] = _sigmoid(g[:, :-1])
-    grads[rows, y] = -_sigmoid(-gy)
-    grads[:, -1] = np.where(hc, -_sigmoid(-gb), _sigmoid(gb))
+    vals = _softplus(-gy, ey) + other.sum(axis=1)
+    vals = vals + _softplus(sb, eb)
+    grads = np.empty_like(g)
+    grads[:, :-1] = _sigmoid(gc, ec)
+    grads[rows, y] = -_sigmoid(-gy, ey)
+    s_b = _sigmoid(sb, eb)
+    grads[:, -1] = np.where(hc, -s_b, s_b)
     return vals, grads
 
 
 def loss_moe_batch(scores, y, human_correct):
     """Mixture-of-experts surrogate with a sigmoid gate on the deferral score."""
-    g, y, hc = _check_batch(scores, y, human_correct)
-    n = g.shape[0]
-    rows = np.arange(n)
-    gy = g[:, :-1]
-    p = _softmax(gy)
-    logp = _log_softmax(gy)[rows, y]
+    return _moe(*_check_batch(scores, y, human_correct))
+
+
+def _moe(g, y, hc):
+    rows = np.arange(g.shape[0])
+    p, logp = _softmax_log_softmax(g[:, :-1])
+    logp = logp[rows, y]
     gb = g[:, -1]
-    s_pos = _sigmoid(gb)
-    s_neg = _sigmoid(-gb)
+    eb = np.exp(-np.abs(gb))
+    s_pos = _sigmoid(gb, eb)
+    s_neg = _sigmoid(-gb, eb)
     human_ll = np.log(np.where(hc, 1.0, MOE_HUMAN_FLOOR))
     vals = -(s_neg * logp + s_pos * human_ll)
     grads = np.zeros_like(g)
@@ -266,20 +301,21 @@ def loss_moe(scores, y, human_correct) -> LossEval:
 
 def _rs_dispatch(g, y, hc, alpha):
     if alpha is None or (np.ndim(alpha) == 0 and alpha == 1.0):
-        return loss_rs_batch(g, y, hc)
-    return loss_rs_alpha_batch(g, y, hc, alpha)
+        return _rs(g, y, hc)
+    return _rs_alpha(g, y, hc, np.asarray(alpha, dtype=float))
 
 
 def _ce_dispatch(g, y, hc, alpha):
-    return loss_ce_alpha_batch(g, y, hc, 1.0 if alpha is None else alpha)
+    return _ce_alpha(g, y, hc, np.asarray(1.0 if alpha is None else alpha, dtype=float))
 
 
-# id -> batch callable taking (scores, y, human_correct, alpha or None); the
-# alpha losses take a scalar alpha or one alpha per score row
+# id -> unchecked batch body taking (scores, y, human_correct, alpha or None),
+# inputs as the bodies above expect them; the alpha losses take a scalar
+# alpha or one alpha per score row
 LOSSES = {
     "rs": _rs_dispatch,
-    "rs2": lambda g, y, hc, alpha: loss_rs2_batch(g, y, hc),
+    "rs2": lambda g, y, hc, alpha: _rs2(g, y, hc),
     "ce": _ce_dispatch,
-    "ova": lambda g, y, hc, alpha: loss_ova_batch(g, y, hc),
-    "moe": lambda g, y, hc, alpha: loss_moe_batch(g, y, hc),
+    "ova": lambda g, y, hc, alpha: _ova(g, y, hc),
+    "moe": lambda g, y, hc, alpha: _moe(g, y, hc),
 }

@@ -241,16 +241,29 @@ class _Adam:
     def __init__(self, shape, config: TrainConfig):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
+        self._tmp = np.empty(shape)
         self.t = 0
         self.cfg = config
 
     def step(self, params, grad):
+        """The updated params. The moments update in place, each operation in
+        the order of m = b1*m + (1-b1)*grad, v = b2*v + (1-b2)*grad*grad and
+        params - lr*mh / (sqrt(vh) + eps), so every value rounds as written."""
         self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * grad * grad
-        mh = self.m / (1 - ADAM_BETA1**self.t)
-        vh = self.v / (1 - ADAM_BETA2**self.t)
-        return params - self.cfg.learning_rate * mh / (np.sqrt(vh) + ADAM_EPS)
+        tmp = self._tmp
+        self.m *= ADAM_BETA1
+        self.m += np.multiply(1 - ADAM_BETA1, grad, out=tmp)
+        np.multiply(1 - ADAM_BETA2, grad, out=tmp)
+        tmp *= grad
+        self.v *= ADAM_BETA2
+        self.v += tmp
+        np.divide(self.v, 1 - ADAM_BETA2**self.t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step = self.m / (1 - ADAM_BETA1**self.t)
+        step *= self.cfg.learning_rate
+        step /= tmp
+        return params - step
 
 
 def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
@@ -264,10 +277,12 @@ def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
     weights train as one stack, told apart only by the loss, so each row
     follows the path of a one-row run with its loss. ``loss_fn(scores, idx)
     -> (values, score_grads)`` gets the rows' batch scores stacked row after
-    row. After each epoch ``val_metric`` rates the stack's (rows, n,
-    out_dim) validation scores, higher better, and each row keeps its best
-    epoch (ties go to the earlier one); ``train_metric`` rates the training
-    scores. Any row that stops being finite raises TrainingDiverged.
+    row; the datasets checked their labels when they were built and ``_fit``
+    checks the scores, so the loss may skip its own checks. After each epoch
+    ``val_metric`` rates the stack's (rows, n, out_dim) validation scores,
+    higher better, and each row keeps its best epoch (ties go to the earlier
+    one); ``train_metric`` rates the training scores. Any row that stops
+    being finite raises TrainingDiverged.
 
     Returns one model per row holding its best snapshot, then each row's
     best metric, best epoch and best train metric.
@@ -286,21 +301,23 @@ def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
     best_epoch = np.zeros(rows, dtype=np.int64)
     for epoch in range(1, config.epochs + 1):
         order = np.arange(n) if batch == n else rng.permutation(n)
+        x_epoch = x if batch == n else x[order]  # each batch is a slice of it
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            xb = x[idx]
+            xb = x_epoch[start : start + batch]
             scores = model._stack_forward(params, xb)
-            if not np.all(np.isfinite(scores)):
+            if not np.isfinite(scores).all():
                 raise TrainingDiverged(f"non-finite scores at epoch {epoch}")
             vals, grads = loss_fn(scores.reshape(-1, scores.shape[2]), idx)
-            mean_loss = vals.reshape(rows, -1).mean(axis=1)
-            if not np.all(np.isfinite(mean_loss)):
+            row_vals = vals.reshape(rows, -1)
+            # a row's mean loss is finite exactly when its sum is
+            if not np.isfinite(row_vals.sum(axis=1)).all():
                 raise TrainingDiverged(
-                    f"non-finite loss {mean_loss!r} at epoch {epoch}"
+                    f"non-finite loss {row_vals.mean(axis=1)!r} at epoch {epoch}"
                 )
             pgrad = model._stack_backward(params, xb, grads.reshape(scores.shape) / len(idx))
             params = adam.step(params, pgrad)
-            if not np.all(np.isfinite(params)):
+            if not np.isfinite(params).all():
                 raise TrainingDiverged(f"non-finite parameters at epoch {epoch}")
         metric = val_metric(model._stack_forward(params, val_dataset.features))
         better = metric > best_metric
@@ -334,9 +351,17 @@ def _train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
     row_alpha = None if alphas[0] is None else np.asarray(alphas, dtype=float)
     score_kind = "defer_head" if config.loss in ("rs2", "moe") else "gap"
 
+    # batch length -> each stacked score row's position in the batch, and
+    # its alpha; a fit sees at most two batch lengths
+    stacking = {}
+
     def loss_fn(scores, idx):
-        stacked = np.concatenate([idx] * k)
-        alpha = None if row_alpha is None else np.repeat(row_alpha, len(idx))
+        m = len(idx)
+        if m not in stacking:
+            stacking[m] = (np.tile(np.arange(m), k),
+                           None if row_alpha is None else np.repeat(row_alpha, m))
+        pos, alpha = stacking[m]
+        stacked = idx[pos]
         return batch_loss(scores, y[stacked], hc[stacked], alpha)
 
     def system_acc(scores, ds):
@@ -457,9 +482,10 @@ def _ce_batch(scores, y):
 
 def _logistic_batch(logits, targets01):
     z = logits[:, 0]
+    ez = np.exp(-np.abs(z))
     t = targets01.astype(float)
-    vals = _softplus(z) - t * z
-    grads = (_sigmoid(z) - t)[:, None]
+    vals = _softplus(z, ez) - t * z
+    grads = (_sigmoid(z, ez) - t)[:, None]
     return vals, grads
 
 

@@ -259,6 +259,19 @@ class TestModelFileValidation:
         err = capsys.readouterr().err
         assert str(files["rs"]) in err and "d=3" in err
 
+    def test_model_and_data_classes_differ(self, files, tmp_path, capsys):
+        grouped = tmp_path / "grouped.csv"
+        run_cli("gen", "--preset", "grouped", "--K", "3", "--C", "3",
+                "--n", "60", "--d", "3", "--seed", "2", "--out", str(grouped))
+        assert run_cli("eval", "--data", str(grouped), "--model", str(files["rs"])) == 1
+        err = capsys.readouterr().err
+        assert str(files["rs"]) in err and str(grouped) in err and "C=2" in err
+        pair = tmp_path / "pair.csv"
+        pair.write_text("halfspace_pair,2,3\n0.0,0.0,0.0,1.0\n0.0,0.0,0.0,1.0\n")
+        assert run_cli("eval", "--data", str(grouped), "--model", str(pair)) == 1
+        err = capsys.readouterr().err
+        assert str(pair) in err and str(grouped) in err and "C=2" in err
+
     def test_valid_files_still_load(self, files):
         for method in ("rs", "confidence"):
             assert run_cli("eval", "--data", str(files["data"]),

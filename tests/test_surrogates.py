@@ -17,10 +17,20 @@ from deferlab.surrogates import (
     loss_rs_alpha,
     loss_rs_alpha_batch,
     loss_rs_batch,
+    LOSSES,
+    _log_softmax,
+    _moe,
+    _ova,
+    _rs2,
+    _rs_alpha,
     _sigmoid,
+    _softmax,
+    _softmax_log_softmax,
     _softplus,
 )
-from deferlab.train import _logistic_batch
+from deferlab.train import _ce_batch, _logistic_batch
+
+import reference_numerics as ref
 
 LOG2 = math.log(2.0)
 
@@ -262,6 +272,11 @@ class TestTheorem3Construction:
         assert err_hat > 0.0
 
 
+def _random_batch(rng, n, c, scale=3.0):
+    return (rng.normal(size=(n, c + 1)) * scale, rng.integers(0, c, n),
+            rng.random(n) < 0.5)
+
+
 class TestValidation:
     def test_rejects_nonfinite_scores(self):
         with pytest.raises(ValueError):
@@ -270,6 +285,54 @@ class TestValidation:
     def test_rejects_bad_class(self):
         with pytest.raises(ValueError):
             loss_rs([0.0, 0.0, 0.0], 2, True)
+
+    PUBLIC = [loss_rs_batch, loss_rs2_batch, loss_ova_batch, loss_moe_batch,
+              lambda g, y, hc: loss_rs_alpha_batch(g, y, hc, 0.5),
+              lambda g, y, hc: loss_ce_alpha_batch(g, y, hc, 0.5)]
+
+    @pytest.mark.parametrize("fn", PUBLIC)
+    @pytest.mark.parametrize("bad", ["nan", "inf", "vector", "one_column", "two_columns",
+                                     "short_y", "short_hc", "negative_y", "y_is_C"])
+    def test_public_batch_functions_reject(self, fn, bad):
+        g, y, hc = _random_batch(np.random.default_rng(1), 6, 3)
+        if bad in ("nan", "inf"):
+            g[2, 1] = np.nan if bad == "nan" else -np.inf
+        elif bad == "vector":
+            g = g[0]
+        elif bad == "one_column":
+            g = g[:, :1]
+        elif bad == "two_columns":
+            g = g[:, :2]
+        elif bad == "short_y":
+            y = y[:-1]
+        elif bad == "short_hc":
+            hc = hc[:-1]
+        elif bad == "negative_y":
+            y[3] = -1
+        else:
+            y[3] = 3
+        with pytest.raises(ValueError):
+            fn(g, y, hc)
+
+    @pytest.mark.parametrize("fn", [loss_rs_alpha_batch, loss_ce_alpha_batch])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.1, np.nan, [0.5, 1.5, 0.5], [[0.5] * 3]])
+    def test_public_alpha_functions_reject(self, fn, alpha):
+        g, y, hc = _random_batch(np.random.default_rng(2), 3, 2)
+        with pytest.raises(ValueError, match="alpha"):
+            fn(g, y, hc, np.asarray(alpha))
+
+    @pytest.mark.parametrize("fn,args", [
+        (loss_rs, ()), (loss_rs2, ()), (loss_ova, ()), (loss_moe, ()),
+        (loss_rs_alpha, (0.5,)), (loss_ce_alpha, (0.5,)),
+    ])
+    def test_public_scalar_functions_reject(self, fn, args):
+        for scores, y in (([0.0, np.nan, 0.0], 0), ([[0.0, 0.0, 0.0]], 0),
+                          ([0.0, 0.0], 0), ([0.0, 0.0, 0.0], 2), ([0.0, 0.0, 0.0], -1)):
+            with pytest.raises(ValueError):
+                fn(scores, y, True, *args)
+        if args:
+            with pytest.raises(ValueError, match="alpha"):
+                fn([0.0, 0.0, 0.0], 0, True, 1.5)
 
 
 ALPHA_LOSSES = [("rs_alpha", loss_rs_alpha_batch), ("ce_alpha", loss_ce_alpha_batch)]
@@ -329,7 +392,7 @@ def _oracle_logistic_batch(logits, targets01):
     z = logits[:, 0]
     t = targets01.astype(float)
     vals = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z))) - t * z
-    grads = (_sigmoid(z) - t)[:, None]
+    grads = (ref.sigmoid(z) - t)[:, None]
     return vals, grads
 
 
@@ -365,3 +428,95 @@ class TestBranchFreeSoftplus:
             assert a.tobytes() == b.tobytes()
         with pytest.warns(RuntimeWarning):
             _oracle_logistic_batch(np.array([[-1000.0]]), np.array([0]))
+
+
+def _public_equivalent(key, alpha):
+    """The checked public batch function that LOSSES[key] stands for at
+    this alpha."""
+    if key == "rs":
+        if alpha is None or (np.ndim(alpha) == 0 and alpha == 1.0):
+            return lambda g, y, hc: loss_rs_batch(g, y, hc)
+        return lambda g, y, hc: loss_rs_alpha_batch(g, y, hc, alpha)
+    if key == "ce":
+        return lambda g, y, hc: loss_ce_alpha_batch(g, y, hc, 1.0 if alpha is None else alpha)
+    return {"rs2": loss_rs2_batch, "ova": loss_ova_batch, "moe": loss_moe_batch}[key]
+
+
+class TestUncheckedBodies:
+    """LOSSES holds the unchecked bodies the trainer calls; each equals its
+    checked public function bit for bit."""
+
+    @pytest.mark.parametrize("key", sorted(LOSSES))
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("alpha", [None, 0.0, 0.3, 1.0, "rows"])
+    def test_losses_entry_equals_public_function(self, key, classes, alpha):
+        rng = np.random.default_rng(classes * 7 + len(key))
+        for n in (1, 17, 64):
+            g, y, hc = _random_batch(rng, n, classes)
+            a = rng.random(n) if alpha == "rows" else alpha
+            if alpha == "rows":
+                a[: n // 3] = rng.choice([0.0, 1.0], n // 3)
+            got = LOSSES[key](g, y, hc, a)
+            want = _public_equivalent(key, a)(g, y, hc)
+            for u, v in zip(got, want, strict=True):
+                assert u.tobytes() == v.tobytes()
+
+# 0.0, -0.0, the smallest and the overflowing magnitudes of exp, and NaN
+EDGES = [0.0, -0.0, 1e-300, -1e-300, 20.0, -20.0, 745.0, -745.0, 800.0, -800.0, np.nan]
+
+
+def _edge_rows(columns):
+    """Every combination of EDGES as rows of a score matrix with
+    ``columns`` columns, then 500 rows of ordinary scores."""
+    grid = np.meshgrid(*[np.array(EDGES)] * columns, indexing="ij")
+    ordinary = np.random.default_rng(columns).normal(scale=10.0, size=(500, columns))
+    return np.concatenate([np.stack([a.ravel() for a in grid], axis=1), ordinary])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestEdgeValues:
+    """The rewritten helpers and loss bodies equal their straightforward
+    forms bit for bit at edge values, NaN included."""
+
+    def test_sigmoid_and_softplus(self):
+        z = _edge_rows(1)[:, 0]
+        ez = np.exp(-np.abs(z))
+        assert ref.same_bits(_sigmoid(z), ref.sigmoid(z))
+        assert ref.same_bits(_sigmoid(z, ez), ref.sigmoid(z))
+        assert ref.same_bits(_sigmoid(-z, ez), ref.sigmoid(-z))
+        assert ref.same_bits(_softplus(z), ref.softplus(z))
+        assert ref.same_bits(_softplus(z, ez), ref.softplus(z))
+        assert ref.same_bits(_softplus(-z, ez), ref.softplus(-z))
+        assert _sigmoid(np.array([-0.0])).tobytes() == np.array([0.5]).tobytes()
+
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_softmax_and_log_softmax(self, columns):
+        g = _edge_rows(columns)
+        p, logp = _softmax_log_softmax(g)
+        assert ref.same_bits(p, ref.softmax(g)) and ref.same_bits(_softmax(g), ref.softmax(g))
+        assert ref.same_bits(logp, ref.log_softmax(g))
+        assert ref.same_bits(_log_softmax(g), ref.log_softmax(g))
+
+    @pytest.mark.parametrize("body,reference", [
+        (_ova, ref.ova), (_moe, ref.moe), (_rs2, ref.rs2),
+        (lambda g, y, hc: _rs_alpha(g, y, hc, np.full(len(y), 0.25)),
+         lambda g, y, hc: ref.rs_alpha(g, y, hc, np.full(len(y), 0.25))),
+    ])
+    @pytest.mark.parametrize("columns", [3, 4])
+    def test_loss_bodies(self, body, reference, columns):
+        g = _edge_rows(columns)
+        n = len(g)
+        for y in (np.zeros(n, dtype=np.int64), np.full(n, columns - 2, dtype=np.int64)):
+            for hc in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool)):
+                for u, v in zip(body(g, y, hc), reference(g, y, hc), strict=True):
+                    assert ref.same_bits(u, v)
+
+    def test_trainer_heads(self):
+        z = _edge_rows(1)[:, 0]
+        for t in (np.zeros(z.size, dtype=bool), np.ones(z.size, dtype=bool)):
+            for u, v in zip(_logistic_batch(z[:, None], t), ref.logistic_batch(z[:, None], t)):
+                assert ref.same_bits(u, v)
+        g = _edge_rows(3)
+        y = np.arange(len(g)) % 3
+        for u, v in zip(_ce_batch(g, y), ref.ce_batch(g, y), strict=True):
+            assert ref.same_bits(u, v)

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from deferlab import surrogates
 from deferlab.core import DeferDataset
 from deferlab.datagen import SyntheticConfig, generate_grouped_expert, generate_synthetic
-from deferlab.surrogates import LOSSES, loss_rs_batch
+from deferlab.surrogates import (
+    loss_ce_alpha_batch,
+    loss_moe_batch,
+    loss_ova_batch,
+    loss_rs2_batch,
+    loss_rs_alpha_batch,
+    loss_rs_batch,
+)
 from deferlab.train import (
     METHODS,
     ScoreModel,
@@ -16,9 +23,7 @@ from deferlab.train import (
     TrainedSystem,
     TrainingDiverged,
     _Adam,
-    _ce_batch,
     _line_search_threshold,
-    _logistic_batch,
     _threshold_candidates,
     _train_surrogates,
     fit_tau,
@@ -30,6 +35,8 @@ from deferlab.train import (
     train_selective_prediction,
     train_surrogate,
 )
+
+import reference_numerics as ref
 
 
 def planted_splits(seed=0, n_train=300, n_val=100, n_test=300, **kw):
@@ -115,6 +122,21 @@ class TestAdamStep:
         step_f = _Adam(fd.size, cfg).step(model.params, fd)
         np.testing.assert_allclose(step_a, step_f, atol=1e-6)
 
+    def test_steps_equal_reference(self):
+        # the in-place moments round every value as the plain update does
+        rng = np.random.default_rng(3)
+        cfg = TrainConfig(learning_rate=0.37)
+        params = rng.normal(size=(3, 7))
+        start = params.copy()
+        new, old = _Adam(params.shape, cfg), ref.Adam(params.shape, cfg)
+        p_new = p_old = params
+        for scale in (1.0, 1e-12, 1e5, 1e-300, 3.0):
+            grad = rng.normal(size=params.shape) * scale
+            p_new, p_old = new.step(p_new, grad), old.step(p_old, grad)
+            assert p_new.tobytes() == p_old.tobytes()
+            assert new.m.tobytes() == old.m.tobytes() and new.v.tobytes() == old.v.tobytes()
+        assert params.tobytes() == start.tobytes()  # step returns new params
+
 
 class TestTrainSurrogate:
     def test_determinism(self):
@@ -167,6 +189,54 @@ class TestTrainSurrogate:
         cfg = TrainConfig(loss="rs", alpha=1.0, epochs=5, learning_rate=1e307, seed=6)
         with pytest.raises(TrainingDiverged):
             train_surrogate(train, val, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("loss,alpha,message", [
+        ("rs", 0.5, "non-finite scores at epoch 6"),
+        ("ce", 0.5, "non-finite loss array([inf]) at epoch 1"),
+    ])
+    def test_divergence_message_and_epoch(self, loss, alpha, message):
+        train, val, _ = planted_splits(seed=6)
+        cfg = TrainConfig(loss=loss, alpha=alpha, epochs=8, batch_size=25,
+                          learning_rate=3e305, seed=6)
+        with pytest.raises(TrainingDiverged) as caught:
+            train_surrogate(train, val, cfg)
+        assert str(caught.value) == message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("breakage,alphas,message", [
+        ("nan_values", [None], "non-finite loss array([nan]) at epoch 2"),
+        # every value finite, but the row's mean overflows
+        ("huge_values", [None], "non-finite loss array([inf]) at epoch 2"),
+        ("nan_values", [0.0, 0.5, 1.0],
+         "non-finite loss array([0.73735033,        nan, 1.56073966]) at epoch 2"),
+        ("inf_gradients", [None], "non-finite parameters at epoch 2"),
+    ])
+    def test_each_trigger_raises_at_its_step(self, monkeypatch, breakage, alphas, message):
+        train, val, _ = planted_splits(seed=12, n_train=100, n_val=40)
+        cfg = TrainConfig(loss="rs", epochs=3, batch_size=25, seed=12)
+        real = surrogates.LOSSES["rs"]
+        calls = []
+
+        def breaks_on_the_sixth_call(g, y, hc, alpha):
+            vals, grads = real(g, y, hc, alpha)
+            calls.append(1)
+            if len(calls) == 6:  # the second batch of epoch 2
+                bad = np.ones(len(vals), dtype=bool) if alpha is None \
+                    else np.asarray(alpha) == 0.5
+                if breakage == "nan_values":
+                    vals = np.where(bad, np.nan, vals)
+                elif breakage == "huge_values":
+                    vals = np.where(bad, 1e308, vals)
+                else:
+                    grads = np.where(bad[:, None], np.inf, grads)
+            return vals, grads
+
+        monkeypatch.setitem(surrogates.LOSSES, "rs", breaks_on_the_sixth_call)
+        with pytest.raises(TrainingDiverged) as caught:
+            _train_surrogates(train, val, cfg, alphas)
+        assert str(caught.value) == message
+        assert len(calls) == 6
 
     def test_unknown_loss(self):
         train, val, _ = planted_splits(seed=7)
@@ -469,7 +539,23 @@ class TestTrainMethodDispatch:
 
 
 # The trainers as they were before every model went through one fit path,
-# kept verbatim as the reference the trainers must equal bit for bit.
+# kept as the reference the trainers must equal bit for bit. They share no
+# training numerics with the code they check: Adam and the helper losses
+# come from reference_numerics, the surrogates are the checked public
+# loss_*_batch functions, and the deferral rules use the reference sigmoid
+# and softmax.
+
+
+# loss id -> the checked public batch function, taking (scores, y,
+# human_correct, alpha or None) as the trainer's stacked loss does
+_ORACLE_LOSSES = {
+    "rs": lambda g, y, hc, a: (loss_rs_batch(g, y, hc) if a is None
+                               else loss_rs_alpha_batch(g, y, hc, a)),
+    "rs2": lambda g, y, hc, a: loss_rs2_batch(g, y, hc),
+    "ce": lambda g, y, hc, a: loss_ce_alpha_batch(g, y, hc, 1.0 if a is None else a),
+    "ova": lambda g, y, hc, a: loss_ova_batch(g, y, hc),
+    "moe": lambda g, y, hc, a: loss_moe_batch(g, y, hc),
+}
 
 
 def _oracle_run_training(model: ScoreModel, dataset: DeferDataset, config: TrainConfig,
@@ -495,7 +581,7 @@ def _oracle_run_training(model: ScoreModel, dataset: DeferDataset, config: Train
     n = dataset.n
     x = dataset.features
     params = np.repeat(model.params[None], rows, axis=0)
-    adam = _Adam(params.shape, config)
+    adam = ref.Adam(params.shape, config)
     batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
     best_metric = np.full(rows, -np.inf)
     best_train_metric = np.full(rows, -np.inf)
@@ -537,7 +623,7 @@ def _oracle_train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
     same minibatch order, so each equals a lone run with its alpha. The loss
     gets one alpha per score row (None when ``alphas`` is ``[None]``).
     """
-    if config.loss not in LOSSES:
+    if config.loss not in _ORACLE_LOSSES:
         raise ValueError(f"unknown loss id {config.loss!r}")
     if dataset.d != val_dataset.d or dataset.num_classes != val_dataset.num_classes:
         raise ValueError("train and validation datasets must share d and C")
@@ -546,7 +632,7 @@ def _oracle_train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
     rng = np.random.default_rng(config.seed)
     arch = "one_hidden" if config.hidden_units > 0 else "linear"
     model = ScoreModel.initialize(arch, dataset.d, c + 1, config.hidden_units, rng)
-    batch_loss = LOSSES[config.loss]
+    batch_loss = _ORACLE_LOSSES[config.loss]
     y = dataset.labels
     hc = dataset.human_correct
     row_alpha = None if alphas[0] is None else np.asarray(alphas, dtype=float)
@@ -599,7 +685,7 @@ def _oracle_train_classifier(dataset, val_dataset, config):
     y = dataset.labels
 
     def loss_fn(scores, idx):
-        return _ce_batch(scores, y[idx])
+        return ref.ce_batch(scores, y[idx])
 
     model.params = _oracle_run_training(model, dataset, config, loss_fn,
                                         _oracle_class_accuracy(model, val_dataset), rng)[0][0]
@@ -613,7 +699,7 @@ def _oracle_train_binary_head(dataset, targets01, val_dataset, val_targets01, co
     model = ScoreModel.initialize(arch, dataset.d, 1, config.hidden_units, rng)
 
     def loss_fn(scores, idx):
-        return _logistic_batch(scores, targets01[idx])
+        return ref.logistic_batch(scores, targets01[idx])
 
     def val_metric(stack):
         pred = model._stack_forward(stack, val_dataset.features)[:, :, 0] >= 0
@@ -621,6 +707,24 @@ def _oracle_train_binary_head(dataset, targets01, val_dataset, val_targets01, co
 
     model.params = _oracle_run_training(model, dataset, config, loss_fn, val_metric, rng)[0][0]
     return model
+
+
+def _oracle_rejection_scores(system, x):
+    """A two-stage system's rejection scores through the reference sigmoid
+    and softmax."""
+    clf_max = ref.softmax(system.model.forward(x)).max(axis=1)
+    if system.score_kind == "confidence":
+        return ref.sigmoid(system.aux_model.forward(x)[:, 0]) - clf_max
+    if system.score_kind == "selective":
+        return -clf_max
+    return system.aux_model.forward(x)[:, 0]
+
+
+def _oracle_val_accuracy(system, val_dataset):
+    x = val_dataset.features
+    defer = _oracle_rejection_scores(system, x) >= system.tau
+    labels = np.argmax(system.model.forward(x), axis=1)
+    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
 
 
 def _oracle_train_compare_confidence(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
@@ -633,8 +737,7 @@ def _oracle_train_compare_confidence(dataset, val_dataset, config: TrainConfig) 
     )
     system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
                            aux_model=hum, method="confidence", score_kind="confidence")
-    defer, labels = system.decide(val_dataset.features)
-    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
+    return _oracle_val_accuracy(system, val_dataset)
 
 
 def _oracle_train_selective_prediction(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
@@ -643,10 +746,11 @@ def _oracle_train_selective_prediction(dataset, val_dataset, config: TrainConfig
     clf = _oracle_train_classifier(dataset, val_dataset, config)
     system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
                            method="selective", score_kind="selective")
-    tau = fit_tau(system, val_dataset)
-    system = system.with_tau(tau)
-    defer, labels = system.decide(val_dataset.features)
-    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
+    x = val_dataset.features
+    clf_ok = np.argmax(clf.forward(x), axis=1) == val_dataset.labels
+    tau = _line_search_threshold(_oracle_rejection_scores(system, x),
+                                 val_dataset.human_correct, clf_ok)
+    return _oracle_val_accuracy(system.with_tau(tau), val_dataset)
 
 
 def _oracle_train_differentiable_triage(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
@@ -662,7 +766,7 @@ def _oracle_train_differentiable_triage(dataset, val_dataset, config: TrainConfi
     hum01 = (~dataset.human_correct).astype(float)
 
     def loss_fn(scores, idx):
-        vals, grads = _ce_batch(scores, y[idx])
+        vals, grads = ref.ce_batch(scores, y[idx])
         clf01 = (np.argmax(scores, axis=1) != y[idx]).astype(float)
         keep = (clf01 <= hum01[idx]).astype(float)
         return vals * keep, grads * keep[:, None]
@@ -678,8 +782,7 @@ def _oracle_train_differentiable_triage(dataset, val_dataset, config: TrainConfi
     rejector = _oracle_train_binary_head(dataset, defer_target, val_dataset, val_target, config)
     system = TrainedSystem(model=model, num_classes=dataset.num_classes, tau=0.0,
                            aux_model=rejector, method="triage", score_kind="triage")
-    defer, labels = system.decide(val_dataset.features)
-    return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
+    return _oracle_val_accuracy(system, val_dataset)
 
 
 _ORACLE_BASELINES = {
