@@ -18,11 +18,12 @@ for either value of r_i and the constraint is void.
 The solver is a deterministic best-bound branch-and-bound whose node
 relaxations are the full LP relaxation, solved with :mod:`deferlab.lp`;
 each child node is re-solved from its parent's optimal basis. Primal
-heuristics supply incumbents before the tree starts. A binary problem
-without coverage or fairness rows whose LP would exceed ``EXACT_ROWS_MAX``
-rows is not searched: its solve returns the heuristics' incumbent with the
-trivial bound 0, as with ``node_limit=0``. Multiclass and side-constrained
-problems are searched at every size.
+heuristics supply incumbents before the tree starts; their alternating
+fits run on Kesler's margin rows, so they serve every class count. A
+binary problem without coverage or fairness rows whose LP would exceed
+``EXACT_ROWS_MAX`` rows is not searched: its solve returns the heuristics'
+incumbent with the trivial bound 0, as with ``node_limit=0``. Multiclass
+and side-constrained problems are searched at every size.
 
 Incumbents are never trusted from relaxation values: every candidate pair
 is re-scored through the true 0-1 loss and re-checked against margins, the
@@ -76,7 +77,7 @@ class MilpConfig:
     """Formulation constants and solver knobs.
 
     Defaults mirror the reference constants: weight box 1 and margin 1e-5;
-    the builder sets both big-M values to box + gamma. ``abs_gap`` defaults to 0.4/n at solve time;
+    both big-M values are box + gamma. ``abs_gap`` defaults to 0.4/n at solve time;
     with lambda_reg = 0 objective values live on the grid {0, 1, ...}/n, so
     that gap certifies exact optimality. Without fairness rows the solver
     also rounds every node bound up to that grid (see ``GRID_TOL``); an
@@ -114,13 +115,17 @@ class MilpProblem:
     norm_scale: float
     gamma: float
     box: float
-    k_m: float
-    k_r: float
     lambda_reg: float
     ypm: Optional[np.ndarray] = None  # (n,) labels in {-1, +1}, binary only
     coverage_beta: Optional[float] = None
     fairness_groups: Optional[np.ndarray] = None
     _lp: Optional[LinearProgram] = field(default=None, repr=False, compare=False)
+
+    @property
+    def k_m(self) -> float:
+        return self.box + self.gamma
+
+    k_r = k_m  # both big-M values are box + gamma
 
     # ---- variable layout -------------------------------------------------
     @property
@@ -334,8 +339,6 @@ def _build_milp(dataset: DeferDataset, config: MilpConfig, kind: str, ypm) -> Mi
         norm_scale=scale,
         gamma=config.gamma,
         box=config.box,
-        k_m=config.box + config.gamma,
-        k_r=config.box + config.gamma,
         lambda_reg=config.lambda_reg,
         ypm=ypm,
     )
@@ -515,13 +518,6 @@ def _score_candidate(problem: MilpProblem, m_norm, r_norm) -> Optional[_Incumben
 # ---------------------------------------------------------------------------
 
 
-def _ridge_fit(xt, targets, weights=None, reg=1e-6):
-    w = np.ones(len(targets)) if weights is None else weights
-    xw = xt * w[:, None]
-    gram = xt.T @ xw + reg * np.eye(xt.shape[1])
-    return np.linalg.solve(gram, xw.T @ targets)
-
-
 def _pocket_perceptron(xt, targets, w0, epochs, rng):
     """Pocket perceptron on +-1 targets, full per-sample epochs.
 
@@ -580,14 +576,12 @@ def _irls_logistic(xt, targets, iters=25, ridge=1e-8):
     return w
 
 
-def _fit_separator(xt, targets, rng, epochs=60, w=None):
+def _fit_separator(xt, targets, rng, w, epochs=60):
     """IRLS warm start, pocket-perceptron cleanup; exact on separable data.
 
-    ``w`` is the IRLS fit of (xt, targets) when the caller already has it;
-    it is neither modified nor returned.
+    ``w`` is the IRLS fit of (xt, targets); it is neither modified nor
+    returned.
     """
-    if w is None:
-        w = _irls_logistic(xt, targets)
     if np.count_nonzero(targets * (xt @ w) <= 0) == 0:
         return w.copy()
     scale = np.max(np.abs(w))
@@ -596,37 +590,68 @@ def _fit_separator(xt, targets, rng, epochs=60, w=None):
     return _pocket_perceptron(xt, targets, w, epochs, rng)
 
 
-def _binary_heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3,
-                                 deadline=None):
+def _margin_rows(problem: MilpProblem):
+    """Each point's C-1 margin rows, in point order, and their +-1 targets:
+    ``target * row . M.ravel() > 0`` when M classifies the point right.
+
+    Binary: ``xt`` and ``ypm``. Multiclass: Kesler's row ``(e_y - e_j) kron
+    x_i`` per class j != y_i, target +1 (Duda, Hart & Stork, *Pattern
+    Classification*, 2nd ed., 5.12).
+    """
+    if problem.kind == "binary":
+        return problem.xt, problem.ypm
+    (n, d1), cm1 = problem.xt.shape, problem.num_classes - 1
+    pts = np.arange(n)[:, None]
+    pos = np.arange(cm1)
+    y = np.asarray(problem.dataset.labels, dtype=int)[:, None]
+    rows = np.zeros((n, cm1, problem.num_classes, d1))
+    rows[pts, pos, y] = problem.xt[:, None, :]
+    rows[pts, pos, pos + (pos >= y)] = -problem.xt[:, None, :]
+    return rows.reshape(n * cm1, -1), np.ones(n * cm1)
+
+
+def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadline=None):
     """Alternating classifier/rejector fits; yields (M, R) weight proposals.
 
     A zero-loss pair must keep and correctly classify every point the human
     misses, and defer every kept point the classifier misses when the human
     is right. The alternation fixes one side, derives the other side's
-    must-sets, and fits an exact separator on them.
+    must-sets, and fits an exact separator on them. The classifier step
+    separates the kept points' margin rows (``_margin_rows``, Kesler's rows
+    when multiclass); a point is classified wrong when any of its rows is.
 
     The alternation often returns to a row subset and target vector it has
     already fitted. IRLS is pure, so each distinct (subset, targets) pair is
     fitted once per call; the pocket perceptron draws from ``rng`` and runs
     on every fit that IRLS leaves unseparated, as it would without the memo.
+    Where classifier and rejector rows differ (multiclass), their memo keys
+    do too: the classifier's targets are all +1, the rejector's are -1 on
+    the human-wrong points, or else the masks differ in length.
     """
-    xt, ypm, err = problem.xt, problem.ypm, problem.err
+    xt, err = problem.xt, problem.err
     n, d1 = xt.shape
+    rows, signs = _margin_rows(problem)
+    per_point = problem.num_classes - 1
+    m_shape = (d1,) if problem.kind == "binary" else (problem.num_classes, d1)
     bias_only = np.zeros(d1)
     bias_only[-1] = 1.0
     irls_fits = {}  # (row mask, target bytes) -> IRLS weights; lives for this call
 
-    def fit(mask, targets):
-        rows = xt[mask]
+    def fit(x, mask, targets):
+        sub = x[mask]
         key = (mask.tobytes(), targets.tobytes())
         if key not in irls_fits:
-            irls_fits[key] = _irls_logistic(rows, targets)
-        return _fit_separator(rows, targets, rng, w=irls_fits[key])
+            irls_fits[key] = _irls_logistic(sub, targets)
+        return _fit_separator(sub, targets, rng, irls_fits[key])
+
+    def fit_classifier(points):
+        mask = np.repeat(points, per_point)
+        return fit(rows, mask, signs[mask]).reshape(m_shape)
 
     def out_of_time():
         return deadline is not None and time.monotonic() > deadline
 
-    m_all = fit(np.ones(n, dtype=bool), ypm)
+    m_all = fit_classifier(np.ones(n, dtype=bool))
     yield m_all, bias_only.copy()  # defer everything
     yield m_all, -bias_only  # defer nothing
 
@@ -635,7 +660,7 @@ def _binary_heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3
         return
 
     # human-wrong points can never be deferred for free; anchor the classifier there
-    m_hw = fit(hw, ypm[hw])
+    m_hw = fit_classifier(hw)
 
     for start in range(restarts):
         if out_of_time():
@@ -645,24 +670,24 @@ def _binary_heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3
         elif start == 1:
             m = m_all.copy()
         else:
-            m = m_hw + 0.3 * rng.standard_normal(d1)
+            m = m_hw + 0.3 * rng.standard_normal(m_shape)
         r = None
         for _ in range(rounds):
             if out_of_time():
                 return
-            clf_wrong = ypm * (xt @ m) <= 0
+            clf_wrong = (signs * (rows @ m.ravel()) <= 0).reshape(n, per_point).any(axis=1)
             must_defer = clf_wrong & ~hw
             if not must_defer.any():
                 yield m.copy(), -bias_only
                 break
             alive = must_defer | hw
             t = np.where(must_defer, 1.0, -1.0)
-            r = fit(alive, t[alive])
+            r = fit(xt, alive, t[alive])
             yield m.copy(), r.copy()
             kept = xt @ r < 0
             if not kept.any():
                 break
-            m = fit(kept, ypm[kept])
+            m = fit_classifier(kept)
             yield m.copy(), r.copy()
 
 
@@ -685,28 +710,6 @@ def _coverage_shifted(problem: MilpProblem, r):
     shifted[-1] -= delta
     out.append(shifted)
     return out
-
-
-def _multiclass_heuristic_candidates(problem: MilpProblem, rng):
-    xt, err = problem.xt, problem.err
-    n, d1 = xt.shape
-    C = problem.num_classes
-    bias_only = np.zeros(d1)
-    bias_only[-1] = 1.0
-    targets = np.where(problem.dataset.labels[:, None] == np.arange(C)[None, :], 1.0, -1.0)
-    m = np.stack([_ridge_fit(xt, targets[:, c]) for c in range(C)])
-    yield m, bias_only.copy()
-    yield m, -bias_only
-    labels = np.argmax(xt @ m.T, axis=1)
-    clf_wrong = labels != np.asarray(problem.dataset.labels)
-    hw = err > 0.5
-    must_defer = clf_wrong & ~hw
-    must_keep = ~clf_wrong & hw
-    alive = must_defer | must_keep
-    if alive.any() and must_defer.any() and must_keep.any():
-        t = np.where(must_defer, 1.0, -1.0)
-        r = _fit_separator(xt[alive], t[alive], rng)
-        yield m, r
 
 
 # ---------------------------------------------------------------------------
@@ -836,15 +839,10 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         solved_root.append(_relax(lp, root))
         root_bound = grid(solved_root[0].bound) if solved_root[0] is not None else np.inf
 
-    gen = (
-        _binary_heuristic_candidates(problem, rng, deadline=deadline)
-        if problem.kind == "binary"
-        else _multiclass_heuristic_candidates(problem, rng)
-    )
     # scoring is pure, so a repeated proposal (and its shifted variants) can
     # never beat the incumbent its first copy already competed against
     scored = set()
-    for m_cand, r_cand in gen:
+    for m_cand, r_cand in _heuristic_candidates(problem, rng, deadline=deadline):
         key = (m_cand.tobytes(), r_cand.tobytes())
         if key not in scored:
             scored.add(key)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -512,7 +514,7 @@ def _separator_cases(draw):
 
 def _heuristic_stream(problem):
     rng = np.random.default_rng(0x5EED5EED)
-    out = [(m.tobytes(), r.tobytes()) for m, r in milp._binary_heuristic_candidates(problem, rng)]
+    out = [(m.tobytes(), r.tobytes()) for m, r in milp._heuristic_candidates(problem, rng)]
     return out, rng.bit_generator.state
 
 
@@ -521,7 +523,7 @@ def _best_of_every_candidate(problem):
     stream (and each coverage-shifted variant) with no tree."""
     rng = np.random.default_rng(0x5EED5EED)
     best, history = None, []
-    for m, r in milp._binary_heuristic_candidates(problem, rng):
+    for m, r in milp._heuristic_candidates(problem, rng):
         variants = [r]
         if problem.coverage_beta is not None:
             variants += milp._coverage_shifted(problem, r)
@@ -540,7 +542,7 @@ def _assert_pair_of(sol, problem, incumbent):
 
 
 def _patch_oracle(monkeypatch, fits=None):
-    def fit(xt, targets, rng, epochs=60, w=None):
+    def fit(xt, targets, rng, w, epochs=60):
         if fits is not None:
             fits.append((xt.tobytes(), targets.tobytes()))
         return _oracle_fit_separator(xt, targets, rng, epochs)
@@ -568,6 +570,34 @@ def _heuristic_problems():
     return out
 
 
+def _multiclass_heuristic_problems():
+    """3-class draws at n=8..10, and the 2-class plain problems of
+    ``_heuristic_problems`` built by the multiclass builder."""
+    three = [build_multiclass_milp(ds, MilpConfig())
+             for ds in _oracle_instances("three", 6, (8, 9, 10))]
+    two = [build_multiclass_milp(p.dataset, MilpConfig()) for p in _heuristic_problems()[3:-1]]
+    return three + two
+
+
+# sha256 of each binary proposal stream of _heuristic_problems() (every M and
+# R in order, then the rng's final state), recorded before the multiclass
+# classifier step moved onto Kesler rows: binary proposals stay bit for bit
+_BINARY_STREAM_DIGESTS = [
+    "a9b249b1ca28938131316cab1daf4e03a672210a45852be628f7aea12722aec8",
+    "a9b249b1ca28938131316cab1daf4e03a672210a45852be628f7aea12722aec8",
+    "a9b249b1ca28938131316cab1daf4e03a672210a45852be628f7aea12722aec8",
+    "1abf4ab732be76809b439c56df211225163add9c8a3740a458ca64b651d9910e",
+    "e189db47179db8e42fdf7b26a4bc2f7d94f73c69eb7bbc21a72b55a6fd5144eb",
+    "1e55993de54f05474d5bf964e7dda31f728d76d20027747663a492ef39610739",
+    "8a5865221549bdce71dc8e3221ef349f2651fa243d89e15b1a3fcd2bb1d0ddf9",
+    "e9e167dadabb8a7dd602fc7ffc320b4f849f1db482c9ef3a866ad717a9632386",
+    "afdec9e21c420fcf0411579245b784fcea82e7841a62d695399012bfbca418e7",
+    "31feb7aa32bfcee55b75d714c8f8e1915cd90eb2ab6467a70ef2b51761f51550",
+    "3dbd19e78a9fffe6be506b87ca60302d3663d831beb31cb0e705f608a58eb9af",
+    "f311fe70ae896040f8d19eb6b97a43289b616b1ac1eb720ac2716ad80ea491e3",
+]
+
+
 class TestHeuristicsEqualReference:
     @given(_separator_cases())
     @settings(max_examples=150, deadline=None)
@@ -575,17 +605,29 @@ class TestHeuristicsEqualReference:
         xt, targets, w0, seed = case
         assert milp._irls_logistic(xt, targets).tobytes() == \
             _oracle_irls_logistic(xt, targets).tobytes()
+
+        def fit_with_irls(x, t, rng):
+            return milp._fit_separator(x, t, rng, milp._irls_logistic(x, t))
+
         runs = []
-        for pocket, fit in ((milp._pocket_perceptron, milp._fit_separator),
+        for pocket, fit in ((milp._pocket_perceptron, fit_with_irls),
                             (_oracle_pocket_perceptron, _oracle_fit_separator)):
             rng = np.random.default_rng(seed)
             runs.append((pocket(xt, targets, w0, 60, rng).tobytes(),
                          fit(xt, targets, rng).tobytes(), rng.bit_generator.state))
         assert runs[0] == runs[1]
 
+    def test_binary_streams_equal_pinned_digests(self):
+        digests = []
+        for problem in _heuristic_problems():
+            stream, state = _heuristic_stream(problem)
+            blob = b"".join(m + r for m, r in stream) + repr(state).encode()
+            digests.append(hashlib.sha256(blob).hexdigest())
+        assert digests == _BINARY_STREAM_DIGESTS
+
     def test_candidate_stream_and_one_irls_fit_per_subset(self, monkeypatch):
         repeated_fits = 0
-        for problem in _heuristic_problems():
+        for problem in _heuristic_problems() + _multiclass_heuristic_problems():
             irls_keys = []
             irls = milp._irls_logistic
 
@@ -796,7 +838,8 @@ def _six_point_instances(seed, count):
 
 
 # solve_milp outputs recorded once node bounds were rounded up to the 1/n
-# grid and the full-LP engine solved its root before the heuristics:
+# grid and the full-LP engine solved its root before the heuristics (the
+# three-class solve once its heuristics alternated on Kesler rows):
 # (objective, status, nodes_explored, best_bound, bound_history,
 # incumbent_history)
 _PINNED_SOLVES = {
@@ -804,9 +847,8 @@ _PINNED_SOLVES = {
               [0.0, 0.16666666666666666], [0.6666666666666666, 0.16666666666666666]),
     "covered": (0.16666666666666666, "proven_optimal", 1, 0.16666666666666666,
                 [0.0, 0.16666666666666666], [0.16666666666666666]),
-    "three_class": (0.16666666666666666, "proven_optimal", 5, 0.16666666666666666,
-                    [0.0, 0.16666666666666666, 0.16666666666666666],
-                    [1.0, 0.3333333333333333, 0.16666666666666666]),
+    "three_class": (0.16666666666666666, "proven_optimal", 1, 0.16666666666666666,
+                    [0.0, 0.16666666666666666], [1.0, 0.16666666666666666]),
     "fourteen_points": (0.14285714285714285, "proven_optimal", 77, 0.14285714285714285,
                         [0.0, 0.07142857142857142, 0.14285714285714285],
                         [0.7142857142857143, 0.21428571428571427, 0.14285714285714285]),
@@ -910,10 +952,13 @@ class TestObjectiveGrid:
         rng = np.random.default_rng(45)
         y = np.arange(6) % 3
         three = DeferDataset(rng.normal(size=(6, 2)), y, (y + 1) % 3, 3)
+        # a 9-point 3-class draw whose proof still needs the tree
+        tree_three = _oracle_instances("three", 11, (8, 9, 10))[10]
         runs = [(plain, None), (add_coverage_constraint(plain, 0.25), None), (deep, None),
                 (deep, MilpConfig(node_limit=3)), (deep, MilpConfig(node_limit=0)),
                 (build_binary_milp(realizable, MilpConfig()), None),
-                (build_multiclass_milp(three, MilpConfig()), None)]
+                (build_multiclass_milp(three, MilpConfig()), None),
+                (build_multiclass_milp(tree_three, MilpConfig()), None)]
         for problem, cfg in runs:
             calls.clear()
             sol = solve_milp(problem, cfg)
@@ -921,29 +966,33 @@ class TestObjectiveGrid:
         assert sol.nodes_explored > 1
 
     def test_early_stopped_proposals_are_a_prefix_with_the_same_pair(self, monkeypatch):
-        real = milp._binary_heuristic_candidates
+        real = milp._heuristic_candidates
         stopped = 0
+        problems = []
         for ds in _six_point_instances(11, 6):
             plain = build_binary_milp(ds, MilpConfig())
-            for problem in (plain, add_coverage_constraint(plain, 0.25)):
-                full = [(m.tobytes(), r.tobytes())
-                        for m, r in real(problem, np.random.default_rng(0x5EED5EED))]
-                taken = []
+            problems += [plain, add_coverage_constraint(plain, 0.25),
+                         build_multiclass_milp(ds, MilpConfig())]
+        problems += _multiclass_heuristic_problems()
+        for problem in problems:
+            full = [(m.tobytes(), r.tobytes())
+                    for m, r in real(problem, np.random.default_rng(0x5EED5EED))]
+            taken = []
 
-                def recording(*args, **kwargs):
-                    for m, r in real(*args, **kwargs):
-                        taken.append((m.tobytes(), r.tobytes()))
-                        yield m, r
+            def recording(*args, **kwargs):
+                for m, r in real(*args, **kwargs):
+                    taken.append((m.tobytes(), r.tobytes()))
+                    yield m, r
 
-                with monkeypatch.context() as mp:
-                    mp.setattr(milp, "_binary_heuristic_candidates", recording)
-                    sol = solve_milp(problem)
-                assert taken == full[: len(taken)]
-                if len(taken) < len(full):
-                    stopped += 1
-                    best, _ = _best_of_every_candidate(problem)
-                    assert sol.objective == best.objective
-                    _assert_pair_of(sol, problem, best)
+            with monkeypatch.context() as mp:
+                mp.setattr(milp, "_heuristic_candidates", recording)
+                sol = solve_milp(problem)
+            assert taken == full[: len(taken)]
+            if len(taken) < len(full):
+                stopped += 1
+                best, _ = _best_of_every_candidate(problem)
+                assert sol.objective == best.objective
+                _assert_pair_of(sol, problem, best)
         assert stopped > 0
 
 
@@ -954,9 +1003,10 @@ def _highs():
     return highs_optimum
 
 
-def _oracle_instances(kind, count, sizes, highs_optimum):
-    """2-D datasets whose optimum by HiGHS is above 0 (the heuristics alone
-    prove an optimum of 0), binary or 3-class."""
+def _oracle_instances(kind, count, sizes, highs_optimum=None):
+    """2-D datasets, binary or 3-class; given ``highs_optimum``, only those
+    whose optimum by HiGHS is above 0 (the heuristics alone prove an
+    optimum of 0)."""
     rng = np.random.default_rng({"binary": 808, "three": 809}[kind])
     classes = 2 if kind == "binary" else 3
     build = build_binary_milp if classes == 2 else build_multiclass_milp
@@ -967,7 +1017,7 @@ def _oracle_instances(kind, count, sizes, highs_optimum):
         y = rng.integers(0, classes, n)
         h = np.where(rng.random(n) < rng.uniform(0.3, 0.8), y, (y + 1) % classes)
         ds = DeferDataset(x, y, h, classes)
-        if highs_optimum(build(ds, MilpConfig())) > 0.0:
+        if highs_optimum is None or highs_optimum(build(ds, MilpConfig())) > 0.0:
             out.append(ds)
     return out
 
@@ -1007,6 +1057,18 @@ class TestHighsOracle:
         highs_optimum = _highs()
         for ds in _oracle_instances("three", 3, (8, 9, 10), highs_optimum):
             self._assert_proven(build_multiclass_milp(ds, MilpConfig()), highs_optimum)
+
+    def test_three_class_zero_optima_proven_at_the_root(self):
+        highs_optimum = _highs()
+        zero = 0
+        for ds in _oracle_instances("three", 12, (8, 9, 10)):
+            problem = build_multiclass_milp(ds, MilpConfig())
+            if highs_optimum(problem) == 0.0:
+                sol = solve_milp(problem)
+                assert (sol.objective, sol.status, sol.nodes_explored) == \
+                    (0.0, "proven_optimal", 1)
+                zero += 1
+        assert zero == 10
 
     @pytest.mark.parametrize("beta", [None, 0.25])
     def test_node_limited_bounds_stay_below_the_optimum(self, beta):
