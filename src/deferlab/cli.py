@@ -415,6 +415,7 @@ def cmd_milp(args):
         "best_bound": solution.best_bound,
         "regularization": solution.regularization,
         "nodes_explored": solution.nodes_explored,
+        "lp_iterations": solution.lp_iterations,
         "wall_time_s": solution.wall_time_s,
         "classifier_weights": np.atleast_2d(solution.pair.classifier_weights).tolist(),
         "rejector_weights": solution.pair.rejector_weights.tolist(),
@@ -425,7 +426,8 @@ def cmd_milp(args):
                   lambda tmp: save_halfspace_pair(solution.pair, tmp, dataset.num_classes))
     print(f"status={solution.status} objective={solution.objective:.6f} "
           f"train_loss={solution.train_loss:.6f} bound={solution.best_bound:.6f} "
-          f"gap={solution.objective - solution.best_bound:.6f} nodes={solution.nodes_explored}")
+          f"gap={solution.objective - solution.best_bound:.6f} nodes={solution.nodes_explored} "
+          f"lp_iterations={solution.lp_iterations}")
     return 0
 
 

@@ -16,14 +16,15 @@ positive: at gamma = 0 the all-zero rejector satisfies both rejector rows
 for either value of r_i and the constraint is void.
 
 The solver is a deterministic best-bound branch-and-bound whose node
-relaxations are the full LP relaxation, solved with :mod:`deferlab.lp`;
-each child node is re-solved from its parent's optimal basis. Primal
-heuristics supply incumbents before the tree starts; their alternating
-fits run on Kesler's margin rows, so they serve every class count. A
-binary problem without coverage or fairness rows whose LP would exceed
-``EXACT_ROWS_MAX`` rows is not searched: its solve returns the heuristics'
-incumbent with the trivial bound 0, as with ``node_limit=0``. Multiclass
-and side-constrained problems are searched at every size.
+relaxations are the full LP relaxation, solved with :mod:`deferlab.lp` by
+the dual simplex: the root from the slack basis, each child node from its
+parent's optimal basis. Primal heuristics supply incumbents before the
+tree starts; their alternating fits run on Kesler's margin rows, so they
+serve every class count. A binary problem without coverage or fairness
+rows whose LP would exceed ``EXACT_ROWS_MAX`` rows is not searched: its
+solve returns the heuristics' incumbent with the trivial bound 0, as with
+``node_limit=0``. Multiclass and side-constrained problems are searched at
+every size.
 
 Incumbents are never trusted from relaxation values: every candidate pair
 is re-scored through the true 0-1 loss and re-checked against margins, the
@@ -41,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DeferDataset, HalfspacePair, pair_decisions, system_loss_01
-from .lp import LinearProgram, solve_lp
+from .lp import Basis, LinearProgram, solve_lp
 
 __all__ = [
     "MilpConfig",
@@ -67,6 +68,8 @@ INT_TOL = 1e-6
 # or more above it, which still round up. A value too large only rounds
 # fewer bounds up: snapping to the grid point below lb leaves a valid bound.
 GRID_TOL = 1e-6
+# the default gap off that grid, with lambda_reg > 0 or fairness rows
+OFF_GRID_GAP = 1e-6
 FAIRNESS_SLACK = 1e-6
 # binary problems without side rows whose LP has more rows are not searched
 EXACT_ROWS_MAX = 450
@@ -77,11 +80,12 @@ class MilpConfig:
     """Formulation constants and solver knobs.
 
     Defaults mirror the reference constants: weight box 1 and margin 1e-5;
-    both big-M values are box + gamma. ``abs_gap`` defaults to 0.4/n at solve time;
-    with lambda_reg = 0 objective values live on the grid {0, 1, ...}/n, so
-    that gap certifies exact optimality. Without fairness rows the solver
-    also rounds every node bound up to that grid (see ``GRID_TOL``); an
-    explicit ``abs_gap`` is compared with the rounded bounds.
+    both big-M values are box + gamma. With lambda_reg = 0 and no fairness
+    rows objective values live on the grid {0, 1, ...}/n: ``abs_gap`` then
+    defaults to 0.4/n at solve time, which certifies exact optimality, and
+    the solver rounds every node bound up to that grid (see ``GRID_TOL``);
+    an explicit ``abs_gap`` is compared with the rounded bounds. Off the
+    grid ``abs_gap`` defaults to ``OFF_GRID_GAP`` (1e-6).
     """
 
     gamma: float = 1e-5
@@ -300,6 +304,7 @@ class MilpSolution:
     regularization: float = 0.0
     bound_history: list = field(default_factory=list)
     incumbent_history: list = field(default_factory=list)
+    lp_iterations: int = 0  # simplex iterations over the solve's node LPs
 
 
 # ---------------------------------------------------------------------------
@@ -519,34 +524,44 @@ def _score_candidate(problem: MilpProblem, m_norm, r_norm) -> Optional[_Incumben
 
 
 def _pocket_perceptron(xt, targets, w0, epochs, rng):
-    """Pocket perceptron on +-1 targets, full per-sample epochs.
+    """Pocket perceptron on +-1 targets, full per-sample epochs (Gallant,
+    *Perceptron-based learning algorithms*, IEEE TNN 1990).
 
     Converges to an exact separator on separable data given enough epochs;
-    otherwise returns the lowest-error weights seen. Each row's test is one
-    BLAS dot product of the row with ``w``: a matrix-vector product or a
-    Python sum rounds differently and would change which updates happen.
+    otherwise returns the lowest-error weights seen. Rows are signed by their
+    targets: row i is wrong when ``signed[i] . w <= 0``, which decides as
+    ``targets[i] * (xt[i] . w) <= 0`` does for every value (negation is
+    exact), and its update adds ``signed[i]`` to ``w`` in place. Each row's
+    test is one BLAS dot product: a matrix-vector product or a Python sum
+    rounds differently and would change which updates happen.
+
+    One ``rng.permuted`` call draws every epoch's order, the same orders and
+    final generator state as one ``rng.permutation(n)`` per epoch; an early
+    stop rewinds the generator and redraws only the orders it used.
     """
+    signed = targets[:, None] * xt
     w = w0.copy()
-    n = len(targets)
     best_w = w.copy()
-    best_wrong = np.count_nonzero(targets * (xt @ w) <= 0)
+    best_wrong = np.count_nonzero(signed @ w <= 0)
     if best_wrong == 0:
         return w
-    rows = list(xt)
-    signs = targets.tolist()
-    steps = list(targets[:, None] * xt)
-    for _ in range(epochs):
+    n = len(targets)
+    rows = list(signed)
+    start = rng.bit_generator.state
+    orders = rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1).tolist()
+    for used, order in enumerate(orders, 1):
         updated = False
-        for i in rng.permutation(n).tolist():
-            if signs[i] * rows[i].dot(w) <= 0:
-                w = w + steps[i]
+        for i in order:
+            if rows[i].dot(w) <= 0:
+                w += rows[i]
                 updated = True
-        wrong = np.count_nonzero(targets * (xt @ w) <= 0)
-        if wrong < best_wrong:
-            best_wrong, best_w = wrong, w.copy()
-            if wrong == 0:
-                return best_w
-        if not updated:
+        if updated:
+            wrong = np.count_nonzero(signed @ w <= 0)
+            if wrong < best_wrong:
+                best_wrong, best_w = wrong, w.copy()
+        if not updated or best_wrong == 0:
+            rng.bit_generator.state = start
+            rng.permuted(np.tile(np.arange(n), (used, 1)), axis=1)
             return w
     return best_w
 
@@ -721,7 +736,15 @@ def _coverage_shifted(problem: MilpProblem, r):
 class _Node:
     fixed: dict  # var id -> 0.0 or 1.0
     bound: float
-    basis: object = None  # the parent's optimal LP basis; None at the root
+    basis: object = None  # the parent's optimal LP basis; the slack basis at the root
+
+
+def _slack_basis(lp: LinearProgram) -> Basis:
+    """Every row's slack basic, every structural column at its lower bound:
+    dual feasible, as the builders' costs are 0 or more and their lower
+    bounds finite. Were it ever not, ``solve_lp`` would solve the LP cold."""
+    m, v = lp.A.shape
+    return Basis(np.arange(v, v + m), np.zeros(v + m, dtype=bool))
 
 
 @dataclass
@@ -734,12 +757,14 @@ class _NodeInfo:
     basis: object
 
 
-def _relax(lp: LinearProgram, node: _Node) -> Optional[_NodeInfo]:
-    """Solve a node's LP relaxation; None when the node is infeasible.
+def _relax(lp: LinearProgram, node: _Node) -> tuple[Optional[_NodeInfo], int]:
+    """Solve a node's LP relaxation. Returns its ``_NodeInfo``, None when
+    the node is infeasible, and the simplex iterations the solve took.
 
     A node LP differs from its parent's only in the bounds of the binaries
     fixed on the way down, so it is re-solved from the parent's optimal
-    basis with the dual simplex; the root is solved cold.
+    basis with the dual simplex; the root starts the dual simplex from the
+    slack basis (``_slack_basis``).
     """
     lo = lp.lo.copy()
     hi = lp.hi.copy()
@@ -747,12 +772,14 @@ def _relax(lp: LinearProgram, node: _Node) -> Optional[_NodeInfo]:
         lo[vid] = hi[vid] = val
     sol = solve_lp(lp, basis=node.basis, lo=lo, hi=hi)
     if sol.status == "infeasible":
-        return None
-    if sol.status != "optimal":
+        info = None
+    elif sol.status != "optimal":
         # unresolved relaxation (iteration limit or numerical failure):
         # fall back to the parent bound and basis
-        return _NodeInfo(node.bound, None, node.basis)
-    return _NodeInfo(max(node.bound, sol.objective_value), sol.x, sol.basis)
+        info = _NodeInfo(node.bound, None, node.basis)
+    else:
+        info = _NodeInfo(max(node.bound, sol.objective_value), sol.x, sol.basis)
+    return info, sol.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +825,10 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     start = time.monotonic()
     deadline = start + config.time_limit_s if config.time_limit_s is not None else None
     n = problem.n
-    abs_gap = config.abs_gap if config.abs_gap is not None else 0.4 / n
     on_grid = problem.lambda_reg == 0 and problem.fairness_groups is None
+    abs_gap = config.abs_gap
+    if abs_gap is None:
+        abs_gap = 0.4 / n if on_grid else OFF_GRID_GAP
     rng = np.random.default_rng(0x5EED5EED)
 
     incumbent: Optional[_Incumbent] = None
@@ -832,12 +861,15 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     node_limit = config.node_limit if searched else 0
     root = _Node(fixed={}, bound=0.0)  # every objective term is nonnegative
     nodes = 0
+    lp_iterations = 0
     solved_root = []  # the root's _NodeInfo while it waits for the tree
     if node_limit is None or node_limit > 0:
         lp = problem.lp_relaxation
+        root.basis = _slack_basis(lp)
         nodes = 1
-        solved_root.append(_relax(lp, root))
-        root_bound = grid(solved_root[0].bound) if solved_root[0] is not None else np.inf
+        info, lp_iterations = _relax(lp, root)
+        solved_root.append(info)
+        root_bound = grid(info.bound) if info is not None else np.inf
 
     # scoring is pure, so a repeated proposal (and its shifted variants) can
     # never beat the incumbent its first copy already competed against
@@ -885,7 +917,8 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
             info = solved_root.pop()
         else:
             nodes += 1
-            info = _relax(lp, node)
+            info, iterations = _relax(lp, node)
+            lp_iterations += iterations
         if info is None:
             continue  # infeasible node
         node_lb = grid(info.bound)
@@ -947,6 +980,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
             nodes_explored=nodes,
             wall_time_s=wall,
             best_bound=global_bound,
+            lp_iterations=lp_iterations,
             bound_history=bound_history,
             incumbent_history=incumbent_history,
         )
@@ -963,6 +997,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         wall_time_s=wall,
         best_bound=min(global_bound, incumbent.objective),
         regularization=incumbent.reg,
+        lp_iterations=lp_iterations,
         bound_history=bound_history,
         incumbent_history=incumbent_history,
     )

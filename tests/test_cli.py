@@ -118,6 +118,8 @@ class TestMilpCmd:
         assert summary["bound"] == f"{record['best_bound']:.6f}"
         assert summary["gap"] == f"{record['objective'] - record['best_bound']:.6f}"
         assert (float(summary["gap"]) > 0.0) == (gap is not None)
+        assert summary["lp_iterations"] == str(record["lp_iterations"])
+        assert record["lp_iterations"] > 0
 
     def test_flags_accepted(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -670,6 +670,53 @@ class TestHeuristicsEqualReference:
             np.testing.assert_array_equal(new.pair.rejector_weights, old.pair.rejector_weights)
 
 
+def _separable_and_not(n):
+    """n rows with +-1 targets that a halfspace separates, then the same
+    rows plus a copy of the first with the other target."""
+    rng = np.random.default_rng(n)
+    xt = np.hstack([rng.normal(size=(n, 2)), np.ones((n, 1))])
+    targets = np.where(xt @ np.array([1.0, -0.5, 0.1]) > 0, 1.0, -1.0)
+    return [(xt, targets),
+            (np.vstack([xt, xt[:1]]), np.append(targets, -targets[0]))]
+
+
+class TestPocketPerceptronOrders:
+    """``_pocket_perceptron`` draws every epoch's order in one ``permuted``
+    call and rewinds on an early stop; both must match per-epoch
+    ``permutation`` draws, orders and generator state alike."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 17, 480])
+    def test_batched_orders_equal_per_epoch_draws(self, n):
+        epochs = 60
+        for used in (1, 2, 7, epochs):
+            per_epoch = np.random.default_rng(n)
+            orders = [per_epoch.permutation(n) for _ in range(used)]
+            batched = np.random.default_rng(n)
+            start = batched.bit_generator.state
+            drawn = batched.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
+            np.testing.assert_array_equal(drawn[:used], np.array(orders))
+            if used < epochs:  # an early stop: rewind and redraw the orders used
+                batched.bit_generator.state = start
+                batched.permuted(np.tile(np.arange(n), (used, 1)), axis=1)
+            assert batched.bit_generator.state == per_epoch.bit_generator.state
+
+    @pytest.mark.parametrize("n", [6, 17, 480])
+    def test_early_stop_and_full_runs_equal_reference(self, n):
+        ran_every_epoch = []
+        for xt, targets in _separable_and_not(n):
+            every_epoch = np.random.default_rng(7)
+            for _ in range(60):
+                every_epoch.permutation(len(targets))
+            runs = []
+            for pocket in (milp._pocket_perceptron, _oracle_pocket_perceptron):
+                rng = np.random.default_rng(7)
+                w = pocket(xt, targets, np.array([0.0, 1.0, 0.0]), 60, rng)
+                runs.append((w.tobytes(), rng.bit_generator.state))
+            assert runs[0] == runs[1]
+            ran_every_epoch.append(runs[0][1] == every_epoch.bit_generator.state)
+        assert ran_every_epoch == [False, True]  # the separable rows stop early
+
+
 # The LP builder as it was before it filled blocks, kept verbatim (with its
 # per-point class lookup inlined) as the reference the block builder must
 # reproduce bit for bit, signs of zeros included.
@@ -839,7 +886,8 @@ def _six_point_instances(seed, count):
 
 # solve_milp outputs recorded once node bounds were rounded up to the 1/n
 # grid and the full-LP engine solved its root before the heuristics (the
-# three-class solve once its heuristics alternated on Kesler rows):
+# three-class solve once its heuristics alternated on Kesler rows, the
+# fourteen-point tree once the root LP started from the slack basis):
 # (objective, status, nodes_explored, best_bound, bound_history,
 # incumbent_history)
 _PINNED_SOLVES = {
@@ -849,7 +897,7 @@ _PINNED_SOLVES = {
                 [0.0, 0.16666666666666666], [0.16666666666666666]),
     "three_class": (0.16666666666666666, "proven_optimal", 1, 0.16666666666666666,
                     [0.0, 0.16666666666666666], [1.0, 0.16666666666666666]),
-    "fourteen_points": (0.14285714285714285, "proven_optimal", 77, 0.14285714285714285,
+    "fourteen_points": (0.14285714285714285, "proven_optimal", 85, 0.14285714285714285,
                         [0.0, 0.07142857142857142, 0.14285714285714285],
                         [0.7142857142857143, 0.21428571428571427, 0.14285714285714285]),
 }
@@ -881,6 +929,40 @@ class TestPinnedSolves:
     def test_exact_engine_tree_search(self):
         ds = random_binary_dataset(np.random.default_rng(1), 14, human_acc=0.4)
         _check_pinned("fourteen_points", solve_milp(build_binary_milp(ds, MilpConfig())))
+
+
+class TestRootLp:
+    def test_root_is_solved_from_the_slack_basis(self, monkeypatch):
+        # the slack basis is dual feasible for every relaxation the builders
+        # make, so no root falls back to the two-phase method
+        ds = _six_point_instances(11, 3)[2]
+        plain = build_binary_milp(ds, MilpConfig())
+        three = _pinned_three_class_problem()
+        problems = [plain, three, add_coverage_constraint(plain, 0.25),
+                    add_fairness_constraint(plain, np.arange(6) % 2),
+                    build_binary_milp(ds, MilpConfig(lambda_reg=0.01)),
+                    build_multiclass_milp(three.dataset, MilpConfig(lambda_reg=0.01)),
+                    build_binary_milp(_criterion7_instance(), MilpConfig())]
+        optima = [solve_lp(p.lp_relaxation).objective_value for p in problems]
+
+        def no_cold(self, cost):
+            raise AssertionError("the root LP was solved with the two-phase method")
+
+        solved = []
+        real = milp.solve_lp
+
+        def recording(*args, **kwargs):
+            solved.append(real(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(lp_module._Simplex, "cold", no_cold)
+        monkeypatch.setattr(milp, "solve_lp", recording)
+        for problem, optimum in zip(problems, optima):
+            solved.clear()
+            sol = solve_milp(problem, MilpConfig(node_limit=1))
+            assert len(solved) == 1 and solved[0].status == "optimal"
+            assert solved[0].objective_value == pytest.approx(optimum, abs=1e-9)
+            assert sol.lp_iterations == solved[0].iterations > 0
 
 
 class TestLargeBinaryProblemsAreNotSearched:
@@ -936,12 +1018,13 @@ class TestObjectiveGrid:
             assert milp._grid_bound(k / n + 1e-5 / n, n) == (k + 1) / n
 
     def test_one_lp_solve_per_node(self, monkeypatch):
-        calls = []
+        calls = []  # the simplex iterations of each LP solve
         real = milp.solve_lp
 
         def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+            sol = real(*args, **kwargs)
+            calls.append(sol.iterations)
+            return sol
 
         monkeypatch.setattr(milp, "solve_lp", counting)
         plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
@@ -963,6 +1046,7 @@ class TestObjectiveGrid:
             calls.clear()
             sol = solve_milp(problem, cfg)
             assert len(calls) == sol.nodes_explored
+            assert sum(calls) == sol.lp_iterations
         assert sol.nodes_explored > 1
 
     def test_early_stopped_proposals_are_a_prefix_with_the_same_pair(self, monkeypatch):
@@ -1081,6 +1165,25 @@ class TestHighsOracle:
         optimum = highs_optimum(problem)
         assert 0.0 < sol.best_bound <= optimum <= sol.objective
         assert max(sol.bound_history) <= optimum
+
+    def test_regularized_optima(self):
+        # off the 1/n grid the default gap is OFF_GRID_GAP (1e-6), and HiGHS
+        # stops within its own absolute gap of 1e-6
+        highs_optimum = _highs()
+        ds = _six_point_instances(11, 3)[2]
+        cfg = MilpConfig(lambda_reg=0.01)
+        problems = [build_binary_milp(ds, cfg),
+                    add_coverage_constraint(build_binary_milp(ds, cfg), 0.25),
+                    build_multiclass_milp(_pinned_three_class_problem().dataset, cfg)]
+        problems += [build_binary_milp(d, cfg)
+                     for d in _oracle_instances("binary", 4, (8, 12, 16, 20))]
+        for problem in problems:
+            sol = solve_milp(problem)
+            optimum = highs_optimum(problem)
+            assert sol.status == "proven_optimal"
+            assert sol.objective == pytest.approx(optimum, abs=2e-6)
+            assert sol.objective - sol.best_bound <= milp.OFF_GRID_GAP
+            assert max(sol.bound_history) <= optimum + 1e-6
 
     def test_no_rounding_with_regularization_or_fairness(self, monkeypatch):
         highs_optimum = _highs()
