@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["Basis", "LinearProgram", "LpSolution", "solve_lp"]
+__all__ = ["Basis", "LinearProgram", "LpSolution", "origin_in_hull", "solve_lp"]
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
@@ -466,3 +466,21 @@ def solve_lp(
     except np.linalg.LinAlgError:
         status = "numerical"
     return sx.result(status, lp.c)
+
+
+def origin_in_hull(rows) -> bool:
+    """Whether the origin lies in the convex hull of ``rows``: by Gordan's
+    theorem, exactly when no w has ``rows @ w > 0`` in every row.
+
+    Solves the hull LP ``rows.T @ y = 0``, ``sum(y) = 1``, ``y >= 0`` (d+1
+    equality rows, one column per row of ``rows``, zero cost) from the slack
+    basis. With zero costs every basis is dual feasible, so the dual simplex
+    runs without the two-phase method. True only when the LP ends
+    ``optimal``: an infeasible or unresolved LP gives False.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n, d = rows.shape
+    lp = LinearProgram(c=np.zeros(n), A=np.vstack([rows.T, np.ones(n)]), senses=["="] * (d + 1),
+                       b=np.append(np.zeros(d), 1.0), lo=np.zeros(n), hi=np.full(n, np.inf))
+    slack = Basis(np.arange(n, n + d + 1), np.zeros(n + d + 1, dtype=bool))
+    return solve_lp(lp, basis=slack).status == "optimal"

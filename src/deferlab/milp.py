@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DeferDataset, HalfspacePair, pair_decisions, system_loss_01
-from .lp import Basis, LinearProgram, solve_lp
+from .lp import Basis, LinearProgram, origin_in_hull, solve_lp
 
 __all__ = [
     "MilpConfig",
@@ -305,6 +305,7 @@ class MilpSolution:
     bound_history: list = field(default_factory=list)
     incumbent_history: list = field(default_factory=list)
     lp_iterations: int = 0  # simplex iterations over the solve's node LPs
+    heuristic_s: float = 0.0  # drawing and scoring heuristic proposals, certificates included
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +524,7 @@ def _score_candidate(problem: MilpProblem, m_norm, r_norm) -> Optional[_Incumben
 # ---------------------------------------------------------------------------
 
 
-def _pocket_perceptron(xt, targets, w0, epochs, rng):
+def _pocket_perceptron(xt, targets, w0, epochs, rng, inseparable):
     """Pocket perceptron on +-1 targets, full per-sample epochs (Gallant,
     *Perceptron-based learning algorithms*, IEEE TNN 1990).
 
@@ -538,6 +539,13 @@ def _pocket_perceptron(xt, targets, w0, epochs, rng):
     One ``rng.permuted`` call draws every epoch's order, the same orders and
     final generator state as one ``rng.permutation(n)`` per epoch; an early
     stop rewinds the generator and redraws only the orders it used.
+
+    ``inseparable`` is a zero-argument callable that is true when no
+    halfspace separates the signed rows. Once the pocket holds one wrong row
+    and it is true, no later epoch can lower that count, so the pocket is
+    returned at once: a full run would return the same weights and leave the
+    generator where the ``permuted`` call left it. It is asked right after
+    that call and after each epoch that lowers the count to 1.
     """
     signed = targets[:, None] * xt
     w = w0.copy()
@@ -549,6 +557,8 @@ def _pocket_perceptron(xt, targets, w0, epochs, rng):
     rows = list(signed)
     start = rng.bit_generator.state
     orders = rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1).tolist()
+    if best_wrong == 1 and inseparable():
+        return best_w
     for used, order in enumerate(orders, 1):
         updated = False
         for i in order:
@@ -559,6 +569,8 @@ def _pocket_perceptron(xt, targets, w0, epochs, rng):
             wrong = np.count_nonzero(signed @ w <= 0)
             if wrong < best_wrong:
                 best_wrong, best_w = wrong, w.copy()
+                if best_wrong == 1 and inseparable():
+                    return best_w
         if not updated or best_wrong == 0:
             rng.bit_generator.state = start
             rng.permuted(np.tile(np.arange(n), (used, 1)), axis=1)
@@ -572,6 +584,8 @@ def _irls_logistic(xt, targets, iters=25, ridge=1e-8):
     The dimension is small, so exact Hessian solves are cheap; on separable
     data the margins grow every step and training separation is usually
     perfect after a handful of iterations. A pure function of its inputs.
+    A step that leaves the bytes of ``w`` unchanged ends the loop, as every
+    later step would repeat it exactly.
     """
     w = np.zeros(xt.shape[1])
     damp = ridge * np.eye(xt.shape[1])
@@ -585,24 +599,28 @@ def _irls_logistic(xt, targets, iters=25, ridge=1e-8):
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             break
-        w = w + step
+        w_next = w + step
+        if w_next.tobytes() == w.tobytes():
+            break
+        w = w_next
         if np.abs(step).max() > 1e8:
             break
     return w
 
 
-def _fit_separator(xt, targets, rng, w, epochs=60):
+def _fit_separator(xt, targets, rng, w, inseparable, epochs=60):
     """IRLS warm start, pocket-perceptron cleanup; exact on separable data.
 
     ``w`` is the IRLS fit of (xt, targets); it is neither modified nor
-    returned.
+    returned. ``inseparable`` is the pocket's certificate callable (see
+    ``_pocket_perceptron``); it is not called when IRLS separates the rows.
     """
     if np.count_nonzero(targets * (xt @ w) <= 0) == 0:
         return w.copy()
     scale = np.max(np.abs(w))
     if scale > 0:
         w = w / scale
-    return _pocket_perceptron(xt, targets, w, epochs, rng)
+    return _pocket_perceptron(xt, targets, w, epochs, rng, inseparable)
 
 
 def _margin_rows(problem: MilpProblem):
@@ -639,9 +657,13 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
     already fitted. IRLS is pure, so each distinct (subset, targets) pair is
     fitted once per call; the pocket perceptron draws from ``rng`` and runs
     on every fit that IRLS leaves unseparated, as it would without the memo.
-    Where classifier and rejector rows differ (multiclass), their memo keys
-    do too: the classifier's targets are all +1, the rejector's are -1 on
-    the human-wrong points, or else the masks differ in length.
+    Next to each IRLS fit the memo keeps whether the pair is inseparable
+    (``origin_in_hull`` of the target-signed rows). That certificate is
+    solved lazily, the first time a pocket on the pair reaches one wrong row,
+    so subsets whose pockets never get there never pay for it. Where
+    classifier and rejector rows differ (multiclass), their memo keys do
+    too: the classifier's targets are all +1, the rejector's are -1 on the
+    human-wrong points, or else the masks differ in length.
     """
     xt, err = problem.xt, problem.err
     n, d1 = xt.shape
@@ -651,13 +673,20 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
     bias_only = np.zeros(d1)
     bias_only[-1] = 1.0
     irls_fits = {}  # (row mask, target bytes) -> IRLS weights; lives for this call
+    verdicts = {}  # the same keys -> whether no halfspace separates the pair
 
     def fit(x, mask, targets):
         sub = x[mask]
         key = (mask.tobytes(), targets.tobytes())
         if key not in irls_fits:
             irls_fits[key] = _irls_logistic(sub, targets)
-        return _fit_separator(sub, targets, rng, irls_fits[key])
+
+        def inseparable():
+            if key not in verdicts:
+                verdicts[key] = origin_in_hull(targets[:, None] * sub)
+            return verdicts[key]
+
+        return _fit_separator(sub, targets, rng, irls_fits[key], inseparable)
 
     def fit_classifier(points):
         mask = np.repeat(points, per_point)
@@ -874,6 +903,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     # scoring is pure, so a repeated proposal (and its shifted variants) can
     # never beat the incumbent its first copy already competed against
     scored = set()
+    heuristic_start = time.monotonic()
     for m_cand, r_cand in _heuristic_candidates(problem, rng, deadline=deadline):
         key = (m_cand.tobytes(), r_cand.tobytes())
         if key not in scored:
@@ -887,6 +917,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
             break
         if solved_root and prunes(root_bound):
             break  # the root is closed: the incumbent is within the gap of the optimum
+    heuristic_s = time.monotonic() - heuristic_start
 
     binary_ids = problem.binary_var_ids
     heap = [(root.bound, 0, root)]
@@ -981,6 +1012,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
             wall_time_s=wall,
             best_bound=global_bound,
             lp_iterations=lp_iterations,
+            heuristic_s=heuristic_s,
             bound_history=bound_history,
             incumbent_history=incumbent_history,
         )
@@ -998,6 +1030,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         best_bound=min(global_bound, incumbent.objective),
         regularization=incumbent.reg,
         lp_iterations=lp_iterations,
+        heuristic_s=heuristic_s,
         bound_history=bound_history,
         incumbent_history=incumbent_history,
     )

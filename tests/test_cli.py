@@ -120,6 +120,8 @@ class TestMilpCmd:
         assert (float(summary["gap"]) > 0.0) == (gap is not None)
         assert summary["lp_iterations"] == str(record["lp_iterations"])
         assert record["lp_iterations"] > 0
+        assert summary["heuristic_s"] == f"{record['heuristic_s']:.3f}"
+        assert 0.0 < record["heuristic_s"] <= record["wall_time_s"]
 
     def test_flags_accepted(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -392,3 +392,62 @@ class TestNumericalStatus:
         lp = _capped_random_lp(5, 3, 4)
         assert solve_lp(lp).status == "numerical"
 
+
+
+def _highs_separable(rows):
+    """Whether some w has rows @ w >= 1, by scipy's HiGHS: the primal form of
+    the question ``origin_in_hull`` answers in its dual (hull) form."""
+    from scipy.optimize import linprog
+
+    n, d = rows.shape
+    res = linprog(np.zeros(d), A_ub=-rows, b_ub=-np.ones(n), bounds=[(None, None)] * d,
+                  method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+class TestOriginInHull:
+    """``origin_in_hull(rows)`` is true exactly when no halfspace has every
+    row strictly on its positive side; scipy's HiGHS is the oracle."""
+
+    def _signed_sets(self):
+        rng = np.random.default_rng(41)
+        for k in range(60):
+            n, d = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+            xt = np.hstack([rng.normal(size=(n, d)), np.ones((n, 1))])
+            if k % 2:  # labelled by a halfspace: separable
+                targets = np.where(xt @ rng.normal(size=d + 1) > 0, 1.0, -1.0)
+            else:
+                targets = rng.choice([-1.0, 1.0], n)
+            yield targets[:, None] * xt
+
+    def test_random_sets_agree_with_highs(self, monkeypatch):
+        pytest.importorskip("scipy.optimize")
+
+        def no_cold(self, cost):
+            raise AssertionError("the hull LP took the two-phase path")
+
+        monkeypatch.setattr(lp_module._Simplex, "cold", no_cold)
+        verdicts = []
+        for rows in self._signed_sets():
+            verdict = lp_module.origin_in_hull(rows)
+            assert verdict == (not _highs_separable(rows)), rows
+            verdicts.append(verdict)
+        assert 0 < sum(verdicts) < len(verdicts)  # both states occur
+
+    def test_degenerate_sets(self):
+        pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(43)
+        row = np.append(rng.normal(size=3), 1.0)
+        few = rng.normal(size=(2, 4))  # n < d+1
+        cases = [
+            (few, False),
+            (np.vstack([few, -few[:1]]), True),
+            (np.vstack([row, -row]), True),  # a row twice, with opposite targets
+            (np.vstack([rng.normal(size=(4, 4)), np.zeros(4)]), True),  # a zero row
+            (np.zeros((1, 4)), True),
+            (row[None, :], False),
+        ]
+        for rows, inside in cases:
+            assert lp_module.origin_in_hull(rows) == inside
+            assert _highs_separable(rows) != inside

@@ -542,7 +542,10 @@ def _assert_pair_of(sol, problem, incumbent):
 
 
 def _patch_oracle(monkeypatch, fits=None):
-    def fit(xt, targets, rng, w, epochs=60):
+    """Replace ``_fit_separator`` by the reference fit, which runs the full
+    pocket and ignores the certificate ``inseparable``."""
+
+    def fit(xt, targets, rng, w, inseparable, epochs=60):
         if fits is not None:
             fits.append((xt.tobytes(), targets.tobytes()))
         return _oracle_fit_separator(xt, targets, rng, epochs)
@@ -606,11 +609,17 @@ class TestHeuristicsEqualReference:
         assert milp._irls_logistic(xt, targets).tobytes() == \
             _oracle_irls_logistic(xt, targets).tobytes()
 
+        def inseparable():
+            return lp_module.origin_in_hull(targets[:, None] * xt)
+
+        def certified_pocket(x, t, w, epochs, rng):
+            return milp._pocket_perceptron(x, t, w, epochs, rng, inseparable)
+
         def fit_with_irls(x, t, rng):
-            return milp._fit_separator(x, t, rng, milp._irls_logistic(x, t))
+            return milp._fit_separator(x, t, rng, milp._irls_logistic(x, t), inseparable)
 
         runs = []
-        for pocket, fit in ((milp._pocket_perceptron, fit_with_irls),
+        for pocket, fit in ((certified_pocket, fit_with_irls),
                             (_oracle_pocket_perceptron, _oracle_fit_separator)):
             rng = np.random.default_rng(seed)
             runs.append((pocket(xt, targets, w0, 60, rng).tobytes(),
@@ -680,9 +689,22 @@ def _separable_and_not(n):
             (np.vstack([xt, xt[:1]]), np.append(targets, -targets[0]))]
 
 
+def _pocket_runs(xt, targets, w0, inseparable):
+    """(weight bytes, generator state) after 60 epochs of the pocket with the
+    certificate ``inseparable`` and of the reference pocket, each drawing
+    from ``default_rng(7)``."""
+    runs = []
+    for pocket in (lambda rng: milp._pocket_perceptron(xt, targets, w0, 60, rng, inseparable),
+                   lambda rng: _oracle_pocket_perceptron(xt, targets, w0, 60, rng)):
+        rng = np.random.default_rng(7)
+        runs.append((pocket(rng).tobytes(), rng.bit_generator.state))
+    return runs
+
+
 class TestPocketPerceptronOrders:
     """``_pocket_perceptron`` draws every epoch's order in one ``permuted``
-    call and rewinds on an early stop; both must match per-epoch
+    call, rewinds on an early stop and returns without rewinding at a
+    certified floor of one wrong row; all must match per-epoch
     ``permutation`` draws, orders and generator state alike."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 17, 480])
@@ -707,14 +729,38 @@ class TestPocketPerceptronOrders:
             every_epoch = np.random.default_rng(7)
             for _ in range(60):
                 every_epoch.permutation(len(targets))
-            runs = []
-            for pocket in (milp._pocket_perceptron, _oracle_pocket_perceptron):
-                rng = np.random.default_rng(7)
-                w = pocket(xt, targets, np.array([0.0, 1.0, 0.0]), 60, rng)
-                runs.append((w.tobytes(), rng.bit_generator.state))
+            runs = _pocket_runs(xt, targets, np.array([0.0, 1.0, 0.0]),
+                                lambda: lp_module.origin_in_hull(targets[:, None] * xt))
             assert runs[0] == runs[1]
             ran_every_epoch.append(runs[0][1] == every_epoch.bit_generator.state)
-        assert ran_every_epoch == [False, True]  # the separable rows stop early
+        # the separable rows stop early; the others leave the generator where
+        # every epoch's draw does, with or without a certified early return
+        assert ran_every_epoch == [False, True]
+
+    @pytest.mark.parametrize("n", [6, 17, 480])
+    def test_certified_floor_returns_the_reference_pocket(self, n):
+        separable, inseparable = _separable_and_not(n)
+        cases = [  # rows, targets, start weights, where the floor of 1 is reached
+            (*inseparable, np.array([1.0, -0.5, 0.1]), "start"),
+            (*inseparable, np.array([0.5, -0.5, 0.1]), "mid-run"),
+            (*separable, np.array([0.0, 1.0, 0.0]), None),
+        ]
+        for xt, targets, w0, floor in cases:
+            signed = targets[:, None] * xt
+            asked = []
+
+            def certificate():
+                asked.append(lp_module.origin_in_hull(signed))
+                return asked[-1]
+
+            runs = _pocket_runs(xt, targets, w0, certificate)
+            assert runs[0] == runs[1]
+            start_wrong = np.count_nonzero(signed @ w0 <= 0)
+            if floor is None:
+                assert True not in asked
+            else:
+                assert asked == [True]  # returned at the first certified floor
+                assert (start_wrong == 1) == (floor == "start")
 
 
 # The LP builder as it was before it filled blocks, kept verbatim (with its
@@ -1048,6 +1094,41 @@ class TestObjectiveGrid:
             assert len(calls) == sol.nodes_explored
             assert sum(calls) == sol.lp_iterations
         assert sol.nodes_explored > 1
+
+    def test_certificates_are_not_node_lps(self, monkeypatch):
+        # the pocket's hull LPs go through lp.solve_lp, not milp.solve_lp, so
+        # neither the node hook nor lp_iterations counts them
+        node_iterations, hull_lps, verdicts = [], [], []
+        real_node, real_lp, real_hull = milp.solve_lp, lp_module.solve_lp, milp.origin_in_hull
+
+        def node_lp(*args, **kwargs):
+            sol = real_node(*args, **kwargs)
+            node_iterations.append(sol.iterations)
+            return sol
+
+        def any_lp(*args, **kwargs):
+            hull_lps.append(1)
+            return real_lp(*args, **kwargs)
+
+        def certificate(rows):
+            verdicts.append(real_hull(rows))
+            return verdicts[-1]
+
+        monkeypatch.setattr(milp, "solve_lp", node_lp)
+        monkeypatch.setattr(lp_module, "solve_lp", any_lp)
+        monkeypatch.setattr(milp, "origin_in_hull", certificate)
+        certified = 0
+        for ds in _six_point_instances(11, 3):
+            plain = build_binary_milp(ds, MilpConfig())
+            for problem in (plain, add_coverage_constraint(plain, 0.25)):
+                for seen in (node_iterations, hull_lps, verdicts):
+                    seen.clear()
+                sol = solve_milp(problem)
+                assert len(node_iterations) == sol.nodes_explored
+                assert sum(node_iterations) == sol.lp_iterations
+                assert len(hull_lps) == len(verdicts)
+                certified += sum(verdicts)
+        assert certified > 0
 
     def test_early_stopped_proposals_are_a_prefix_with_the_same_pair(self, monkeypatch):
         real = milp._heuristic_candidates
