@@ -10,6 +10,16 @@ phi_i >= 0 (continuous), t_i, r_i (binary):
                R . x_i <= K_r r_i + gamma (r_i - 1)
                R . x_i >= K_r (r_i - 1) + gamma r_i
 
+The multiclass formulation keeps one weight row M_c per class and replaces
+the classifier row by one row per other class j != y_i, with the same t_i:
+
+               K_m t_i >= gamma - (M_{y_i} - M_j) . x_i
+
+These are the point's Kesler margin rows ``(e_y - e_j) kron x_i`` (Duda,
+Hart & Stork, *Pattern Classification*, 2nd ed., 5.12); the binary row is
+their C = 2 case with M = M_1 - M_0. A point has C + 2 rows and the MILP
+2n binaries for every class count.
+
 Features are scaled by the largest training L1 norm and bias-augmented, so
 activations stay comparable to the weight box. gamma must be strictly
 positive: at gamma = 0 the all-zero rejector satisfies both rejector rows
@@ -37,11 +47,12 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .core import DeferDataset, HalfspacePair, pair_decisions, system_loss_01
+from .core import DeferDataset, HalfspacePair, augment, pair_decisions, system_loss_01
 from .lp import Basis, LinearProgram, origin_in_hull, solve_lp
 
 __all__ = [
@@ -145,24 +156,19 @@ class MilpProblem:
         return self.dataset.num_classes
 
     @property
-    def _n_weight_rows(self) -> int:
-        return 1 if self.kind == "binary" else self.num_classes
+    def m_shape(self) -> tuple:
+        """The classifier weights' shape: one row per class when multiclass."""
+        return (self.d1,) if self.kind == "binary" else (self.num_classes, self.d1)
 
     def _layout(self):
         """Slices of the flat LP variable vector, in declaration order."""
         d1, n = self.d1, self.n
-        nw = self._n_weight_rows * d1
+        nw = math.prod(self.m_shape)
         out = {"M": slice(0, nw), "R": slice(nw, nw + d1)}
         base = nw + d1
-        out["phi"] = slice(base, base + n)
-        out["t"] = slice(base + n, base + 2 * n)
-        base += 2 * n
-        if self.kind == "multiclass":
-            ncij = n * (self.num_classes - 1)
-            out["c"] = slice(base, base + ncij)
-            base += ncij
-        out["r"] = slice(base, base + n)
-        base += n
+        for name in ("phi", "t", "r"):
+            out[name] = slice(base, base + n)
+            base += n
         if self.lambda_reg > 0:
             out["aux"] = slice(base, base + nw + d1)
             base += nw + d1
@@ -176,11 +182,26 @@ class MilpProblem:
     @property
     def binary_var_ids(self) -> np.ndarray:
         lay = self._layout()
-        ids = [np.arange(lay["t"].start, lay["t"].stop)]
-        if "c" in lay:
-            ids.append(np.arange(lay["c"].start, lay["c"].stop))
-        ids.append(np.arange(lay["r"].start, lay["r"].stop))
-        return np.concatenate(ids)
+        return np.concatenate([np.arange(lay[name].start, lay[name].stop) for name in ("t", "r")])
+
+    @cached_property
+    def margin_rows(self):
+        """Each point's C-1 margin rows, in point order, and their +-1 targets:
+        ``target * row . M.ravel() > 0`` when M classifies the point right.
+
+        Binary: ``xt`` and ``ypm``. Multiclass: Kesler's row ``(e_y - e_j) kron
+        x_i`` per class j != y_i, ascending, target +1.
+        """
+        if self.kind == "binary":
+            return self.xt, self.ypm
+        (n, d1), cm1 = self.xt.shape, self.num_classes - 1
+        pts = np.arange(n)[:, None]
+        pos = np.arange(cm1)
+        y = np.asarray(self.dataset.labels, dtype=int)[:, None]
+        rows = np.zeros((n, cm1, self.num_classes, d1))
+        rows[pts, pos, y] = self.xt[:, None, :]
+        rows[pts, pos, pos + (pos >= y)] = -self.xt[:, None, :]
+        return rows.reshape(n * cm1, -1), np.ones(n * cm1)
 
     # ---- LP relaxation ----------------------------------------------------
     @property
@@ -191,45 +212,27 @@ class MilpProblem:
 
     def _build_lp(self) -> LinearProgram:
         lay = self._layout()
-        nv, n, d1 = lay["total"], self.n, self.d1
+        nv, n = lay["total"], self.n
         km, kr, g = self.k_m, self.k_r, self.gamma
         pts = np.arange(n)
         phi, t, r = (lay[name].start + pts for name in ("phi", "t", "r"))
-        multi = self.kind == "multiclass"
+        rows, signs = self.margin_rows
         cm1 = self.num_classes - 1
-        # per point: the phi row, the t row, an (up, lo) row pair per other
-        # class when multiclass, then the two rejector rows
-        rpp = 4 + (2 * cm1 if multi else 0)
-        block = np.zeros((n, rpp, nv))
+        # per point: the phi row, one classifier row per margin row, then
+        # the two rejector rows
+        block = np.zeros((n, cm1 + 3, nv))
         block[pts, 0, phi] = 1.0  # phi_i - t_i + r_i >= 0
         block[pts, 0, t] = -1.0
         block[pts, 0, r] = 1.0
-        if multi:
-            block[pts, 1, t] = 1.0  # t_i + sum_j c_ij / (C-1) >= 1
-            cid = lay["c"].start + pts[:, None] * cm1 + np.arange(cm1)
-            block[pts[:, None], 1, cid] = 1.0 / cm1
-            # (M_y - M_j).x_i - (2K_m + g) c_ij <= -g, and >= -2K_m; the
-            # classes j != y_i ascend with the position of c_ij in its block
-            y = np.asarray(self.dataset.labels, dtype=int)[:, None]
-            pos = np.arange(cm1)
-            m_y = (y * d1)[:, :, None] + np.arange(d1)
-            m_j = ((pos + (pos >= y)) * d1)[:, :, None] + np.arange(d1)
-            for rows in (2 + 2 * pos, 3 + 2 * pos):
-                block[pts[:, None, None], rows[:, None], m_y] = self.xt[:, None, :]
-                block[pts[:, None, None], rows[:, None], m_j] = -self.xt[:, None, :]
-                block[pts[:, None], rows, cid] = -(2 * km + g)
-            point_senses = [">="] + ["<=", ">="] * cm1
-            point_rhs = [1.0] + [-g, -2 * km] * cm1
-        else:
-            block[pts, 1, t] = km  # K_m t_i + y_i M.x_i >= gamma
-            block[:, 1, lay["M"]] = self.ypm[:, None] * self.xt
-            point_senses, point_rhs = [">="], [g]
+        # K_m t_i + s (row . M) >= gamma for each margin row with target s
+        block[pts[:, None], 1 + np.arange(cm1), t[:, None]] = km
+        block[:, 1:-2, lay["M"]] = (signs[:, None] * rows).reshape(n, cm1, -1)
         block[:, -2:, lay["R"]] = self.xt[:, None, :]  # R.x_i - (K_r + g) r_i <= -g, >= -K_r
         block[pts, -2, r] = -(kr + g)
         block[pts, -1, r] = -(kr + g)
-        blocks = [block.reshape(n * rpp, nv)]
-        senses = ([">="] + point_senses + ["<=", ">="]) * n
-        rhs = [np.tile([0.0] + point_rhs + [-g, -kr], n)]
+        blocks = [block.reshape(-1, nv)]
+        senses = ([">="] * (cm1 + 1) + ["<=", ">="]) * n
+        rhs = [np.tile([0.0] + [g] * cm1 + [-g, -kr], n)]
 
         if self.lambda_reg > 0:
             # aux_k >= w_k and aux_k >= -w_k over the weights M then R
@@ -270,7 +273,7 @@ class MilpProblem:
         lo[lay["M"]], hi[lay["M"]] = -self.box, self.box
         lo[lay["R"]], hi[lay["R"]] = -self.box, self.box
         lo[lay["phi"]], hi[lay["phi"]] = 0.0, np.inf
-        for name in ("t", "r") + (("c",) if "c" in lay else ()):
+        for name in ("t", "r"):
             lo[lay[name]], hi[lay[name]] = 0.0, 1.0
         if "aux" in lay:
             c[lay["aux"]] = self.lambda_reg
@@ -284,9 +287,8 @@ class MilpProblem:
 
     @property
     def num_rows_estimate(self) -> int:
-        per_point = 3 + (1 if self.kind == "binary" else 2 * (self.num_classes - 1) + 1)
-        extra = (2 * (self._n_weight_rows + 1) * self.d1) if self.lambda_reg > 0 else 0
-        return per_point * self.n + extra
+        extra = 2 * (math.prod(self.m_shape) + self.d1) if self.lambda_reg > 0 else 0
+        return (2 + self.num_classes) * self.n + extra
 
 
 @dataclass
@@ -319,8 +321,7 @@ def _normalize(dataset: DeferDataset):
     scale = float(norms.max())
     if scale <= 0.0:
         scale = 1.0  # zero-variance data stays valid
-    xt = np.hstack([x / scale, np.ones((dataset.n, 1))])
-    return xt, scale
+    return augment(x / scale), scale
 
 
 def build_binary_milp(dataset: DeferDataset, config: MilpConfig) -> MilpProblem:
@@ -414,12 +415,9 @@ def extract_pair(problem: MilpProblem, x: np.ndarray) -> HalfspacePair:
 
 def _split_weights(problem: MilpProblem, x: np.ndarray):
     """(M, R) as views of a vector that starts with them in layout order,
-    M reshaped to one row per class when multiclass."""
+    M in ``problem.m_shape``."""
     lay = problem._layout()
-    m = x[lay["M"]]
-    if problem.kind == "multiclass":
-        m = m.reshape(problem.num_classes, problem.d1)
-    return m, x[lay["R"]]
+    return x[lay["M"]].reshape(problem.m_shape), x[lay["R"]]
 
 
 class _Incumbent:
@@ -457,17 +455,16 @@ def _score_candidate(problem: MilpProblem, m_norm, r_norm) -> Optional[_Incumben
     m = np.asarray(m_norm, dtype=float)
     r = np.asarray(r_norm, dtype=float)
     xt, g = problem.xt, problem.gamma
+    rows, signs = problem.margin_rows
 
     max_m = np.max(np.abs(m), initial=0.0)
-    acts = xt @ (m.T if m.ndim == 2 else m)
+    acts = rows @ m.ravel()
     max_act = np.max(np.abs(acts), initial=0.0)
-    scale_caps = [problem.box / max_m if max_m > 0 else np.inf]
-    if problem.kind == "binary":
-        # t_i = 1 stays feasible as long as y M.x >= gamma - K_m
-        scale_caps.append((problem.k_m - g) / max_act if max_act > 0 else np.inf)
-    else:
-        scale_caps.append((2 * problem.k_m - g) / (2 * max_act) if max_act > 0 else np.inf)
-    s_m = min(scale_caps)
+    # t_i = 1 keeps every margin row feasible as long as row . M >= gamma - K_m
+    s_m = min(
+        problem.box / max_m if max_m > 0 else np.inf,
+        (problem.k_m - g) / max_act if max_act > 0 else np.inf,
+    )
     if not np.isfinite(s_m):
         s_m = 1.0
     m = m * s_m
@@ -488,18 +485,8 @@ def _score_candidate(problem: MilpProblem, m_norm, r_norm) -> Optional[_Incumben
         return None  # rejector puts a point inside the margin band
 
     r_dec = (racts >= 0).astype(float)
-    if problem.kind == "binary":
-        t_dec = (problem.ypm * acts < g).astype(float)
-    else:
-        y = problem.dataset.labels
-        diffs = acts[np.arange(problem.n), y][:, None] - acts
-        diffs[np.arange(problem.n), y] = np.inf
-        # every class-score difference must clear the margin band, or the
-        # implied c_ij variables have no feasible value
-        finite = np.isfinite(diffs)
-        if np.any(np.abs(diffs[finite]) < g):
-            return None
-        t_dec = (diffs.min(axis=1) < g).astype(float)
+    # a point is classified wrong when any of its margin rows is below gamma
+    t_dec = (signs * acts < g).reshape(problem.n, -1).any(axis=1).astype(float)
     phi = np.maximum(0.0, t_dec - r_dec)
     train_cost = float(np.sum(phi + r_dec * problem.err)) / problem.n
 
@@ -623,26 +610,6 @@ def _fit_separator(xt, targets, rng, w, inseparable, epochs=60):
     return _pocket_perceptron(xt, targets, w, epochs, rng, inseparable)
 
 
-def _margin_rows(problem: MilpProblem):
-    """Each point's C-1 margin rows, in point order, and their +-1 targets:
-    ``target * row . M.ravel() > 0`` when M classifies the point right.
-
-    Binary: ``xt`` and ``ypm``. Multiclass: Kesler's row ``(e_y - e_j) kron
-    x_i`` per class j != y_i, target +1 (Duda, Hart & Stork, *Pattern
-    Classification*, 2nd ed., 5.12).
-    """
-    if problem.kind == "binary":
-        return problem.xt, problem.ypm
-    (n, d1), cm1 = problem.xt.shape, problem.num_classes - 1
-    pts = np.arange(n)[:, None]
-    pos = np.arange(cm1)
-    y = np.asarray(problem.dataset.labels, dtype=int)[:, None]
-    rows = np.zeros((n, cm1, problem.num_classes, d1))
-    rows[pts, pos, y] = problem.xt[:, None, :]
-    rows[pts, pos, pos + (pos >= y)] = -problem.xt[:, None, :]
-    return rows.reshape(n * cm1, -1), np.ones(n * cm1)
-
-
 def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadline=None):
     """Alternating classifier/rejector fits; yields (M, R) weight proposals.
 
@@ -650,8 +617,8 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
     misses, and defer every kept point the classifier misses when the human
     is right. The alternation fixes one side, derives the other side's
     must-sets, and fits an exact separator on them. The classifier step
-    separates the kept points' margin rows (``_margin_rows``, Kesler's rows
-    when multiclass); a point is classified wrong when any of its rows is.
+    separates the kept points' margin rows (``MilpProblem.margin_rows``,
+    Kesler's rows when multiclass); a point is classified wrong when any of its rows is.
 
     The alternation often returns to a row subset and target vector it has
     already fitted. IRLS is pure, so each distinct (subset, targets) pair is
@@ -667,9 +634,9 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
     """
     xt, err = problem.xt, problem.err
     n, d1 = xt.shape
-    rows, signs = _margin_rows(problem)
+    rows, signs = problem.margin_rows
     per_point = problem.num_classes - 1
-    m_shape = (d1,) if problem.kind == "binary" else (problem.num_classes, d1)
+    m_shape = problem.m_shape
     bias_only = np.zeros(d1)
     bias_only[-1] = 1.0
     irls_fits = {}  # (row mask, target bytes) -> IRLS weights; lives for this call

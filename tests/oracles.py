@@ -50,14 +50,19 @@ def highs_optimum(problem):
     LP relaxation with its binary variables made integral (an oracle
     independent of the package's simplex and branch-and-bound). Callers
     ``pytest.importorskip("scipy.optimize")`` first."""
+    return highs_lp_optimum(problem.lp_relaxation, problem.binary_var_ids)
+
+
+def highs_lp_optimum(lp, binary_ids):
+    """Optimum by HiGHS of ``lp`` with the variables ``binary_ids`` made
+    integral."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    lp = problem.lp_relaxation
     senses = np.asarray(lp.senses)
     lower = np.where(senses == "<=", -np.inf, lp.b)
     upper = np.where(senses == ">=", np.inf, lp.b)
     integrality = np.zeros(len(lp.c))
-    integrality[problem.binary_var_ids] = 1
+    integrality[binary_ids] = 1
     res = milp(lp.c, constraints=LinearConstraint(lp.A, lower, upper),
                bounds=Bounds(lp.lo, lp.hi), integrality=integrality,
                options={"mip_rel_gap": 0.0, "time_limit": 60.0})

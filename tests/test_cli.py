@@ -207,6 +207,24 @@ class TestTrainEvalRoundTrip:
         code = run_cli("eval", "--data", str(data), "--model", str(tmp_path / "w.csv"))
         assert code == 0
 
+    def test_multiclass_milp_weights(self, tmp_path, capsys):
+        data, rec, weights = tmp_path / "g.csv", tmp_path / "r.json", tmp_path / "w.csv"
+        assert run_cli("gen", "--preset", "grouped", "--C", "3", "--K", "1", "--n", "12",
+                       "--d", "2", "--seed", "4", "--out", str(data)) == 0
+        assert run_cli("milp", "--data", str(data), "--out-record", str(rec),
+                       "--out-weights", str(weights)) == 0
+        record = json.loads(rec.read_text())
+        assert record["status"] == "proven_optimal"
+        assert 0.0 < record["train_loss"] < 1.0
+        pair = load_model_file(weights)
+        assert isinstance(pair, HalfspacePair)
+        assert pair.classifier_weights.shape == (3, 3) and pair.rejector_weights.shape == (3,)
+        assert len(weights.read_text().splitlines()) == 1 + 3 + 1  # header, M rows, R
+        capsys.readouterr()
+        assert run_cli("eval", "--data", str(data), "--model", str(weights)) == 0
+        metrics = dict(line.split("=") for line in capsys.readouterr().out.split())
+        assert float(metrics["system_accuracy"]) == pytest.approx(1.0 - record["train_loss"])
+
 
 def _edit_line(text, index, old, new):
     lines = text.splitlines()

@@ -259,12 +259,46 @@ class TestMulticlass:
         assert sol.objective == pytest.approx(0.0)
 
     def test_t_constraint_arithmetic(self):
-        # at an integral point: all c_ij = 1 frees t_i, any c_ij = 0 forces t_i = 1
-        C = 4
-        cm1 = C - 1
-        lower = lambda csum: (C - 1 - csum) / (C - 1)
-        assert lower(cm1) == 0.0
-        assert lower(cm1 - 1) > 0.0
+        # one row K_m t_i + (M_y - M_j).x_i >= gamma per other class j: with
+        # a scored candidate's weights, t_i = 1 satisfies every row and t_i =
+        # 0 satisfies them exactly where all of the point's margins clear gamma
+        C, n = 4, 6
+        rng = np.random.default_rng(3)
+        ds = DeferDataset(rng.normal(size=(n, 2)), np.arange(n) % C, np.zeros(n, dtype=int), C)
+        problem = build_multiclass_milp(ds, MilpConfig())
+        lp = problem.lp_relaxation
+        lay = problem._layout()
+        assert "c" not in lay and len(problem.binary_var_ids) == 2 * n
+        assert lp.num_rows == n * (C + 2) == problem.num_rows_estimate
+        clf = np.flatnonzero((lp.A[:, lay["t"]] == problem.k_m).any(axis=1))
+        assert len(clf) == n * (C - 1)
+        assert np.all(lp.b[clf] == problem.gamma)
+        assert all(lp.senses[k] == ">=" for k in clf)
+        cand = milp._score_candidate(problem, rng.normal(size=(C, 3)), np.array([0.0, 0.0, -1.0]))
+        x = np.zeros(problem.num_vars)
+        x[lay["M"]] = cand.m_norm.ravel()
+        scores = problem.xt @ cand.m_norm.T
+        margins = scores[np.arange(n), ds.labels][:, None] - scores
+        margins[np.arange(n), ds.labels] = np.inf
+        right = margins.min(axis=1) >= problem.gamma
+        assert 0 < right.sum() < n
+        for t in (np.ones(n), np.zeros(n)):
+            x[lay["t"]] = t
+            holds = (lp.A[clf] @ x >= lp.b[clf] - 1e-12).reshape(n, C - 1).all(axis=1)
+            assert np.array_equal(holds, right | (t == 1))
+        assert cand.train_cost == pytest.approx(1.0 - right.mean())
+
+    def test_hard_draws_proven_within_a_node_limit(self):
+        # with a binary per point and other class, 2000 nodes did not prove
+        # 4-class draws 2, 5 and 8, and the 9-point 3-class draw of optimum 0
+        # took 1082; a node limit keeps the check machine-independent
+        four = _oracle_instances(7, 4, 9, (8, 10, 12))
+        three = _oracle_instances(5, 3, 11, (8, 9, 10))[10]
+        sols = [solve_milp(build_multiclass_milp(ds, MilpConfig()), MilpConfig(node_limit=2000))
+                for ds in four + [three]]
+        assert [sol.status for sol in sols] == ["proven_optimal"] * 10
+        assert sols[8].objective == pytest.approx(1 / 12, abs=1e-12)
+        assert sols[9].objective == 0.0
 
 
 class TestCoverage:
@@ -577,7 +611,7 @@ def _multiclass_heuristic_problems():
     """3-class draws at n=8..10, and the 2-class plain problems of
     ``_heuristic_problems`` built by the multiclass builder."""
     three = [build_multiclass_milp(ds, MilpConfig())
-             for ds in _oracle_instances("three", 6, (8, 9, 10))]
+             for ds in _oracle_instances(809, 3, 6, (8, 9, 10))]
     two = [build_multiclass_milp(p.dataset, MilpConfig()) for p in _heuristic_problems()[3:-1]]
     return three + two
 
@@ -763,9 +797,10 @@ class TestPocketPerceptronOrders:
                 assert (start_wrong == 1) == (floor == "start")
 
 
-# The LP builder as it was before it filled blocks, kept verbatim (with its
+# The LP builder as it was before it filled blocks, kept row by row (with its
 # per-point class lookup inlined) as the reference the block builder must
-# reproduce bit for bit, signs of zeros included.
+# reproduce bit for bit, signs of zeros included. Its binary branch is the
+# original; its multiclass rows are written from explicit M_y and M_j slices.
 
 
 def _oracle_other_classes(self, i):
@@ -773,63 +808,10 @@ def _oracle_other_classes(self, i):
     return np.array([j for j in range(self.num_classes) if j != y])
 
 
-def _oracle_build_lp(self):
-    lay = self._layout()
-    nv, n, d1 = lay["total"], self.n, self.d1
-    rows, senses, rhs = [], [], []
-
-    def row():
-        rows.append(np.zeros(nv))
-        return rows[-1]
-
-    km, kr, g = self.k_m, self.k_r, self.gamma
-    for i in range(n):
-        a = row()  # phi_i - t_i + r_i >= 0
-        a[lay["phi"].start + i] = 1.0
-        a[lay["t"].start + i] = -1.0
-        a[lay["r"].start + i] = 1.0
-        senses.append(">=")
-        rhs.append(0.0)
-        if self.kind == "binary":
-            a = row()  # K_m t_i + y_i M.x_i >= gamma
-            a[lay["t"].start + i] = km
-            a[lay["M"]] = self.ypm[i] * self.xt[i]
-            senses.append(">=")
-            rhs.append(g)
-        else:
-            cm1 = self.num_classes - 1
-            a = row()  # t_i + sum_j c_ij / (C-1) >= 1
-            a[lay["t"].start + i] = 1.0
-            a[lay["c"].start + i * cm1 : lay["c"].start + (i + 1) * cm1] = 1.0 / cm1
-            senses.append(">=")
-            rhs.append(1.0)
-            y = int(self.dataset.labels[i])
-            for pos, j in enumerate(_oracle_other_classes(self, i)):
-                cid = lay["c"].start + i * cm1 + pos
-                diff = np.zeros(nv)
-                diff[lay["M"].start + y * d1 : lay["M"].start + (y + 1) * d1] = self.xt[i]
-                diff[lay["M"].start + j * d1 : lay["M"].start + (j + 1) * d1] = -self.xt[i]
-                up = diff.copy()  # (M_y - M_j).x_i - (2K_m + g) c_ij <= -g
-                up[cid] = -(2 * km + g)
-                rows.append(up)
-                senses.append("<=")
-                rhs.append(-g)
-                lo = diff  # (M_y - M_j).x_i - (2K_m + g) c_ij >= -2K_m
-                lo[cid] = -(2 * km + g)
-                rows.append(lo)
-                senses.append(">=")
-                rhs.append(-2 * km)
-        a = row()  # R.x_i - (K_r + g) r_i <= -g
-        a[lay["R"]] = self.xt[i]
-        a[lay["r"].start + i] = -(kr + g)
-        senses.append("<=")
-        rhs.append(-g)
-        a = row()  # R.x_i - (K_r + g) r_i >= -K_r
-        a[lay["R"]] = self.xt[i]
-        a[lay["r"].start + i] = -(kr + g)
-        senses.append(">=")
-        rhs.append(-kr)
-
+def _oracle_side_rows(self, lay, row, senses, rhs):
+    """The regularization, coverage and fairness rows, shared by both
+    reference builders."""
+    n = self.n
     if self.lambda_reg > 0:
         w_ids = list(range(lay["M"].start, lay["M"].stop)) + list(
             range(lay["R"].start, lay["R"].stop)
@@ -861,6 +843,9 @@ def _oracle_build_lp(self):
                 senses.append(sense)
                 rhs.append(bound)
 
+
+def _oracle_lp(self, lay, binaries, rows, senses, rhs):
+    nv, n = lay["total"], self.n
     c = np.zeros(nv)
     c[lay["phi"]] = 1.0 / n
     c[lay["r"]] = self.err / n
@@ -869,12 +854,119 @@ def _oracle_build_lp(self):
     lo[lay["M"]], hi[lay["M"]] = -self.box, self.box
     lo[lay["R"]], hi[lay["R"]] = -self.box, self.box
     lo[lay["phi"]], hi[lay["phi"]] = 0.0, np.inf
-    for name in ("t", "r") + (("c",) if "c" in lay else ()):
+    for name in binaries:
         lo[lay[name]], hi[lay[name]] = 0.0, 1.0
     if "aux" in lay:
         c[lay["aux"]] = self.lambda_reg
         lo[lay["aux"]], hi[lay["aux"]] = 0.0, self.box
     return LinearProgram(c=c, A=np.array(rows), senses=senses, b=np.array(rhs), lo=lo, hi=hi)
+
+
+def _oracle_build_lp(self):
+    lay = self._layout()
+    nv, n, d1 = lay["total"], self.n, self.d1
+    rows, senses, rhs = [], [], []
+
+    def row():
+        rows.append(np.zeros(nv))
+        return rows[-1]
+
+    km, kr, g = self.k_m, self.k_r, self.gamma
+    for i in range(n):
+        a = row()  # phi_i - t_i + r_i >= 0
+        a[lay["phi"].start + i] = 1.0
+        a[lay["t"].start + i] = -1.0
+        a[lay["r"].start + i] = 1.0
+        senses.append(">=")
+        rhs.append(0.0)
+        if self.kind == "binary":
+            a = row()  # K_m t_i + y_i M.x_i >= gamma
+            a[lay["t"].start + i] = km
+            a[lay["M"]] = self.ypm[i] * self.xt[i]
+            senses.append(">=")
+            rhs.append(g)
+        else:
+            y = int(self.dataset.labels[i])
+            for j in _oracle_other_classes(self, i):
+                a = row()  # K_m t_i + (M_y - M_j).x_i >= gamma
+                a[lay["t"].start + i] = km
+                a[lay["M"].start + y * d1 : lay["M"].start + (y + 1) * d1] = self.xt[i]
+                a[lay["M"].start + j * d1 : lay["M"].start + (j + 1) * d1] = -self.xt[i]
+                senses.append(">=")
+                rhs.append(g)
+        a = row()  # R.x_i - (K_r + g) r_i <= -g
+        a[lay["R"]] = self.xt[i]
+        a[lay["r"].start + i] = -(kr + g)
+        senses.append("<=")
+        rhs.append(-g)
+        a = row()  # R.x_i - (K_r + g) r_i >= -K_r
+        a[lay["R"]] = self.xt[i]
+        a[lay["r"].start + i] = -(kr + g)
+        senses.append(">=")
+        rhs.append(-kr)
+
+    _oracle_side_rows(self, lay, row, senses, rhs)
+    return _oracle_lp(self, lay, ("t", "r"), rows, senses, rhs)
+
+
+def _cij_reference_lp(self):
+    """The multiclass formulation with one binary c_ij per point and other
+    class, as the package built it before its classifier rows became margin
+    rows: (M_y - M_j).x_i - (2K_m + g) c_ij <= -g and >= -2K_m, and
+    t_i + sum_j c_ij / (C-1) >= 1. Its own layout puts c between t and r.
+    Returns the LP and its binary variable ids."""
+    n, d1, cm1 = self.n, self.d1, self.num_classes - 1
+    nw = self.num_classes * d1
+    lay = {"M": slice(0, nw), "R": slice(nw, nw + d1)}
+    base = nw + d1
+    for name, size in (("phi", n), ("t", n), ("c", n * cm1), ("r", n)):
+        lay[name] = slice(base, base + size)
+        base += size
+    if self.lambda_reg > 0:
+        lay["aux"] = slice(base, base + nw + d1)
+        base += nw + d1
+    lay["total"] = nv = base
+    rows, senses, rhs = [], [], []
+
+    def row():
+        rows.append(np.zeros(nv))
+        return rows[-1]
+
+    km, kr, g = self.k_m, self.k_r, self.gamma
+    for i in range(n):
+        a = row()  # phi_i - t_i + r_i >= 0
+        a[lay["phi"].start + i] = 1.0
+        a[lay["t"].start + i] = -1.0
+        a[lay["r"].start + i] = 1.0
+        senses.append(">=")
+        rhs.append(0.0)
+        a = row()  # t_i + sum_j c_ij / (C-1) >= 1
+        a[lay["t"].start + i] = 1.0
+        a[lay["c"].start + i * cm1 : lay["c"].start + (i + 1) * cm1] = 1.0 / cm1
+        senses.append(">=")
+        rhs.append(1.0)
+        y = int(self.dataset.labels[i])
+        for pos, j in enumerate(_oracle_other_classes(self, i)):
+            cid = lay["c"].start + i * cm1 + pos
+            diff = np.zeros(nv)
+            diff[lay["M"].start + y * d1 : lay["M"].start + (y + 1) * d1] = self.xt[i]
+            diff[lay["M"].start + j * d1 : lay["M"].start + (j + 1) * d1] = -self.xt[i]
+            diff[cid] = -(2 * km + g)
+            for sense, bound in (("<=", -g), (">=", -2 * km)):
+                rows.append(diff.copy())
+                senses.append(sense)
+                rhs.append(bound)
+        for sense, bound in (("<=", -g), (">=", -kr)):
+            a = row()  # R.x_i - (K_r + g) r_i <= -g, >= -K_r
+            a[lay["R"]] = self.xt[i]
+            a[lay["r"].start + i] = -(kr + g)
+            senses.append(sense)
+            rhs.append(bound)
+
+    _oracle_side_rows(self, lay, row, senses, rhs)
+    binaries = ("t", "c", "r")
+    lp = _oracle_lp(self, lay, binaries, rows, senses, rhs)
+    return lp, np.concatenate([np.arange(lay[b].start, lay[b].stop) for b in binaries])
 
 
 @st.composite
@@ -1082,7 +1174,7 @@ class TestObjectiveGrid:
         y = np.arange(6) % 3
         three = DeferDataset(rng.normal(size=(6, 2)), y, (y + 1) % 3, 3)
         # a 9-point 3-class draw whose proof still needs the tree
-        tree_three = _oracle_instances("three", 11, (8, 9, 10))[10]
+        tree_three = _oracle_instances(809, 3, 11, (8, 9, 10))[10]
         runs = [(plain, None), (add_coverage_constraint(plain, 0.25), None), (deep, None),
                 (deep, MilpConfig(node_limit=3)), (deep, MilpConfig(node_limit=0)),
                 (build_binary_milp(realizable, MilpConfig()), None),
@@ -1168,12 +1260,12 @@ def _highs():
     return highs_optimum
 
 
-def _oracle_instances(kind, count, sizes, highs_optimum=None):
-    """2-D datasets, binary or 3-class; given ``highs_optimum``, only those
-    whose optimum by HiGHS is above 0 (the heuristics alone prove an
-    optimum of 0)."""
-    rng = np.random.default_rng({"binary": 808, "three": 809}[kind])
-    classes = 2 if kind == "binary" else 3
+def _oracle_instances(seed, classes, count, sizes, highs_optimum=None):
+    """2-D datasets of ``classes`` classes drawn from ``default_rng(seed)``,
+    n cycling through ``sizes``; given ``highs_optimum``, only those whose
+    optimum by HiGHS is above 0 (the heuristics alone prove an optimum of
+    0). The binary sweep draws from seed 808 and the 3-class one from 809."""
+    rng = np.random.default_rng(seed)
     build = build_binary_milp if classes == 2 else build_multiclass_milp
     out = []
     while len(out) < count:
@@ -1212,7 +1304,7 @@ class TestHighsOracle:
     @pytest.mark.parametrize("beta", [None, 0.25])
     def test_binary_optima(self, beta):
         highs_optimum = _highs()
-        for ds in _oracle_instances("binary", 4, (8, 12, 16, 20), highs_optimum):
+        for ds in _oracle_instances(808, 2, 4, (8, 12, 16, 20), highs_optimum):
             problem = build_binary_milp(ds, MilpConfig())
             if beta is not None:
                 problem = add_coverage_constraint(problem, beta)
@@ -1220,13 +1312,13 @@ class TestHighsOracle:
 
     def test_three_class_optima(self):
         highs_optimum = _highs()
-        for ds in _oracle_instances("three", 3, (8, 9, 10), highs_optimum):
+        for ds in _oracle_instances(809, 3, 3, (8, 9, 10), highs_optimum):
             self._assert_proven(build_multiclass_milp(ds, MilpConfig()), highs_optimum)
 
     def test_three_class_zero_optima_proven_at_the_root(self):
         highs_optimum = _highs()
         zero = 0
-        for ds in _oracle_instances("three", 12, (8, 9, 10)):
+        for ds in _oracle_instances(809, 3, 12, (8, 9, 10)):
             problem = build_multiclass_milp(ds, MilpConfig())
             if highs_optimum(problem) == 0.0:
                 sol = solve_milp(problem)
@@ -1234,6 +1326,25 @@ class TestHighsOracle:
                     (0.0, "proven_optimal", 1)
                 zero += 1
         assert zero == 10
+
+    def test_multiclass_optima_equal_the_cij_formulation(self):
+        # the margin-row MILP and the reference with a binary c_ij per point
+        # and other class have the same optima at lambda_reg = 0
+        pytest.importorskip("scipy.optimize")
+        from oracles import highs_lp_optimum
+
+        sweeps = [(809, 3, 12, (8, 9, 10)), (5, 3, 12, (8, 9, 10)),
+                  (7, 4, 5, (8, 10, 12)), (13, 5, 4, (10, 12))]
+        above_zero = 0
+        for args in sweeps:
+            for ds in _oracle_instances(*args):
+                problem = build_multiclass_milp(ds, MilpConfig())
+                sol = solve_milp(problem)
+                assert sol.status == "proven_optimal"
+                optimum = highs_lp_optimum(*_cij_reference_lp(problem))
+                assert sol.objective == pytest.approx(optimum, abs=1e-9)
+                above_zero += optimum > 0
+        assert above_zero >= 10
 
     @pytest.mark.parametrize("beta", [None, 0.25])
     def test_node_limited_bounds_stay_below_the_optimum(self, beta):
@@ -1257,7 +1368,7 @@ class TestHighsOracle:
                     add_coverage_constraint(build_binary_milp(ds, cfg), 0.25),
                     build_multiclass_milp(_pinned_three_class_problem().dataset, cfg)]
         problems += [build_binary_milp(d, cfg)
-                     for d in _oracle_instances("binary", 4, (8, 12, 16, 20))]
+                     for d in _oracle_instances(808, 2, 4, (8, 12, 16, 20))]
         for problem in problems:
             sol = solve_milp(problem)
             optimum = highs_optimum(problem)
