@@ -4,7 +4,8 @@ Branch-and-bound over the formulation's binary variables, with the LP
 relaxations solved by the built-in bounded-variable simplex. On a
 realizable instance the optimum is provably zero; adding a coverage budget
 shrinks the feasible set and can only raise the optimum. Multiclass data
-goes through the same solver, with one classifier weight vector per class.
+goes through the same builder, `build_milp`, and the same solver, with one
+classifier weight vector per class.
 """
 
 from deferlab import (
@@ -12,7 +13,7 @@ from deferlab import (
     SyntheticConfig,
     add_coverage_constraint,
     build_binary_milp,
-    build_multiclass_milp,
+    build_milp,
     generate_grouped_expert,
     generate_synthetic,
     pair_decisions,
@@ -48,7 +49,7 @@ for beta in (0.75, 0.5, 0.25, 0.0):
 
 # Three classes: the expert is perfect on class 0 and guesses on the others.
 grouped = generate_grouped_expert(d=2, n=10, C=3, K=1, seed=1, blob_std=3.0)
-multi = solve_milp(build_multiclass_milp(grouped, MilpConfig()))
+multi = solve_milp(build_milp(grouped, MilpConfig()))
 print(f"\n3 classes, 10 points: status={multi.status}  objective={multi.objective:.4f}  "
       f"nodes={multi.nodes_explored}")
 assert multi.status == "proven_optimal"

@@ -48,8 +48,7 @@ from .milp import (
     add_coverage_constraint,
     add_fairness_constraint,
     build_binary_milp,
-    build_multiclass_milp,
-    extract_pair,
+    build_milp,
     solve_milp,
 )
 from .surrogates import (

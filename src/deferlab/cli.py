@@ -46,7 +46,7 @@ from .evaluation import (
     write_curves_svg,
     write_results_csv,
 )
-from .milp import MilpConfig, build_binary_milp, build_multiclass_milp, solve_milp
+from .milp import MilpConfig, build_milp, solve_milp
 from .train import (
     AUX_KINDS,
     JOINT_KINDS,
@@ -403,8 +403,7 @@ def cmd_milp(args):
     cfg = _load_config(args)
     dataset = load_dataset_csv(args.data)
     milp_cfg = _config(args, cfg, SOLVER_SETTINGS)
-    builder = build_binary_milp if dataset.num_classes == 2 else build_multiclass_milp
-    solution = solve_milp(builder(dataset, milp_cfg), milp_cfg)
+    solution = solve_milp(build_milp(dataset, milp_cfg), milp_cfg)
     if solution.pair is None:
         print(f"milp failed: status={solution.status}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import DeferDataset, HalfspacePair, pair_decisions
 from .datagen import generate_instance
-from .milp import MilpConfig, build_binary_milp, build_multiclass_milp, solve_milp
+from .milp import MilpConfig, build_milp, solve_milp
 from .train import (
     METHODS,
     TrainConfig,
@@ -81,7 +81,7 @@ class CoverageCurve:
 
 
 def _decisions(system: Union[TrainedSystem, HalfspacePair], dataset: DeferDataset):
-    """(deferred, classifier labels, rejection scores) of either system kind."""
+    """(deferred, classifier labels, rejection scores) of a trained system or a pair."""
     if isinstance(system, HalfspacePair):
         return pair_decisions(system, dataset.features)
     deferred, labels = system.decide(dataset.features)
@@ -169,8 +169,7 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def _fit_milp(train: DeferDataset, milp_config: MilpConfig):
-    builder = build_binary_milp if train.num_classes == 2 else build_multiclass_milp
-    solution = solve_milp(builder(train, milp_config), milp_config)
+    solution = solve_milp(build_milp(train, milp_config), milp_config)
     if solution.pair is None:
         raise RuntimeError(f"milp found no feasible pair (status {solution.status})")
     return solution.pair

@@ -1,24 +1,21 @@
 """Exact 0-1 deferral optimization via a big-M mixed-integer linear program.
 
-The binary formulation, per training point i with label y in {-1, +1} and
+The formulation, per training point i with label y_i among C classes and
 human-error indicator e_i, over box-bounded weights M, R and variables
 phi_i >= 0 (continuous), t_i, r_i (binary):
 
     minimize   sum_i (phi_i + r_i e_i) / n   [+ lambda * l1(M, R)]
     subject to phi_i >= t_i - r_i
-               K_m t_i >= gamma - y_i M . x_i
+               K_m t_i >= gamma - (M_{y_i} - M_j) . x_i   for each class j != y_i
                R . x_i <= K_r r_i + gamma (r_i - 1)
                R . x_i >= K_r (r_i - 1) + gamma r_i
 
-The multiclass formulation keeps one weight row M_c per class and replaces
-the classifier row by one row per other class j != y_i, with the same t_i:
-
-               K_m t_i >= gamma - (M_{y_i} - M_j) . x_i
-
-These are the point's Kesler margin rows ``(e_y - e_j) kron x_i`` (Duda,
-Hart & Stork, *Pattern Classification*, 2nd ed., 5.12); the binary row is
-their C = 2 case with M = M_1 - M_0. A point has C + 2 rows and the MILP
-2n binaries for every class count.
+The classifier rows are the point's Kesler margin rows ``(e_y - e_j) kron
+x_i`` (Duda, Hart & Stork, *Pattern Classification*, 2nd ed., 5.12) over
+one weight row M_c per class. At C = 2 the row M_0 is fixed at 0 and M is
+the vector M_1, so a point's one margin row is ``s_i x_i`` with
+s_i = 2 y_i - 1. A point has C + 2 rows and the MILP 2n binaries for every
+class count.
 
 Features are scaled by the largest training L1 norm and bias-augmented, so
 activations stay comparable to the weight box. gamma must be strictly
@@ -29,12 +26,12 @@ The solver is a deterministic best-bound branch-and-bound whose node
 relaxations are the full LP relaxation, solved with :mod:`deferlab.lp` by
 the dual simplex: the root from the slack basis, each child node from its
 parent's optimal basis. Primal heuristics supply incumbents before the
-tree starts; their alternating fits run on Kesler's margin rows, so they
-serve every class count. A binary problem without coverage or fairness
-rows whose LP would exceed ``EXACT_ROWS_MAX`` rows is not searched: its
-solve returns the heuristics' incumbent with the trivial bound 0, as with
-``node_limit=0``. Multiclass and side-constrained problems are searched at
-every size.
+tree starts; their alternating fits run on the margin rows. A problem
+without coverage or fairness rows whose LP would exceed ``EXACT_ROWS_MAX``
+rows is not searched: its solve returns the heuristics' incumbent with the
+trivial bound 0, as with ``node_limit=0``. Side-constrained problems are
+searched at every size, since fairness rows need the tree to find a
+feasible point.
 
 Incumbents are never trusted from relaxation values: every candidate pair
 is re-scored through the true 0-1 loss and re-checked against margins, the
@@ -60,11 +57,10 @@ __all__ = [
     "MilpProblem",
     "MilpSolution",
     "build_binary_milp",
-    "build_multiclass_milp",
+    "build_milp",
     "add_coverage_constraint",
     "add_fairness_constraint",
     "solve_milp",
-    "extract_pair",
 ]
 
 INT_TOL = 1e-6
@@ -82,7 +78,7 @@ GRID_TOL = 1e-6
 # the default gap off that grid, with lambda_reg > 0 or fairness rows
 OFF_GRID_GAP = 1e-6
 FAIRNESS_SLACK = 1e-6
-# binary problems without side rows whose LP has more rows are not searched
+# problems without side rows whose LP has more rows are not searched
 EXACT_ROWS_MAX = 450
 
 
@@ -117,13 +113,16 @@ class MilpConfig:
             raise ValueError("coverage_beta must lie in [0, 1]")
         if self.lambda_reg < 0:
             raise ValueError("lambda_reg must be nonnegative")
+        # a negative gap switches pruning off; the CLI passes these unchecked
+        for name in ("abs_gap", "time_limit_s", "node_limit"):
+            if getattr(self, name) is not None and getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass
 class MilpProblem:
     """A built deferral MILP: data in normalized space plus the var layout."""
 
-    kind: str  # "binary" | "multiclass"
     dataset: DeferDataset
     xt: np.ndarray  # (n, d+1) features / norm_scale with bias appended
     err: np.ndarray  # (n,) human error indicators
@@ -131,7 +130,6 @@ class MilpProblem:
     gamma: float
     box: float
     lambda_reg: float
-    ypm: Optional[np.ndarray] = None  # (n,) labels in {-1, +1}, binary only
     coverage_beta: Optional[float] = None
     fairness_groups: Optional[np.ndarray] = None
     _lp: Optional[LinearProgram] = field(default=None, repr=False, compare=False)
@@ -157,8 +155,9 @@ class MilpProblem:
 
     @property
     def m_shape(self) -> tuple:
-        """The classifier weights' shape: one row per class when multiclass."""
-        return (self.d1,) if self.kind == "binary" else (self.num_classes, self.d1)
+        """The classifier weights' shape: one row per class, or M_1 alone at
+        C = 2, where M_0 is fixed at 0."""
+        return (self.d1,) if self.num_classes == 2 else (self.num_classes, self.d1)
 
     def _layout(self):
         """Slices of the flat LP variable vector, in declaration order."""
@@ -185,15 +184,14 @@ class MilpProblem:
         return np.concatenate([np.arange(lay[name].start, lay[name].stop) for name in ("t", "r")])
 
     @cached_property
-    def margin_rows(self):
-        """Each point's C-1 margin rows, in point order, and their +-1 targets:
-        ``target * row . M.ravel() > 0`` when M classifies the point right.
+    def margin_rows(self) -> np.ndarray:
+        """Each point's C-1 margin rows, in point order: ``row . M.ravel() > 0``
+        for every row of a point when M classifies it right.
 
-        Binary: ``xt`` and ``ypm``. Multiclass: Kesler's row ``(e_y - e_j) kron
-        x_i`` per class j != y_i, ascending, target +1.
+        Kesler's row ``(e_y - e_j) kron x_i`` per class j != y_i, ascending.
+        At C = 2 the M_0 columns are dropped, so a point's row is ``x_i`` or
+        ``-x_i`` as y_i is 1 or 0: the row ``y_i x_i`` for y_i in {-1, +1}.
         """
-        if self.kind == "binary":
-            return self.xt, self.ypm
         (n, d1), cm1 = self.xt.shape, self.num_classes - 1
         pts = np.arange(n)[:, None]
         pos = np.arange(cm1)
@@ -201,7 +199,9 @@ class MilpProblem:
         rows = np.zeros((n, cm1, self.num_classes, d1))
         rows[pts, pos, y] = self.xt[:, None, :]
         rows[pts, pos, pos + (pos >= y)] = -self.xt[:, None, :]
-        return rows.reshape(n * cm1, -1), np.ones(n * cm1)
+        if self.num_classes == 2:
+            rows = rows[:, :, 1:]  # M_0 = 0
+        return rows.reshape(n * cm1, -1)
 
     # ---- LP relaxation ----------------------------------------------------
     @property
@@ -216,7 +216,6 @@ class MilpProblem:
         km, kr, g = self.k_m, self.k_r, self.gamma
         pts = np.arange(n)
         phi, t, r = (lay[name].start + pts for name in ("phi", "t", "r"))
-        rows, signs = self.margin_rows
         cm1 = self.num_classes - 1
         # per point: the phi row, one classifier row per margin row, then
         # the two rejector rows
@@ -224,9 +223,9 @@ class MilpProblem:
         block[pts, 0, phi] = 1.0  # phi_i - t_i + r_i >= 0
         block[pts, 0, t] = -1.0
         block[pts, 0, r] = 1.0
-        # K_m t_i + s (row . M) >= gamma for each margin row with target s
+        # K_m t_i + row . M >= gamma for each margin row
         block[pts[:, None], 1 + np.arange(cm1), t[:, None]] = km
-        block[:, 1:-2, lay["M"]] = (signs[:, None] * rows).reshape(n, cm1, -1)
+        block[:, 1:-2, lay["M"]] = self.margin_rows.reshape(n, cm1, -1)
         block[:, -2:, lay["R"]] = self.xt[:, None, :]  # R.x_i - (K_r + g) r_i <= -g, >= -K_r
         block[pts, -2, r] = -(kr + g)
         block[pts, -1, r] = -(kr + g)
@@ -325,21 +324,16 @@ def _normalize(dataset: DeferDataset):
 
 
 def build_binary_milp(dataset: DeferDataset, config: MilpConfig) -> MilpProblem:
-    """Assemble the binary big-M formulation for a 2-class dataset."""
+    """``build_milp`` for a dataset that must have 2 classes."""
     if dataset.num_classes != 2:
-        raise ValueError("binary builder requires num_classes == 2; use the multiclass builder")
-    return _build_milp(dataset, config, "binary", (2 * dataset.labels - 1).astype(float))
+        raise ValueError("binary builder requires num_classes == 2; use build_milp")
+    return build_milp(dataset, config)
 
 
-def build_multiclass_milp(dataset: DeferDataset, config: MilpConfig) -> MilpProblem:
-    """Assemble the multiclass formulation (per-class weight vectors)."""
-    return _build_milp(dataset, config, "multiclass", None)
-
-
-def _build_milp(dataset: DeferDataset, config: MilpConfig, kind: str, ypm) -> MilpProblem:
+def build_milp(dataset: DeferDataset, config: MilpConfig) -> MilpProblem:
+    """Assemble the big-M formulation for a dataset of any class count."""
     xt, scale = _normalize(dataset)
     problem = MilpProblem(
-        kind=kind,
         dataset=dataset,
         xt=xt,
         err=(dataset.human_preds != dataset.labels).astype(float),
@@ -347,7 +341,6 @@ def _build_milp(dataset: DeferDataset, config: MilpConfig, kind: str, ypm) -> Mi
         gamma=config.gamma,
         box=config.box,
         lambda_reg=config.lambda_reg,
-        ypm=ypm,
     )
     if config.coverage_beta is not None:
         problem = add_coverage_constraint(problem, config.coverage_beta)
@@ -372,12 +365,8 @@ def add_fairness_constraint(problem: MilpProblem, groups) -> MilpProblem:
     groups = np.asarray(groups)
     if groups.shape != (problem.n,):
         raise ValueError("groups must assign one id per training point")
-    uniq = np.unique(groups)
-    if uniq.size < 2:
+    if np.unique(groups).size < 2:
         raise ValueError("need at least 2 groups")
-    for gid in uniq:
-        if not np.any(groups == gid) or not np.any(groups != gid):
-            raise ValueError("every group and its complement must be nonempty")
     return replace(problem, fairness_groups=groups, _lp=None)
 
 
@@ -389,28 +378,9 @@ def add_fairness_constraint(problem: MilpProblem, groups) -> MilpProblem:
 def _unnormalize_pair(problem: MilpProblem, m_norm: np.ndarray, r_norm: np.ndarray) -> HalfspacePair:
     m = np.array(m_norm, dtype=float, copy=True)
     r = np.array(r_norm, dtype=float, copy=True)
-    if m.ndim == 1:
-        m[:-1] /= problem.norm_scale
-    else:
-        m[:, :-1] /= problem.norm_scale
+    m[..., :-1] /= problem.norm_scale
     r[:-1] /= problem.norm_scale
     return HalfspacePair(m, r)
-
-
-def extract_pair(problem: MilpProblem, x: np.ndarray) -> HalfspacePair:
-    """Unpack M, R from a full LP variable vector and undo normalization.
-
-    Raises if any binary variable is fractional beyond the integrality
-    tolerance; that indicates an invariant breach upstream.
-    """
-    x = np.asarray(x, dtype=float)
-    lay = problem._layout()
-    if x.shape != (lay["total"],):
-        raise ValueError("solution vector has the wrong length")
-    frac = x[problem.binary_var_ids]
-    if np.max(np.abs(frac - np.round(frac)), initial=0.0) > INT_TOL:
-        raise RuntimeError("fractional binary variables in a supposedly integral solution")
-    return _unnormalize_pair(problem, *_split_weights(problem, x))
 
 
 def _split_weights(problem: MilpProblem, x: np.ndarray):
@@ -455,7 +425,7 @@ def _score_candidate(problem: MilpProblem, m_norm, r_norm) -> Optional[_Incumben
     m = np.asarray(m_norm, dtype=float)
     r = np.asarray(r_norm, dtype=float)
     xt, g = problem.xt, problem.gamma
-    rows, signs = problem.margin_rows
+    rows = problem.margin_rows
 
     max_m = np.max(np.abs(m), initial=0.0)
     acts = rows @ m.ravel()
@@ -486,7 +456,7 @@ def _score_candidate(problem: MilpProblem, m_norm, r_norm) -> Optional[_Incumben
 
     r_dec = (racts >= 0).astype(float)
     # a point is classified wrong when any of its margin rows is below gamma
-    t_dec = (signs * acts < g).reshape(problem.n, -1).any(axis=1).astype(float)
+    t_dec = (acts < g).reshape(problem.n, -1).any(axis=1).astype(float)
     phi = np.maximum(0.0, t_dec - r_dec)
     train_cost = float(np.sum(phi + r_dec * problem.err)) / problem.n
 
@@ -617,8 +587,8 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
     misses, and defer every kept point the classifier misses when the human
     is right. The alternation fixes one side, derives the other side's
     must-sets, and fits an exact separator on them. The classifier step
-    separates the kept points' margin rows (``MilpProblem.margin_rows``,
-    Kesler's rows when multiclass); a point is classified wrong when any of its rows is.
+    separates the kept points' margin rows (``MilpProblem.margin_rows``) with
+    targets +1; a point is classified wrong when any of its rows is.
 
     The alternation often returns to a row subset and target vector it has
     already fitted. IRLS is pure, so each distinct (subset, targets) pair is
@@ -627,14 +597,15 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
     Next to each IRLS fit the memo keeps whether the pair is inseparable
     (``origin_in_hull`` of the target-signed rows). That certificate is
     solved lazily, the first time a pocket on the pair reaches one wrong row,
-    so subsets whose pockets never get there never pay for it. Where
-    classifier and rejector rows differ (multiclass), their memo keys do
-    too: the classifier's targets are all +1, the rejector's are -1 on the
-    human-wrong points, or else the masks differ in length.
+    so subsets whose pockets never get there never pay for it. The
+    classifier's and the rejector's rows differ, and so do their memo keys:
+    the classifier's targets are all +1, the rejector's are -1 on the
+    human-wrong points.
     """
     xt, err = problem.xt, problem.err
     n, d1 = xt.shape
-    rows, signs = problem.margin_rows
+    rows = problem.margin_rows
+    ones = np.ones(len(rows))
     per_point = problem.num_classes - 1
     m_shape = problem.m_shape
     bias_only = np.zeros(d1)
@@ -657,7 +628,7 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
 
     def fit_classifier(points):
         mask = np.repeat(points, per_point)
-        return fit(rows, mask, signs[mask]).reshape(m_shape)
+        return fit(rows, mask, ones[mask]).reshape(m_shape)
 
     def out_of_time():
         return deadline is not None and time.monotonic() > deadline
@@ -686,7 +657,7 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
         for _ in range(rounds):
             if out_of_time():
                 return
-            clf_wrong = (signs * (rows @ m.ravel()) <= 0).reshape(n, per_point).any(axis=1)
+            clf_wrong = (rows @ m.ravel() <= 0).reshape(n, per_point).any(axis=1)
             must_defer = clf_wrong & ~hw
             if not must_defer.any():
                 yield m.copy(), -bias_only
@@ -809,12 +780,13 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     before the heuristics, as the tree's first node, and the heuristics
     stop taking proposals once the incumbent meets its rounded bound.
 
-    A binary problem without coverage or fairness rows whose LP would have
-    more than ``EXACT_ROWS_MAX`` rows is not searched, and its LP is never
-    built: the heuristics run in full and the solve ends as with
-    ``node_limit=0``, with the bound 0: ``proven_optimal`` when the
-    incumbent is within the gap of 0 (at the default gap, when it is 0) and
-    ``time_limit_incumbent`` otherwise.
+    A problem without coverage or fairness rows whose LP would have more
+    than ``EXACT_ROWS_MAX`` rows is not searched, whatever its class count,
+    and its LP is never built: the heuristics run in full and the solve
+    ends as with ``node_limit=0``, with the bound 0: ``proven_optimal`` when
+    the incumbent is within the gap of 0 (at the default gap, when it is 0)
+    and ``time_limit_incumbent`` otherwise. Side-constrained problems are
+    searched at every size.
     """
     if config is None:
         config = MilpConfig()
@@ -849,11 +821,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         """The tree's prune test, on a bound already rounded to the grid."""
         return bound >= inc_obj() - abs_gap + 1e-12
 
-    searched = (
-        problem.kind == "multiclass"
-        or problem.has_side_constraints
-        or problem.num_rows_estimate <= EXACT_ROWS_MAX
-    )
+    searched = problem.has_side_constraints or problem.num_rows_estimate <= EXACT_ROWS_MAX
     node_limit = config.node_limit if searched else 0
     root = _Node(fixed={}, bound=0.0)  # every objective term is nonnegative
     nodes = 0

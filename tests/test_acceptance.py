@@ -265,7 +265,7 @@ class TestCriterion7ConstraintCompliance:
         xt = prob.xt
         m_norm = np.array(sol.pair.classifier_weights)
         m_norm[:-1] *= prob.norm_scale
-        t = (prob.ypm * (xt @ m_norm) < prob.gamma).astype(float)
+        t = ((2 * ds.labels - 1) * (xt @ m_norm) < prob.gamma).astype(float)
         r = deferred.astype(float)
         cost = np.maximum(0.0, t - r) + r * prob.err
         diff = abs(cost[groups == 0].mean() - cost[groups == 1].mean())

@@ -132,6 +132,25 @@ class TestMilpCmd:
                        "--out-weights", str(tmp_path / "w.csv"))
         assert code == 0
 
+    def test_negative_gap_rejected(self, tmp_path, capsys):
+        data, rec = tmp_path / "d.csv", tmp_path / "r.json"
+        run_cli("gen", "--d", "2", "--n", "8", "--seed", "1", "--out", str(data))
+        code = run_cli("milp", "--data", str(data), "--gap", "-1",
+                       "--out-record", str(rec), "--out-weights", str(tmp_path / "w.csv"))
+        assert code == 1
+        assert "abs_gap must be nonnegative" in capsys.readouterr().err
+        assert not rec.exists()
+
+    def test_large_multiclass_problem_not_searched(self, tmp_path):
+        # 120 points of 3 classes make 600 LP rows, above EXACT_ROWS_MAX
+        data, rec = tmp_path / "g.csv", tmp_path / "r.json"
+        assert run_cli("gen", "--preset", "grouped", "--C", "3", "--K", "1", "--n", "120",
+                       "--d", "2", "--blob-std", "3", "--seed", "1", "--out", str(data)) == 0
+        assert run_cli("milp", "--data", str(data), "--time-limit", "5",
+                       "--out-record", str(rec), "--out-weights", str(tmp_path / "w.csv")) == 0
+        record = json.loads(rec.read_text())
+        assert (record["nodes_explored"], record["best_bound"]) == (0, 0.0)
+
 
 class TestTrainEvalRoundTrip:
     def test_pipeline_consumes_own_files(self, tmp_path):

@@ -15,8 +15,7 @@ from deferlab.milp import (
     add_coverage_constraint,
     add_fairness_constraint,
     build_binary_milp,
-    build_multiclass_milp,
-    extract_pair,
+    build_milp,
     solve_milp,
 )
 from oracles import brute_force_deferral_optimum
@@ -35,9 +34,8 @@ class TestConfig:
         assert cfg.gamma == 1e-5
         assert cfg.box == 1.0
         ds = random_binary_dataset(np.random.default_rng(0), 4)
-        for builder in (build_binary_milp, build_multiclass_milp):
-            problem = builder(ds, cfg)
-            assert problem.k_m == problem.k_r == 1.0 + 1e-5
+        problem = build_binary_milp(ds, cfg)
+        assert problem.k_m == problem.k_r == 1.0 + 1e-5
         problem = build_binary_milp(ds, MilpConfig(gamma=0.01, box=2.0))
         assert problem.k_m == problem.k_r == 2.0 + 0.01
 
@@ -48,6 +46,12 @@ class TestConfig:
             MilpConfig(coverage_beta=1.5)
         with pytest.raises(ValueError):
             MilpConfig(lambda_reg=-0.1)
+        # a negative gap switches pruning off, so the tree runs on past a
+        # proof; limits below 0 mean nothing
+        for name in ("abs_gap", "time_limit_s", "node_limit"):
+            with pytest.raises(ValueError, match=name):
+                MilpConfig(**{name: -1})
+            assert getattr(MilpConfig(**{name: 0}), name) == 0
 
 
 class TestBuildBinary:
@@ -214,7 +218,7 @@ class TestIntegralSolutionSemantics:
         assert np.all((racts >= 0) == deferred)
         # rejector margin semantics: decisions sit outside the gamma band
         assert np.all(np.abs(racts) >= prob.gamma - 1e-12)
-        t = (prob.ypm * (xt @ m_norm) < prob.gamma).astype(float)
+        t = ((2 * ds.labels - 1) * (xt @ m_norm) < prob.gamma).astype(float)
         r = deferred.astype(float)
         phi = np.maximum(0.0, t - r)
         obj = float(np.sum(phi + r * prob.err)) / prob.n
@@ -236,16 +240,23 @@ class TestBruteForceOracle:
 
 class TestMulticlass:
     def test_c2_matches_binary(self):
+        # the binary classifier row y_i M.x_i is the 2-class Kesler row
+        # (e_y - e_j) kron x_i with the M_0 columns dropped (M_0 = 0)
         rng = np.random.default_rng(5)
-        for _ in range(3):
-            rng.normal(size=(15, 2))
-            rng.integers(0, 2, 15)
-            rng.random(15)
-        ds = random_binary_dataset(rng, 10)
-        sb = solve_milp(build_binary_milp(ds, MilpConfig()), MilpConfig())
-        sm = solve_milp(build_multiclass_milp(ds, MilpConfig()), MilpConfig())
-        assert sb.status == sm.status == "proven_optimal"
-        assert sm.objective == pytest.approx(sb.objective, abs=1e-9)
+        x = rng.normal(size=(10, 2))
+        x[:4, 0] = [0.0, -0.0, -0.0, 0.0]
+        ds = DeferDataset(x, [0, 0, 1, 1] + [0, 1] * 3, np.zeros(10, dtype=int), 2)
+        problem = build_binary_milp(ds, MilpConfig())
+        kesler = np.zeros((problem.n, 2, problem.d1))
+        for i, y in enumerate(ds.labels):
+            kesler[i, y] = problem.xt[i]
+            kesler[i, 1 - y] = -problem.xt[i]
+        m_1 = kesler[:, 1]
+        # each point's rows: phi, classifier, then the two rejector rows
+        clf = problem.lp_relaxation.A[1::4, problem._layout()["M"]]
+        assert clf.tobytes() == m_1.tobytes()
+        assert np.array_equal(np.signbit(clf), np.signbit(m_1))
+        assert np.signbit(m_1[:4, 0]).tolist() == [True, False, True, False]
 
     def test_three_classes_small(self):
         rng = np.random.default_rng(9)
@@ -253,7 +264,7 @@ class TestMulticlass:
         y = np.repeat([0, 1, 2], 4)
         h = np.where(rng.random(12) < 0.5, y, (y + 1) % 3)
         ds = DeferDataset(x, y, h, 3)
-        sol = solve_milp(build_multiclass_milp(ds, MilpConfig()), MilpConfig())
+        sol = solve_milp(build_milp(ds, MilpConfig()), MilpConfig())
         assert sol.status == "proven_optimal"
         # blobs are separated by 4 sigma, so a zero-loss triple exists
         assert sol.objective == pytest.approx(0.0)
@@ -265,7 +276,7 @@ class TestMulticlass:
         C, n = 4, 6
         rng = np.random.default_rng(3)
         ds = DeferDataset(rng.normal(size=(n, 2)), np.arange(n) % C, np.zeros(n, dtype=int), C)
-        problem = build_multiclass_milp(ds, MilpConfig())
+        problem = build_milp(ds, MilpConfig())
         lp = problem.lp_relaxation
         lay = problem._layout()
         assert "c" not in lay and len(problem.binary_var_ids) == 2 * n
@@ -294,7 +305,7 @@ class TestMulticlass:
         # took 1082; a node limit keeps the check machine-independent
         four = _oracle_instances(7, 4, 9, (8, 10, 12))
         three = _oracle_instances(5, 3, 11, (8, 9, 10))[10]
-        sols = [solve_milp(build_multiclass_milp(ds, MilpConfig()), MilpConfig(node_limit=2000))
+        sols = [solve_milp(build_milp(ds, MilpConfig()), MilpConfig(node_limit=2000))
                 for ds in four + [three]]
         assert [sol.status for sol in sols] == ["proven_optimal"] * 10
         assert sols[8].objective == pytest.approx(1 / 12, abs=1e-12)
@@ -356,7 +367,7 @@ class TestFairness:
         xt = prob.xt
         m_norm = np.array(sol.pair.classifier_weights)
         m_norm[:-1] *= prob.norm_scale
-        t = (prob.ypm * (xt @ m_norm) < prob.gamma).astype(float)
+        t = ((2 * ds.labels - 1) * (xt @ m_norm) < prob.gamma).astype(float)
         r = deferred.astype(float)
         cost = np.maximum(0.0, t - r) + r * prob.err
         base_cost = sol.objective  # lambda = 0
@@ -391,6 +402,11 @@ class TestFairness:
 FAIR_TOL = 1e-6 + 1e-9
 
 
+def _extract_pair(problem, x):
+    """The pair solve_milp reports for an LP vector x."""
+    return milp._unnormalize_pair(problem, *milp._split_weights(problem, x))
+
+
 class TestExtractPair:
     def test_identity_rescale(self):
         ds = DeferDataset([[1.0], [2.0]], [0, 1], [0, 1], 2)
@@ -400,7 +416,7 @@ class TestExtractPair:
         x[lay["M"]] = [1.0, 0.5]
         x[lay["R"]] = [0.2, -0.1]
         x[lay["r"]] = 1.0
-        pair = extract_pair(prob, x)
+        pair = _extract_pair(prob, x)
         # norm_scale is 2 here (largest L1 row norm)
         assert prob.norm_scale == 2.0
         np.testing.assert_allclose(pair.classifier_weights, [0.5, 0.5])
@@ -414,16 +430,18 @@ class TestExtractPair:
         x = np.zeros(prob.num_vars)
         lay = prob._layout()
         x[lay["M"]] = [1.0, 0.5]
-        pair = extract_pair(prob, x)
+        pair = _extract_pair(prob, x)
         np.testing.assert_allclose(pair.classifier_weights, [0.1, 0.5])
-
-    def test_fractional_binaries_raise(self):
-        ds = DeferDataset([[1.0], [2.0]], [0, 1], [0, 1], 2)
-        prob = build_binary_milp(ds, MilpConfig())
+        # three classes: one weight row per class, each rescaled the same way
+        ds = DeferDataset([[10.0], [1.0], [-2.0]], [0, 1, 2], [0, 1, 2], 3)
+        prob = build_milp(ds, MilpConfig())
         x = np.zeros(prob.num_vars)
-        x[prob.binary_var_ids[0]] = 0.5
-        with pytest.raises(RuntimeError):
-            extract_pair(prob, x)
+        lay = prob._layout()
+        x[lay["M"]] = [1.0, 0.5, 2.0, -0.25, -3.0, 0.75]
+        x[lay["R"]] = [4.0, -1.0]
+        pair = _extract_pair(prob, x)
+        np.testing.assert_allclose(pair.classifier_weights, [[0.1, 0.5], [0.2, -0.25], [-0.3, 0.75]])
+        np.testing.assert_allclose(pair.rejector_weights, [0.4, -1.0])
 
     def test_extraction_matches_normalized_decisions(self):
         # decisions computed from extracted weights on raw features equal
@@ -608,12 +626,8 @@ def _heuristic_problems():
 
 
 def _multiclass_heuristic_problems():
-    """3-class draws at n=8..10, and the 2-class plain problems of
-    ``_heuristic_problems`` built by the multiclass builder."""
-    three = [build_multiclass_milp(ds, MilpConfig())
-             for ds in _oracle_instances(809, 3, 6, (8, 9, 10))]
-    two = [build_multiclass_milp(p.dataset, MilpConfig()) for p in _heuristic_problems()[3:-1]]
-    return three + two
+    """3-class draws at n=8..10."""
+    return [build_milp(ds, MilpConfig()) for ds in _oracle_instances(809, 3, 6, (8, 9, 10))]
 
 
 # sha256 of each binary proposal stream of _heuristic_problems() (every M and
@@ -872,6 +886,7 @@ def _oracle_build_lp(self):
         return rows[-1]
 
     km, kr, g = self.k_m, self.k_r, self.gamma
+    ypm = (2 * self.dataset.labels - 1).astype(float)
     for i in range(n):
         a = row()  # phi_i - t_i + r_i >= 0
         a[lay["phi"].start + i] = 1.0
@@ -879,10 +894,10 @@ def _oracle_build_lp(self):
         a[lay["r"].start + i] = 1.0
         senses.append(">=")
         rhs.append(0.0)
-        if self.kind == "binary":
+        if self.num_classes == 2:
             a = row()  # K_m t_i + y_i M.x_i >= gamma
             a[lay["t"].start + i] = km
-            a[lay["M"]] = self.ypm[i] * self.xt[i]
+            a[lay["M"]] = ypm[i] * self.xt[i]
             senses.append(">=")
             rhs.append(g)
         else:
@@ -971,20 +986,18 @@ def _cij_reference_lp(self):
 
 @st.composite
 def _milp_problems(draw):
-    """Binary and 2-4-class problems at n=1..30 with signed zeros among the
-    features, with or without regularization, a coverage row and 2-3
-    fairness groups."""
+    """2-4-class problems at n=1..30 with signed zeros among the features,
+    with or without regularization, a coverage row and 2-3 fairness
+    groups."""
     n = draw(st.integers(1, 30))
     d = draw(st.integers(1, 3))
-    binary = draw(st.booleans())
-    C = 2 if binary else draw(st.integers(2, 4))
+    C = draw(st.integers(2, 4))
     coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5, 5, allow_nan=False, width=64))
     x = np.array(draw(st.lists(coord, min_size=n * d, max_size=n * d))).reshape(n, d)
     y = draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n))
     h = draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n))
     cfg = MilpConfig(lambda_reg=draw(st.sampled_from([0.0, 0.01, 0.5])))
-    build = build_binary_milp if binary else build_multiclass_milp
-    problem = build(DeferDataset(x, y, h, C), cfg)
+    problem = build_milp(DeferDataset(x, y, h, C), cfg)
     if draw(st.booleans()):
         problem = add_coverage_constraint(problem, draw(st.floats(0.0, 1.0)))
     n_groups = draw(st.integers(2, 3))
@@ -1052,7 +1065,7 @@ def _pinned_three_class_problem():
     x = rng.normal(size=(6, 2)) * 1.5
     y = np.arange(6) % 3
     h = np.where(rng.random(6) < 0.4, y, (y + 1) % 3)
-    return build_multiclass_milp(DeferDataset(x, y, h, 3), MilpConfig())
+    return build_milp(DeferDataset(x, y, h, 3), MilpConfig())
 
 
 class TestPinnedSolves:
@@ -1079,7 +1092,7 @@ class TestRootLp:
         problems = [plain, three, add_coverage_constraint(plain, 0.25),
                     add_fairness_constraint(plain, np.arange(6) % 2),
                     build_binary_milp(ds, MilpConfig(lambda_reg=0.01)),
-                    build_multiclass_milp(three.dataset, MilpConfig(lambda_reg=0.01)),
+                    build_milp(three.dataset, MilpConfig(lambda_reg=0.01)),
                     build_binary_milp(_criterion7_instance(), MilpConfig())]
         optima = [solve_lp(p.lp_relaxation).objective_value for p in problems]
 
@@ -1103,16 +1116,17 @@ class TestRootLp:
             assert sol.lp_iterations == solved[0].iterations > 0
 
 
-class TestLargeBinaryProblemsAreNotSearched:
-    """Above EXACT_ROWS_MAX rows a binary problem without side rows ends as
-    its node_limit=0 solve; multiclass and side-constrained ones are
+class TestLargeProblemsAreNotSearched:
+    """Above EXACT_ROWS_MAX rows a problem without side rows ends as its
+    node_limit=0 solve, whatever its class count; side-constrained ones are
     searched at every size."""
 
     def test_equal_to_the_node_limit_zero_solve(self, monkeypatch):
         realizable = generate_synthetic(
             SyntheticConfig(d=2, n=20, p_m=0.0, p_h0=0.3, p_h1=0.0, seed=1)).dataset
-        datasets = _six_point_instances(7, 4) + [realizable]
-        limited = [solve_milp(build_binary_milp(ds, MilpConfig()), MilpConfig(node_limit=0))
+        datasets = (_six_point_instances(7, 4) + [realizable]
+                    + [_pinned_three_class_problem().dataset])
+        limited = [solve_milp(build_milp(ds, MilpConfig()), MilpConfig(node_limit=0))
                    for ds in datasets]
 
         def no_lp(*args, **kwargs):
@@ -1122,7 +1136,7 @@ class TestLargeBinaryProblemsAreNotSearched:
         monkeypatch.setattr(milp, "solve_lp", no_lp)
         statuses = set()
         for ds, ref in zip(datasets, limited):
-            problem = build_binary_milp(ds, MilpConfig())
+            problem = build_milp(ds, MilpConfig())
             sol = solve_milp(problem)
             assert problem._lp is None  # the full LP is never built
             assert (sol.objective, sol.status, sol.nodes_explored, sol.best_bound) == (
@@ -1135,10 +1149,10 @@ class TestLargeBinaryProblemsAreNotSearched:
             assert sol.status == expected
             statuses.add(sol.status)
         assert statuses == {"proven_optimal", "time_limit_incumbent"}
+        assert sol.pair.classifier_weights.shape == (3, 3)  # the 3-class problem
 
-    def test_side_constrained_and_multiclass_still_searched(self, monkeypatch):
+    def test_side_constrained_still_searched(self, monkeypatch):
         monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
-        _check_pinned("three_class", solve_milp(_pinned_three_class_problem()))
         plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
         _check_pinned("covered", solve_milp(add_coverage_constraint(plain, 0.25)))
 
@@ -1178,8 +1192,8 @@ class TestObjectiveGrid:
         runs = [(plain, None), (add_coverage_constraint(plain, 0.25), None), (deep, None),
                 (deep, MilpConfig(node_limit=3)), (deep, MilpConfig(node_limit=0)),
                 (build_binary_milp(realizable, MilpConfig()), None),
-                (build_multiclass_milp(three, MilpConfig()), None),
-                (build_multiclass_milp(tree_three, MilpConfig()), None)]
+                (build_milp(three, MilpConfig()), None),
+                (build_milp(tree_three, MilpConfig()), None)]
         for problem, cfg in runs:
             calls.clear()
             sol = solve_milp(problem, cfg)
@@ -1228,8 +1242,7 @@ class TestObjectiveGrid:
         problems = []
         for ds in _six_point_instances(11, 6):
             plain = build_binary_milp(ds, MilpConfig())
-            problems += [plain, add_coverage_constraint(plain, 0.25),
-                         build_multiclass_milp(ds, MilpConfig())]
+            problems += [plain, add_coverage_constraint(plain, 0.25)]
         problems += _multiclass_heuristic_problems()
         for problem in problems:
             full = [(m.tobytes(), r.tobytes())
@@ -1266,7 +1279,6 @@ def _oracle_instances(seed, classes, count, sizes, highs_optimum=None):
     optimum by HiGHS is above 0 (the heuristics alone prove an optimum of
     0). The binary sweep draws from seed 808 and the 3-class one from 809."""
     rng = np.random.default_rng(seed)
-    build = build_binary_milp if classes == 2 else build_multiclass_milp
     out = []
     while len(out) < count:
         n = sizes[len(out) % len(sizes)]
@@ -1274,7 +1286,7 @@ def _oracle_instances(seed, classes, count, sizes, highs_optimum=None):
         y = rng.integers(0, classes, n)
         h = np.where(rng.random(n) < rng.uniform(0.3, 0.8), y, (y + 1) % classes)
         ds = DeferDataset(x, y, h, classes)
-        if highs_optimum is None or highs_optimum(build(ds, MilpConfig())) > 0.0:
+        if highs_optimum is None or highs_optimum(build_milp(ds, MilpConfig())) > 0.0:
             out.append(ds)
     return out
 
@@ -1313,13 +1325,13 @@ class TestHighsOracle:
     def test_three_class_optima(self):
         highs_optimum = _highs()
         for ds in _oracle_instances(809, 3, 3, (8, 9, 10), highs_optimum):
-            self._assert_proven(build_multiclass_milp(ds, MilpConfig()), highs_optimum)
+            self._assert_proven(build_milp(ds, MilpConfig()), highs_optimum)
 
     def test_three_class_zero_optima_proven_at_the_root(self):
         highs_optimum = _highs()
         zero = 0
         for ds in _oracle_instances(809, 3, 12, (8, 9, 10)):
-            problem = build_multiclass_milp(ds, MilpConfig())
+            problem = build_milp(ds, MilpConfig())
             if highs_optimum(problem) == 0.0:
                 sol = solve_milp(problem)
                 assert (sol.objective, sol.status, sol.nodes_explored) == \
@@ -1338,7 +1350,7 @@ class TestHighsOracle:
         above_zero = 0
         for args in sweeps:
             for ds in _oracle_instances(*args):
-                problem = build_multiclass_milp(ds, MilpConfig())
+                problem = build_milp(ds, MilpConfig())
                 sol = solve_milp(problem)
                 assert sol.status == "proven_optimal"
                 optimum = highs_lp_optimum(*_cij_reference_lp(problem))
@@ -1366,7 +1378,7 @@ class TestHighsOracle:
         cfg = MilpConfig(lambda_reg=0.01)
         problems = [build_binary_milp(ds, cfg),
                     add_coverage_constraint(build_binary_milp(ds, cfg), 0.25),
-                    build_multiclass_milp(_pinned_three_class_problem().dataset, cfg)]
+                    build_milp(_pinned_three_class_problem().dataset, cfg)]
         problems += [build_binary_milp(d, cfg)
                      for d in _oracle_instances(808, 2, 4, (8, 12, 16, 20))]
         for problem in problems:
