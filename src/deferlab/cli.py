@@ -416,6 +416,7 @@ def cmd_milp(args):
         "nodes_explored": solution.nodes_explored,
         "lp_iterations": solution.lp_iterations,
         "heuristic_s": solution.heuristic_s,
+        "proposals": solution.proposals,
         "wall_time_s": solution.wall_time_s,
         "classifier_weights": np.atleast_2d(solution.pair.classifier_weights).tolist(),
         "rejector_weights": solution.pair.rejector_weights.tolist(),
@@ -427,7 +428,8 @@ def cmd_milp(args):
     print(f"status={solution.status} objective={solution.objective:.6f} "
           f"train_loss={solution.train_loss:.6f} bound={solution.best_bound:.6f} "
           f"gap={solution.objective - solution.best_bound:.6f} nodes={solution.nodes_explored} "
-          f"lp_iterations={solution.lp_iterations} heuristic_s={solution.heuristic_s:.3f}")
+          f"lp_iterations={solution.lp_iterations} heuristic_s={solution.heuristic_s:.3f} "
+          f"proposals={solution.proposals}")
     return 0
 
 

@@ -25,8 +25,8 @@ for either value of r_i and the constraint is void.
 The solver is a deterministic best-bound branch-and-bound whose node
 relaxations are the full LP relaxation, solved with :mod:`deferlab.lp` by
 the dual simplex: the root from the slack basis, each child node from its
-parent's optimal basis. Primal heuristics supply incumbents before the
-tree starts; their alternating fits run on the margin rows. A problem
+parent's optimal basis. Primal heuristics supply incumbents, a proposal
+per node; their alternating fits run on the margin rows. A problem
 without coverage or fairness rows whose LP would exceed ``EXACT_ROWS_MAX``
 rows is not searched: its solve returns the heuristics' incumbent with the
 trivial bound 0, as with ``node_limit=0``. Side-constrained problems are
@@ -307,6 +307,7 @@ class MilpSolution:
     incumbent_history: list = field(default_factory=list)
     lp_iterations: int = 0  # simplex iterations over the solve's node LPs
     heuristic_s: float = 0.0  # drawing and scoring heuristic proposals, certificates included
+    proposals: int = 0  # heuristic proposals taken from the stream, repeats included
 
 
 # ---------------------------------------------------------------------------
@@ -766,19 +767,23 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     Branches on the binary with fractional part closest to 0.5 (ties toward
     the lowest variable id). Incumbents are seeded by rounding node
     relaxations into weight candidates and re-scoring them through the true
-    0-1 loss, plus alternating-fit primal heuristics at the root, each
-    distinct proposal of which is scored once. With
+    0-1 loss, plus the proposals of the alternating-fit primal heuristics,
+    each distinct proposal of which is scored once. With
     lambda_reg = 0 an incumbent of objective 0 is proven optimal outright
     since every objective term is nonnegative. A node or time limit that
     stops the search once the least open bound meets the incumbent within
     the gap leaves it proven optimal too.
 
+    The heuristics' proposals are a stream the loop pulls from: a popped
+    node its bound does not prune first takes the next proposal (more while
+    there is no incumbent), then its LP unless the new incumbent prunes it
+    and it is not the root. A ``proven_optimal`` solve drops the rest of the
+    stream; any other ending takes the rest before its status is decided.
+
     With lambda_reg = 0 and no fairness rows every objective value is a
     multiple of 1/n, and every node bound is rounded up to that grid
     (``_grid_bound``) before it is used: to prune, as the children's bound,
-    and in ``best_bound`` and ``bound_history``. The root LP is solved
-    before the heuristics, as the tree's first node, and the heuristics
-    stop taking proposals once the incumbent meets its rounded bound.
+    and in ``best_bound`` and ``bound_history``, which records each rise.
 
     A problem without coverage or fairness rows whose LP would have more
     than ``EXACT_ROWS_MAX`` rows is not searched, whatever its class count,
@@ -824,35 +829,41 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     searched = problem.has_side_constraints or problem.num_rows_estimate <= EXACT_ROWS_MAX
     node_limit = config.node_limit if searched else 0
     root = _Node(fixed={}, bound=0.0)  # every objective term is nonnegative
-    nodes = 0
-    lp_iterations = 0
-    solved_root = []  # the root's _NodeInfo while it waits for the tree
     if node_limit is None or node_limit > 0:
         lp = problem.lp_relaxation
         root.basis = _slack_basis(lp)
-        nodes = 1
-        info, lp_iterations = _relax(lp, root)
-        solved_root.append(info)
-        root_bound = grid(info.bound) if info is not None else np.inf
+    nodes = lp_iterations = 0
 
+    stream = _heuristic_candidates(problem, rng, deadline=deadline)
     # scoring is pure, so a repeated proposal (and its shifted variants) can
     # never beat the incumbent its first copy already competed against
     scored = set()
-    heuristic_start = time.monotonic()
-    for m_cand, r_cand in _heuristic_candidates(problem, rng, deadline=deadline):
-        key = (m_cand.tobytes(), r_cand.tobytes())
-        if key not in scored:
-            scored.add(key)
-            consider(_score_candidate(problem, m_cand, r_cand))
-            if problem.coverage_beta is not None:
-                # shift the rejector bias so the deferral budget holds exactly
-                for shifted in _coverage_shifted(problem, r_cand):
-                    consider(_score_candidate(problem, m_cand, shifted))
-        if deadline is not None and time.monotonic() > deadline:
-            break
-        if solved_root and prunes(root_bound):
-            break  # the root is closed: the incumbent is within the gap of the optimum
-    heuristic_s = time.monotonic() - heuristic_start
+    proposals, heuristic_s = 0, 0.0
+
+    def take(rest=False):
+        """Score the stream's next proposal, and more while there is no
+        incumbent; with ``rest``, every proposal left."""
+        nonlocal proposals, heuristic_s
+        began = time.monotonic()
+        for m_cand, r_cand in stream:
+            proposals += 1
+            key = (m_cand.tobytes(), r_cand.tobytes())
+            if key not in scored:
+                scored.add(key)
+                consider(_score_candidate(problem, m_cand, r_cand))
+                if problem.coverage_beta is not None:
+                    # shift the rejector bias so the deferral budget holds exactly
+                    for shifted in _coverage_shifted(problem, r_cand):
+                        consider(_score_candidate(problem, m_cand, shifted))
+            if not rest and incumbent is not None:
+                break
+        heuristic_s += time.monotonic() - began
+
+    def raise_bound(value):
+        nonlocal global_bound
+        if value > global_bound:
+            global_bound = value
+            bound_history.append(value)
 
     binary_ids = problem.binary_var_ids
     heap = [(root.bound, 0, root)]
@@ -860,31 +871,25 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     global_bound = root.bound
     bound_history.append(global_bound)
     closed_bound = np.inf  # the least bound of a node the prune test closed
-    status = None
+    limited = False
     dropped_unresolved = False
 
     while heap:
         if ((deadline is not None and time.monotonic() > deadline)
-                or (not solved_root and node_limit is not None and nodes >= node_limit)):
-            if prunes(heap[0][0]):  # the least open bound already meets the incumbent
-                closed_bound = min(closed_bound, heap[0][0])
-            else:
-                status = "time_limit_incumbent"
+                or (node_limit is not None and nodes >= node_limit)):
+            limited = True
             break
         node_bound, _, node = heapq.heappop(heap)
-        if node_bound > global_bound:
-            global_bound = min(node_bound, inc_obj())
-            bound_history.append(global_bound)
-        if prunes(node_bound):
+        raise_bound(min(node_bound, closed_bound, inc_obj()))  # no open or closed node is lower
+        if not prunes(node_bound):
+            take()  # one proposal per node the tree is about to work on
+        if nodes and prunes(node_bound):  # the root is always relaxed, for its bound
             closed_bound = min(closed_bound, node_bound)
             heap.clear()  # best-first: every open node is at least this bound
             break
-        if solved_root:
-            info = solved_root.pop()
-        else:
-            nodes += 1
-            info, iterations = _relax(lp, node)
-            lp_iterations += iterations
+        nodes += 1
+        info, iterations = _relax(lp, node)
+        lp_iterations += iterations
         if info is None:
             continue  # infeasible node
         node_lb = grid(info.bound)
@@ -924,48 +929,42 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
             heapq.heappush(heap, (node_lb, seq, child))
             seq += 1
 
+    def stopped_short():  # a limit left the least open bound below the gap
+        return limited and not prunes(heap[0][0])
+
+    # the rest of the stream can only matter to a solve the tree did not prove
+    if incumbent is None or dropped_unresolved or stopped_short():
+        take(rest=True)
     wall = time.monotonic() - start
-    if status is None:
-        if incumbent is None:
-            status = "infeasible"
-        elif dropped_unresolved:
-            status = "time_limit_incumbent"  # a node was abandoned unresolved
-        else:
-            status = "proven_optimal"
-            # within abs_gap of the incumbent; equal to it on the 1/n grid
-            # with the default gap
-            global_bound = min(incumbent.objective, closed_bound)
-            bound_history.append(global_bound)
+    if stopped_short():
+        status = "time_limit_incumbent"
+    elif incumbent is None:
+        status = "infeasible"
+    elif dropped_unresolved:
+        status = "time_limit_incumbent"  # a node was abandoned unresolved
+    else:
+        status = "proven_optimal"
+        if limited:
+            closed_bound = min(closed_bound, heap[0][0])
+        raise_bound(min(incumbent.objective, closed_bound))  # within abs_gap of the incumbent
 
-    if incumbent is None:
-        return MilpSolution(
-            pair=None,
-            objective=np.inf,
-            train_loss=np.inf,
-            status=status,
-            nodes_explored=nodes,
-            wall_time_s=wall,
-            best_bound=global_bound,
-            lp_iterations=lp_iterations,
-            heuristic_s=heuristic_s,
-            bound_history=bound_history,
-            incumbent_history=incumbent_history,
-        )
-
-    pair = _unnormalize_pair(problem, incumbent.m_norm, incumbent.r_norm)
-    deferred, labels, _ = pair_decisions(pair, problem.dataset.features)
-    train_loss = system_loss_01(problem.dataset, deferred, labels)
+    pair, train_loss = None, np.inf
+    if incumbent is not None:
+        pair = _unnormalize_pair(problem, incumbent.m_norm, incumbent.r_norm)
+        deferred, labels, _ = pair_decisions(pair, problem.dataset.features)
+        train_loss = system_loss_01(problem.dataset, deferred, labels)
     return MilpSolution(
         pair=pair,
-        objective=incumbent.objective,
+        objective=inc_obj(),
         train_loss=train_loss,
         status=status,
         nodes_explored=nodes,
         wall_time_s=wall,
-        best_bound=min(global_bound, incumbent.objective),
-        regularization=incumbent.reg,
+        best_bound=min(global_bound, inc_obj()),
+        regularization=incumbent.reg if incumbent is not None else 0.0,
         lp_iterations=lp_iterations,
         heuristic_s=heuristic_s,
+        proposals=proposals,
         bound_history=bound_history,
         incumbent_history=incumbent_history,
     )

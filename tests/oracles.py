@@ -28,14 +28,17 @@ def halfspace_dichotomies(x):
     return cands
 
 
-def brute_force_deferral_optimum(dataset):
+def brute_force_deferral_optimum(dataset, beta=None):
     """Minimum 0-1 system loss over all halfspace classifier/rejector pairs
-    realizable on a 2-D dataset (enumeration oracle)."""
+    realizable on a 2-D dataset (enumeration oracle), optionally with at most
+    ``beta`` of the points deferred."""
     xt = np.hstack([dataset.features, np.ones((dataset.n, 1))])
     cands = halfspace_dichotomies(dataset.features)
     hum_err = (dataset.human_preds != dataset.labels).astype(float)
     clf_errs = [((xt @ w > 0).astype(int) != dataset.labels).astype(float) for w in cands]
     defer_masks = [xt @ w >= 0 for w in cands]
+    if beta is not None:
+        defer_masks = [dm for dm in defer_masks if dm.sum() <= beta * dataset.n + 1e-9]
     best = np.inf
     for ce in clf_errs:
         for dm in defer_masks:

@@ -123,6 +123,19 @@ class TestMilpCmd:
         assert summary["heuristic_s"] == f"{record['heuristic_s']:.3f}"
         assert 0.0 < record["heuristic_s"] <= record["wall_time_s"]
 
+    def test_summary_and_record_count_proposals(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        run_cli("gen", "--d", "2", "--n", "12", "--seed", "2", "--pm", "0.2", "--out", str(data))
+        capsys.readouterr()
+        rec = tmp_path / "r.json"
+        code = run_cli("milp", "--data", str(data),
+                       "--out-record", str(rec), "--out-weights", str(tmp_path / "w.csv"))
+        assert code == 0
+        summary = dict(field.split("=") for field in capsys.readouterr().out.split())
+        record = json.loads(rec.read_text())
+        assert summary["proposals"] == str(record["proposals"])
+        assert isinstance(record["proposals"], int) and record["proposals"] > 0
+
     def test_flags_accepted(self, tmp_path):
         data = tmp_path / "d.csv"
         run_cli("gen", "--d", "2", "--n", "12", "--seed", "1", "--out", str(data))

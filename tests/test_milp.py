@@ -1036,14 +1036,15 @@ def _six_point_instances(seed, count):
 
 
 # solve_milp outputs recorded once node bounds were rounded up to the 1/n
-# grid and the full-LP engine solved its root before the heuristics (the
-# three-class solve once its heuristics alternated on Kesler rows, the
-# fourteen-point tree once the root LP started from the slack basis):
+# grid (the three-class solve once its heuristics alternated on Kesler rows,
+# the fourteen-point tree once the root LP started from the slack basis, the
+# plain solve once the tree took one proposal per node):
 # (objective, status, nodes_explored, best_bound, bound_history,
 # incumbent_history)
 _PINNED_SOLVES = {
     "plain": (0.16666666666666666, "proven_optimal", 1, 0.16666666666666666,
-              [0.0, 0.16666666666666666], [0.6666666666666666, 0.16666666666666666]),
+              [0.0, 0.16666666666666666],
+              [0.6666666666666666, 0.3333333333333333, 0.16666666666666666]),
     "covered": (0.16666666666666666, "proven_optimal", 1, 0.16666666666666666,
                 [0.0, 0.16666666666666666], [0.16666666666666666]),
     "three_class": (0.16666666666666666, "proven_optimal", 1, 0.16666666666666666,
@@ -1236,34 +1237,122 @@ class TestObjectiveGrid:
                 certified += sum(verdicts)
         assert certified > 0
 
-    def test_early_stopped_proposals_are_a_prefix_with_the_same_pair(self, monkeypatch):
-        real = milp._heuristic_candidates
+    def test_early_stopped_proposals_are_a_prefix_and_the_optimum_is_proven(self, monkeypatch):
         stopped = 0
         problems = []
         for ds in _six_point_instances(11, 6):
             plain = build_binary_milp(ds, MilpConfig())
             problems += [plain, add_coverage_constraint(plain, 0.25)]
-        problems += _multiclass_heuristic_problems()
-        for problem in problems:
-            full = [(m.tobytes(), r.tobytes())
-                    for m, r in real(problem, np.random.default_rng(0x5EED5EED))]
-            taken = []
-
-            def recording(*args, **kwargs):
-                for m, r in real(*args, **kwargs):
-                    taken.append((m.tobytes(), r.tobytes()))
-                    yield m, r
-
-            with monkeypatch.context() as mp:
-                mp.setattr(milp, "_heuristic_candidates", recording)
-                sol = solve_milp(problem)
+        multiclass = []
+        for problem in problems + _multiclass_heuristic_problems():
+            sol, taken, full, _ = _solve_recording(monkeypatch, problem)
             assert taken == full[: len(taken)]
+            assert sol.proposals == len(taken)
             if len(taken) < len(full):
                 stopped += 1
-                best, _ = _best_of_every_candidate(problem)
-                assert sol.objective == best.objective
-                _assert_pair_of(sol, problem, best)
-        assert stopped > 0
+                assert sol.status == "proven_optimal"
+                # the tree may prove a pair the whole stream never proposes
+                deferred, labels, _ = pair_decisions(sol.pair, problem.dataset.features)
+                assert system_loss_01(problem.dataset, deferred, labels) == \
+                    pytest.approx(sol.objective, abs=1e-12)
+                if problem.coverage_beta is not None:
+                    assert deferred.mean() <= problem.coverage_beta
+                if problem.num_classes == 2:
+                    assert sol.objective == pytest.approx(brute_force_deferral_optimum(
+                        problem.dataset, problem.coverage_beta), abs=1e-12)
+                else:
+                    multiclass.append((problem, sol.objective))
+        assert stopped > 0 and multiclass
+        highs_optimum = _highs()
+        for problem, objective in multiclass:
+            assert objective == pytest.approx(highs_optimum(problem), abs=1e-9)
+
+
+def _solve_recording(monkeypatch, problem, config=None):
+    """Solve ``problem`` with its proposal stream recorded. Returns the
+    solution, the proposals the solve took and the whole stream, each as
+    (M bytes, R bytes), and whether the solve's stream ran to its end."""
+    real = milp._heuristic_candidates
+    full = [(m.tobytes(), r.tobytes())
+            for m, r in real(problem, np.random.default_rng(0x5EED5EED))]
+    taken, ended = [], []
+
+    def recording(*args, **kwargs):
+        for m, r in real(*args, **kwargs):
+            taken.append((m.tobytes(), r.tobytes()))
+            yield m, r
+        ended.append(True)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(milp, "_heuristic_candidates", recording)
+        sol = solve_milp(problem, config)
+    return sol, taken, full, bool(ended)
+
+
+def _exact_small_instances(seed):
+    """The ``exact-small`` benchmark workload's 40 instances of a seed:
+    6 points in 2-D, 3 per class, a human wrong on 4, optimum above 0."""
+    rng = np.random.default_rng(np.random.SeedSequence([11, seed]))
+    out = []
+    while len(out) < 40:
+        x = rng.normal(size=(6, 2)) * rng.uniform(0.5, 3.0)
+        y = rng.permutation(np.arange(6) % 2)
+        h = y.copy()
+        wrong = rng.choice(6, 4, replace=False)
+        h[wrong] = 1 - h[wrong]
+        ds = DeferDataset(x, y, h, 2)
+        if brute_force_deferral_optimum(ds) > 0.0:
+            out.append(ds)
+    return out
+
+
+class TestProposalSchedule:
+    """The tree takes one heuristic proposal per node it works on, and the
+    rest of the stream unless it proves the incumbent."""
+
+    def test_limited_solves_take_the_whole_stream(self, monkeypatch):
+        plain = build_binary_milp(_criterion7_instance(), MilpConfig())
+        sol, taken, full, ended = _solve_recording(monkeypatch, plain, MilpConfig(node_limit=30))
+        assert (sol.status, sol.nodes_explored) == ("time_limit_incumbent", 30)
+        assert taken == full and ended
+        assert sol.proposals == len(full)
+        # the generator stops itself at the deadline; the solve takes what
+        # it yields up to then
+        sol, taken, _, ended = _solve_recording(monkeypatch, plain, MilpConfig(time_limit_s=0.3))
+        assert sol.status == "time_limit_incumbent"
+        assert taken == full[: len(taken)] and ended
+        assert sol.proposals == len(taken)
+
+    def test_unsearched_solves_take_the_whole_stream(self, monkeypatch):
+        plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
+        sol, taken, full, ended = _solve_recording(monkeypatch, plain)
+        assert sol.status == "proven_optimal" and sol.proposals < len(full)
+        for config in (MilpConfig(node_limit=0), MilpConfig(node_limit=0, time_limit_s=60)):
+            sol, taken, full, ended = _solve_recording(monkeypatch, plain, config)
+            assert sol.nodes_explored == 0
+            assert taken == full and ended
+            assert sol.proposals == len(full)
+        monkeypatch.setattr(milp, "EXACT_ROWS_MAX", 0)
+        sol, taken, full, ended = _solve_recording(monkeypatch, plain)
+        assert sol.nodes_explored == 0 and sol.proposals == len(full)
+
+    def test_bound_histories_strictly_increase(self):
+        problems = []
+        for seed in (1, 9):
+            for ds in _exact_small_instances(seed):
+                plain = build_binary_milp(ds, MilpConfig())
+                problems += [plain, add_coverage_constraint(plain, 0.25)]
+        assert len(problems) == 160
+        plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
+        deep = random_binary_dataset(np.random.default_rng(1), 14, human_acc=0.4)
+        problems += [plain, add_coverage_constraint(plain, 0.25), _pinned_three_class_problem(),
+                     build_binary_milp(deep, MilpConfig())]
+        for problem in problems:
+            sol = solve_milp(problem)
+            assert sol.status == "proven_optimal"
+            history = sol.bound_history
+            assert history[0] == 0.0 and history[-1] == sol.best_bound
+            assert all(a < b for a, b in zip(history, history[1:])), history
 
 
 def _highs():
@@ -1327,17 +1416,18 @@ class TestHighsOracle:
         for ds in _oracle_instances(809, 3, 3, (8, 9, 10), highs_optimum):
             self._assert_proven(build_milp(ds, MilpConfig()), highs_optimum)
 
-    def test_three_class_zero_optima_proven_at_the_root(self):
+    def test_three_class_zero_optima_node_counts(self):
+        # the tree takes one proposal per node, so the heuristics find the
+        # optimum 0 a few nodes in
         highs_optimum = _highs()
-        zero = 0
+        nodes = []
         for ds in _oracle_instances(809, 3, 12, (8, 9, 10)):
             problem = build_milp(ds, MilpConfig())
             if highs_optimum(problem) == 0.0:
                 sol = solve_milp(problem)
-                assert (sol.objective, sol.status, sol.nodes_explored) == \
-                    (0.0, "proven_optimal", 1)
-                zero += 1
-        assert zero == 10
+                assert (sol.objective, sol.status) == (0.0, "proven_optimal")
+                nodes.append(sol.nodes_explored)
+        assert nodes == [2, 5, 2, 3, 1, 4, 8, 2, 12, 2]
 
     def test_multiclass_optima_equal_the_cij_formulation(self):
         # the margin-row MILP and the reference with a binary c_ij per point
