@@ -5,17 +5,18 @@ and every variable has a (possibly infinite) box. Each row gets a slack
 column whose box encodes the sense, so the solver works on the equality
 form [A | I] z = b.
 
-A solve takes one of two paths:
-
-* cold, the two-phase method: phase 1 starts from m artificial columns and
-  drives their sum to zero; the artificials are then pivoted out of the
-  basis and dropped, and primal phase 2 optimizes the real objective;
-* warm, from a given basis of an LP with the same c, A, senses and b but
-  other variable bounds, such as the optimal basis of a branch-and-bound
-  parent. Changing bounds keeps that basis dual feasible, so the bounded dual
-  simplex restores primal feasibility and primal phase 2 cleans up,
-  without phase 1. A warm basis that cannot be factored or is not dual
-  feasible falls back to the cold path.
+Every solve starts from a basis: the one given, typically the optimal basis
+of a branch-and-bound parent (an LP with the same c, A, senses and b but
+other variable bounds), or the slack basis when none is given or the given
+one cannot be factored. The slack basis puts every structural column at the
+finite bound its cost favours. A start that is dual feasible goes straight
+to the bounded dual simplex, which restores primal feasibility, and primal
+phase 2 cleans up. A start that is not first runs the dual simplex at zero
+cost, for which every basis is dual feasible, until the basic values are
+within their bounds (the cost-modification form of a dual phase 1;
+Koberstein, *The dual simplex method, techniques for a fast and stable
+implementation*, PhD thesis, Paderborn 2005); primal phase 2 then optimizes
+the real cost.
 
 The solver keeps a dense explicit basis inverse. It updates the inverse
 with a product-form (rank-1) update after each pivot and recomputes it from
@@ -25,8 +26,11 @@ relaxations solved here are dense and small, so dense linear algebra and
 determinism are worth more than sparsity.
 
 Statuses: ``optimal`` (with the final basis), ``infeasible``,
-``unbounded``, ``iteration_limit``, and ``numerical`` for a singular basis
-or a phase 1 that ran unbounded, where the LP's true status is unknown.
+``unbounded``, ``iteration_limit``, and ``numerical`` for a basis that
+cannot be factored, where the LP's true status is unknown. Every
+``infeasible`` comes from the dual simplex's row test on a freshly computed
+inverse: a basic value outside its bounds that no nonbasic column can move
+toward them, so that row of the inverse is a Farkas certificate.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ __all__ = ["Basis", "LinearProgram", "LpSolution", "origin_in_hull", "solve_lp"]
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
-# reduced-cost slack allowed when a warm basis is checked for dual feasibility
+# reduced-cost slack allowed when a starting basis is checked for dual feasibility
 DUAL_TOL = 1e-9
 # a pivot element below this is taken only on a freshly computed inverse
 TINY_PIVOT = 1e-7
@@ -78,7 +82,10 @@ class LinearProgram:
             raise ValueError("bounds must have one entry per variable")
         if len(self.senses) != m or any(s not in SENSES for s in self.senses):
             raise ValueError("senses must be one of <=, >=, = per row")
-        if np.any(self.lo > self.hi):
+        if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.A))
+                and np.all(np.isfinite(self.b))):
+            raise ValueError("c, A and b must be finite")
+        if not np.all(self.lo <= self.hi):
             raise ValueError("need lo <= hi for every variable")
 
     @property
@@ -261,6 +268,8 @@ class _Simplex:
     def _dual(self, cost: np.ndarray) -> str:
         """Bounded dual simplex from a dual feasible basis, until the basic
         values are within their bounds. Returns ``optimal`` once they are."""
+        if self.m == 0:
+            return "optimal"  # no basic values
         d = self._reduced_costs(cost)
         while True:
             if self.iterations >= self.max_iter:
@@ -324,7 +333,7 @@ class _Simplex:
             if self.since_refactor == 0:
                 d = self._reduced_costs(cost)
 
-    # ---- solve paths ---------------------------------------------------------
+    # ---- solve ---------------------------------------------------------------
     def optimize(self, cost: np.ndarray) -> str:
         """Dual simplex until the basic values are within their bounds, then
         primal phase 2, repeated until a fresh inverse confirms the optimum.
@@ -340,22 +349,12 @@ class _Simplex:
                 return status
             self._refactor()
 
-    def warm(self, basis: Basis, cost: np.ndarray) -> bool:
-        """Install ``basis`` with every nonbasic column at the bound it names.
-
-        Returns False when the basis is not dual feasible; raises LinAlgError
-        when it cannot be factored.
-        """
-        basic = np.asarray(basis.basic, dtype=np.intp)
-        at_upper = np.asarray(basis.at_upper, dtype=bool)
-        ncols = self.nv + self.m
-        if basic.shape != (self.m,) or at_upper.shape != (ncols,):
-            raise ValueError("basis does not match the LP's dimensions")
-        if np.unique(basic).size != self.m or basic.min() < 0 or basic.max() >= ncols:
-            raise ValueError("basis must name m distinct column ids")
+    def _install(self, basic: np.ndarray, at_upper: np.ndarray) -> None:
         self.basis = basic.copy()
         self._place_nonbasic(at_upper)
         self._refactor()
+
+    def _dual_feasible(self, cost: np.ndarray) -> bool:
         d = self._reduced_costs(cost)
         st = self.state
         wrong = (
@@ -365,48 +364,30 @@ class _Simplex:
         )
         return not np.any(wrong & self.movable)
 
-    def cold(self, cost: np.ndarray) -> str:
-        """The two-phase method from an artificial basis."""
-        m, n = self.m, self.nv + self.m
-        # start every column at a finite bound near zero
-        self._place_nonbasic(np.abs(self.hi) < np.abs(self.lo))
-        resid = self.b - self.T @ self.x
-        sign = np.where(resid >= 0.0, 1.0, -1.0)
-        self.T = np.hstack([self.T, np.diag(sign)])
-        self.lo = np.concatenate([self.lo, np.zeros(m)])
-        self.hi = np.concatenate([self.hi, np.full(m, np.inf)])
-        self.movable = np.concatenate([self.movable, np.ones(m, dtype=bool)])
-        self.x = np.concatenate([self.x, np.abs(resid)])
-        self.state = np.concatenate([self.state, np.full(m, _BASIC, dtype=np.int8)])
-        self.basis = np.arange(n, n + m)
-        self._refactor()
-
-        phase1 = np.zeros(n + m)
-        phase1[n:] = 1.0
-        status = self._primal(phase1)
-        if status == "unbounded":
-            return "numerical"  # phase 1 is bounded below by zero
-        if status != "optimal":
-            return status
-        if self.since_refactor:
-            self._refactor()
-        if float(np.sum(self.x[n:])) > 1e-7:
-            return "infeasible"
-
-        # pivot the remaining artificials out at zero: [A | I] has full row
-        # rank, so each of their rows has a nonzero entry in a nonbasic column
-        for r in np.flatnonzero(self.basis >= n):
-            alpha = self.binv[r] @ self.T[:, :n]
-            alpha[self.state[:n] == _BASIC] = 0.0
-            q = int(np.argmax(np.abs(alpha)))
-            if abs(alpha[q]) <= PIVOT_TOL:
-                return "numerical"
-            self.state[self.basis[r]] = _AT_LO
-            self._pivot(r, q, self.binv @ self.T[:, q])
-        self.T = self.T[:, :n]
-        self.lo, self.hi, self.movable = self.lo[:n], self.hi[:n], self.movable[:n]
-        self.x, self.state = self.x[:n], self.state[:n]
-        self._refactor()
+    def solve(self, basis: Optional[Basis], cost: np.ndarray) -> str:
+        """Solve from ``basis``, or from the slack basis when it is None or
+        cannot be factored; a start that is not dual feasible first runs the
+        dual simplex at zero cost. Raises LinAlgError when the slack basis
+        cannot be factored either."""
+        slack = np.arange(self.nv, self.nv + self.m), cost < 0
+        if basis is None:
+            self._install(*slack)
+        else:
+            basic = np.asarray(basis.basic, dtype=np.intp)
+            at_upper = np.asarray(basis.at_upper, dtype=bool)
+            ncols = self.nv + self.m
+            if basic.shape != (self.m,) or at_upper.shape != (ncols,):
+                raise ValueError("basis does not match the LP's dimensions")
+            if np.unique(basic).size != self.m or np.any(basic < 0) or np.any(basic >= ncols):
+                raise ValueError("basis must name m distinct column ids")
+            try:
+                self._install(basic, at_upper)
+            except np.linalg.LinAlgError:
+                self._install(*slack)
+        if not self._dual_feasible(cost):
+            status = self._dual(np.zeros_like(cost))
+            if status != "optimal":
+                return status
         return self.optimize(cost)
 
     def result(self, status: str, c: np.ndarray) -> LpSolution:
@@ -428,41 +409,23 @@ def solve_lp(
 
     ``lo`` and ``hi`` replace the LP's variable bounds when given. ``basis``
     is an optional warm start, typically the ``basis`` of an earlier
-    solution of an LP with the same c, A, senses and b: the solve runs the
-    bounded dual simplex from it, falling back to the cold two-phase method
-    when it cannot be factored or is not dual feasible. The solver is
-    deterministic: re-solving the same LP from the same start gives the same
-    answer in the same number of iterations.
+    solution of an LP with the same c, A, senses and b; without one, or when
+    it cannot be factored, the solve starts from the slack basis. From a
+    start that is not dual feasible, a zero-cost dual phase reaches primal
+    feasibility first. The solver is deterministic: re-solving the same LP
+    from the same start gives the same answer in the same number of
+    iterations.
     """
     lo = lp.lo if lo is None else np.asarray(lo, dtype=float)
     hi = lp.hi if hi is None else np.asarray(hi, dtype=float)
     m, v = lp.A.shape
-    if lo.shape != (v,) or hi.shape != (v,) or np.any(lo > hi):
+    if lo.shape != (v,) or hi.shape != (v,) or not np.all(lo <= hi):
         raise ValueError("need lo <= hi with one entry per variable")
     if max_iter is None:
         max_iter = 50 * (m + v)
-    if m == 0:
-        # pure box problem
-        x = np.where(lp.c > 0, lo, np.where(lp.c < 0, hi, np.where(np.isfinite(lo), lo, 0.0)))
-        if np.any(~np.isfinite(x) & (lp.c != 0)):
-            return LpSolution("unbounded", None, None, 0)
-        x = np.where(np.isfinite(x), x, 0.0)
-        return LpSolution("optimal", x, float(lp.c @ x), 0)
-
-    cost = np.concatenate([lp.c, np.zeros(m)])
-    spent = 0
-    if basis is not None:
-        sx = _Simplex(lp, lo, hi, max_iter)
-        try:
-            if sx.warm(basis, cost):
-                return sx.result(sx.optimize(cost), lp.c)
-        except np.linalg.LinAlgError:
-            pass
-        spent = sx.iterations
     sx = _Simplex(lp, lo, hi, max_iter)
-    sx.iterations = spent
     try:
-        status = sx.cold(cost)
+        status = sx.solve(basis, np.concatenate([lp.c, np.zeros(m)]))
     except np.linalg.LinAlgError:
         status = "numerical"
     return sx.result(status, lp.c)
@@ -473,14 +436,13 @@ def origin_in_hull(rows) -> bool:
     theorem, exactly when no w has ``rows @ w > 0`` in every row.
 
     Solves the hull LP ``rows.T @ y = 0``, ``sum(y) = 1``, ``y >= 0`` (d+1
-    equality rows, one column per row of ``rows``, zero cost) from the slack
-    basis. With zero costs every basis is dual feasible, so the dual simplex
-    runs without the two-phase method. True only when the LP ends
-    ``optimal``: an infeasible or unresolved LP gives False.
+    equality rows, one column per row of ``rows``, zero cost). With zero
+    costs the slack basis is dual feasible, so the solve is the dual simplex
+    from it alone. True only when the LP ends ``optimal``: an infeasible or
+    unresolved LP gives False.
     """
     rows = np.asarray(rows, dtype=float)
     n, d = rows.shape
     lp = LinearProgram(c=np.zeros(n), A=np.vstack([rows.T, np.ones(n)]), senses=["="] * (d + 1),
                        b=np.append(np.zeros(d), 1.0), lo=np.zeros(n), hi=np.full(n, np.inf))
-    slack = Basis(np.arange(n, n + d + 1), np.zeros(n + d + 1, dtype=bool))
-    return solve_lp(lp, basis=slack).status == "optimal"
+    return solve_lp(lp).status == "optimal"

@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DeferDataset, HalfspacePair, augment, pair_decisions, system_loss_01
-from .lp import Basis, LinearProgram, origin_in_hull, solve_lp
+from .lp import LinearProgram, origin_in_hull, solve_lp
 
 __all__ = [
     "MilpConfig",
@@ -704,15 +704,7 @@ def _coverage_shifted(problem: MilpProblem, r):
 class _Node:
     fixed: dict  # var id -> 0.0 or 1.0
     bound: float
-    basis: object = None  # the parent's optimal LP basis; the slack basis at the root
-
-
-def _slack_basis(lp: LinearProgram) -> Basis:
-    """Every row's slack basic, every structural column at its lower bound:
-    dual feasible, as the builders' costs are 0 or more and their lower
-    bounds finite. Were it ever not, ``solve_lp`` would solve the LP cold."""
-    m, v = lp.A.shape
-    return Basis(np.arange(v, v + m), np.zeros(v + m, dtype=bool))
+    basis: object = None  # the parent's optimal LP basis; None (the slack basis) at the root
 
 
 @dataclass
@@ -731,8 +723,9 @@ def _relax(lp: LinearProgram, node: _Node) -> tuple[Optional[_NodeInfo], int]:
 
     A node LP differs from its parent's only in the bounds of the binaries
     fixed on the way down, so it is re-solved from the parent's optimal
-    basis with the dual simplex; the root starts the dual simplex from the
-    slack basis (``_slack_basis``).
+    basis with the dual simplex. The root passes no basis, so ``solve_lp``
+    starts from the slack basis, which the builders' nonnegative costs and
+    finite lower bounds make dual feasible.
     """
     lo = lp.lo.copy()
     hi = lp.hi.copy()
@@ -831,7 +824,6 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     root = _Node(fixed={}, bound=0.0)  # every objective term is nonnegative
     if node_limit is None or node_limit > 0:
         lp = problem.lp_relaxation
-        root.basis = _slack_basis(lp)
     nodes = lp_iterations = 0
 
     stream = _heuristic_candidates(problem, rng, deadline=deadline)

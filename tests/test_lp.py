@@ -137,6 +137,53 @@ class TestStatuses:
         assert sol.objective_value == pytest.approx(1.0)
 
 
+class TestInputs:
+    @pytest.mark.parametrize("field", ["c", "A", "b", "lo", "hi"])
+    def test_nan_in_the_lp_is_rejected(self, field):
+        data = dict(c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[">="], b=[1.0], lo=[0.0, 0.0],
+                    hi=[1.0, 1.0])
+        data[field] = np.array(data[field])
+        data[field].flat[0] = np.nan
+        with pytest.raises(ValueError):
+            LinearProgram(**data)
+
+    @pytest.mark.parametrize("field", ["c", "A", "b"])
+    def test_infinity_in_the_data_is_rejected(self, field):
+        data = dict(c=[1.0], A=[[1.0]], senses=[">="], b=[1.0], lo=[0.0], hi=[1.0])
+        data[field] = np.full(np.shape(data[field]), np.inf)
+        with pytest.raises(ValueError):
+            LinearProgram(**data)
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    def test_nan_bound_override_is_rejected(self, side):
+        lp = LinearProgram(c=[1.0], A=[[1.0]], senses=[">="], b=[0.5], lo=[0.0], hi=[1.0])
+        with pytest.raises(ValueError):
+            solve_lp(lp, **{side: [np.nan]})
+
+
+class TestWithoutRows:
+    def _box(self, c, lo, hi):
+        v = len(c)
+        return LinearProgram(c=c, A=np.zeros((0, v)), senses=[], b=np.zeros(0), lo=lo, hi=hi)
+
+    def test_every_column_at_a_finite_bound_in_its_box(self):
+        inf = np.inf
+        lp = self._box(c=[0.0, 0.0, 0.0, 2.0, -1.0, 1.0, -1.0],
+                       lo=[-inf, 1.0, -inf, -3.0, -inf, -1.0, -2.0],
+                       hi=[-1.0, 2.0, inf, 3.0, 4.0, inf, 5.0])
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        np.testing.assert_array_equal(sol.x, [-1.0, 1.0, 0.0, -3.0, 4.0, -1.0, 5.0])
+        assert sol.objective_value == -6.0 - 4.0 - 1.0 - 5.0
+        assert sol.iterations == 0
+
+    @pytest.mark.parametrize("c, lo, hi", [([-1.0], [0.0], [np.inf]),
+                                           ([1.0], [-np.inf], [0.0]),
+                                           ([0.5], [-np.inf], [np.inf])])
+    def test_an_open_side_the_cost_favours_is_unbounded(self, c, lo, hi):
+        assert solve_lp(self._box(c, lo, hi)).status == "unbounded"
+
+
 class TestAgainstVertexEnumeration:
     def _random_bounded_lp(self, rng, v, m):
         A = rng.normal(size=(m, v))
@@ -247,10 +294,23 @@ def _assert_feasible(lp, sol, lo, hi, tol=1e-9):
     assert np.all(sol.x >= lo - tol) and np.all(sol.x <= hi + tol)
 
 
-def _assert_same_solve(warm, cold):
-    assert warm.status == cold.status
-    if cold.status == "optimal":
-        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+def _assert_same_solve(warm, fresh):
+    assert warm.status == fresh.status
+    if fresh.status == "optimal":
+        assert warm.objective_value == pytest.approx(fresh.objective_value, abs=1e-9)
+
+
+def _forbid_zero_cost_phase(monkeypatch):
+    """Make every solve fail whose start is not dual feasible: the one kind
+    of start that runs the dual simplex at zero cost first."""
+    real = lp_module._Simplex._dual_feasible
+
+    def dual_feasible(self, cost):
+        if not real(self, cost):
+            raise AssertionError("the solve ran the zero-cost phase")
+        return True
+
+    monkeypatch.setattr(lp_module._Simplex, "_dual_feasible", dual_feasible)
 
 
 class TestWarmStart:
@@ -277,8 +337,7 @@ class TestWarmStart:
         lo[j] = hi[j] = value
 
         warm = solve_lp(lp, basis=parent.basis, lo=lo, hi=hi)
-        cold = solve_lp(lp, lo=lo, hi=hi)
-        _assert_same_solve(warm, cold)
+        _assert_same_solve(warm, solve_lp(lp, lo=lo, hi=hi))
         if mode == "infeasible":
             assert warm.status == "infeasible"
         if warm.status == "optimal":
@@ -299,7 +358,7 @@ class TestWarmStart:
         assert again.iterations == 0
         assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-12)
 
-    def test_dual_infeasible_basis_falls_back_to_cold(self):
+    def test_dual_infeasible_basis_reaches_the_same_optimum(self, monkeypatch):
         lp = _capped_random_lp(3, 4, 5)
         sol = solve_lp(lp)
         basis = sol.basis
@@ -307,28 +366,33 @@ class TestWarmStart:
         nonbasic[basis.basic] = False
         # every nonbasic column at its other bound: not dual feasible
         flipped = lp_module.Basis(basis.basic, basis.at_upper ^ nonbasic)
+        with monkeypatch.context() as patch:
+            _forbid_zero_cost_phase(patch)
+            with pytest.raises(AssertionError, match="zero-cost phase"):
+                solve_lp(lp, basis=flipped)
         again = solve_lp(lp, basis=flipped)
         assert again.status == "optimal"
-        assert again.iterations == sol.iterations  # the cold path from scratch
         assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-12)
+        np.testing.assert_allclose(again.x, sol.x, atol=1e-12)
 
-    def test_unfactorable_basis_falls_back_to_cold(self, monkeypatch):
+    def test_unfactorable_basis_falls_back_to_the_slack_basis(self, monkeypatch):
         lp = _capped_random_lp(3, 4, 5)
         sol = solve_lp(lp)
         calls = []
         invert = lp_module._invert
 
         def fail_first(B):
-            calls.append(B.shape)
+            calls.append(B.copy())
             if len(calls) == 1:
                 raise np.linalg.LinAlgError("singular matrix")
             return invert(B)
 
         monkeypatch.setattr(lp_module, "_invert", fail_first)
         again = solve_lp(lp, basis=sol.basis)
-        assert len(calls) > 1
+        np.testing.assert_array_equal(calls[1], np.eye(lp.num_rows))
         assert again.status == "optimal"
         assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-12)
+        assert again.iterations == sol.iterations  # the no-basis solve, step for step
 
     def test_malformed_warm_start_raises(self):
         lp = _capped_random_lp(3, 4, 5)
@@ -354,7 +418,7 @@ class TestWarmStart:
         lo, hi = lp.lo.copy(), lp.hi.copy()
         parent = solve_lp(lp)
         depth = 0
-        warm_iters = cold_iters = 0
+        warm_iters = fresh_iters = 0
         while True:
             frac = parent.x[binaries]
             dist = np.abs(frac - np.round(frac))
@@ -366,10 +430,10 @@ class TestWarmStart:
                 clo, chi = lo.copy(), hi.copy()
                 clo[vid] = chi[vid] = value
                 warm = solve_lp(lp, basis=parent.basis, lo=clo, hi=chi)
-                cold = solve_lp(lp, lo=clo, hi=chi)
-                _assert_same_solve(warm, cold)
+                fresh = solve_lp(lp, lo=clo, hi=chi)  # from the slack basis, as the root
+                _assert_same_solve(warm, fresh)
                 warm_iters += warm.iterations
-                cold_iters += cold.iterations
+                fresh_iters += fresh.iterations
                 if warm.status == "optimal":
                     _assert_feasible(lp, warm, clo, chi)
                     if follow is None:
@@ -380,7 +444,113 @@ class TestWarmStart:
             depth += 1
         assert depth >= 3
         # the parent's basis is a few dual pivots from the child's optimum
-        assert warm_iters * 8 <= cold_iters
+        # (23 vs 83 iterations without the coverage row, 36 vs 118 with it)
+        assert warm_iters * 3 <= fresh_iters
+
+
+def _general_lp(rng):
+    """A random LP with boxed, half-bounded and free columns, all three row
+    senses, now and then a duplicated row, and now and then a row that may
+    cut off the point the rest are built around: optimal, infeasible and
+    unbounded all occur."""
+    v, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    kind = rng.integers(0, 4, size=v)  # boxed, lower bound only, upper bound only, free
+    lo = np.where(kind <= 1, -rng.uniform(0, 2, v), -np.inf)
+    hi = np.where((kind == 0) | (kind == 2), rng.uniform(0, 2, v), np.inf)
+    x0 = np.clip(rng.normal(size=v), lo, hi)
+    A = rng.normal(size=(m, v))
+    senses = [("<=", ">=", "=")[k] for k in rng.integers(0, 3, size=m)]
+    side = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in senses])
+    b = A @ x0 + side * rng.uniform(0, 1, size=m)
+    if m > 1 and rng.random() < 0.3:
+        A[-1], b[-1], senses[-1] = A[0], b[0], senses[0]
+    if rng.random() < 0.3:
+        b[rng.integers(0, m)] = 3.0 * rng.normal()
+    return LinearProgram(c=rng.normal(size=v), A=A, senses=senses, b=b, lo=lo, hi=hi)
+
+
+def _highs(lp, cost, presolve=True):
+    from scipy.optimize import linprog
+
+    sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in lp.senses])
+    ub, eq = sign != 0, sign == 0
+    kw = {}
+    if ub.any():
+        kw.update(A_ub=sign[ub, None] * lp.A[ub], b_ub=sign[ub] * lp.b[ub])
+    if eq.any():
+        kw.update(A_eq=lp.A[eq], b_eq=lp.b[eq])
+    bounds = [(l if np.isfinite(l) else None, h if np.isfinite(h) else None)
+              for l, h in zip(lp.lo, lp.hi)]
+    return linprog(cost, bounds=bounds, method="highs", options={"presolve": presolve}, **kw)
+
+
+class TestAgainstHighs:
+    def test_random_general_lps(self):
+        pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(12345)
+        statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+        seen, misreported = set(), 0
+        for draw in range(1000):
+            lp = _general_lp(rng)
+            res = _highs(lp, lp.c)
+            if res.status == 2 and _highs(lp, np.zeros(lp.num_vars)).status == 0:
+                # HiGHS's presolve calls some feasible, unbounded LPs infeasible
+                misreported += 1
+                res = _highs(lp, lp.c, presolve=False)
+            sol = solve_lp(lp)
+            assert sol.status == statuses[res.status], draw
+            if sol.status == "optimal":
+                assert sol.objective_value == pytest.approx(res.fun, rel=1e-7, abs=1e-7), draw
+                _assert_feasible(lp, sol, lp.lo, lp.hi)
+            seen.add(sol.status)
+        assert seen == set(statuses.values()) and misreported >= 1
+
+
+def _farkas_row(sx, r, tol=lp_module.PIVOT_TOL):
+    """Whether row r of the simplex's inverse proves [A | I] z = b infeasible
+    over the column boxes: the basic value that row defines cannot reach its
+    bounds from any point of the nonbasic columns' boxes."""
+    alpha = sx.binv[r] @ sx.T
+    alpha[np.abs(alpha) <= tol] = 0.0
+    nonbasic = np.ones(alpha.size, dtype=bool)
+    nonbasic[sx.basis] = False
+    a, lo, hi = alpha[nonbasic], sx.lo[nonbasic], sx.hi[nonbasic]
+    with np.errstate(invalid="ignore"):
+        low = np.where(a > 0, a * lo, np.where(a < 0, a * hi, 0.0))
+        high = np.where(a > 0, a * hi, np.where(a < 0, a * lo, 0.0))
+    base = sx.binv[r] @ sx.b
+    p = sx.basis[r]
+    # x_p = base - a . x_N ranges over [base - sum(high), base - sum(low)]
+    return base - high.sum() > sx.hi[p] or base - low.sum() < sx.lo[p]
+
+
+class TestInfeasibleVerdicts:
+    def test_each_comes_from_the_dual_row_test_on_a_fresh_inverse(self, monkeypatch):
+        verdicts = []
+        real = lp_module._Simplex._dual
+
+        def dual(self, cost):
+            status = real(self, cost)
+            if status == "infeasible":
+                proven = any(_farkas_row(self, r) for r in range(self.m))
+                verdicts.append((self.since_refactor, proven))
+            return status
+
+        monkeypatch.setattr(lp_module._Simplex, "_dual", dual)
+        rng = np.random.default_rng(99)
+        solves = [(lp, None, None, None) for lp in (_general_lp(rng) for _ in range(400))]
+        for seed in range(40):  # warm starts whose child LP is infeasible
+            lp = _capped_random_lp(seed, 3, 4)
+            lo, hi = lp.lo.copy(), lp.hi.copy()
+            lo[0] = hi[0] = 0.5 * (lp.b[0] + lp.hi[0])
+            solves.append((lp, solve_lp(lp).basis, lo, hi))
+        infeasible = 0
+        for lp, basis, lo, hi in solves:
+            before = len(verdicts)
+            status = solve_lp(lp, basis=basis, lo=lo, hi=hi).status
+            infeasible += status == "infeasible"
+            assert verdicts[before:] == ([(0, True)] if status == "infeasible" else [])
+        assert infeasible >= 60
 
 
 class TestNumericalStatus:
@@ -423,11 +593,7 @@ class TestOriginInHull:
 
     def test_random_sets_agree_with_highs(self, monkeypatch):
         pytest.importorskip("scipy.optimize")
-
-        def no_cold(self, cost):
-            raise AssertionError("the hull LP took the two-phase path")
-
-        monkeypatch.setattr(lp_module._Simplex, "cold", no_cold)
+        _forbid_zero_cost_phase(monkeypatch)
         verdicts = []
         for rows in self._signed_sets():
             verdict = lp_module.origin_in_hull(rows)

@@ -1086,7 +1086,7 @@ class TestPinnedSolves:
 class TestRootLp:
     def test_root_is_solved_from_the_slack_basis(self, monkeypatch):
         # the slack basis is dual feasible for every relaxation the builders
-        # make, so no root falls back to the two-phase method
+        # make, so no root runs the zero-cost phase before the dual simplex
         ds = _six_point_instances(11, 3)[2]
         plain = build_binary_milp(ds, MilpConfig())
         three = _pinned_three_class_problem()
@@ -1097,17 +1097,22 @@ class TestRootLp:
                     build_binary_milp(_criterion7_instance(), MilpConfig())]
         optima = [solve_lp(p.lp_relaxation).objective_value for p in problems]
 
-        def no_cold(self, cost):
-            raise AssertionError("the root LP was solved with the two-phase method")
+        dual_feasible = lp_module._Simplex._dual_feasible
+
+        def no_zero_cost_phase(self, cost):
+            if not dual_feasible(self, cost):
+                raise AssertionError("the root LP ran the zero-cost phase")
+            return True
 
         solved = []
         real = milp.solve_lp
 
         def recording(*args, **kwargs):
+            assert kwargs["basis"] is None  # the slack basis
             solved.append(real(*args, **kwargs))
             return solved[-1]
 
-        monkeypatch.setattr(lp_module._Simplex, "cold", no_cold)
+        monkeypatch.setattr(lp_module._Simplex, "_dual_feasible", no_zero_cost_phase)
         monkeypatch.setattr(milp, "solve_lp", recording)
         for problem, optimum in zip(problems, optima):
             solved.clear()
