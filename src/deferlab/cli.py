@@ -48,6 +48,7 @@ from .evaluation import (
 )
 from .milp import MilpConfig, build_milp, solve_milp
 from .train import (
+    ALPHA_GRIDS,
     AUX_KINDS,
     JOINT_KINDS,
     METHODS,
@@ -437,6 +438,14 @@ def cmd_train(args):
     cfg = _load_config(args)
     dataset = load_dataset_csv(args.data)
     train_cfg = _config(args, cfg, TRAIN_SETTINGS)
+    # train_method would ignore these without a word
+    if args.method not in ALPHA_GRIDS:
+        for name in ("alpha", "alpha_grid"):
+            if getattr(train_cfg, name) is not None:
+                raise UsageError(f"{name} does not apply to method={args.method}")
+    elif train_cfg.alpha is not None and train_cfg.alpha_grid is not None:
+        raise UsageError("alpha and alpha_grid are both set: alpha trains one alpha, "
+                         "alpha_grid searches several")
     if args.val_data:
         val = load_dataset_csv(args.val_data)
         train = dataset

@@ -67,9 +67,49 @@ def _check_batch(scores, y, human_correct):
     return g, y, hc
 
 
+# The class-axis max and argmax loop over the columns. Over an axis of a
+# few columns numpy's max costs several times more, and so does its argmax
+# on a strided slice such as the class scores of a C+1-head model. Each
+# helper equals its numpy reduction bit for bit.
+
+
+def _column_max(a):
+    """The max over the last axis by a loop of np.maximum: NaN wins, and a
+    max of zeros may have either sign."""
+    w = a.shape[-1]
+    out = np.maximum(a[..., 0], a[..., 1]) if w > 1 else a[..., 0].copy()
+    for j in range(2, w):
+        np.maximum(out, a[..., j], out=out)
+    return out
+
+
+def _class_max(a):
+    """``a.max(axis=-1)``."""
+    out = _column_max(a)
+    # equal values have equal bits but for +0 and -0, whose order numpy's
+    # reduction decides for itself from 9 columns on
+    if np.count_nonzero(out) < out.size:
+        return a.max(axis=-1)
+    return out
+
+
+def _class_argmax(a):
+    """``a.argmax(axis=-1)``: the first column of each row's max."""
+    m = _column_max(a)
+    if np.isnan(m).any():  # numpy's argmax is the first NaN
+        return a.argmax(axis=-1)
+    # the index counts the leading columns below the max
+    below = a[..., 0] < m
+    idx = below.astype(np.intp)
+    for j in range(1, a.shape[-1] - 1):
+        below &= a[..., j] < m
+        idx += below
+    return idx
+
+
 def _softmax_log_softmax(g):
     """Softmax and log-softmax of each row, sharing one shifted exponential."""
-    z = g - g.max(axis=1, keepdims=True)
+    z = g - _class_max(g)[:, None]
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
     return e / total, z - np.log(total)
@@ -93,6 +133,15 @@ def _sigmoid(z, ez=None):
     if ez is None:
         ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def _sigmoid_pair(z):
+    """sigmoid(z) and sigmoid(-z), sharing one exponential and its two
+    quotients."""
+    ez = np.exp(-np.abs(z))
+    d = 1.0 + ez
+    r, q = 1.0 / d, ez / d
+    return np.where(z >= 0, r, q), np.where(z <= 0, r, q)
 
 
 def _softplus(z, ez=None):
@@ -127,8 +176,7 @@ def loss_rs_batch(scores, y, human_correct):
 def _rs(g, y, hc):
     n = g.shape[0]
     rows = np.arange(n)
-    zmax = g.max(axis=1, keepdims=True)
-    e = np.exp(g - zmax)
+    e = np.exp(g - _class_max(g)[:, None])
     total = e.sum(axis=1)
     # the numerator can underflow to 0 for extreme score spreads; floor it so
     # values and gradients stay finite (callers treat huge losses as huge)
@@ -173,10 +221,7 @@ def _rs2(g, y, hc):
     rows = np.arange(n)
     p = _softmax(g[:, :-1])
     py = p[rows, y]
-    gb = g[:, -1]
-    eb = np.exp(-np.abs(gb))
-    s_pos = _sigmoid(gb, eb)
-    s_neg = _sigmoid(-gb, eb)
+    s_pos, s_neg = _sigmoid_pair(g[:, -1])
     arg = np.maximum(py * s_neg + hc * s_pos, 1e-300)
     vals = -np.log(arg)
     grads = np.zeros_like(g)
@@ -248,10 +293,7 @@ def _moe(g, y, hc):
     rows = np.arange(g.shape[0])
     p, logp = _softmax_log_softmax(g[:, :-1])
     logp = logp[rows, y]
-    gb = g[:, -1]
-    eb = np.exp(-np.abs(gb))
-    s_pos = _sigmoid(gb, eb)
-    s_neg = _sigmoid(-gb, eb)
+    s_pos, s_neg = _sigmoid_pair(g[:, -1])
     human_ll = np.log(np.where(hc, 1.0, MOE_HUMAN_FLOOR))
     vals = -(s_neg * logp + s_pos * human_ll)
     grads = np.zeros_like(g)

@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .core import DeferDataset
-from .surrogates import LOSSES, _log_softmax, _sigmoid, _softmax, _softplus
+from .surrogates import (LOSSES, _class_argmax, _class_max, _log_softmax, _sigmoid,
+                         _softmax, _softplus)
 
 __all__ = [
     "ScoreModel",
@@ -108,7 +109,8 @@ class ScoreModel:
 
     def _unpack(self, stack):
         """Weights (K, fan_out, fan_in) and biases (K, 1, fan_out) of each row
-        of a (K, p) parameter stack."""
+        of a (K, p) parameter stack: views, so they follow in-place updates
+        of the stack."""
         d, out, h = self.input_dim, self.output_dim, self.hidden_units
         k = stack.shape[0]
         if self.arch == "linear":
@@ -123,24 +125,26 @@ class ScoreModel:
         b2 = stack[:, None, n2 + h * out :]
         return w1, b1, w2, b2
 
-    def _stack_forward(self, stack, x):
-        """Scores (K, n, output_dim) of each row of a (K, p) parameter stack."""
+    def _stack_forward(self, layers, x):
+        """Scores (K, n, output_dim) of each row of a (K, p) parameter stack,
+        given as its ``_unpack`` views."""
         if self.arch == "linear":
-            w, b = self._unpack(stack)
+            w, b = layers
             return x @ _t(w) + b
-        w1, b1, w2, b2 = self._unpack(stack)
+        w1, b1, w2, b2 = layers
         hidden = np.maximum(0.0, x @ _t(w1) + b1)
         return hidden @ _t(w2) + b2
 
-    def _stack_backward(self, stack, x, dscores):
+    def _stack_backward(self, layers, x, dscores):
         """Gradients (K, p) of sum(dscores[k] * scores[k]) in each row of a
-        (K, p) parameter stack; ``dscores`` is (K, n, output_dim)."""
-        k = stack.shape[0]
+        parameter stack given as its ``_unpack`` views; ``dscores`` is (K, n,
+        output_dim)."""
+        k = dscores.shape[0]
         if self.arch == "linear":
             dw = _t(dscores) @ x
             db = dscores.sum(axis=1)
             return np.concatenate([dw.reshape(k, -1), db], axis=1)
-        w1, b1, w2, _ = self._unpack(stack)
+        w1, b1, w2, _ = layers
         z1 = x @ _t(w1) + b1
         a1 = np.maximum(0.0, z1)
         dw2 = _t(dscores) @ a1
@@ -153,7 +157,7 @@ class ScoreModel:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        scores = self._stack_forward(self.params[None], np.atleast_2d(x))[0]
+        scores = self._stack_forward(self._unpack(self.params[None]), np.atleast_2d(x))[0]
         return scores.reshape(x.shape[:-1] + (self.output_dim,))
 
 
@@ -173,6 +177,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size is not None and self.batch_size < 0:
+            raise ValueError("batch_size must be >= 0 (0 means full batch)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
@@ -199,16 +205,16 @@ class TrainedSystem:
         return scores[:, : self.num_classes]
 
     def classifier_labels(self, x) -> np.ndarray:
-        return np.argmax(self.classifier_scores(x), axis=1).astype(np.int64)
+        return _class_argmax(self.classifier_scores(x)).astype(np.int64)
 
     def rejection_scores(self, x) -> np.ndarray:
         if self.score_kind in JOINT_KINDS:
             return _joint_rejection(self.model.forward(x), self.num_classes, self.score_kind)
         if self.score_kind == "confidence":
             p_h = _sigmoid(self.aux_model.forward(x)[:, 0])
-            return p_h - _softmax(self.classifier_scores(x)).max(axis=1)
+            return p_h - _class_max(_softmax(self.classifier_scores(x)))
         if self.score_kind == "selective":
-            return -_softmax(self.classifier_scores(x)).max(axis=1)
+            return -_class_max(_softmax(self.classifier_scores(x)))
         if self.score_kind == "triage":
             return self.aux_model.forward(x)[:, 0]
         raise ValueError(f"unknown score kind {self.score_kind!r}")
@@ -226,7 +232,7 @@ def _joint_rejection(scores, num_classes, score_kind):
     deferral head minus the class max ("gap") or the head alone
     ("defer_head")."""
     if score_kind == "gap":
-        return scores[..., -1] - scores[..., :num_classes].max(axis=-1)
+        return scores[..., -1] - _class_max(scores[..., :num_classes])
     return scores[..., -1]
 
 
@@ -246,9 +252,10 @@ class _Adam:
         self.cfg = config
 
     def step(self, params, grad):
-        """The updated params. The moments update in place, each operation in
-        the order of m = b1*m + (1-b1)*grad, v = b2*v + (1-b2)*grad*grad and
-        params - lr*mh / (sqrt(vh) + eps), so every value rounds as written."""
+        """Update params in place. The moments update in place too, each
+        operation in the order of m = b1*m + (1-b1)*grad, v = b2*v +
+        (1-b2)*grad*grad and params - lr*mh / (sqrt(vh) + eps), so every value
+        rounds as written."""
         self.t += 1
         tmp = self._tmp
         self.m *= ADAM_BETA1
@@ -263,7 +270,7 @@ class _Adam:
         step = self.m / (1 - ADAM_BETA1**self.t)
         step *= self.cfg.learning_rate
         step /= tmp
-        return params - step
+        params -= step
 
 
 def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
@@ -293,6 +300,7 @@ def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
     n = dataset.n
     x = dataset.features
     params = np.repeat(model.params[None], rows, axis=0)
+    layers = model._unpack(params)  # views that follow Adam's in-place steps
     adam = _Adam(params.shape, config)
     batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
     best_metric = np.full(rows, -np.inf)
@@ -305,7 +313,7 @@ def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             xb = x_epoch[start : start + batch]
-            scores = model._stack_forward(params, xb)
+            scores = model._stack_forward(layers, xb)
             if not np.isfinite(scores).all():
                 raise TrainingDiverged(f"non-finite scores at epoch {epoch}")
             vals, grads = loss_fn(scores.reshape(-1, scores.shape[2]), idx)
@@ -315,18 +323,18 @@ def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
                 raise TrainingDiverged(
                     f"non-finite loss {row_vals.mean(axis=1)!r} at epoch {epoch}"
                 )
-            pgrad = model._stack_backward(params, xb, grads.reshape(scores.shape) / len(idx))
-            params = adam.step(params, pgrad)
+            pgrad = model._stack_backward(layers, xb, grads.reshape(scores.shape) / len(idx))
+            adam.step(params, pgrad)
             if not np.isfinite(params).all():
                 raise TrainingDiverged(f"non-finite parameters at epoch {epoch}")
-        metric = val_metric(model._stack_forward(params, val_dataset.features))
+        metric = val_metric(model._stack_forward(layers, val_dataset.features))
         better = metric > best_metric
         best_metric[better] = metric[better]
         best_params[better] = params[better]
         best_epoch[better] = epoch
         if train_metric is not None:
             best_train_metric = np.maximum(best_train_metric,
-                                           train_metric(model._stack_forward(params, x)))
+                                           train_metric(model._stack_forward(layers, x)))
     models = [replace(model, params=row.copy()) for row in best_params]
     return models, best_metric, best_epoch, best_train_metric
 
@@ -365,7 +373,7 @@ def _train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
         return batch_loss(scores, y[stacked], hc[stacked], alpha)
 
     def system_acc(scores, ds):
-        labels = np.argmax(scores[:, :, :c], axis=2)
+        labels = _class_argmax(scores[:, :, :c])
         defer = _joint_rejection(scores, c, score_kind) >= 0.0
         return np.mean(np.where(defer, ds.human_correct, labels == ds.labels), axis=1)
 
@@ -504,7 +512,7 @@ def _train_classifier(dataset, val_dataset, config, keep=None):
         return vals * weight, grads * weight[:, None]
 
     def class_accuracy(scores):
-        return np.mean(np.argmax(scores, axis=2) == val_dataset.labels, axis=1)
+        return np.mean(_class_argmax(scores) == val_dataset.labels, axis=1)
 
     return _fit(dataset, val_dataset, config, dataset.num_classes, config.seed, loss_fn,
                 class_accuracy)[0][0]
@@ -560,12 +568,13 @@ def train_differentiable_triage(dataset, val_dataset, config: TrainConfig) -> Tr
     hum01 = (~dataset.human_correct).astype(float)
 
     def keep(scores, idx):
+        # numpy's argmax beats a column loop on these small contiguous batches
         return ((np.argmax(scores, axis=1) != y[idx]) <= hum01[idx]).astype(float)
 
     model = _train_classifier(dataset, val_dataset, config, keep)
-    pred = np.argmax(model.forward(dataset.features), axis=1)
+    pred = _class_argmax(model.forward(dataset.features))
     defer_target = hum01 < (pred != y)  # ties mean do not defer
-    val_pred = np.argmax(model.forward(val_dataset.features), axis=1)
+    val_pred = _class_argmax(model.forward(val_dataset.features))
     val_target = (~val_dataset.human_correct).astype(float) < (val_pred != val_dataset.labels)
     rejector = _train_binary_head(dataset, defer_target, val_dataset, val_target, config)
     system = TrainedSystem(model=model, num_classes=dataset.num_classes, tau=0.0,

@@ -4,14 +4,16 @@ equal bit for bit.
 
 Every sigmoid and softplus here computes its own exponential, the sigmoid
 by masked indexing; softmax and log-softmax each shift and exponentiate the
-scores on their own; Adam rebinds its moments to new arrays. The loss
-bodies are those of ``deferlab.surrogates`` and ``deferlab.train`` written
-with these helpers.
+scores on their own; every max and argmax over the class axis is numpy's;
+Adam rebinds its moments and params to new arrays; the score model slices
+its weights out of the parameter stack on every pass. The loss bodies are
+those of ``deferlab.surrogates`` and ``deferlab.train`` written with these
+helpers. Nothing here calls the package's numerics, only its constants.
 """
 
 import numpy as np
 
-from deferlab.surrogates import LN2, MOE_HUMAN_FLOOR, _rs
+from deferlab.surrogates import LN2, MOE_HUMAN_FLOOR
 from deferlab.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -55,10 +57,77 @@ class Adam:
         return params - self.cfg.learning_rate * mh / (np.sqrt(vh) + ADAM_EPS)
 
 
+def _t(a):
+    return a.swapaxes(1, 2)
+
+
+def unpack(model, stack):
+    """Weights (K, fan_out, fan_in) and biases (K, 1, fan_out) of each row
+    of a (K, p) parameter stack."""
+    d, out, h = model.input_dim, model.output_dim, model.hidden_units
+    k = stack.shape[0]
+    if model.arch == "linear":
+        return stack[:, : d * out].reshape(k, out, d), stack[:, None, d * out :]
+    n1 = d * h
+    n2 = n1 + h
+    return (stack[:, :n1].reshape(k, h, d), stack[:, None, n1:n2],
+            stack[:, n2 : n2 + h * out].reshape(k, out, h), stack[:, None, n2 + h * out :])
+
+
+def stack_forward(model, stack, x):
+    """Scores (K, n, output_dim) of each row of a (K, p) parameter stack."""
+    if model.arch == "linear":
+        w, b = unpack(model, stack)
+        return x @ _t(w) + b
+    w1, b1, w2, b2 = unpack(model, stack)
+    hidden = np.maximum(0.0, x @ _t(w1) + b1)
+    return hidden @ _t(w2) + b2
+
+
+def stack_backward(model, stack, x, dscores):
+    """Gradients (K, p) of sum(dscores[k] * scores[k]) in each row of a
+    (K, p) parameter stack."""
+    k = stack.shape[0]
+    if model.arch == "linear":
+        dw = _t(dscores) @ x
+        db = dscores.sum(axis=1)
+        return np.concatenate([dw.reshape(k, -1), db], axis=1)
+    w1, b1, w2, _ = unpack(model, stack)
+    z1 = x @ _t(w1) + b1
+    a1 = np.maximum(0.0, z1)
+    dw2 = _t(dscores) @ a1
+    db2 = dscores.sum(axis=1)
+    da1 = dscores @ w2
+    dz1 = da1 * (z1 > 0)
+    dw1 = _t(dz1) @ x
+    db1 = dz1.sum(axis=1)
+    return np.concatenate([dw1.reshape(k, -1), db1, dw2.reshape(k, -1), db2], axis=1)
+
+
+def forward(model, x):
+    """A model's scores (n, output_dim) at a (n, d) feature matrix."""
+    return stack_forward(model, model.params[None], x)[0]
+
+
+def rs(g, y, hc):
+    n = g.shape[0]
+    rows = np.arange(n)
+    zmax = g.max(axis=1, keepdims=True)
+    e = np.exp(g - zmax)
+    total = e.sum(axis=1)
+    num = np.maximum(e[rows, y] + hc * e[:, -1], 1e-300)
+    vals = (-2.0 / LN2) * (np.log(num) - np.log(total))
+    grads = (2.0 / LN2) * (e / total[:, None])
+    coef = (-2.0 / LN2) / num
+    grads[rows, y] += coef * e[rows, y]
+    grads[:, -1] += np.where(hc, coef * e[:, -1], 0.0)
+    return vals, grads
+
+
 def rs_alpha(g, y, hc, a):
     n = g.shape[0]
     rows = np.arange(n)
-    rs_vals, rs_grads = _rs(g, y, hc)
+    rs_vals, rs_grads = rs(g, y, hc)
     gy = g[:, :-1]
     p = softmax(gy)
     logp = log_softmax(gy)
@@ -86,6 +155,19 @@ def rs2(g, y, hc):
     grads[:, :-1] = coef[:, None] * p
     grads[rows, y] -= coef
     grads[:, -1] = -(s_pos * s_neg * (hc - py)) / arg
+    return vals, grads
+
+
+def ce_alpha(g, y, hc, a):
+    rows = np.arange(g.shape[0])
+    logq = log_softmax(g)
+    q = np.exp(logq)
+    w = np.where(hc, a, 1.0)
+    k = hc.astype(float)
+    vals = -w * logq[rows, y] - k * logq[:, -1]
+    grads = (w + k)[:, None] * q
+    grads[rows, y] -= w
+    grads[:, -1] -= k
     return vals, grads
 
 

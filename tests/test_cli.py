@@ -591,6 +591,53 @@ class TestErrors:
         assert code == 2
 
 
+class TestTrainSettingChecks:
+    """train refuses settings it would otherwise ignore without a word."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "d.csv"
+        assert run_cli("gen", "--d", "2", "--n", "60", "--seed", "1", "--out", str(path)) == 0
+        return path
+
+    def _train(self, data, out, *extra):
+        return run_cli("train", "--data", str(data), "--epochs", "3", "--seed", "0",
+                       "--out", str(out), *extra)
+
+    def test_negative_batch_size(self, data, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert self._train(data, out, "--method", "rs2", "--batch-size", "-5") != 0
+        assert "batch_size" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["rs2", "ova", "moe", "confidence", "selective", "triage"])
+    @pytest.mark.parametrize("flag,value", [("--alpha", "0.3"), ("--alpha-grid", "0.0,1.0")])
+    def test_alpha_for_a_method_without_one(self, data, tmp_path, capsys, method, flag, value):
+        out = tmp_path / "m.csv"
+        assert self._train(data, out, "--method", method, flag, value) == 1
+        assert f"does not apply to method={method}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alpha_from_config_for_a_method_without_one(self, data, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("[method]\nalpha=0.3\n")
+        out = tmp_path / "m.csv"
+        assert self._train(data, out, "--method", "ova", "--config", str(cfgfile)) == 1
+        assert "alpha does not apply to method=ova" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["rs", "ce"])
+    def test_alpha_with_alpha_grid(self, data, tmp_path, capsys, method):
+        out = tmp_path / "m.csv"
+        code = self._train(data, out, "--method", method, "--alpha", "0.5",
+                           "--alpha-grid", "0.0,1.0")
+        assert code == 1
+        assert "both set" in capsys.readouterr().err
+        assert not out.exists()
+        # either one alone trains
+        assert self._train(data, out, "--method", method, "--alpha", "0.5") == 0
+        assert self._train(data, out, "--method", method, "--alpha-grid", "0.0,1.0") == 0
+
+
 class TestConfigParsing:
     def test_sections_and_comments(self, tmp_path):
         cfgfile = tmp_path / "ok.cfg"

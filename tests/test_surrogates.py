@@ -18,9 +18,13 @@ from deferlab.surrogates import (
     loss_rs_alpha_batch,
     loss_rs_batch,
     LOSSES,
+    _ce_alpha,
+    _class_argmax,
+    _class_max,
     _log_softmax,
     _moe,
     _ova,
+    _rs,
     _rs2,
     _rs_alpha,
     _sigmoid,
@@ -498,7 +502,10 @@ class TestEdgeValues:
         assert ref.same_bits(_log_softmax(g), ref.log_softmax(g))
 
     @pytest.mark.parametrize("body,reference", [
-        (_ova, ref.ova), (_moe, ref.moe), (_rs2, ref.rs2),
+        (_rs, ref.rs), (_ova, ref.ova), (_moe, ref.moe), (_rs2, ref.rs2),
+        pytest.param(lambda g, y, hc: _ce_alpha(g, y, hc, np.asarray(0.3)),
+                     lambda g, y, hc: ref.ce_alpha(g, y, hc, np.asarray(0.3)),
+                     id="_ce_alpha-ce_alpha"),
         (lambda g, y, hc: _rs_alpha(g, y, hc, np.full(len(y), 0.25)),
          lambda g, y, hc: ref.rs_alpha(g, y, hc, np.full(len(y), 0.25))),
     ])
@@ -520,3 +527,73 @@ class TestEdgeValues:
         y = np.arange(len(g)) % 3
         for u, v in zip(_ce_batch(g, y), ref.ce_batch(g, y), strict=True):
             assert ref.same_bits(u, v)
+
+
+# values whose maxima tie (0.0 with -0.0 included), the infinities, and
+# ordinary scores: each drawn row has ties at some width
+TIE_VALUES = np.array([0.0, -0.0, 1.5, -1.5, 40.0, -40.0, np.inf, -np.inf])
+
+
+def _tie_rows(rng, shape):
+    return rng.choice(TIE_VALUES, size=shape)
+
+
+class TestClassAxisReductions:
+    """The column-loop max and argmax equal numpy's reductions bit for bit.
+    A NaN follows numpy's rule: the max is NaN and the argmax the first NaN
+    (their bytes go through same_bits, which takes any NaN for any NaN)."""
+
+    @pytest.mark.parametrize("width", range(1, 12))
+    def test_equal_to_numpy(self, width):
+        rng = np.random.default_rng(width)
+        for shape in ((200, width), (3, 70, width)):
+            for a in (_tie_rows(rng, shape), rng.normal(size=shape),
+                      np.round(rng.normal(size=shape))):
+                # contiguous, and the strided class slice of a wider array
+                wide = np.concatenate([a, rng.normal(size=shape[:-1] + (1,))], axis=-1)
+                for v in (a, wide[..., :width]):
+                    assert _class_max(v).tobytes() == v.max(axis=-1).tobytes()
+                    got = _class_argmax(v)
+                    assert got.dtype == v.argmax(axis=-1).dtype
+                    assert got.tobytes() == v.argmax(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 9, 11])
+    def test_nan_rule(self, width):
+        rng = np.random.default_rng(20 + width)
+        a = _tie_rows(rng, (300, width))
+        a[rng.random(a.shape) < 0.2] = np.nan
+        assert ref.same_bits(_class_max(a), a.max(axis=-1))
+        assert _class_argmax(a).tobytes() == a.argmax(axis=-1).tobytes()
+
+    def test_first_of_ties_wins(self):
+        a = np.array([[1.0, 3.0, 3.0], [-0.0, 0.0, -1.0], [-np.inf, -np.inf, -np.inf],
+                      [np.inf, 2.0, np.inf], [np.nan, 1.0, np.nan], [0.0, np.nan, np.nan]])
+        assert _class_argmax(a).tolist() == [1, 0, 0, 0, 0, 1]
+
+    @pytest.mark.parametrize("width", [2, 8, 9, 10])
+    def test_zero_max_signs(self, width):
+        # every pattern of +0 and -0: from 9 columns numpy's reduction picks
+        # the sign of a zero max by its own order, so such arrays go to numpy
+        signs = (np.arange(2**width)[:, None] >> np.arange(width)) & 1
+        a = np.where(signs == 1, -0.0, 0.0)
+        assert _class_max(a).tobytes() == a.max(axis=-1).tobytes()
+        assert _class_argmax(a).tobytes() == a.argmax(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("columns", [3, 9, 11])
+    def test_loss_bodies_on_tied_wide_scores(self, columns):
+        rng = np.random.default_rng(columns)
+        g = np.where(rng.random((400, columns)) < 0.5, _tie_rows(rng, (400, columns)),
+                     rng.normal(scale=5.0, size=(400, columns)))
+        g[~np.isfinite(g)] = 700.0
+        y = rng.integers(0, columns - 1, 400)
+        hc = rng.random(400) < 0.5
+        a = rng.random(400)
+        pairs = [(_rs(g, y, hc), ref.rs(g, y, hc)),
+                 (_rs_alpha(g, y, hc, a), ref.rs_alpha(g, y, hc, a)),
+                 (_ce_alpha(g, y, hc, a), ref.ce_alpha(g, y, hc, a)),
+                 (_rs2(g, y, hc), ref.rs2(g, y, hc)), (_moe(g, y, hc), ref.moe(g, y, hc)),
+                 (_ce_batch(g, y), ref.ce_batch(g, y)),
+                 (_softmax_log_softmax(g), (ref.softmax(g), ref.log_softmax(g)))]
+        for got, want in pairs:
+            for u, v in zip(got, want, strict=True):
+                assert u.tobytes() == v.tobytes()

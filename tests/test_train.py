@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 from deferlab import surrogates
 from deferlab.core import DeferDataset
 from deferlab.datagen import SyntheticConfig, generate_grouped_expert, generate_synthetic
-from deferlab.surrogates import (
-    loss_ce_alpha_batch,
-    loss_moe_batch,
-    loss_ova_batch,
-    loss_rs2_batch,
-    loss_rs_alpha_batch,
-    loss_rs_batch,
-)
+from deferlab.surrogates import loss_rs_batch
 from deferlab.train import (
     METHODS,
     ScoreModel,
@@ -80,7 +73,7 @@ class TestScoreModel:
         m = ScoreModel.initialize(arch, 3, 4, hidden, rng)
         x = rng.normal(size=(6, 3))
         dscores = rng.normal(size=(6, 4))
-        grad = m._stack_backward(m.params[None], x, dscores[None])[0]
+        grad = m._stack_backward(m._unpack(m.params[None]), x, dscores[None])[0]
         fd = np.zeros_like(grad)
         eps = 1e-6
         for j in range(m.params.size):
@@ -92,6 +85,22 @@ class TestScoreModel:
     def test_bad_arch(self):
         with pytest.raises(ValueError):
             ScoreModel.initialize("transformer", 3, 4, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("arch,hidden", [("linear", 0), ("one_hidden", 3)])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_unpacked_layers_follow_the_stack(self, arch, hidden, rows):
+        # _fit unpacks once and lets Adam update the stack in place
+        rng = np.random.default_rng(4)
+        m = ScoreModel.initialize(arch, 3, 4, hidden, rng)
+        stack = np.repeat(m.params[None], rows, axis=0)
+        layers = m._unpack(stack)
+        x = rng.normal(size=(5, 3))
+        stack -= rng.normal(size=stack.shape)
+        assert all(np.shares_memory(layer, stack) for layer in layers)
+        for r in range(rows):
+            want = replace(m, params=stack[r].copy()).forward(x)
+            assert m._stack_forward(layers, x)[r].tobytes() == want.tobytes()
+            assert want.tobytes() == ref.forward(replace(m, params=stack[r].copy()), x).tobytes()
 
 
 class TestAdamStep:
@@ -110,7 +119,8 @@ class TestAdamStep:
 
         scores = model.forward(x)
         _, grads = loss_rs_batch(scores, y, hc)
-        analytic = model._stack_backward(model.params[None], x, (grads / len(x))[None])[0]
+        analytic = model._stack_backward(model._unpack(model.params[None]), x,
+                                         (grads / len(x))[None])[0]
         fd = np.zeros_like(analytic)
         eps = 1e-6
         for j in range(model.params.size):
@@ -118,24 +128,25 @@ class TestAdamStep:
             dn = model.params.copy(); dn[j] -= eps
             fd[j] = (mean_loss(up) - mean_loss(dn)) / (2 * eps)
         cfg = TrainConfig()
-        step_a = _Adam(analytic.size, cfg).step(model.params, analytic)
-        step_f = _Adam(fd.size, cfg).step(model.params, fd)
+        step_a, step_f = model.params.copy(), model.params.copy()
+        _Adam(analytic.size, cfg).step(step_a, analytic)
+        _Adam(fd.size, cfg).step(step_f, fd)
         np.testing.assert_allclose(step_a, step_f, atol=1e-6)
 
     def test_steps_equal_reference(self):
-        # the in-place moments round every value as the plain update does
+        # the in-place update rounds every value as the plain one does
         rng = np.random.default_rng(3)
         cfg = TrainConfig(learning_rate=0.37)
         params = rng.normal(size=(3, 7))
-        start = params.copy()
         new, old = _Adam(params.shape, cfg), ref.Adam(params.shape, cfg)
-        p_new = p_old = params
+        p_new, p_old = params, params.copy()
         for scale in (1.0, 1e-12, 1e5, 1e-300, 3.0):
             grad = rng.normal(size=params.shape) * scale
-            p_new, p_old = new.step(p_new, grad), old.step(p_old, grad)
+            assert new.step(p_new, grad) is None
+            p_old = old.step(p_old, grad)
             assert p_new.tobytes() == p_old.tobytes()
             assert new.m.tobytes() == old.m.tobytes() and new.v.tobytes() == old.v.tobytes()
-        assert params.tobytes() == start.tobytes()  # step returns new params
+        assert p_new is params  # step updates the params in place
 
 
 class TestTrainSurrogate:
@@ -242,6 +253,38 @@ class TestTrainSurrogate:
         train, val, _ = planted_splits(seed=7)
         with pytest.raises(ValueError):
             train_surrogate(train, val, TrainConfig(loss="hinge"))
+
+
+class TestTrainConfig:
+    def test_negative_batch_size_rejected(self):
+        # range(0, n, -5) is empty: such a fit would take no step at all
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=-5)
+        assert TrainConfig(batch_size=0).batch_size == 0
+
+
+class TestClassAxisDecisions:
+    @pytest.mark.parametrize("hidden_units", [0, 4])
+    def test_ten_class_labels_and_rejection_scores(self, hidden_units):
+        # the column-loop max and argmax give numpy's reductions on 10-class
+        # grouped data, for joint and two-stage systems alike
+        ds = generate_grouped_expert(d=4, n=400, C=10, K=3, seed=2, U=3.0)
+        train, val = ds.subset(np.arange(300)), ds.subset(np.arange(300, 400))
+        cfg = TrainConfig(epochs=3, batch_size=32, hidden_units=hidden_units, seed=5)
+        x = val.features
+        for method in ("rs", "rs2", "confidence", "selective", "triage"):
+            system = train_method(method, train, val, cfg)
+            scores = ref.forward(system.model, x)
+            labels = system.classifier_labels(x)
+            assert labels.dtype == np.int64
+            assert labels.tobytes() == np.argmax(scores[:, :10], axis=1).tobytes()
+            if system.score_kind == "gap":
+                want = scores[:, -1] - scores[:, :10].max(axis=1)
+            elif system.score_kind == "defer_head":
+                want = scores[:, -1]
+            else:
+                want = _oracle_rejection_scores(system, x)
+            assert system.rejection_scores(x).tobytes() == want.tobytes()
 
 
 class TestSearchAlpha:
@@ -540,21 +583,19 @@ class TestTrainMethodDispatch:
 
 # The trainers as they were before every model went through one fit path,
 # kept as the reference the trainers must equal bit for bit. They share no
-# training numerics with the code they check: Adam and the helper losses
-# come from reference_numerics, the surrogates are the checked public
-# loss_*_batch functions, and the deferral rules use the reference sigmoid
-# and softmax.
+# training numerics with the code they check: the score model's passes,
+# Adam, the losses and the deferral rules' sigmoid and softmax come from
+# reference_numerics, and every max and argmax is numpy's.
 
 
-# loss id -> the checked public batch function, taking (scores, y,
-# human_correct, alpha or None) as the trainer's stacked loss does
+# loss id -> the reference loss body, taking (scores, y, human_correct,
+# alpha or None) as the trainer's stacked loss does
 _ORACLE_LOSSES = {
-    "rs": lambda g, y, hc, a: (loss_rs_batch(g, y, hc) if a is None
-                               else loss_rs_alpha_batch(g, y, hc, a)),
-    "rs2": lambda g, y, hc, a: loss_rs2_batch(g, y, hc),
-    "ce": lambda g, y, hc, a: loss_ce_alpha_batch(g, y, hc, 1.0 if a is None else a),
-    "ova": lambda g, y, hc, a: loss_ova_batch(g, y, hc),
-    "moe": lambda g, y, hc, a: loss_moe_batch(g, y, hc),
+    "rs": lambda g, y, hc, a: ref.rs(g, y, hc) if a is None else ref.rs_alpha(g, y, hc, a),
+    "rs2": lambda g, y, hc, a: ref.rs2(g, y, hc),
+    "ce": lambda g, y, hc, a: ref.ce_alpha(g, y, hc, np.asarray(1.0 if a is None else a)),
+    "ova": lambda g, y, hc, a: ref.ova(g, y, hc),
+    "moe": lambda g, y, hc, a: ref.moe(g, y, hc),
 }
 
 
@@ -592,7 +633,7 @@ def _oracle_run_training(model: ScoreModel, dataset: DeferDataset, config: Train
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             xb = x[idx]
-            scores = model._stack_forward(params, xb)
+            scores = ref.stack_forward(model, params, xb)
             if not np.all(np.isfinite(scores)):
                 raise TrainingDiverged(f"non-finite scores at epoch {epoch}")
             vals, grads = loss_fn(scores.reshape(-1, scores.shape[2]), idx)
@@ -601,7 +642,7 @@ def _oracle_run_training(model: ScoreModel, dataset: DeferDataset, config: Train
                 raise TrainingDiverged(
                     f"non-finite loss {mean_loss!r} at epoch {epoch}"
                 )
-            pgrad = model._stack_backward(params, xb, grads.reshape(scores.shape) / len(idx))
+            pgrad = ref.stack_backward(model, params, xb, grads.reshape(scores.shape) / len(idx))
             params = adam.step(params, pgrad)
             if not np.all(np.isfinite(params)):
                 raise TrainingDiverged(f"non-finite parameters at epoch {epoch}")
@@ -644,7 +685,7 @@ def _oracle_train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
         return batch_loss(scores, y[stacked], hc[stacked], alpha)
 
     def _system_acc(stack, ds):
-        scores = model._stack_forward(stack, ds.features)
+        scores = ref.stack_forward(model, stack, ds.features)
         labels = np.argmax(scores[:, :, :c], axis=2)
         if score_kind == "gap":
             defer = scores[:, :, -1] - scores[:, :, :c].max(axis=2) >= 0.0
@@ -670,7 +711,7 @@ def _oracle_class_accuracy(model, val_dataset):
     """Validation metric: class accuracy of each row of a parameter stack."""
 
     def metric(stack):
-        pred = np.argmax(model._stack_forward(stack, val_dataset.features), axis=2)
+        pred = np.argmax(ref.stack_forward(model, stack, val_dataset.features), axis=2)
         return np.mean(pred == val_dataset.labels, axis=1)
 
     return metric
@@ -702,7 +743,7 @@ def _oracle_train_binary_head(dataset, targets01, val_dataset, val_targets01, co
         return ref.logistic_batch(scores, targets01[idx])
 
     def val_metric(stack):
-        pred = model._stack_forward(stack, val_dataset.features)[:, :, 0] >= 0
+        pred = ref.stack_forward(model, stack, val_dataset.features)[:, :, 0] >= 0
         return np.mean(pred == val_targets01, axis=1)
 
     model.params = _oracle_run_training(model, dataset, config, loss_fn, val_metric, rng)[0][0]
@@ -712,18 +753,18 @@ def _oracle_train_binary_head(dataset, targets01, val_dataset, val_targets01, co
 def _oracle_rejection_scores(system, x):
     """A two-stage system's rejection scores through the reference sigmoid
     and softmax."""
-    clf_max = ref.softmax(system.model.forward(x)).max(axis=1)
+    clf_max = ref.softmax(ref.forward(system.model, x)).max(axis=1)
     if system.score_kind == "confidence":
-        return ref.sigmoid(system.aux_model.forward(x)[:, 0]) - clf_max
+        return ref.sigmoid(ref.forward(system.aux_model, x)[:, 0]) - clf_max
     if system.score_kind == "selective":
         return -clf_max
-    return system.aux_model.forward(x)[:, 0]
+    return ref.forward(system.aux_model, x)[:, 0]
 
 
 def _oracle_val_accuracy(system, val_dataset):
     x = val_dataset.features
     defer = _oracle_rejection_scores(system, x) >= system.tau
-    labels = np.argmax(system.model.forward(x), axis=1)
+    labels = np.argmax(ref.forward(system.model, x), axis=1)
     return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
 
 
@@ -747,7 +788,7 @@ def _oracle_train_selective_prediction(dataset, val_dataset, config: TrainConfig
     system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
                            method="selective", score_kind="selective")
     x = val_dataset.features
-    clf_ok = np.argmax(clf.forward(x), axis=1) == val_dataset.labels
+    clf_ok = np.argmax(ref.forward(clf, x), axis=1) == val_dataset.labels
     tau = _line_search_threshold(_oracle_rejection_scores(system, x),
                                  val_dataset.human_correct, clf_ok)
     return _oracle_val_accuracy(system.with_tau(tau), val_dataset)
@@ -774,10 +815,10 @@ def _oracle_train_differentiable_triage(dataset, val_dataset, config: TrainConfi
     model.params = _oracle_run_training(model, dataset, config, loss_fn,
                                         _oracle_class_accuracy(model, val_dataset), rng)[0][0]
 
-    pred = np.argmax(model.forward(dataset.features), axis=1)
+    pred = np.argmax(ref.forward(model, dataset.features), axis=1)
     clf01 = (pred != y).astype(float)
     defer_target = hum01 < clf01  # ties mean do not defer
-    val_pred = np.argmax(model.forward(val_dataset.features), axis=1)
+    val_pred = np.argmax(ref.forward(model, val_dataset.features), axis=1)
     val_target = (~val_dataset.human_correct).astype(float) < (val_pred != val_dataset.labels)
     rejector = _oracle_train_binary_head(dataset, defer_target, val_dataset, val_target, config)
     system = TrainedSystem(model=model, num_classes=dataset.num_classes, tau=0.0,
@@ -826,7 +867,7 @@ class TestOneFitPath:
             for a, b in zip(new, old, strict=True):
                 _assert_same_bytes(a, b)
                 # the deferral rule the reference applied to its stacks
-                scores = a.model.forward(val.features)
+                scores = ref.forward(a.model, val.features)
                 rule = scores[:, -1] - scores[:, :classes].max(axis=1) \
                     if a.score_kind == "gap" else scores[:, -1]
                 assert a.rejection_scores(val.features).tobytes() == rule.tobytes()
