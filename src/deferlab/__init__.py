@@ -65,12 +65,10 @@ from .train import (
     TrainConfig,
     TrainedSystem,
     fit_tau,
-    search_alpha,
     train_compare_confidence,
     train_differentiable_triage,
     train_method,
     train_selective_prediction,
-    train_surrogate,
 )
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -52,6 +53,7 @@ from .train import (
     AUX_KINDS,
     JOINT_KINDS,
     METHODS,
+    SCORE_KINDS,
     ScoreModel,
     TrainConfig,
     TrainedSystem,
@@ -71,6 +73,10 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # flags are spelled in full, so a gone --alpha is not read as --alpha-grid
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         raise UsageError(message)
 
@@ -148,7 +154,6 @@ SOLVER_SETTINGS = (MilpConfig, (
 ))
 TRAIN_SETTINGS = (TrainConfig, (
     _SEED,
-    Setting("method", "alpha", "alpha", float, None, "alpha"),
     Setting("method", "alpha_grid", "alpha_grid", _floats, None, "alpha_grid"),
     Setting("train", "epochs", "epochs", int, 300, "epochs"),
     Setting("train", "batch_size", "batch_size", int, 64, "batch_size"),
@@ -327,10 +332,15 @@ def _weights(line) -> np.ndarray:
 
 def _score_model(fields, line, d, out) -> ScoreModel:
     """A ScoreModel from its ``arch,d,out,hidden`` header fields and weight
-    line; it must map d inputs to out outputs."""
+    line; the arch must be the one its hidden units give, and it must map d
+    inputs to out outputs."""
     if len(fields) != 4:
         raise ValueError("a model header needs arch,d,out,hidden")
-    model = ScoreModel(fields[0], int(fields[1]), int(fields[2]), int(fields[3]), _weights(line))
+    shape = ScoreModel(int(fields[1]), int(fields[2]), int(fields[3]))
+    if fields[0] != shape.arch:
+        raise ValueError(f"architecture {fields[0]!r} does not match hidden_units="
+                         f"{shape.hidden_units}, which makes a {shape.arch} model")
+    model = replace(shape, params=_weights(line))
     if (model.input_dim, model.output_dim) != (d, out):
         raise ValueError(f"the {model.arch} model maps {model.input_dim} inputs to "
                          f"{model.output_dim} outputs, expected {d} to {out}")
@@ -357,8 +367,13 @@ def _parse_model(lines):
         classifier = rows[0] if len(rows) == 2 else np.vstack(rows[:-1])
         return HalfspacePair(classifier, rows[-1])
     d, tau, kind, c, method = int(head[2]), float(head[5]), head[6], int(head[7]), head[8]
-    if kind not in JOINT_KINDS + ("selective",) + AUX_KINDS:
+    if kind not in SCORE_KINDS.values():
         raise ValueError(f"unknown score kind {kind!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r} with score kind {kind!r}")
+    if kind != SCORE_KINDS[method]:
+        raise ValueError(f"score kind {kind!r} does not match method {method!r}, "
+                         f"which defers on {SCORE_KINDS[method]!r}")
     expected = 4 if kind in AUX_KINDS else 2
     if len(lines) != expected:
         raise ValueError(f"score kind {kind} needs {expected} lines, got {len(lines)}")
@@ -369,8 +384,7 @@ def _parse_model(lines):
         if aux_head[0] != "aux":
             raise ValueError("malformed aux header")
         aux = _score_model(aux_head[1:], lines[3], d, 1)
-    return TrainedSystem(model=model, num_classes=c, tau=tau, aux_model=aux,
-                         method=method, score_kind=kind)
+    return TrainedSystem(model=model, num_classes=c, tau=tau, aux_model=aux, method=method)
 
 
 def load_model_file(path):
@@ -438,14 +452,9 @@ def cmd_train(args):
     cfg = _load_config(args)
     dataset = load_dataset_csv(args.data)
     train_cfg = _config(args, cfg, TRAIN_SETTINGS)
-    # train_method would ignore these without a word
-    if args.method not in ALPHA_GRIDS:
-        for name in ("alpha", "alpha_grid"):
-            if getattr(train_cfg, name) is not None:
-                raise UsageError(f"{name} does not apply to method={args.method}")
-    elif train_cfg.alpha is not None and train_cfg.alpha_grid is not None:
-        raise UsageError("alpha and alpha_grid are both set: alpha trains one alpha, "
-                         "alpha_grid searches several")
+    # train_method would ignore it without a word
+    if args.method not in ALPHA_GRIDS and train_cfg.alpha_grid is not None:
+        raise UsageError(f"alpha_grid does not apply to method={args.method}")
     if args.val_data:
         val = load_dataset_csv(args.val_data)
         train = dataset

@@ -175,10 +175,6 @@ class MilpProblem:
         return out
 
     @property
-    def num_vars(self) -> int:
-        return self._layout()["total"]
-
-    @property
     def binary_var_ids(self) -> np.ndarray:
         lay = self._layout()
         return np.concatenate([np.arange(lay[name].start, lay[name].stop) for name in ("t", "r")])
@@ -777,6 +773,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     multiple of 1/n, and every node bound is rounded up to that grid
     (``_grid_bound``) before it is used: to prune, as the children's bound,
     and in ``best_bound`` and ``bound_history``, which records each rise.
+    A rise of at most 1e-12 over the last recorded value replaces that value.
 
     A problem without coverage or fairness rows whose LP would have more
     than ``EXACT_ROWS_MAX`` rows is not searched, whatever its class count,
@@ -855,7 +852,10 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         nonlocal global_bound
         if value > global_bound:
             global_bound = value
-            bound_history.append(value)
+            if value - bound_history[-1] <= 1e-12:
+                bound_history[-1] = value
+            else:
+                bound_history.append(value)
 
     binary_ids = problem.binary_var_ids
     heap = [(root.bound, 0, root)]

@@ -341,23 +341,13 @@ def loss_moe(scores, y, human_correct) -> LossEval:
     return _scalar(loss_moe_batch, scores, y, human_correct)
 
 
-def _rs_dispatch(g, y, hc, alpha):
-    if alpha is None or (np.ndim(alpha) == 0 and alpha == 1.0):
-        return _rs(g, y, hc)
-    return _rs_alpha(g, y, hc, np.asarray(alpha, dtype=float))
-
-
-def _ce_dispatch(g, y, hc, alpha):
-    return _ce_alpha(g, y, hc, np.asarray(1.0 if alpha is None else alpha, dtype=float))
-
-
-# id -> unchecked batch body taking (scores, y, human_correct, alpha or None),
-# inputs as the bodies above expect them; the alpha losses take a scalar
-# alpha or one alpha per score row
+# id -> unchecked batch body taking (scores, y, human_correct, alpha), inputs
+# as the bodies above expect them; the alpha losses take a float array
+# holding a scalar alpha or one alpha per score row, the others ignore alpha
 LOSSES = {
-    "rs": _rs_dispatch,
+    "rs": _rs_alpha,
     "rs2": lambda g, y, hc, alpha: _rs2(g, y, hc),
-    "ce": _ce_dispatch,
+    "ce": _ce_alpha,
     "ova": lambda g, y, hc, alpha: _ova(g, y, hc),
     "moe": lambda g, y, hc, alpha: _moe(g, y, hc),
 }

@@ -41,8 +41,6 @@ __all__ = [
     "TrainConfig",
     "TrainedSystem",
     "TrainingDiverged",
-    "train_surrogate",
-    "search_alpha",
     "fit_tau",
     "train_compare_confidence",
     "train_selective_prediction",
@@ -61,6 +59,11 @@ ADAM_EPS = 1e-8
 # need an auxiliary model
 JOINT_KINDS = ("gap", "defer_head")
 AUX_KINDS = ("confidence", "triage")
+# method id -> the kind of rejection score its systems defer on
+SCORE_KINDS = {"rs": "gap", "rs2": "defer_head", "ce": "gap", "ova": "gap",
+               "moe": "defer_head", "confidence": "confidence", "selective": "selective",
+               "triage": "triage"}
+METHODS = tuple(SCORE_KINDS)
 
 
 class TrainingDiverged(RuntimeError):
@@ -74,9 +77,9 @@ def _t(a):
 
 @dataclass
 class ScoreModel:
-    """A linear or one-hidden-layer ReLU scoring function with flat params."""
+    """A linear (``hidden_units`` 0) or one-hidden-layer ReLU scoring
+    function with flat params."""
 
-    arch: str  # "linear" | "one_hidden"
     input_dim: int
     output_dim: int
     hidden_units: int = 0
@@ -84,20 +87,23 @@ class ScoreModel:
 
     def __post_init__(self):
         d, out, h = self.input_dim, self.output_dim, self.hidden_units
-        sizes = {"linear": (d + 1) * out, "one_hidden": (d + 1) * h + (h + 1) * out}
-        if self.arch not in sizes or h < 0 or (self.arch == "linear") != (h == 0):
-            raise ValueError(f"architecture {self.arch!r} with hidden_units={h}: use "
-                             "linear with 0 hidden units or one_hidden with at least 1")
-        if self.params is not None and self.params.size != sizes[self.arch]:
+        if h < 0:
+            raise ValueError(f"hidden_units={h}: use 0 for a linear model or at least 1")
+        size = (d + 1) * out if h == 0 else (d + 1) * h + (h + 1) * out
+        if self.params is not None and self.params.size != size:
             raise ValueError(f"{self.arch} model with d={d}, out={out}, hidden_units={h} "
-                             f"has {sizes[self.arch]} parameters, got {self.params.size}")
+                             f"has {size} parameters, got {self.params.size}")
+
+    @property
+    def arch(self) -> str:
+        return "linear" if self.hidden_units == 0 else "one_hidden"
 
     @classmethod
-    def initialize(cls, arch, input_dim, output_dim, hidden_units, rng) -> "ScoreModel":
+    def initialize(cls, input_dim, output_dim, hidden_units, rng) -> "ScoreModel":
         """Symmetric-uniform init scaled by 1/sqrt(fan_in), layer by layer."""
-        model = cls(arch, input_dim, output_dim, hidden_units)  # checks the shape
+        model = cls(input_dim, output_dim, hidden_units)  # checks the shape
         b1 = 1.0 / np.sqrt(input_dim)
-        if arch == "linear":
+        if hidden_units == 0:
             model.params = rng.uniform(-b1, b1, size=(input_dim + 1) * output_dim)
         else:
             b2 = 1.0 / np.sqrt(hidden_units)
@@ -113,7 +119,7 @@ class ScoreModel:
         of the stack."""
         d, out, h = self.input_dim, self.output_dim, self.hidden_units
         k = stack.shape[0]
-        if self.arch == "linear":
+        if h == 0:
             w = stack[:, : d * out].reshape(k, out, d)
             b = stack[:, None, d * out :]
             return w, b
@@ -128,7 +134,7 @@ class ScoreModel:
     def _stack_forward(self, layers, x):
         """Scores (K, n, output_dim) of each row of a (K, p) parameter stack,
         given as its ``_unpack`` views."""
-        if self.arch == "linear":
+        if self.hidden_units == 0:
             w, b = layers
             return x @ _t(w) + b
         w1, b1, w2, b2 = layers
@@ -140,7 +146,7 @@ class ScoreModel:
         parameter stack given as its ``_unpack`` views; ``dscores`` is (K, n,
         output_dim)."""
         k = dscores.shape[0]
-        if self.arch == "linear":
+        if self.hidden_units == 0:
             dw = _t(dscores) @ x
             db = dscores.sum(axis=1)
             return np.concatenate([dw.reshape(k, -1), db], axis=1)
@@ -165,40 +171,49 @@ class ScoreModel:
 class TrainConfig:
     """Optimizer and search knobs shared by all trainers."""
 
-    loss: str = "rs"
     epochs: int = 300
     batch_size: int = 0  # 0 means full batch
     learning_rate: float = 0.1
     seed: int = 0
-    alpha: Optional[float] = None
-    alpha_grid: Optional[tuple] = None  # None: the loss's ALPHA_GRIDS entry
+    alpha_grid: Optional[tuple] = None  # None: the method's ALPHA_GRIDS entry
     hidden_units: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0 (0 means full batch)")
+        if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 0:
+            raise ValueError("batch_size must be an int >= 0 (0 means full batch)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+        if self.alpha_grid is not None:
+            if len(self.alpha_grid) == 0:
+                raise ValueError("alpha_grid must be nonempty")
+            if not all(0.0 <= a <= 1.0 for a in self.alpha_grid):
+                raise ValueError("alpha must lie in [0, 1]")
 
 
 @dataclass
 class TrainedSystem:
-    """A trained deferral system: model(s), threshold, and decision rule."""
+    """A trained deferral system: model(s), threshold, and decision rule.
+    The method decides the kind of rejection score (``SCORE_KINDS``)."""
 
     model: ScoreModel
     num_classes: int
     tau: float = 0.0
     aux_model: Optional[ScoreModel] = None
     method: str = "rs"
-    score_kind: str = "gap"
     alpha: Optional[float] = None
     best_val_accuracy: Optional[float] = None
     best_epoch: Optional[int] = None
     min_train_error: Optional[float] = None  # lowest train system error seen
+
+    def __post_init__(self):
+        if self.method not in SCORE_KINDS:
+            raise ValueError(f"unknown method id {self.method!r}")
+
+    @property
+    def score_kind(self) -> str:
+        return SCORE_KINDS[self.method]
 
     def classifier_scores(self, x) -> np.ndarray:
         scores = self.model.forward(x)
@@ -208,16 +223,15 @@ class TrainedSystem:
         return _class_argmax(self.classifier_scores(x)).astype(np.int64)
 
     def rejection_scores(self, x) -> np.ndarray:
-        if self.score_kind in JOINT_KINDS:
-            return _joint_rejection(self.model.forward(x), self.num_classes, self.score_kind)
-        if self.score_kind == "confidence":
+        kind = self.score_kind
+        if kind in JOINT_KINDS:
+            return _joint_rejection(self.model.forward(x), self.num_classes, kind)
+        if kind == "confidence":
             p_h = _sigmoid(self.aux_model.forward(x)[:, 0])
             return p_h - _class_max(_softmax(self.classifier_scores(x)))
-        if self.score_kind == "selective":
+        if kind == "selective":
             return -_class_max(_softmax(self.classifier_scores(x)))
-        if self.score_kind == "triage":
-            return self.aux_model.forward(x)[:, 0]
-        raise ValueError(f"unknown score kind {self.score_kind!r}")
+        return self.aux_model.forward(x)[:, 0]  # triage
 
     def decide(self, x):
         """(deferred, classifier_labels) at this system's threshold."""
@@ -295,14 +309,13 @@ def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
     best metric, best epoch and best train metric.
     """
     rng = np.random.default_rng(seed)
-    arch = "one_hidden" if config.hidden_units > 0 else "linear"
-    model = ScoreModel.initialize(arch, dataset.d, out_dim, config.hidden_units, rng)
+    model = ScoreModel.initialize(dataset.d, out_dim, config.hidden_units, rng)
     n = dataset.n
     x = dataset.features
     params = np.repeat(model.params[None], rows, axis=0)
     layers = model._unpack(params)  # views that follow Adam's in-place steps
     adam = _Adam(params.shape, config)
-    batch = n if config.batch_size in (0, None) else min(config.batch_size, n)
+    batch = n if config.batch_size == 0 else min(config.batch_size, n)
     best_metric = np.full(rows, -np.inf)
     best_train_metric = np.full(rows, -np.inf)
     best_params = params.copy()
@@ -339,25 +352,24 @@ def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
     return models, best_metric, best_epoch, best_train_metric
 
 
-def _train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
-                      config: TrainConfig, alphas) -> list:
-    """Train one joint C+1-head model per alpha as a single stacked pass.
+def _fit_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
+                    config: TrainConfig, method, alphas=(None,)) -> list:
+    """Train one joint C+1-head model per alpha on the method's surrogate
+    loss, as a single stacked pass.
 
     Every model starts from ``config.seed``'s initial weights and sees the
     same minibatch order, so each equals a lone run with its alpha. The loss
-    gets one alpha per score row (None when ``alphas`` is ``[None]``).
+    gets one alpha per score row (None for a method without an alpha).
     """
-    if config.loss not in LOSSES:
-        raise ValueError(f"unknown loss id {config.loss!r}")
     if dataset.d != val_dataset.d or dataset.num_classes != val_dataset.num_classes:
         raise ValueError("train and validation datasets must share d and C")
     c = dataset.num_classes
     k = len(alphas)
-    batch_loss = LOSSES[config.loss]
+    batch_loss = LOSSES[method]
     y = dataset.labels
     hc = dataset.human_correct
     row_alpha = None if alphas[0] is None else np.asarray(alphas, dtype=float)
-    score_kind = "defer_head" if config.loss in ("rs2", "moe") else "gap"
+    score_kind = SCORE_KINDS[method]
 
     # batch length -> each stacked score row's position in the batch, and
     # its alpha; a fit sees at most two batch lengths
@@ -384,45 +396,12 @@ def _train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
     )
     return [
         TrainedSystem(
-            model=models[i], num_classes=c, tau=0.0,
-            method=config.loss, score_kind=score_kind, alpha=alpha,
+            model=models[i], num_classes=c, tau=0.0, method=method, alpha=alpha,
             best_val_accuracy=float(best_acc[i]), best_epoch=int(best_epoch[i]),
             min_train_error=1.0 - float(best_train[i]),
         )
         for i, alpha in enumerate(alphas)
     ]
-
-
-def train_surrogate(dataset: DeferDataset, val_dataset: DeferDataset,
-                    config: TrainConfig) -> TrainedSystem:
-    """Train a joint C+1-head model on the configured surrogate loss.
-
-    Tracks validation system accuracy at tau = 0 after every epoch and
-    returns the best epoch's snapshot (ties resolve to the earliest epoch).
-    """
-    return _train_surrogates(dataset, val_dataset, config, [config.alpha])[0]
-
-
-def search_alpha(dataset: DeferDataset, val_dataset: DeferDataset,
-                 config: TrainConfig) -> TrainedSystem:
-    """Train one system per alpha in the grid (``ALPHA_GRIDS[config.loss]``
-    when ``alpha_grid`` is None); keep the best validation system accuracy,
-    ties resolving to the smaller alpha.
-
-    The whole grid trains as one stacked pass, and each alpha's system is
-    bit for bit the one ``train_surrogate`` returns for that alpha alone.
-    """
-    if config.alpha_grid is None and config.loss not in ALPHA_GRIDS:
-        raise ValueError(f"loss {config.loss!r} has no default alpha grid; set alpha_grid")
-    grid = sorted(ALPHA_GRIDS[config.loss] if config.alpha_grid is None else config.alpha_grid)
-    if not grid:
-        raise ValueError("alpha_grid must be nonempty")
-    if not all(0.0 <= a <= 1.0 for a in grid):
-        raise ValueError("alpha must lie in [0, 1]")
-    systems = _train_surrogates(dataset, val_dataset, config, grid)
-    best = max(systems, key=lambda system: system.best_val_accuracy)  # the first of ties
-    # the search procedure's reached-train-error spans every alpha run
-    return replace(best, min_train_error=min(s.min_train_error for s in systems))
 
 
 def _threshold_candidates(scores: np.ndarray) -> np.ndarray:
@@ -546,7 +525,7 @@ def train_compare_confidence(dataset, val_dataset, config: TrainConfig) -> Train
         dataset, dataset.human_correct, val_dataset, val_dataset.human_correct, config
     )
     system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
-                           aux_model=hum, method="confidence", score_kind="confidence")
+                           aux_model=hum, method="confidence")
     return _with_val_accuracy(system, val_dataset)
 
 
@@ -555,7 +534,7 @@ def train_selective_prediction(dataset, val_dataset, config: TrainConfig) -> Tra
     threshold line-searched on the validation set."""
     clf = _train_classifier(dataset, val_dataset, config)
     system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
-                           method="selective", score_kind="selective")
+                           method="selective")
     return _with_val_accuracy(system.with_tau(fit_tau(system, val_dataset)), val_dataset)
 
 
@@ -578,25 +557,30 @@ def train_differentiable_triage(dataset, val_dataset, config: TrainConfig) -> Tr
     val_target = (~val_dataset.human_correct).astype(float) < (val_pred != val_dataset.labels)
     rejector = _train_binary_head(dataset, defer_target, val_dataset, val_target, config)
     system = TrainedSystem(model=model, num_classes=dataset.num_classes, tau=0.0,
-                           aux_model=rejector, method="triage", score_kind="triage")
+                           aux_model=rejector, method="triage")
     return _with_val_accuracy(system, val_dataset)
 
 
-METHODS = ("rs", "rs2", "ce", "ova", "moe", "confidence", "selective", "triage")
 # the alpha grid each alpha-searched method trains unless given one
 ALPHA_GRIDS = {"rs": (0.0, 0.25, 0.5, 0.75, 1.0), "ce": (0.0, 0.1, 0.5, 1.0)}
 
 
 def train_method(method: str, dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
-    """Dispatch a method id to its trainer, with alpha search where the
-    method calls for it. Methods: rs, rs2, ce, ova, moe, confidence,
-    selective, triage."""
+    """Train a method by its id: rs, rs2, ce, ova, moe, confidence,
+    selective or triage.
+
+    rs and ce train the sorted ``config.alpha_grid`` (``ALPHA_GRIDS[method]``
+    when None) as one stacked pass and keep the best validation system
+    accuracy, ties resolving to the smaller alpha; ``min_train_error`` is
+    the lowest over the grid. The other methods ignore the grid.
+    """
     if method in ALPHA_GRIDS:
-        grid = config.alpha_grid if config.alpha is None else (config.alpha,)
-        return search_alpha(dataset, val_dataset,
-                            replace(config, loss=method, alpha_grid=grid))
+        grid = sorted(ALPHA_GRIDS[method] if config.alpha_grid is None else config.alpha_grid)
+        systems = _fit_surrogates(dataset, val_dataset, config, method, grid)
+        best = max(systems, key=lambda system: system.best_val_accuracy)  # the first of ties
+        return replace(best, min_train_error=min(s.min_train_error for s in systems))
     if method in ("rs2", "ova", "moe"):
-        return train_surrogate(dataset, val_dataset, replace(config, loss=method))
+        return _fit_surrogates(dataset, val_dataset, config, method)[0]
     if method == "confidence":
         return train_compare_confidence(dataset, val_dataset, config)
     if method == "selective":

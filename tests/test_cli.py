@@ -174,7 +174,7 @@ class TestTrainEvalRoundTrip:
         run_cli("gen", "--d", "3", "--n", "200", "--seed", "6", "--margin", "0.2",
                 "--std-scale", "0.3", "--out", str(test))
         model = tmp_path / "model.csv"
-        code = run_cli("train", "--data", str(data), "--method", "rs", "--alpha", "1.0",
+        code = run_cli("train", "--data", str(data), "--method", "rs", "--alpha-grid", "1.0",
                        "--epochs", "40", "--seed", "0", "--out", str(model))
         assert code == 0
         curve = tmp_path / "curve.csv"
@@ -288,6 +288,10 @@ class TestModelFileValidation:
         ("rs", lambda t: _edit_line(t, 1, ",", ",1.0,"), "has 12 parameters, got 13"),
         ("rs", lambda t: _edit_line(t, 0, ",gap,2,", ",gap,3,"), "expected 3 to 4"),
         ("rs", lambda t: _edit_line(t, 0, ",gap,", ",margin,"), "unknown score kind"),
+        ("rs", lambda t: _edit_line(t, 0, ",gap,2,rs", ",gap,2,bogus"),
+         "unknown method 'bogus' with score kind 'gap'"),
+        ("rs", lambda t: _edit_line(t, 0, ",gap,2,rs", ",defer_head,2,rs"),
+         "score kind 'defer_head' does not match method 'rs', which defers on 'gap'"),
         ("rs", lambda t: _edit_line(t, 0, ",gap,2,rs", ",gap,2"), "header has 9 fields"),
         ("confidence", lambda t: _edit_line(t, 2, "aux,linear,3,1", "aux,linear,1,2"),
          "expected 3 to 1"),
@@ -361,7 +365,7 @@ class TestBench:
             "grouped": ["--preset", "grouped", "--n", "60", "--d", "2", "--C", "3", "--K", "1",
                         "--methods", "rs", "--trials", "1", "--epochs", "3", "--seed", "4"],
             "synthetic": ["--methods", "rs,milp", "--trials", "2", "--seed", "9", "--d", "2",
-                          "--n", "30", "--epochs", "5", "--beta", "0.6", "--alpha", "0.5",
+                          "--n", "30", "--epochs", "5", "--beta", "0.6", "--alpha-grid", "0.5",
                           "--hidden", "3"],
         }
         for name, flags in runs.items():
@@ -384,8 +388,7 @@ NON_DEFAULT = {
     ("data", "std_scale"): "0.5", ("data", "margin"): "0.1", ("data", "p_m"): "0.05",
     ("data", "p_h0"): "0.2", ("data", "p_h1"): "0.1", ("data", "C"): "4",
     ("data", "expert_k"): "2", ("data", "blob_std"): "1.5",
-    ("method", "methods"): "rs,ce", ("method", "alpha"): "0.5",
-    ("method", "alpha_grid"): "0.5,1.0",
+    ("method", "methods"): "rs,ce", ("method", "alpha_grid"): "0.5,1.0",
     ("solver", "gamma"): "0.001", ("solver", "box"): "2.0", ("solver", "lambda_reg"): "0.01",
     ("solver", "beta"): "0.5", ("solver", "time_limit"): "7.5", ("solver", "gap"): "0.05",
     ("train", "epochs"): "7", ("train", "batch_size"): "16", ("train", "lr"): "0.05",
@@ -400,7 +403,6 @@ FLAG_SURFACE = {
         "--C": ("C", "int", None, None, False),
         "--K": ("K", "int", None, None, False),
         "--U": ("U", "float", None, None, False),
-        "--alpha": ("alpha", "float", None, None, False),
         "--alpha-grid": ("alpha_grid", None, None, None, False),
         "--batch-size": ("batch_size", "int", None, None, False),
         "--beta": ("beta", "float", None, None, False),
@@ -476,7 +478,6 @@ FLAG_SURFACE = {
         "--time-limit": ("time_limit", "float", None, None, False),
     },
     "train": {
-        "--alpha": ("alpha", "float", None, None, False),
         "--alpha-grid": ("alpha_grid", None, None, None, False),
         "--batch-size": ("batch_size", "int", None, None, False),
         "--config": ("config", None, None, None, False),
@@ -533,7 +534,8 @@ class TestSettingsTable:
         }
         assert surface == FLAG_SURFACE
 
-    @pytest.mark.parametrize("section,key", [("train", "seed"), ("eval", "curve_grid")])
+    @pytest.mark.parametrize("section,key", [("train", "seed"), ("eval", "curve_grid"),
+                                             ("method", "alpha")])
     def test_removed_keys_are_rejected(self, tmp_path, capsys, section, key):
         cfg = tmp_path / "old.cfg"
         cfg.write_text(f"[{section}]\n{key}=3\n")
@@ -585,7 +587,7 @@ class TestErrors:
     def test_divergence_exit_2(self, tmp_path):
         data = tmp_path / "d.csv"
         run_cli("gen", "--d", "2", "--n", "60", "--seed", "1", "--out", str(data))
-        code = run_cli("train", "--data", str(data), "--method", "rs", "--alpha", "1.0",
+        code = run_cli("train", "--data", str(data), "--method", "rs", "--alpha-grid", "1.0",
                        "--epochs", "5", "--lr", "1e307", "--seed", "0",
                        "--out", str(tmp_path / "m.csv"))
         assert code == 2
@@ -615,26 +617,28 @@ class TestTrainSettingChecks:
     def test_alpha_for_a_method_without_one(self, data, tmp_path, capsys, method, flag, value):
         out = tmp_path / "m.csv"
         assert self._train(data, out, "--method", method, flag, value) == 1
-        assert f"does not apply to method={method}" in capsys.readouterr().err
+        # --alpha is no flag at all, nor a prefix of --alpha-grid
+        want = ("unrecognized arguments: --alpha 0.3" if flag == "--alpha"
+                else f"does not apply to method={method}")
+        assert want in capsys.readouterr().err
         assert not out.exists()
 
     def test_alpha_from_config_for_a_method_without_one(self, data, tmp_path, capsys):
         cfgfile = tmp_path / "c.cfg"
-        cfgfile.write_text("[method]\nalpha=0.3\n")
+        cfgfile.write_text("[method]\nalpha_grid=0.3\n")
         out = tmp_path / "m.csv"
         assert self._train(data, out, "--method", "ova", "--config", str(cfgfile)) == 1
-        assert "alpha does not apply to method=ova" in capsys.readouterr().err
+        assert "alpha_grid does not apply to method=ova" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["rs", "ce"])
     def test_alpha_with_alpha_grid(self, data, tmp_path, capsys, method):
+        # a one-alpha grid trains one alpha; --alpha is gone, alone or beside a grid
         out = tmp_path / "m.csv"
-        code = self._train(data, out, "--method", method, "--alpha", "0.5",
-                           "--alpha-grid", "0.0,1.0")
-        assert code == 1
-        assert "both set" in capsys.readouterr().err
-        assert not out.exists()
-        # either one alone trains
-        assert self._train(data, out, "--method", method, "--alpha", "0.5") == 0
+        for extra in (["--alpha", "0.5"], ["--alpha", "0.5", "--alpha-grid", "0.0,1.0"]):
+            assert self._train(data, out, "--method", method, *extra) == 1
+            assert "unrecognized arguments: --alpha 0.5" in capsys.readouterr().err
+            assert not out.exists()
+        assert self._train(data, out, "--method", method, "--alpha-grid", "0.5") == 0
         assert self._train(data, out, "--method", method, "--alpha-grid", "0.0,1.0") == 0
 
 

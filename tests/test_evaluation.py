@@ -277,7 +277,7 @@ class TestAlphaSensitivity:
         # with a human who is perfect on the deferred region, raising alpha
         # moves deferral toward that region and lifts deferred-arm accuracy
         from deferlab.datagen import generate_synthetic
-        from deferlab.train import TrainConfig, train_surrogate
+        from deferlab.train import TrainConfig, train_method
 
         total = 2200
         inst = generate_synthetic(SyntheticConfig(
@@ -290,9 +290,9 @@ class TestAlphaSensitivity:
         test = ds.subset(np.arange(1200, total))
         deferred_acc = {}
         for alpha in (0.0, 0.5, 1.0):
-            cfg = TrainConfig(loss="rs", alpha=alpha, epochs=150, batch_size=64,
+            cfg = TrainConfig(alpha_grid=(alpha,), epochs=150, batch_size=64,
                               learning_rate=0.1, seed=3)
-            system = train_surrogate(train, val, cfg)
+            system = train_method("rs", train, val, cfg)
             rep = evaluate(system, test)
             deferred_acc[alpha] = rep.human_accuracy_deferred
         usable = {a: v for a, v in deferred_acc.items() if v is not None}

@@ -61,7 +61,8 @@ class TestBuildBinary:
         lp = prob.lp_relaxation
         assert len(prob.binary_var_ids) == 2  # t_1, r_1
         lay = prob._layout()
-        assert len(range(prob.num_vars)[lay["phi"]]) == 1
+        assert lp.num_vars == lay["total"]
+        assert len(range(lp.num_vars)[lay["phi"]]) == 1
         # two length-2 vectors, M then R, at the front of the layout
         assert (lay["M"], lay["R"]) == (slice(0, 2), slice(2, 4))
         assert lp.num_rows == 4  # the four per-point constraint rows
@@ -71,9 +72,9 @@ class TestBuildBinary:
         plain = build_binary_milp(ds, MilpConfig())
         reg = build_binary_milp(ds, MilpConfig(lambda_reg=0.01))
         d1 = ds.d + 1
-        assert reg.num_vars - plain.num_vars == 2 * d1
+        assert reg.lp_relaxation.num_vars - plain.lp_relaxation.num_vars == 2 * d1
         aux = reg._layout()["aux"]
-        assert (aux.start, aux.stop) == (plain.num_vars, reg.num_vars)
+        assert (aux.start, aux.stop) == (plain.lp_relaxation.num_vars, reg.lp_relaxation.num_vars)
         assert "aux" not in plain._layout()
 
     def test_rejects_multiclass_data(self):
@@ -286,7 +287,7 @@ class TestMulticlass:
         assert np.all(lp.b[clf] == problem.gamma)
         assert all(lp.senses[k] == ">=" for k in clf)
         cand = milp._score_candidate(problem, rng.normal(size=(C, 3)), np.array([0.0, 0.0, -1.0]))
-        x = np.zeros(problem.num_vars)
+        x = np.zeros(problem.lp_relaxation.num_vars)
         x[lay["M"]] = cand.m_norm.ravel()
         scores = problem.xt @ cand.m_norm.T
         margins = scores[np.arange(n), ds.labels][:, None] - scores
@@ -411,7 +412,7 @@ class TestExtractPair:
     def test_identity_rescale(self):
         ds = DeferDataset([[1.0], [2.0]], [0, 1], [0, 1], 2)
         prob = build_binary_milp(ds, MilpConfig())
-        x = np.zeros(prob.num_vars)
+        x = np.zeros(prob.lp_relaxation.num_vars)
         lay = prob._layout()
         x[lay["M"]] = [1.0, 0.5]
         x[lay["R"]] = [0.2, -0.1]
@@ -427,7 +428,7 @@ class TestExtractPair:
         ds = DeferDataset([[10.0], [1.0]], [0, 1], [0, 1], 2)
         prob = build_binary_milp(ds, MilpConfig())
         assert prob.norm_scale == 10.0
-        x = np.zeros(prob.num_vars)
+        x = np.zeros(prob.lp_relaxation.num_vars)
         lay = prob._layout()
         x[lay["M"]] = [1.0, 0.5]
         pair = _extract_pair(prob, x)
@@ -435,7 +436,7 @@ class TestExtractPair:
         # three classes: one weight row per class, each rescaled the same way
         ds = DeferDataset([[10.0], [1.0], [-2.0]], [0, 1, 2], [0, 1, 2], 3)
         prob = build_milp(ds, MilpConfig())
-        x = np.zeros(prob.num_vars)
+        x = np.zeros(prob.lp_relaxation.num_vars)
         lay = prob._layout()
         x[lay["M"]] = [1.0, 0.5, 2.0, -0.25, -3.0, 0.75]
         x[lay["R"]] = [4.0, -1.0]
@@ -1351,13 +1352,16 @@ class TestProposalSchedule:
         plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
         deep = random_binary_dataset(np.random.default_rng(1), 14, human_acc=0.4)
         problems += [plain, add_coverage_constraint(plain, 0.25), _pinned_three_class_problem(),
-                     build_binary_milp(deep, MilpConfig())]
+                     build_binary_milp(deep, MilpConfig()),
+                     # off the grid its bound also rises by float noise
+                     add_fairness_constraint(build_binary_milp(deep, MilpConfig()),
+                                             np.arange(14) % 2)]
         for problem in problems:
             sol = solve_milp(problem)
             assert sol.status == "proven_optimal"
             history = sol.bound_history
             assert history[0] == 0.0 and history[-1] == sol.best_bound
-            assert all(a < b for a, b in zip(history, history[1:])), history
+            assert all(b - a > 1e-12 for a, b in zip(history, history[1:])), history
 
 
 def _highs():

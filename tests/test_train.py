@@ -16,17 +16,15 @@ from deferlab.train import (
     TrainedSystem,
     TrainingDiverged,
     _Adam,
+    _fit_surrogates,
     _line_search_threshold,
     _threshold_candidates,
-    _train_surrogates,
     fit_tau,
-    search_alpha,
     system_accuracy,
     train_compare_confidence,
     train_differentiable_triage,
     train_method,
     train_selective_prediction,
-    train_surrogate,
 )
 
 import reference_numerics as ref
@@ -46,7 +44,7 @@ def planted_splits(seed=0, n_train=300, n_val=100, n_test=300, **kw):
 class TestScoreModel:
     def test_linear_forward_shape(self):
         rng = np.random.default_rng(0)
-        m = ScoreModel.initialize("linear", 4, 3, 0, rng)
+        m = ScoreModel.initialize(4, 3, 0, rng)
         x = rng.normal(size=(7, 4))
         out = m.forward(x)
         assert out.shape == (7, 3)
@@ -55,7 +53,7 @@ class TestScoreModel:
 
     def test_hidden_forward_shape(self):
         rng = np.random.default_rng(0)
-        m = ScoreModel.initialize("one_hidden", 4, 3, 16, rng)
+        m = ScoreModel.initialize(4, 3, 16, rng)
         x = rng.normal(size=(7, 4))
         out = m.forward(x)
         assert out.shape == (7, 3)
@@ -63,14 +61,15 @@ class TestScoreModel:
         np.testing.assert_allclose(m.forward(x[2]), out[2], rtol=1e-12)
 
     def test_deterministic_init(self):
-        a = ScoreModel.initialize("linear", 4, 3, 0, np.random.default_rng(5))
-        b = ScoreModel.initialize("linear", 4, 3, 0, np.random.default_rng(5))
+        a = ScoreModel.initialize(4, 3, 0, np.random.default_rng(5))
+        b = ScoreModel.initialize(4, 3, 0, np.random.default_rng(5))
         np.testing.assert_array_equal(a.params, b.params)
 
     @pytest.mark.parametrize("arch,hidden", [("linear", 0), ("one_hidden", 8)])
     def test_backward_matches_fd(self, arch, hidden):
         rng = np.random.default_rng(1)
-        m = ScoreModel.initialize(arch, 3, 4, hidden, rng)
+        m = ScoreModel.initialize(3, 4, hidden, rng)
+        assert m.arch == arch
         x = rng.normal(size=(6, 3))
         dscores = rng.normal(size=(6, 4))
         grad = m._stack_backward(m._unpack(m.params[None]), x, dscores[None])[0]
@@ -83,15 +82,18 @@ class TestScoreModel:
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
     def test_bad_arch(self):
-        with pytest.raises(ValueError):
-            ScoreModel.initialize("transformer", 3, 4, 0, np.random.default_rng(0))
+        # the arch follows the hidden units, which cannot be negative
+        with pytest.raises(ValueError, match="hidden_units=-1"):
+            ScoreModel.initialize(3, 4, -1, np.random.default_rng(0))
+        assert (ScoreModel(3, 4).arch, ScoreModel(3, 4, 1).arch) == ("linear", "one_hidden")
 
     @pytest.mark.parametrize("arch,hidden", [("linear", 0), ("one_hidden", 3)])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_unpacked_layers_follow_the_stack(self, arch, hidden, rows):
         # _fit unpacks once and lets Adam update the stack in place
         rng = np.random.default_rng(4)
-        m = ScoreModel.initialize(arch, 3, 4, hidden, rng)
+        m = ScoreModel.initialize(3, 4, hidden, rng)
+        assert m.arch == arch
         stack = np.repeat(m.params[None], rows, axis=0)
         layers = m._unpack(stack)
         x = rng.normal(size=(5, 3))
@@ -108,7 +110,7 @@ class TestAdamStep:
         # analytic-gradient Adam step equals the step taken with a
         # finite-difference gradient, within 1e-6 per parameter
         rng = np.random.default_rng(2)
-        model = ScoreModel.initialize("linear", 4, 3, 0, rng)
+        model = ScoreModel.initialize(4, 3, 0, rng)
         x = rng.normal(size=(10, 4))
         y = rng.integers(0, 2, 10)
         hc = rng.integers(0, 2, 10).astype(bool)
@@ -152,16 +154,16 @@ class TestAdamStep:
 class TestTrainSurrogate:
     def test_determinism(self):
         train, val, _ = planted_splits()
-        cfg = TrainConfig(loss="rs", alpha=1.0, epochs=20, seed=3)
-        a = train_surrogate(train, val, cfg)
-        b = train_surrogate(train, val, cfg)
+        cfg = TrainConfig(alpha_grid=(1.0,), epochs=20, seed=3)
+        a = train_method("rs", train, val, cfg)
+        b = train_method("rs", train, val, cfg)
         np.testing.assert_array_equal(a.model.params, b.model.params)
         assert a.best_epoch == b.best_epoch
 
     def test_best_epoch_at_least_final(self):
         train, val, _ = planted_splits(seed=4)
-        cfg = TrainConfig(loss="rs", alpha=1.0, epochs=40, seed=4)
-        system = train_surrogate(train, val, cfg)
+        cfg = TrainConfig(alpha_grid=(1.0,), epochs=40, seed=4)
+        system = train_method("rs", train, val, cfg)
         defer, labels = system.decide(val.features)
         assert system.best_val_accuracy == pytest.approx(
             system_accuracy(defer, labels, val)
@@ -169,26 +171,25 @@ class TestTrainSurrogate:
 
     def test_realizable_reaches_low_error(self):
         train, val, test = planted_splits(seed=1, n_train=500)
-        cfg = TrainConfig(loss="rs", alpha=1.0, epochs=200, batch_size=64, seed=1)
-        system = train_surrogate(train, val, cfg)
+        cfg = TrainConfig(alpha_grid=(1.0,), epochs=200, batch_size=64, seed=1)
+        system = train_method("rs", train, val, cfg)
         defer, labels = system.decide(test.features)
         assert 1 - system_accuracy(defer, labels, test) <= 0.05
 
     def test_constant_label_dataset(self):
         x = np.random.default_rng(0).normal(size=(40, 3))
         ds = DeferDataset(x, np.zeros(40, dtype=int), np.ones(40, dtype=int), 2)
-        cfg = TrainConfig(loss="rs", alpha=1.0, epochs=30, seed=0)
-        system = train_surrogate(ds, ds, cfg)
+        cfg = TrainConfig(alpha_grid=(1.0,), epochs=30, seed=0)
+        system = train_method("rs", ds, ds, cfg)
         defer, labels = system.decide(ds.features)
         assert system_accuracy(defer, labels, ds) == 1.0
 
     def test_scaling_invariance_of_decisions(self):
         train, val, _ = planted_splits(seed=5)
-        cfg = TrainConfig(loss="rs", alpha=1.0, epochs=15, seed=5)
-        system = train_surrogate(train, val, cfg)
+        cfg = TrainConfig(alpha_grid=(1.0,), epochs=15, seed=5)
+        system = train_method("rs", train, val, cfg)
         scaled = replace(system.model, params=system.model.params * 7.5)
-        scaled_system = TrainedSystem(model=scaled, num_classes=2, tau=0.0,
-                                      method="rs", score_kind="gap")
+        scaled_system = TrainedSystem(model=scaled, num_classes=2, tau=0.0, method="rs")
         d1, l1 = system.decide(val.features)
         d2, l2 = scaled_system.decide(val.features)
         np.testing.assert_array_equal(d1, d2)
@@ -197,9 +198,9 @@ class TestTrainSurrogate:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_raises(self):
         train, val, _ = planted_splits(seed=6)
-        cfg = TrainConfig(loss="rs", alpha=1.0, epochs=5, learning_rate=1e307, seed=6)
+        cfg = TrainConfig(alpha_grid=(1.0,), epochs=5, learning_rate=1e307, seed=6)
         with pytest.raises(TrainingDiverged):
-            train_surrogate(train, val, cfg)
+            train_method("rs", train, val, cfg)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("loss,alpha,message", [
@@ -208,33 +209,33 @@ class TestTrainSurrogate:
     ])
     def test_divergence_message_and_epoch(self, loss, alpha, message):
         train, val, _ = planted_splits(seed=6)
-        cfg = TrainConfig(loss=loss, alpha=alpha, epochs=8, batch_size=25,
+        cfg = TrainConfig(alpha_grid=(alpha,), epochs=8, batch_size=25,
                           learning_rate=3e305, seed=6)
         with pytest.raises(TrainingDiverged) as caught:
-            train_surrogate(train, val, cfg)
+            train_method(loss, train, val, cfg)
         assert str(caught.value) == message
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("breakage,alphas,message", [
-        ("nan_values", [None], "non-finite loss array([nan]) at epoch 2"),
+        ("nan_values", [1.0], "non-finite loss array([nan]) at epoch 2"),
         # every value finite, but the row's mean overflows
-        ("huge_values", [None], "non-finite loss array([inf]) at epoch 2"),
+        ("huge_values", [1.0], "non-finite loss array([inf]) at epoch 2"),
         ("nan_values", [0.0, 0.5, 1.0],
          "non-finite loss array([0.73735033,        nan, 1.56073966]) at epoch 2"),
-        ("inf_gradients", [None], "non-finite parameters at epoch 2"),
+        ("inf_gradients", [1.0], "non-finite parameters at epoch 2"),
     ])
     def test_each_trigger_raises_at_its_step(self, monkeypatch, breakage, alphas, message):
         train, val, _ = planted_splits(seed=12, n_train=100, n_val=40)
-        cfg = TrainConfig(loss="rs", epochs=3, batch_size=25, seed=12)
+        cfg = TrainConfig(epochs=3, batch_size=25, seed=12, alpha_grid=tuple(alphas))
         real = surrogates.LOSSES["rs"]
+        broken = alphas[len(alphas) // 2]  # the only row, or the middle one
         calls = []
 
         def breaks_on_the_sixth_call(g, y, hc, alpha):
             vals, grads = real(g, y, hc, alpha)
             calls.append(1)
             if len(calls) == 6:  # the second batch of epoch 2
-                bad = np.ones(len(vals), dtype=bool) if alpha is None \
-                    else np.asarray(alpha) == 0.5
+                bad = np.asarray(alpha) == broken
                 if breakage == "nan_values":
                     vals = np.where(bad, np.nan, vals)
                 elif breakage == "huge_values":
@@ -245,14 +246,14 @@ class TestTrainSurrogate:
 
         monkeypatch.setitem(surrogates.LOSSES, "rs", breaks_on_the_sixth_call)
         with pytest.raises(TrainingDiverged) as caught:
-            _train_surrogates(train, val, cfg, alphas)
+            train_method("rs", train, val, cfg)
         assert str(caught.value) == message
         assert len(calls) == 6
 
     def test_unknown_loss(self):
         train, val, _ = planted_splits(seed=7)
-        with pytest.raises(ValueError):
-            train_surrogate(train, val, TrainConfig(loss="hinge"))
+        with pytest.raises(ValueError, match="unknown method id 'hinge'"):
+            train_method("hinge", train, val, TrainConfig())
 
 
 class TestTrainConfig:
@@ -260,6 +261,9 @@ class TestTrainConfig:
         # range(0, n, -5) is empty: such a fit would take no step at all
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=-5)
+        # 0 is the one way to ask for full batches
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=None)
         assert TrainConfig(batch_size=0).batch_size == 0
 
 
@@ -290,35 +294,31 @@ class TestClassAxisDecisions:
 class TestSearchAlpha:
     def test_singleton_grid_matches_plain(self):
         train, val, _ = planted_splits(seed=8)
-        cfg = TrainConfig(loss="rs", epochs=15, seed=8, alpha_grid=(0.5,))
-        a = search_alpha(train, val, cfg)
-        b = train_surrogate(train, val, TrainConfig(loss="rs", alpha=0.5, epochs=15, seed=8))
+        cfg = TrainConfig(epochs=15, seed=8, alpha_grid=(0.5,))
+        a = train_method("rs", train, val, cfg)
+        b = _fit_surrogates(train, val, cfg, "rs", [0.5])[0]
         np.testing.assert_array_equal(a.model.params, b.model.params)
 
     def test_realizable_prefers_high_alpha(self):
         train, val, _ = planted_splits(seed=2, n_train=500)
-        cfg = TrainConfig(loss="rs", epochs=150, batch_size=64, seed=2, alpha_grid=(0.0, 1.0))
-        best = search_alpha(train, val, cfg)
+        cfg = TrainConfig(epochs=150, batch_size=64, seed=2, alpha_grid=(0.0, 1.0))
+        best = train_method("rs", train, val, cfg)
         assert best.alpha == 1.0
 
     def test_empty_grid(self):
-        train, val, _ = planted_splits(seed=9)
-        with pytest.raises(ValueError):
-            search_alpha(train, val, TrainConfig(alpha_grid=()))
-        with pytest.raises(ValueError, match="no default alpha grid"):
-            search_alpha(train, val, TrainConfig(loss="ova"))
+        with pytest.raises(ValueError, match="nonempty"):
+            TrainConfig(alpha_grid=())
 
     def test_out_of_range_grid(self):
-        train, val, _ = planted_splits(seed=9)
         with pytest.raises(ValueError, match="alpha"):
-            search_alpha(train, val, TrainConfig(loss="ova", alpha_grid=(0.5, 1.5)))
+            TrainConfig(alpha_grid=(0.5, 1.5))
 
 
-def _sequential_search(train, val, config):
-    """The alpha search as separate runs, one train_surrogate call per alpha:
-    best validation accuracy, ties to the smaller alpha, and the lowest
-    train error over the grid."""
-    systems = [train_surrogate(train, val, replace(config, alpha=a))
+def _sequential_search(method, train, val, config):
+    """The alpha search as separate runs, one one-alpha train_method call per
+    alpha: best validation accuracy, ties to the smaller alpha, and the
+    lowest train error over the grid."""
+    systems = [train_method(method, train, val, replace(config, alpha_grid=(a,)))
                for a in sorted(config.alpha_grid)]
     best = systems[0]
     for system in systems[1:]:
@@ -345,38 +345,36 @@ class TestStackedGrid:
     @pytest.mark.parametrize("batch_size", [0, 32])
     def test_grid_equals_sequential_runs(self, loss, hidden_units, batch_size):
         train, val, _ = planted_splits(seed=40 + hidden_units + batch_size, n_train=150, n_val=60)
-        cfg = TrainConfig(loss=loss, epochs=6, batch_size=batch_size, seed=17,
+        cfg = TrainConfig(epochs=6, batch_size=batch_size, seed=17,
                           hidden_units=hidden_units, alpha_grid=self.GRIDS[loss])
-        systems, best, lowest = _sequential_search(train, val, cfg)
-        for stacked, lone in zip(_train_surrogates(train, val, cfg, sorted(cfg.alpha_grid)),
+        systems, best, lowest = _sequential_search(loss, train, val, cfg)
+        for stacked, lone in zip(_fit_surrogates(train, val, cfg, loss, sorted(cfg.alpha_grid)),
                                  systems):
             _assert_same_system(stacked, lone)
-        _assert_same_system(search_alpha(train, val, cfg),
+        _assert_same_system(train_method(loss, train, val, cfg),
                             replace(best, min_train_error=lowest))
 
     @pytest.mark.parametrize("loss", ["rs", "ce"])
     def test_multiclass_grid_equals_sequential_runs(self, loss):
         ds = generate_grouped_expert(d=4, n=240, C=3, K=1, seed=3, U=3.0)
         train, val = ds.subset(np.arange(160)), ds.subset(np.arange(160, 240))
-        cfg = TrainConfig(loss=loss, epochs=5, batch_size=48, seed=5,
-                          alpha_grid=self.GRIDS[loss])
-        _, best, lowest = _sequential_search(train, val, cfg)
-        _assert_same_system(search_alpha(train, val, cfg),
+        cfg = TrainConfig(epochs=5, batch_size=48, seed=5, alpha_grid=self.GRIDS[loss])
+        _, best, lowest = _sequential_search(loss, train, val, cfg)
+        _assert_same_system(train_method(loss, train, val, cfg),
                             replace(best, min_train_error=lowest))
 
     def test_ties_keep_the_earlier_epoch(self):
         # a negligible step leaves every row's validation accuracy unchanged
         train, val, _ = planted_splits(seed=13, n_train=100, n_val=40)
-        cfg = TrainConfig(loss="rs", epochs=4, learning_rate=1e-12, seed=13)
-        systems = _train_surrogates(train, val, cfg, [0.0, 0.5, 1.0])
+        cfg = TrainConfig(epochs=4, learning_rate=1e-12, seed=13)
+        systems = _fit_surrogates(train, val, cfg, "rs", [0.0, 0.5, 1.0])
         assert [s.best_epoch for s in systems] == [1, 1, 1]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("where", ["values", "gradients"])
     def test_one_diverging_row_raises(self, monkeypatch, where):
         train, val, _ = planted_splits(seed=12, n_train=100, n_val=40)
-        cfg = TrainConfig(loss="rs", epochs=3, batch_size=25, seed=12,
-                          alpha_grid=(0.0, 0.5, 1.0))
+        cfg = TrainConfig(epochs=3, batch_size=25, seed=12, alpha_grid=(0.0, 0.5, 1.0))
         real = surrogates.LOSSES["rs"]
 
         def breaks_at_half(g, y, hc, alpha):
@@ -391,9 +389,9 @@ class TestStackedGrid:
         monkeypatch.setitem(surrogates.LOSSES, "rs", breaks_at_half)
         # the other rows train on their own; the grid still fails as a whole
         for alpha in (0.0, 1.0):
-            train_surrogate(train, val, replace(cfg, alpha=alpha))
+            train_method("rs", train, val, replace(cfg, alpha_grid=(alpha,)))
         with pytest.raises(TrainingDiverged):
-            search_alpha(train, val, cfg)
+            train_method("rs", train, val, cfg)
 
 
 def _quadratic_threshold(scores, human_correct, clf_correct):
@@ -477,8 +475,8 @@ class TestFitTau:
 
     def test_fit_tau_on_system(self):
         train, val, _ = planted_splits(seed=10)
-        cfg = TrainConfig(loss="rs", alpha=0.5, epochs=20, seed=10)
-        system = train_surrogate(train, val, cfg)
+        cfg = TrainConfig(alpha_grid=(0.5,), epochs=20, seed=10)
+        system = train_method("rs", train, val, cfg)
         tau = fit_tau(system, val)
         tuned = system.with_tau(tau)
         d0, l0 = system.decide(val.features)
@@ -580,6 +578,14 @@ class TestTrainMethodDispatch:
         with pytest.raises(ValueError):
             train_method("oracle", train, val, TrainConfig())
 
+    def test_system_kind_comes_from_the_method(self):
+        model = ScoreModel.initialize(2, 3, 0, np.random.default_rng(0))
+        assert TrainedSystem(model=model, num_classes=2, method="moe").score_kind == "defer_head"
+        with pytest.raises(ValueError, match="unknown method id 'bogus'"):
+            TrainedSystem(model=model, num_classes=2, method="bogus")
+        with pytest.raises(TypeError):
+            TrainedSystem(model=model, num_classes=2, method="rs", score_kind="gap")
+
 
 # The trainers as they were before every model went through one fit path,
 # kept as the reference the trainers must equal bit for bit. They share no
@@ -657,27 +663,26 @@ def _oracle_run_training(model: ScoreModel, dataset: DeferDataset, config: Train
 
 
 def _oracle_train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
-                             config: TrainConfig, alphas) -> list:
+                             config: TrainConfig, method, alphas) -> list:
     """Train one joint C+1-head model per alpha as a single stacked pass.
 
     Every model starts from ``config.seed``'s initial weights and sees the
     same minibatch order, so each equals a lone run with its alpha. The loss
     gets one alpha per score row (None when ``alphas`` is ``[None]``).
     """
-    if config.loss not in _ORACLE_LOSSES:
-        raise ValueError(f"unknown loss id {config.loss!r}")
+    if method not in _ORACLE_LOSSES:
+        raise ValueError(f"unknown loss id {method!r}")
     if dataset.d != val_dataset.d or dataset.num_classes != val_dataset.num_classes:
         raise ValueError("train and validation datasets must share d and C")
     c = dataset.num_classes
     k = len(alphas)
     rng = np.random.default_rng(config.seed)
-    arch = "one_hidden" if config.hidden_units > 0 else "linear"
-    model = ScoreModel.initialize(arch, dataset.d, c + 1, config.hidden_units, rng)
-    batch_loss = _ORACLE_LOSSES[config.loss]
+    model = ScoreModel.initialize(dataset.d, c + 1, config.hidden_units, rng)
+    batch_loss = _ORACLE_LOSSES[method]
     y = dataset.labels
     hc = dataset.human_correct
     row_alpha = None if alphas[0] is None else np.asarray(alphas, dtype=float)
-    score_kind = "defer_head" if config.loss in ("rs2", "moe") else "gap"
+    score_kind = "defer_head" if method in ("rs2", "moe") else "gap"
 
     def loss_fn(scores, idx):
         stacked = np.concatenate([idx] * k)
@@ -700,7 +705,7 @@ def _oracle_train_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
     return [
         TrainedSystem(
             model=replace(model, params=params[i].copy()), num_classes=c, tau=0.0,
-            method=config.loss, score_kind=score_kind, alpha=alpha,
+            method=method, alpha=alpha,
             best_val_accuracy=float(best_acc[i]), best_epoch=int(best_epoch[i]),
             min_train_error=1.0 - float(best_train[i]),
         )
@@ -720,9 +725,7 @@ def _oracle_class_accuracy(model, val_dataset):
 def _oracle_train_classifier(dataset, val_dataset, config):
     """Cross-entropy classifier head; tracks validation class accuracy."""
     rng = np.random.default_rng(config.seed)
-    arch = "one_hidden" if config.hidden_units > 0 else "linear"
-    model = ScoreModel.initialize(arch, dataset.d, dataset.num_classes,
-                                  config.hidden_units, rng)
+    model = ScoreModel.initialize(dataset.d, dataset.num_classes, config.hidden_units, rng)
     y = dataset.labels
 
     def loss_fn(scores, idx):
@@ -736,8 +739,7 @@ def _oracle_train_classifier(dataset, val_dataset, config):
 def _oracle_train_binary_head(dataset, targets01, val_dataset, val_targets01, config, seed_shift=1):
     """Single-logit head with logistic loss; tracks validation accuracy."""
     rng = np.random.default_rng(config.seed + seed_shift)
-    arch = "one_hidden" if config.hidden_units > 0 else "linear"
-    model = ScoreModel.initialize(arch, dataset.d, 1, config.hidden_units, rng)
+    model = ScoreModel.initialize(dataset.d, 1, config.hidden_units, rng)
 
     def loss_fn(scores, idx):
         return ref.logistic_batch(scores, targets01[idx])
@@ -777,7 +779,7 @@ def _oracle_train_compare_confidence(dataset, val_dataset, config: TrainConfig) 
         dataset, dataset.human_correct, val_dataset, val_dataset.human_correct, config
     )
     system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
-                           aux_model=hum, method="confidence", score_kind="confidence")
+                           aux_model=hum, method="confidence")
     return _oracle_val_accuracy(system, val_dataset)
 
 
@@ -786,7 +788,7 @@ def _oracle_train_selective_prediction(dataset, val_dataset, config: TrainConfig
     threshold line-searched on the validation set."""
     clf = _oracle_train_classifier(dataset, val_dataset, config)
     system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
-                           method="selective", score_kind="selective")
+                           method="selective")
     x = val_dataset.features
     clf_ok = np.argmax(ref.forward(clf, x), axis=1) == val_dataset.labels
     tau = _line_search_threshold(_oracle_rejection_scores(system, x),
@@ -800,9 +802,7 @@ def _oracle_train_differentiable_triage(dataset, val_dataset, config: TrainConfi
     rejector to predict which of the two errs less per point (ties keep the
     classifier)."""
     rng = np.random.default_rng(config.seed)
-    arch = "one_hidden" if config.hidden_units > 0 else "linear"
-    model = ScoreModel.initialize(arch, dataset.d, dataset.num_classes,
-                                  config.hidden_units, rng)
+    model = ScoreModel.initialize(dataset.d, dataset.num_classes, config.hidden_units, rng)
     y = dataset.labels
     hum01 = (~dataset.human_correct).astype(float)
 
@@ -822,7 +822,7 @@ def _oracle_train_differentiable_triage(dataset, val_dataset, config: TrainConfi
     val_target = (~val_dataset.human_correct).astype(float) < (val_pred != val_dataset.labels)
     rejector = _oracle_train_binary_head(dataset, defer_target, val_dataset, val_target, config)
     system = TrainedSystem(model=model, num_classes=dataset.num_classes, tau=0.0,
-                           aux_model=rejector, method="triage", score_kind="triage")
+                           aux_model=rejector, method="triage")
     return _oracle_val_accuracy(system, val_dataset)
 
 
@@ -862,8 +862,8 @@ class TestOneFitPath:
                           "rs2": [None], "ova": [None], "moe": [None]}
         assert set(surrogates_run) | set(_ORACLE_BASELINES) == set(METHODS)
         for loss, alphas in surrogates_run.items():
-            new = _train_surrogates(train, val, replace(cfg, loss=loss), alphas)
-            old = _oracle_train_surrogates(train, val, replace(cfg, loss=loss), alphas)
+            new = _fit_surrogates(train, val, cfg, loss, alphas)
+            old = _oracle_train_surrogates(train, val, cfg, loss, alphas)
             for a, b in zip(new, old, strict=True):
                 _assert_same_bytes(a, b)
                 # the deferral rule the reference applied to its stacks
