@@ -43,6 +43,7 @@ from .evaluation import (
     evaluate,
     generalization_bound,
     run_benchmark,
+    split_sizes,
     write_curve_csv,
     write_curves_svg,
     write_results_csv,
@@ -505,6 +506,10 @@ def cmd_bench(args):
     values = _bench_values(args, _load_config(args))
     run, data_cfg, milp_cfg, train_cfg = (_build(g, values) for g in _bench_groups(values[KIND]))
     methods = run["methods"]
+    try:
+        split_sizes(run["split"], data_cfg.n)
+    except ValueError as exc:
+        raise UsageError(f"[eval] split: {exc}") from None
 
     os.makedirs(args.out_dir, exist_ok=True)
     result = run_benchmark(data_cfg, methods, run["trials"], seed=values[_SEED],

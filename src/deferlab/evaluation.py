@@ -43,6 +43,7 @@ __all__ = [
     "coverage_curve",
     "generalization_bound",
     "run_benchmark",
+    "split_sizes",
     "write_results_csv",
     "write_curve_csv",
     "write_curves_svg",
@@ -175,6 +176,31 @@ def _fit_milp(train: DeferDataset, milp_config: MilpConfig):
     return solution.pair
 
 
+def split_sizes(split, n: int) -> tuple:
+    """The train, validation and test sizes of a split of n points.
+
+    ``split`` holds three nonnegative entries: fractions that sum to 1
+    (within 1e-9), whose train and validation parts are rounded and whose
+    test part is the remainder, or counts that sum to n. Every part must
+    hold at least one point. Anything else raises a ValueError that names
+    the split.
+    """
+    parts = tuple(split)
+    if len(parts) != 3 or not all(0 <= v < math.inf for v in parts):
+        raise ValueError(f"split {split!r}: need three nonnegative finite entries")
+    if abs(sum(parts) - 1.0) <= 1e-9:
+        n_train, n_val = int(round(parts[0] * n)), int(round(parts[1] * n))
+    elif all(float(v).is_integer() for v in parts) and sum(parts) == n:
+        n_train, n_val = int(parts[0]), int(parts[1])
+    else:
+        raise ValueError(f"split {split!r}: need fractions that sum to 1 "
+                         f"or counts that sum to n={n}")
+    sizes = (n_train, n_val, n - n_train - n_val)
+    if min(sizes) < 1:
+        raise ValueError(f"split {split!r} of n={n} points leaves a part empty: {sizes}")
+    return sizes
+
+
 def run_benchmark(instance, methods, trials: int, seed: int = 0, *,
                   split=(0.7, 0.1, 0.2), train_config: Optional[TrainConfig] = None,
                   milp_config: Optional[MilpConfig] = None) -> BenchmarkResult:
@@ -182,9 +208,10 @@ def run_benchmark(instance, methods, trials: int, seed: int = 0, *,
 
     Per trial the instance is regenerated from a seed derived from
     ``(seed, trial)`` and split train/validation/test by the given
-    fractions (or absolute counts; 70-10-20 by default). Aggregates report
-    mean test system accuracy with its standard error (absent for a single
-    trial). Fixed seeds make the whole table reproducible.
+    fractions or absolute counts (70-10-20 by default; see ``split_sizes``).
+    Aggregates report mean test system accuracy with its standard error
+    (absent for a single trial). Fixed seeds make the whole table
+    reproducible.
     """
     methods = list(methods)
     for m in methods:
@@ -192,6 +219,7 @@ def run_benchmark(instance, methods, trials: int, seed: int = 0, *,
             raise ValueError(f"unknown method id {m!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
+    n_train, n_val, _ = split_sizes(split, instance.n)
     train_config = train_config or TrainConfig()
     milp_config = milp_config or MilpConfig()
 
@@ -199,13 +227,7 @@ def run_benchmark(instance, methods, trials: int, seed: int = 0, *,
     for trial in range(trials):
         tseed = _trial_seed(seed, trial)
         dataset = generate_instance(replace(instance, seed=tseed))[0]
-        n = dataset.n
-        if all(isinstance(v, float) and v <= 1.0 for v in split):
-            n_train = int(round(split[0] * n))
-            n_val = int(round(split[1] * n))
-        else:
-            n_train, n_val = int(split[0]), int(split[1])
-        order = np.random.default_rng(tseed).permutation(n)
+        order = np.random.default_rng(tseed).permutation(dataset.n)
         train = dataset.subset(order[:n_train])
         val = dataset.subset(order[n_train : n_train + n_val])
         test = dataset.subset(order[n_train + n_val :])

@@ -174,15 +174,16 @@ class _Simplex:
 
     def _infeasibility(self) -> np.ndarray:
         xb = self.x[self.basis]
-        return np.maximum(self.lo[self.basis] - xb, xb - self.hi[self.basis])
+        return np.maximum(self.lo_b - xb, xb - self.hi_b)
 
     def _pivot(self, r: int, q: int, w: np.ndarray) -> None:
         """Column q enters the basis in row r, given w = B^-1 a_q; the values
         and the leaving column's state are already updated."""
         row = self.binv[r] / w[r]
-        self.binv -= np.outer(w, row)
+        self.binv -= w[:, None] * row
         self.binv[r] = row
         self.basis[r] = q
+        self.lo_b[r], self.hi_b[r] = self.lo[q], self.hi[q]
         self.state[q] = _BASIC
         self.since_refactor += 1
         if self.since_refactor >= REFACTOR_EVERY:
@@ -207,8 +208,8 @@ class _Simplex:
         ratio = np.full(self.m, np.inf)
         pos = step > PIVOT_TOL
         neg = step < -PIVOT_TOL
-        ratio[pos] = (xb[pos] - self.lo[self.basis[pos]]) / step[pos]
-        ratio[neg] = (self.hi[self.basis[neg]] - xb[neg]) / -step[neg]
+        ratio[pos] = (xb[pos] - self.lo_b[pos]) / step[pos]
+        ratio[neg] = (self.hi_b[neg] - xb[neg]) / -step[neg]
         best = ratio.min(initial=np.inf)
         if not np.isfinite(best):
             return -1, np.inf, False
@@ -290,12 +291,14 @@ class _Simplex:
             # row r of B^-1 [A | I]; the entering column must push x_p
             # toward the violated bound from the side its state allows
             alpha = self.binv[r] @ self.T
+            mag = np.abs(alpha)
             toward = alpha if below else -alpha
             st = self.state
+            at_hi, free = st == _AT_HI, st == _FREE
             cand = self.movable & (
                 ((st == _AT_LO) & (toward < -PIVOT_TOL))
-                | ((st == _AT_HI) & (toward > PIVOT_TOL))
-                | ((st == _FREE) & (np.abs(alpha) > PIVOT_TOL))
+                | (at_hi & (toward > PIVOT_TOL))
+                | (free & (mag > PIVOT_TOL))
             )
             idx = np.flatnonzero(cand)
             if idx.size == 0:
@@ -306,13 +309,15 @@ class _Simplex:
                 return "infeasible"  # row r is a Farkas certificate
 
             # dual ratio test: the reduced cost that first reaches zero
-            slack = np.where(st[idx] == _AT_HI, -d[idx], np.where(st[idx] == _FREE, 0.0, d[idx]))
-            ratio = np.maximum(slack, 0.0) / np.abs(alpha[idx])
+            d_idx, mag_idx = d[idx], mag[idx]
+            slack = np.where(at_hi[idx], -d_idx, np.where(free[idx], 0.0, d_idx))
+            ratio = np.maximum(slack, 0.0) / mag_idx
             best = ratio.min()
-            ties = idx[ratio <= best + 1e-12]
+            tied = ratio <= best + 1e-12
+            ties = idx[tied]
             if not self.bland:
-                mag = np.abs(alpha[ties])
-                ties = ties[mag == mag.max()]
+                mag_tied = mag_idx[tied]
+                ties = ties[mag_tied == mag_tied.max()]
             q = int(ties[0])
 
             w = self.binv @ self.T[:, q]
@@ -351,6 +356,8 @@ class _Simplex:
 
     def _install(self, basic: np.ndarray, at_upper: np.ndarray) -> None:
         self.basis = basic.copy()
+        # the basic columns' bounds row by row, kept beside the basis by _pivot
+        self.lo_b, self.hi_b = self.lo[basic], self.hi[basic]
         self._place_nonbasic(at_upper)
         self._refactor()
 

@@ -27,6 +27,7 @@ rejection_score(x) >= tau``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -179,12 +180,18 @@ class TrainConfig:
     hidden_units: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
+        # every test is written so that NaN fails it
+        if not self.epochs >= 1:
             raise ValueError("epochs must be >= 1")
         if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 0:
             raise ValueError("batch_size must be an int >= 0 (0 means full batch)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not self.seed >= 0:
+            raise ValueError("seed must be >= 0")
+        if not self.hidden_units >= 0:
+            raise ValueError(f"hidden_units={self.hidden_units}: use 0 for a linear model "
+                             "or at least 1")
         if self.alpha_grid is not None:
             if len(self.alpha_grid) == 0:
                 raise ValueError("alpha_grid must be nonempty")

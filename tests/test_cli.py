@@ -154,6 +154,33 @@ class TestMilpCmd:
         assert "abs_gap must be nonnegative" in capsys.readouterr().err
         assert not rec.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--time-limit", "nan", "time_limit_s must be nonnegative"),
+        ("--gap", "nan", "abs_gap must be nonnegative"),
+        ("--gap", "inf", "abs_gap must be nonnegative"),
+        ("--gamma", "nan", "gamma must be"),
+        ("--gamma", "inf", "gamma must be"),
+        ("--box", "nan", "box must be"),
+        ("--box", "inf", "box must be"),
+        ("--lambda-reg", "nan", "lambda_reg must be"),
+        ("--lambda-reg", "inf", "lambda_reg must be"),
+    ])
+    def test_nan_and_infinite_settings_rejected(self, tmp_path, capsys, flag, value, message):
+        data, rec = tmp_path / "d.csv", tmp_path / "r.json"
+        run_cli("gen", "--d", "2", "--n", "8", "--seed", "1", "--out", str(data))
+        code = run_cli("milp", "--data", str(data), flag, value,
+                       "--out-record", str(rec), "--out-weights", str(tmp_path / "w.csv"))
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not rec.exists()
+
+    def test_infinite_time_limit_is_no_limit(self, tmp_path):
+        data, rec = tmp_path / "d.csv", tmp_path / "r.json"
+        run_cli("gen", "--d", "2", "--n", "8", "--seed", "1", "--out", str(data))
+        assert run_cli("milp", "--data", str(data), "--time-limit", "inf",
+                       "--out-record", str(rec), "--out-weights", str(tmp_path / "w.csv")) == 0
+        assert json.loads(rec.read_text())["status"] == "proven_optimal"
+
     def test_large_multiclass_problem_not_searched(self, tmp_path):
         # 120 points of 3 classes make 600 LP rows, above EXACT_ROWS_MAX
         data, rec = tmp_path / "g.csv", tmp_path / "r.json"
@@ -357,6 +384,16 @@ class TestBench:
         assert "[data]" in resolved and "epochs=10" in resolved
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2  # header + methods x trials
+
+    @pytest.mark.parametrize("split", ["0.5,0.1,0.1", "0.7,0.3", "0.9,0.2,0.1", "nan,0.5,0.5",
+                                       "20,5,4", "0.9,0.1,0"])
+    def test_invalid_split_is_a_usage_error(self, tmp_path, capsys, split):
+        cfgfile = tmp_path / "bench.cfg"
+        cfgfile.write_text(f"[data]\nd=2\nn=30\n[eval]\ntrials=1\nsplit={split}\n")
+        out = tmp_path / "run"
+        assert run_cli("bench", "--config", str(cfgfile), "--out-dir", str(out)) == 1
+        assert "[eval] split: split (" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_reproducible_from_resolved_config(self, tmp_path):
         # each run replays from its own resolved config: same results and
@@ -610,6 +647,14 @@ class TestTrainSettingChecks:
         out = tmp_path / "m.csv"
         assert self._train(data, out, "--method", "rs2", "--batch-size", "-5") != 0
         assert "batch_size" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_nan_or_infinite_learning_rate(self, data, tmp_path, capsys, lr):
+        # such a rate used to train and then raise TrainingDiverged (exit 2)
+        out = tmp_path / "m.csv"
+        assert self._train(data, out, "--method", "rs", "--lr", lr) == 1
+        assert "learning_rate must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("method", ["rs2", "ova", "moe", "confidence", "selective", "triage"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deferlab.evaluation as evaluation_module
 from deferlab.core import DeferDataset, HalfspacePair
 from deferlab.datagen import GroupedExpertConfig, SyntheticConfig
 from deferlab.evaluation import (
@@ -12,6 +13,7 @@ from deferlab.evaluation import (
     evaluate,
     generalization_bound,
     run_benchmark,
+    split_sizes,
     write_curve_csv,
     write_results_csv,
     write_curves_svg,
@@ -270,6 +272,43 @@ class TestRunBenchmark:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             run_benchmark(self._instance(), ["svm"], trials=1, seed=0)
+
+    @pytest.mark.parametrize("split", [
+        (0.5, 0.1, 0.1),  # fractions short of 1: the test part was the rest
+        (0.7, 0.3),  # two entries
+        (0.9, 0.2, 0.1),  # fractions above 1: train and validation overlapped the end
+        (1.1, -0.2, 0.1),  # a negative entry
+        (0.7, float("nan"), 0.2),
+        (0.7, float("inf"), 0.2),
+        (200, 40, 40),  # counts short of n
+        (200, 40, 80),  # counts above n
+        (0.9, 0.1, 0.0),  # an empty test part
+        (0.998, 0.001, 0.001),  # validation rounds to nothing
+        (300, 0, 0),
+    ])
+    def test_invalid_split_named_before_any_work(self, split, monkeypatch):
+        monkeypatch.setattr(evaluation_module, "generate_instance", None)  # never reached
+        with pytest.raises(ValueError, match=r"^split "):
+            run_benchmark(self._instance(), ["rs"], trials=1, seed=0, split=split,
+                          train_config=self._config())
+
+    def test_valid_splits_keep_the_partition(self):
+        def old_sizes(split, n):
+            if all(isinstance(v, float) and v <= 1.0 for v in split):
+                n_train, n_val = int(round(split[0] * n)), int(round(split[1] * n))
+            else:
+                n_train, n_val = int(split[0]), int(split[1])
+            return n_train, n_val, n - n_train - n_val
+
+        for split in [(0.7, 0.1, 0.2), (0.6, 0.2, 0.2), (0.5, 0.25, 0.25), (1 / 3, 1 / 3, 1 / 3)]:
+            for n in (10, 29, 300, 1001):
+                assert split_sizes(split, n) == old_sizes(split, n), (split, n)
+        # counts, as ints or as the floats the config file gives
+        assert split_sizes((200, 40, 60), 300) == (200, 40, 60)
+        assert split_sizes((200.0, 40.0, 60.0), 300) == (200, 40, 60)
+        result = run_benchmark(self._instance(), ["rs"], trials=1, seed=5, split=(150, 50, 100),
+                               train_config=self._config())
+        assert result.records[0].report.n_points == 100
 
 
 class TestAlphaSensitivity:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -504,6 +505,22 @@ class TestAgainstHighs:
                 _assert_feasible(lp, sol, lp.lo, lp.hi)
             seen.add(sol.status)
         assert seen == set(statuses.values()) and misreported >= 1
+
+
+class TestPinnedSolves:
+    def test_general_lps_equal_pinned_digest(self):
+        # sha256 over 3000 draws of each solve's status, iterations and
+        # objective, and each optimum's x and basis bytes, recorded before the
+        # simplex kept the basic columns' bounds beside the basis
+        rng = np.random.default_rng(12345)
+        h = hashlib.sha256()
+        for _ in range(3000):
+            sol = solve_lp(_general_lp(rng))
+            h.update(repr((sol.status, sol.iterations, sol.objective_value)).encode())
+            if sol.status == "optimal":
+                h.update(sol.x.tobytes() + sol.basis.basic.tobytes()
+                         + sol.basis.at_upper.tobytes())
+        assert h.hexdigest() == "bddde710ecb36b2ef8cfbe061473615d0f75739660bc4597c211c6c3c4622adf"
 
 
 def _farkas_row(sx, r, tol=lp_module.PIVOT_TOL):

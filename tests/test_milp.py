@@ -52,6 +52,20 @@ class TestConfig:
             with pytest.raises(ValueError, match=name):
                 MilpConfig(**{name: -1})
             assert getattr(MilpConfig(**{name: 0}), name) == 0
+        # NaN fails every check: a NaN time limit never expires and a NaN gap
+        # switches pruning off; the formulation constants and the gap must be
+        # finite, while an infinite time or node limit is no limit
+        nan, inf = float("nan"), float("inf")
+        for name in ("gamma", "box", "lambda_reg", "abs_gap", "coverage_beta",
+                     "time_limit_s", "node_limit"):
+            with pytest.raises(ValueError, match=name):
+                MilpConfig(**{name: nan})
+        for name in ("gamma", "box", "lambda_reg", "abs_gap"):
+            for value in (inf, -inf):
+                with pytest.raises(ValueError, match=name):
+                    MilpConfig(**{name: value})
+        for name in ("time_limit_s", "node_limit"):
+            assert getattr(MilpConfig(**{name: inf}), name) == inf
 
 
 class TestBuildBinary:
@@ -514,7 +528,10 @@ def _oracle_pocket_perceptron(xt, targets, w0, epochs, rng):
     return best_w
 
 
-def _oracle_irls_logistic(xt, targets, iters=25, ridge=1e-8):
+def _oracle_irls_iterates(xt, targets, iters=25, ridge=1e-8):
+    """Every (Newton step, iterate) of the IRLS loop as it ran before it
+    stopped at small steps: all 25 steps, unless a step above 1e8 ends it."""
+    out = []
     w = np.zeros(xt.shape[1])
     for _ in range(iters):
         z = targets * (xt @ w)
@@ -527,9 +544,20 @@ def _oracle_irls_logistic(xt, targets, iters=25, ridge=1e-8):
         except np.linalg.LinAlgError:
             break
         w = w + step
+        out.append((step, w))
         if np.max(np.abs(step)) > 1e8:
             break
-    return w
+    return out
+
+
+def _oracle_irls_logistic(xt, targets):
+    """The first iterate whose step is at most 1e-13 of its largest weight,
+    else the last."""
+    iterates = _oracle_irls_iterates(xt, targets)
+    for step, w in iterates:
+        if np.max(np.abs(step)) <= 1e-13 * np.max(np.abs(w)):
+            return w
+    return iterates[-1][1] if iterates else np.zeros(xt.shape[1])
 
 
 def _oracle_fit_separator(xt, targets, rng, epochs=60):
@@ -632,21 +660,22 @@ def _multiclass_heuristic_problems():
 
 
 # sha256 of each binary proposal stream of _heuristic_problems() (every M and
-# R in order, then the rng's final state), recorded before the multiclass
-# classifier step moved onto Kesler rows: binary proposals stay bit for bit
+# R in order, then the rng's final state), recorded once IRLS stopped at its
+# first small Newton step: weight bytes moved in the last bits, while every
+# stream kept its length, its proposals' decisions and its final rng state
 _BINARY_STREAM_DIGESTS = [
-    "a9b249b1ca28938131316cab1daf4e03a672210a45852be628f7aea12722aec8",
-    "a9b249b1ca28938131316cab1daf4e03a672210a45852be628f7aea12722aec8",
-    "a9b249b1ca28938131316cab1daf4e03a672210a45852be628f7aea12722aec8",
-    "1abf4ab732be76809b439c56df211225163add9c8a3740a458ca64b651d9910e",
-    "e189db47179db8e42fdf7b26a4bc2f7d94f73c69eb7bbc21a72b55a6fd5144eb",
-    "1e55993de54f05474d5bf964e7dda31f728d76d20027747663a492ef39610739",
-    "8a5865221549bdce71dc8e3221ef349f2651fa243d89e15b1a3fcd2bb1d0ddf9",
+    "520e0e83b3b56ff4ee948890aaaa82d9592c2bd94bb5d150e4d5fb66ef32deb3",
+    "520e0e83b3b56ff4ee948890aaaa82d9592c2bd94bb5d150e4d5fb66ef32deb3",
+    "520e0e83b3b56ff4ee948890aaaa82d9592c2bd94bb5d150e4d5fb66ef32deb3",
+    "2dc63b1820d992eef5957d8dcf3ab97bc06a60043e787503921d175fa6fe5769",
+    "3ba2f36ba30c86428473076aa540ef547dd90238d1b973bb06b5eba21c7184bb",
+    "2d714052516adf392e473bfee6bfdb1f3c90cebee9ee1c8cecf08fa9b64e221a",
+    "d4129a3e6494e1b64c788105defb8532586a3924f8842b88634e6172469eaefe",
     "e9e167dadabb8a7dd602fc7ffc320b4f849f1db482c9ef3a866ad717a9632386",
-    "afdec9e21c420fcf0411579245b784fcea82e7841a62d695399012bfbca418e7",
+    "6c7ace09ac47293ce0ec973d0a2a39defd6a035888ac7448d07107bfa305d76d",
     "31feb7aa32bfcee55b75d714c8f8e1915cd90eb2ab6467a70ef2b51761f51550",
-    "3dbd19e78a9fffe6be506b87ca60302d3663d831beb31cb0e705f608a58eb9af",
-    "f311fe70ae896040f8d19eb6b97a43289b616b1ac1eb720ac2716ad80ea491e3",
+    "900022d4c255949e059b0615a8e3aa71b8a369ca8d4060b2df886acea60580d7",
+    "34fb9744ad3a66c0c29b9c41b62a6dd1e696688ba2fbaa6bab4dba66050b175c",
 ]
 
 
@@ -674,6 +703,29 @@ class TestHeuristicsEqualReference:
             runs.append((pocket(xt, targets, w0, 60, rng).tobytes(),
                          fit(xt, targets, rng).tobytes(), rng.bit_generator.state))
         assert runs[0] == runs[1]
+
+    def test_irls_stops_at_the_first_small_step(self):
+        # the fit is the full loop's iterate at its first small step, byte for
+        # byte; the full loop's last iterate is within 1e-12 of it and decides
+        # every row alike
+        rng = np.random.default_rng(2113)
+        moved = 0
+        for k in range(400):
+            n, d = int(rng.integers(2, 14)), int(rng.integers(1, 4))
+            xt = np.hstack([rng.normal(size=(n, d)) * rng.uniform(0.2, 3.0), np.ones((n, 1))])
+            if k % 2:  # separable
+                targets = np.where(xt @ rng.normal(size=d + 1) >= 0, 1.0, -1.0)
+            else:
+                targets = rng.choice([-1.0, 1.0], n)
+            new = milp._irls_logistic(xt, targets)
+            assert new.tobytes() == _oracle_irls_logistic(xt, targets).tobytes()
+            full = _oracle_irls_iterates(xt, targets)[-1][1]
+            if new.tobytes() != full.tobytes():
+                moved += 1
+                assert np.max(np.abs(full - new)) <= 1e-12 * np.max(np.abs(new))
+                assert np.array_equal(np.sign(targets * (xt @ full)),
+                                      np.sign(targets * (xt @ new)))
+        assert moved > 100
 
     def test_binary_streams_equal_pinned_digests(self):
         digests = []
@@ -1312,6 +1364,59 @@ def _exact_small_instances(seed):
     return out
 
 
+@pytest.fixture(scope="module")
+def exact_small_solves():
+    """The 160 ``exact-small`` solves of seeds 1 and 9, in the benchmark's
+    order (each instance plain, then under a coverage budget of 0.25), and
+    the Newton solves that each seed's IRLS fits took. Within a solve
+    ``np.linalg.solve`` is called by IRLS alone."""
+    real = np.linalg.solve
+    solves, newton = [], {}
+    with pytest.MonkeyPatch.context() as mp:
+        for seed in (1, 9):
+            calls = []
+
+            def counting(a, b):
+                calls.append(None)
+                return real(a, b)
+
+            mp.setattr(np.linalg, "solve", counting)
+            for ds in _exact_small_instances(seed):
+                plain = build_binary_milp(ds, MilpConfig())
+                for problem in (plain, add_coverage_constraint(plain, 0.25)):
+                    solves.append((problem, solve_milp(problem)))
+            newton[seed] = len(calls)
+    return solves, newton
+
+
+class TestExactSmallSolves:
+    """The README solver check: a change to the solver keeps every
+    ``exact-small`` optimum, status and training-set decision."""
+
+    def test_objectives_statuses_and_totals(self, exact_small_solves):
+        solves, _ = exact_small_solves
+        h = hashlib.sha256()
+        for _, sol in solves:
+            h.update(repr((sol.objective, sol.status)).encode())
+        assert h.hexdigest() == "e5a65b31e806abdde7a19c06eccfa8a4a6d3caaab976a039f740c6963b6f25ad"
+        totals = [sum(getattr(sol, name) for _, sol in solves)
+                  for name in ("nodes_explored", "lp_iterations", "proposals")]
+        assert totals == [446, 3651, 570]
+
+    def test_training_set_decisions(self, exact_small_solves):
+        # pair bytes may move in the last bits (IRLS's stop); decisions may not
+        solves, _ = exact_small_solves
+        h = hashlib.sha256()
+        for problem, sol in solves:
+            deferred, labels, _ = pair_decisions(sol.pair, problem.dataset.features)
+            h.update(deferred.tobytes() + labels.tobytes())
+        assert h.hexdigest() == "d82dde20b28e427926d4ebc19874807d7ba31a4aa006885045016987935a5caf"
+
+    def test_newton_solves(self, exact_small_solves):
+        # 3980 and 4628 while every IRLS fit ran its 25 steps
+        assert exact_small_solves[1] == {1: 2019, 9: 2062}
+
+
 class TestProposalSchedule:
     """The tree takes one heuristic proposal per node it works on, and the
     rest of the stream unless it proves the incumbent."""
@@ -1342,22 +1447,18 @@ class TestProposalSchedule:
         sol, taken, full, ended = _solve_recording(monkeypatch, plain)
         assert sol.nodes_explored == 0 and sol.proposals == len(full)
 
-    def test_bound_histories_strictly_increase(self):
-        problems = []
-        for seed in (1, 9):
-            for ds in _exact_small_instances(seed):
-                plain = build_binary_milp(ds, MilpConfig())
-                problems += [plain, add_coverage_constraint(plain, 0.25)]
-        assert len(problems) == 160
+    def test_bound_histories_strictly_increase(self, exact_small_solves):
+        solutions = [sol for _, sol in exact_small_solves[0]]
+        assert len(solutions) == 160
         plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
         deep = random_binary_dataset(np.random.default_rng(1), 14, human_acc=0.4)
-        problems += [plain, add_coverage_constraint(plain, 0.25), _pinned_three_class_problem(),
-                     build_binary_milp(deep, MilpConfig()),
-                     # off the grid its bound also rises by float noise
-                     add_fairness_constraint(build_binary_milp(deep, MilpConfig()),
-                                             np.arange(14) % 2)]
-        for problem in problems:
-            sol = solve_milp(problem)
+        for problem in (plain, add_coverage_constraint(plain, 0.25), _pinned_three_class_problem(),
+                        build_binary_milp(deep, MilpConfig()),
+                        # off the grid its bound also rises by float noise
+                        add_fairness_constraint(build_binary_milp(deep, MilpConfig()),
+                                                np.arange(14) % 2)):
+            solutions.append(solve_milp(problem))
+        for sol in solutions:
             assert sol.status == "proven_optimal"
             history = sol.bound_history
             assert history[0] == 0.0 and history[-1] == sol.best_bound

@@ -266,6 +266,18 @@ class TestTrainConfig:
             TrainConfig(batch_size=None)
         assert TrainConfig(batch_size=0).batch_size == 0
 
+    def test_nan_and_infinite_values_rejected(self):
+        # a NaN or infinite rate used to train and then raise TrainingDiverged
+        nan, inf = float("nan"), float("inf")
+        for value in (nan, inf, -inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(learning_rate=value)
+        for name in ("epochs", "seed", "hidden_units"):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: nan})
+        with pytest.raises(ValueError, match="alpha"):
+            TrainConfig(alpha_grid=(0.5, nan))
+
 
 class TestClassAxisDecisions:
     @pytest.mark.parametrize("hidden_units", [0, 4])
