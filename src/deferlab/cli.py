@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -531,6 +532,9 @@ def cmd_bench(args):
 
 
 def cmd_bound(args):
+    for flag in ("train_loss", "km", "kr", "perr", "delta"):
+        if not math.isfinite(getattr(args, flag)):
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite")
     value = generalization_bound(args.train_loss, args.km, args.kr, args.d, args.n,
                                  args.perr, args.delta)
     print(f"{value:.4f}")

@@ -16,6 +16,7 @@ others, and dataset seeds never interact with training seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
@@ -70,12 +71,13 @@ class SyntheticConfig:
             raise ValueError("need d >= 1 and n >= 1")
         if self.distribution not in ("uniform", "gaussian_mixture"):
             raise ValueError("distribution must be 'uniform' or 'gaussian_mixture'")
-        if self.U <= 0:
-            raise ValueError("U must be positive")
+        # every float test is written so that NaN fails it
+        if not 0 < self.U < math.inf:
+            raise ValueError("U must be positive and finite")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.std_scale <= 0:
-            raise ValueError("std_scale must be positive")
+        if not 0 < self.std_scale < math.inf:
+            raise ValueError("std_scale must be positive and finite")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError("margin must lie in [0, 1)")
         for name in ("p_m", "p_h0", "p_h1"):
@@ -103,6 +105,9 @@ class GroupedExpertConfig:
             raise ValueError("C must be >= 2")
         if not 0 <= self.K <= self.C:
             raise ValueError("need 0 <= K <= C")
+        for name in ("U", "blob_std"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

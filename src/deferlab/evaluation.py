@@ -133,10 +133,17 @@ def generalization_bound(train_loss: float, k_m: float, k_r: float, d: int, n: i
     train_loss + [(K_m + K_r) d sqrt(2 ln d) + 10 sqrt(ln(2/delta))] /
     sqrt(n P(h != y)), natural logarithms.
     """
+    # every test is written so that NaN fails it
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")
-    if human_error_rate <= 0.0:
-        raise ValueError("the bound is undefined when the human never errs")
+    if not 0.0 <= train_loss <= 1.0:
+        raise ValueError("train_loss must lie in [0, 1]")
+    for name, k in (("k_m", k_m), ("k_r", k_r)):
+        if not 0.0 <= k < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite")
+    if not 0.0 < human_error_rate <= 1.0:
+        raise ValueError("human_error_rate must lie in (0, 1]: the bound is undefined "
+                         "when the human never errs")
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     num = (k_m + k_r) * d * math.sqrt(2.0 * math.log(d)) + 10.0 * math.sqrt(math.log(2.0 / delta))

@@ -126,9 +126,53 @@ class MilpConfig:
                 raise ValueError(f"{name} must be nonnegative")
 
 
+class _ProposalStream:
+    """The primal heuristics' proposals for one family of problems: one from
+    ``build_milp`` and every variant ``add_coverage_constraint`` and
+    ``add_fairness_constraint`` derive from it, chains included. They share
+    ``xt``, ``err`` and the margin rows, all that ``_heuristic_candidates``
+    reads, so the stream keeps every proposal drawn so far for any member's
+    solve to replay, and draws more on demand. A solve of ``owner``, the
+    problem whose solve started the stream, restarts it, so a re-solve pays
+    for its heuristics again. An exception inside generation drops the
+    stream, so no solve sees it truncated.
+    """
+
+    def __init__(self):
+        self.owner = None
+        self.drawn: list = []  # (M, R) weight proposals, never modified
+        self._source = None
+
+    def __reduce__(self):  # a copied or pickled problem starts a stream of its own
+        return _ProposalStream, ()
+
+    def start(self, problem: "MilpProblem") -> "_ProposalStream":
+        """Ready the stream for a solve of ``problem``, a family member."""
+        if self.owner is None or self.owner is problem:
+            self.owner = problem
+            self.drawn = []
+            self._source = _heuristic_candidates(problem, np.random.default_rng(0x5EED5EED))
+        return self
+
+    def get(self, i: int):
+        """Proposal ``i``, drawn when it is the first new one; None past the
+        stream's end."""
+        if i == len(self.drawn):
+            try:
+                proposal = next(self._source, None)
+            except BaseException:
+                self.owner = None
+                raise
+            if proposal is None:
+                return None
+            self.drawn.append(proposal)
+        return self.drawn[i]
+
+
 @dataclass
 class MilpProblem:
-    """A built deferral MILP: data in normalized space plus the var layout."""
+    """A built deferral MILP: data in normalized space plus the var layout.
+    ``dataclasses.replace`` copies neither the LP nor the proposal stream."""
 
     dataset: DeferDataset
     xt: np.ndarray  # (n, d+1) features / norm_scale with bias appended
@@ -139,7 +183,9 @@ class MilpProblem:
     lambda_reg: float
     coverage_beta: Optional[float] = None
     fairness_groups: Optional[np.ndarray] = None
-    _lp: Optional[LinearProgram] = field(default=None, repr=False, compare=False)
+    _lp: Optional[LinearProgram] = field(default=None, init=False, repr=False, compare=False)
+    _proposals: _ProposalStream = field(default_factory=_ProposalStream, init=False,
+                                        repr=False, compare=False)
 
     @property
     def k_m(self) -> float:
@@ -309,7 +355,9 @@ class MilpSolution:
     bound_history: list = field(default_factory=list)
     incumbent_history: list = field(default_factory=list)
     lp_iterations: int = 0  # simplex iterations over the solve's node LPs
-    heuristic_s: float = 0.0  # drawing and scoring heuristic proposals, certificates included
+    # drawing and scoring heuristic proposals, certificates included; a
+    # proposal replayed from the problem's family stream costs only its scoring
+    heuristic_s: float = 0.0
     proposals: int = 0  # heuristic proposals taken from the stream, repeats included
 
 
@@ -357,7 +405,7 @@ def add_coverage_constraint(problem: MilpProblem, beta: float) -> MilpProblem:
     """Cap the deferral rate: sum_i r_i / n <= beta."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
-    return replace(problem, coverage_beta=float(beta), _lp=None)
+    return _variant(problem, coverage_beta=float(beta))
 
 
 def add_fairness_constraint(problem: MilpProblem, groups) -> MilpProblem:
@@ -371,7 +419,14 @@ def add_fairness_constraint(problem: MilpProblem, groups) -> MilpProblem:
         raise ValueError("groups must assign one id per training point")
     if np.unique(groups).size < 2:
         raise ValueError("need at least 2 groups")
-    return replace(problem, fairness_groups=groups, _lp=None)
+    return _variant(problem, fairness_groups=groups)
+
+
+def _variant(problem: MilpProblem, **side) -> MilpProblem:
+    """``problem`` under other side constraints, sharing its proposal stream."""
+    out = replace(problem, **side)
+    out._proposals = problem._proposals
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +647,7 @@ def _fit_separator(xt, targets, rng, w, inseparable, epochs=60):
     return _pocket_perceptron(xt, targets, w, epochs, rng, inseparable)
 
 
-def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadline=None):
+def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3):
     """Alternating classifier/rejector fits; yields (M, R) weight proposals.
 
     A zero-loss pair must keep and correctly classify every point the human
@@ -642,9 +697,6 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
         mask = np.repeat(points, per_point)
         return fit(rows, mask, ones[mask]).reshape(m_shape)
 
-    def out_of_time():
-        return deadline is not None and time.monotonic() > deadline
-
     m_all = fit_classifier(np.ones(n, dtype=bool))
     yield m_all, bias_only.copy()  # defer everything
     yield m_all, -bias_only  # defer nothing
@@ -657,8 +709,6 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
     m_hw = fit_classifier(hw)
 
     for start in range(restarts):
-        if out_of_time():
-            return
         if start == 0:
             m = m_hw.copy()
         elif start == 1:
@@ -667,8 +717,6 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3, deadl
             m = m_hw + 0.3 * rng.standard_normal(m_shape)
         r = None
         for _ in range(rounds):
-            if out_of_time():
-                return
             clf_wrong = (rows @ m.ravel() <= 0).reshape(n, per_point).any(axis=1)
             must_defer = clf_wrong & ~hw
             if not must_defer.any():
@@ -783,6 +831,10 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     there is no incumbent), then its LP unless the new incumbent prunes it
     and it is not the root. A ``proven_optimal`` solve drops the rest of the
     stream; any other ending takes the rest before its status is decided.
+    The stream is the problem's family's (``_ProposalStream``): a solve
+    replays the proposals an earlier solve of a variant drew. The solve
+    checks its deadline between proposals; past it only the stream's first
+    two are taken.
 
     With lambda_reg = 0 and no fairness rows every objective value is a
     multiple of 1/n, and every node bound is rounded up to that grid
@@ -807,7 +859,9 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     abs_gap = config.abs_gap
     if abs_gap is None:
         abs_gap = 0.4 / n if on_grid else OFF_GRID_GAP
-    rng = np.random.default_rng(0x5EED5EED)
+
+    def out_of_time():
+        return deadline is not None and time.monotonic() > deadline
 
     incumbent: Optional[_Incumbent] = None
     bound_history: list = []
@@ -838,7 +892,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         lp = problem.lp_relaxation
     nodes = lp_iterations = 0
 
-    stream = _heuristic_candidates(problem, rng, deadline=deadline)
+    stream = problem._proposals.start(problem)
     # scoring is pure, so a repeated proposal (and its shifted variants) can
     # never beat the incumbent its first copy already competed against
     scored = set()
@@ -846,11 +900,17 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
 
     def take(rest=False):
         """Score the stream's next proposal, and more while there is no
-        incumbent; with ``rest``, every proposal left."""
+        incumbent; with ``rest``, every proposal left. Past the deadline
+        only the stream's first two proposals, which defer everything and
+        nothing, are still taken."""
         nonlocal proposals, heuristic_s
         began = time.monotonic()
-        for m_cand, r_cand in stream:
+        while proposals < 2 or not out_of_time():
+            proposal = stream.get(proposals)
+            if proposal is None:
+                break
             proposals += 1
+            m_cand, r_cand = proposal
             key = (m_cand.tobytes(), r_cand.tobytes())
             if key not in scored:
                 scored.add(key)
@@ -882,8 +942,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     dropped_unresolved = False
 
     while heap:
-        if ((deadline is not None and time.monotonic() > deadline)
-                or (node_limit is not None and nodes >= node_limit)):
+        if out_of_time() or (node_limit is not None and nodes >= node_limit):
             limited = True
             break
         node_bound, _, node = heapq.heappop(heap)

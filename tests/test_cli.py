@@ -73,6 +73,18 @@ class TestGen:
         assert run_cli("bench", *argv, "--out-dir", str(tmp_path / "o")) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--U", "nan"], "U must be"), (["--U", "inf"], "U must be"),
+        (["--std-scale", "nan"], "std_scale must be"), (["--margin", "nan"], "margin must"),
+        (["--preset", "grouped", "--U", "nan"], "U must be finite"),
+        (["--preset", "grouped", "--blob-std", "inf"], "blob_std must be finite"),
+    ])
+    def test_nan_and_infinite_floats_are_usage_errors(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "data.csv"
+        assert run_cli("gen", "--d", "2", "--n", "10", *argv, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMilpCmd:
     def test_solve_and_record(self, tmp_path):
@@ -588,6 +600,16 @@ class TestBound:
         assert code == 0
         out = capsys.readouterr().out.strip()
         assert out == "3.1138"
+
+    @pytest.mark.parametrize("flag", ["--train-loss", "--km", "--kr", "--perr", "--delta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nan_and_infinite_inputs_are_usage_errors(self, capsys, flag, value):
+        values = {"--train-loss": "0", "--km": "1", "--kr": "1", "--perr": "0.1", "--delta": "0.1"}
+        values[flag] = value
+        argv = [f"{k}={v}" for k, v in values.items()] + ["--d", "2", "--n", "100"]
+        assert run_cli("bound", *argv) == 1
+        captured = capsys.readouterr()
+        assert f"{flag} must be finite" in captured.err and captured.out == ""
 
 
 class TestErrors:

@@ -23,6 +23,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SyntheticConfig(d=2, n=10, distribution="cauchy")
 
+    @pytest.mark.parametrize("name", ["U", "std_scale", "margin", "p_m", "p_h0", "p_h1"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nan_and_infinite_floats_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SyntheticConfig(d=2, n=10, **{name: value})
+
+    @pytest.mark.parametrize("name", ["U", "blob_std"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_grouped_nan_and_infinite_floats_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            GroupedExpertConfig(d=2, n=10, C=4, K=2, **{name: value})
+
     def test_grouped_k_range(self):
         with pytest.raises(ValueError):
             GroupedExpertConfig(d=2, n=10, C=4, K=5)

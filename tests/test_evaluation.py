@@ -233,6 +233,15 @@ class TestGeneralizationBound:
         with pytest.raises(ValueError):
             generalization_bound(0.0, 1, 1, 2, 100, 0.5, 0.7)
 
+    @pytest.mark.parametrize("position,name", [(0, "train_loss"), (1, "k_m"), (2, "k_r"),
+                                               (5, "human_error_rate"), (6, "delta")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nan_and_infinite_inputs_rejected(self, position, name, value):
+        args = [0.0, 1.0, 1.0, 2, 100, 0.5, 0.1]
+        args[position] = value
+        with pytest.raises(ValueError, match=name):
+            generalization_bound(*args)
+
 
 class TestRunBenchmark:
     def _instance(self):

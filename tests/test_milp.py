@@ -1,4 +1,7 @@
+import copy
 import hashlib
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1327,22 +1330,25 @@ class TestObjectiveGrid:
 
 
 def _solve_recording(monkeypatch, problem, config=None):
-    """Solve ``problem`` with its proposal stream recorded. Returns the
-    solution, the proposals the solve took and the whole stream, each as
-    (M bytes, R bytes), and whether the solve's stream ran to its end."""
-    real = milp._heuristic_candidates
+    """Solve ``problem`` with the proposals it takes recorded, replayed ones
+    included. Returns the solution, the proposals the solve took and the
+    problem's whole stream, each as (M bytes, R bytes), and whether the
+    solve reached the stream's end."""
     full = [(m.tobytes(), r.tobytes())
-            for m, r in real(problem, np.random.default_rng(0x5EED5EED))]
+            for m, r in milp._heuristic_candidates(problem, np.random.default_rng(0x5EED5EED))]
+    real = milp._ProposalStream.get
     taken, ended = [], []
 
-    def recording(*args, **kwargs):
-        for m, r in real(*args, **kwargs):
-            taken.append((m.tobytes(), r.tobytes()))
-            yield m, r
-        ended.append(True)
+    def recording(stream, i):
+        proposal = real(stream, i)
+        if proposal is None:
+            ended.append(True)
+        else:
+            taken.append((proposal[0].tobytes(), proposal[1].tobytes()))
+        return proposal
 
     with monkeypatch.context() as mp:
-        mp.setattr(milp, "_heuristic_candidates", recording)
+        mp.setattr(milp._ProposalStream, "get", recording)
         sol = solve_milp(problem, config)
     return sol, taken, full, bool(ended)
 
@@ -1364,23 +1370,28 @@ def _exact_small_instances(seed):
     return out
 
 
+def _counting_newton(monkeypatch):
+    """Count ``np.linalg.solve`` calls, which within a solve are IRLS's."""
+    real, calls = np.linalg.solve, []
+
+    def counting(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def exact_small_solves():
     """The 160 ``exact-small`` solves of seeds 1 and 9, in the benchmark's
     order (each instance plain, then under a coverage budget of 0.25), and
-    the Newton solves that each seed's IRLS fits took. Within a solve
-    ``np.linalg.solve`` is called by IRLS alone."""
-    real = np.linalg.solve
+    the Newton solves that each seed's IRLS fits took."""
     solves, newton = [], {}
     with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_newton(mp)
         for seed in (1, 9):
-            calls = []
-
-            def counting(a, b):
-                calls.append(None)
-                return real(a, b)
-
-            mp.setattr(np.linalg, "solve", counting)
+            calls.clear()
             for ds in _exact_small_instances(seed):
                 plain = build_binary_milp(ds, MilpConfig())
                 for problem in (plain, add_coverage_constraint(plain, 0.25)):
@@ -1413,8 +1424,11 @@ class TestExactSmallSolves:
         assert h.hexdigest() == "d82dde20b28e427926d4ebc19874807d7ba31a4aa006885045016987935a5caf"
 
     def test_newton_solves(self, exact_small_solves):
-        # 3980 and 4628 while every IRLS fit ran its 25 steps
-        assert exact_small_solves[1] == {1: 2019, 9: 2062}
+        # 3980 and 4628 while every IRLS fit ran its 25 steps, 2019 and 2062
+        # while each covered solve regenerated its plain source's proposals
+        newton = exact_small_solves[1]
+        assert newton == {1: 1055, 9: 1038}
+        assert sum(newton.values()) == 2093  # the README solver check's total
 
 
 class TestProposalSchedule:
@@ -1427,11 +1441,11 @@ class TestProposalSchedule:
         assert (sol.status, sol.nodes_explored) == ("time_limit_incumbent", 30)
         assert taken == full and ended
         assert sol.proposals == len(full)
-        # the generator stops itself at the deadline; the solve takes what
-        # it yields up to then
+        # the solve checks its deadline between proposals: it takes the
+        # stream up to its end or up to the deadline, whichever comes first
         sol, taken, _, ended = _solve_recording(monkeypatch, plain, MilpConfig(time_limit_s=0.3))
         assert sol.status == "time_limit_incumbent"
-        assert taken == full[: len(taken)] and ended
+        assert taken == full[: len(taken)] and (ended or sol.wall_time_s > 0.3)
         assert sol.proposals == len(taken)
 
     def test_unsearched_solves_take_the_whole_stream(self, monkeypatch):
@@ -1463,6 +1477,132 @@ class TestProposalSchedule:
             history = sol.bound_history
             assert history[0] == 0.0 and history[-1] == sol.best_bound
             assert all(b - a > 1e-12 for a, b in zip(history, history[1:])), history
+
+
+def _assert_same_solve(a, b):
+    """Every field of two solutions but their times, pair bytes included."""
+    times = ("wall_time_s", "heuristic_s", "pair")
+    for name in milp.MilpSolution.__dataclass_fields__:
+        if name not in times:
+            assert getattr(a, name) == getattr(b, name), name
+    assert (a.pair is None) == (b.pair is None)
+    if a.pair is not None:
+        for name in ("classifier_weights", "rejector_weights"):
+            assert getattr(a.pair, name).tobytes() == getattr(b.pair, name).tobytes()
+
+
+class TestFamilyStream:
+    """A problem and the coverage and fairness variants derived from it share
+    one proposal stream; each variant's solve equals a fresh build's."""
+
+    @staticmethod
+    def _fresh(problem):
+        cfg = MilpConfig(gamma=problem.gamma, box=problem.box, lambda_reg=problem.lambda_reg,
+                         coverage_beta=problem.coverage_beta,
+                         fairness_groups=problem.fairness_groups)
+        return build_milp(problem.dataset, cfg)
+
+    def _assert_variants_equal_fresh_builds(self, variants, config=None):
+        for problem in variants:
+            _assert_same_solve(solve_milp(problem, config), solve_milp(self._fresh(problem), config))
+
+    def test_coverage_and_fairness_variants(self):
+        for ds in _six_point_instances(11, 3) + [random_binary_dataset(
+                np.random.default_rng(1), 14, human_acc=0.4)]:
+            plain = build_binary_milp(ds, MilpConfig())
+            groups = np.arange(ds.n) % 2
+            covered = add_coverage_constraint(plain, 0.5)
+            family = [plain, add_coverage_constraint(plain, 0.25), covered,
+                      add_fairness_constraint(plain, groups),
+                      add_fairness_constraint(covered, groups)]
+            assert all(p._proposals is plain._proposals for p in family)
+            self._assert_variants_equal_fresh_builds(family)
+
+    def test_three_class_variants(self):
+        for problem in [_pinned_three_class_problem()] + _multiclass_heuristic_problems()[:3]:
+            groups = np.arange(problem.n) % 2
+            self._assert_variants_equal_fresh_builds(
+                [problem, add_coverage_constraint(problem, 0.5),
+                 add_fairness_constraint(problem, groups)])
+
+    def test_source_never_solved(self):
+        plain = build_binary_milp(_six_point_instances(11, 3)[2], MilpConfig())
+        covered = add_coverage_constraint(plain, 0.25)
+        self._assert_variants_equal_fresh_builds(
+            [covered, add_fairness_constraint(covered, np.arange(6) % 2)])
+        assert plain._proposals.owner is covered
+
+    @pytest.mark.parametrize("config", [MilpConfig(node_limit=1), MilpConfig(time_limit_s=0)])
+    def test_limited_source_extended_by_a_variant(self, config):
+        plain = build_binary_milp(_criterion7_instance(), MilpConfig())
+        solve_milp(plain, config)
+        drawn = len(plain._proposals.drawn)
+        covered = add_coverage_constraint(plain, 0.5)
+        self._assert_variants_equal_fresh_builds([covered], MilpConfig(node_limit=40))
+        assert len(plain._proposals.drawn) >= drawn
+        if config.time_limit_s == 0:  # the source took only the first two proposals
+            assert drawn == 2 < len(plain._proposals.drawn)
+
+    def test_separate_builds_and_replaced_data_do_not_share(self, monkeypatch):
+        ds = _six_point_instances(11, 3)[2]
+        plain = build_binary_milp(ds, MilpConfig())
+        twin = build_binary_milp(ds, MilpConfig())
+        moved = replace(plain, xt=plain.xt[::-1].copy())
+        assert plain.lp_relaxation is not None and moved._lp is None
+        assert plain._proposals is not twin._proposals
+        assert moved._proposals is not plain._proposals
+        calls = _counting_newton(monkeypatch)
+        first = solve_milp(plain)
+        counts = [len(calls)]
+        _assert_same_solve(solve_milp(twin), first)
+        counts.append(len(calls) - counts[0])
+        assert counts[0] > 0 and counts[1] == counts[0]  # the twin regenerates its stream
+        solve_milp(moved)
+        fresh = [(m.tobytes(), r.tobytes()) for m, r in milp._heuristic_candidates(
+            moved, np.random.default_rng(0x5EED5EED))]
+        assert fresh != [(m.tobytes(), r.tobytes()) for m, r in plain._proposals.drawn]
+        taken = [(m.tobytes(), r.tobytes()) for m, r in moved._proposals.drawn]
+        assert taken == fresh[: len(taken)]
+        # a solved problem still copies and pickles; each copy has its own stream
+        for clone in (copy.deepcopy(plain), pickle.loads(pickle.dumps(plain))):
+            assert clone._proposals is not plain._proposals and clone._proposals.owner is None
+            _assert_same_solve(solve_milp(clone), first)
+
+    def test_exception_in_generation_leaves_no_truncated_stream(self, monkeypatch):
+        plain = build_binary_milp(_criterion7_instance(), MilpConfig())
+        covered = add_coverage_constraint(plain, 0.5)
+        real, calls = milp._irls_logistic, []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise RuntimeError("interrupted")
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(milp, "_irls_logistic", failing)
+            with pytest.raises(RuntimeError):
+                solve_milp(plain, MilpConfig(node_limit=0))
+        assert plain._proposals.owner is None
+        config = MilpConfig(node_limit=0)  # takes the whole stream
+        self._assert_variants_equal_fresh_builds([covered, plain], config)
+
+    def test_a_second_pass_regenerates_as_much_as_the_first(self, monkeypatch):
+        problems = []
+        for ds in _six_point_instances(11, 4):
+            plain = build_binary_milp(ds, MilpConfig())
+            covered = add_coverage_constraint(plain, 0.25)
+            problems += [plain, covered, add_fairness_constraint(covered, np.arange(6) % 2)]
+        calls = _counting_newton(monkeypatch)
+        passes = []
+        for _ in range(2):
+            calls.clear()
+            solutions = [solve_milp(p) for p in problems]
+            passes.append(len(calls))
+        calls.clear()
+        for problem, sol in zip(problems, solutions):
+            _assert_same_solve(sol, solve_milp(self._fresh(problem)))
+        assert passes[0] == passes[1] < len(calls)
 
 
 def _highs():
