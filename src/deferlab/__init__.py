@@ -6,8 +6,10 @@ The package has one module per concern:
 * :mod:`deferlab.datagen` -- synthetic planted-halfspace and grouped-expert data
 * :mod:`deferlab.lp` -- bounded-variable simplex solver with dual warm starts
 * :mod:`deferlab.milp` -- exact big-M deferral formulation and branch-and-bound
-* :mod:`deferlab.surrogates` -- surrogate losses and analytic gradients
-* :mod:`deferlab.train` -- score models, Adam, training loops, two-stage baselines
+* :mod:`deferlab.surrogates` -- surrogate losses and analytic gradients,
+  behind one checked door, ``surrogate_loss(method, scores, ...)``
+* :mod:`deferlab.train` -- score models, Adam, training loops, two-stage
+  baselines, behind one door, ``train_method(method, ...)``
 * :mod:`deferlab.evaluation` -- metrics, coverage curves, benchmark harness
 * :mod:`deferlab.cli` -- command-line front door
 """
@@ -51,24 +53,13 @@ from .milp import (
     build_milp,
     solve_milp,
 )
-from .surrogates import (
-    LossEval,
-    loss_ce_alpha,
-    loss_moe,
-    loss_ova,
-    loss_rs,
-    loss_rs2,
-    loss_rs_alpha,
-)
+from .surrogates import surrogate_loss
 from .train import (
     ScoreModel,
     TrainConfig,
     TrainedSystem,
     fit_tau,
-    train_compare_confidence,
-    train_differentiable_triage,
     train_method,
-    train_selective_prediction,
 )
 
 __version__ = "0.1.0"

@@ -40,6 +40,7 @@ from .datagen import (
     save_instance_metadata,
 )
 from .evaluation import (
+    check_methods,
     coverage_curve,
     evaluate,
     generalization_bound,
@@ -506,7 +507,10 @@ def cmd_eval(args):
 def cmd_bench(args):
     values = _bench_values(args, _load_config(args))
     run, data_cfg, milp_cfg, train_cfg = (_build(g, values) for g in _bench_groups(values[KIND]))
-    methods = run["methods"]
+    try:
+        methods = check_methods(run["methods"])
+    except ValueError as exc:
+        raise UsageError(f"[method] methods: {exc}") from None
     try:
         split_sizes(run["split"], data_cfg.n)
     except ValueError as exc:

@@ -44,6 +44,7 @@ __all__ = [
     "generalization_bound",
     "run_benchmark",
     "split_sizes",
+    "check_methods",
     "write_results_csv",
     "write_curve_csv",
     "write_curves_svg",
@@ -208,6 +209,20 @@ def split_sizes(split, n: int) -> tuple:
     return sizes
 
 
+def check_methods(methods) -> list:
+    """The benchmark's method ids as a list. An id that is not in
+    ``BENCHMARK_METHODS``, or that repeats, raises a ValueError that names
+    it: a repeated method would train again and pool its copies as if they
+    were independent trials."""
+    methods = list(methods)
+    for i, m in enumerate(methods):
+        if m not in BENCHMARK_METHODS:
+            raise ValueError(f"unknown method id {m!r}")
+        if m in methods[:i]:
+            raise ValueError(f"method id {m!r} is given more than once")
+    return methods
+
+
 def run_benchmark(instance, methods, trials: int, seed: int = 0, *,
                   split=(0.7, 0.1, 0.2), train_config: Optional[TrainConfig] = None,
                   milp_config: Optional[MilpConfig] = None) -> BenchmarkResult:
@@ -220,10 +235,7 @@ def run_benchmark(instance, methods, trials: int, seed: int = 0, *,
     (absent for a single trial). Fixed seeds make the whole table
     reproducible.
     """
-    methods = list(methods)
-    for m in methods:
-        if m not in BENCHMARK_METHODS:
-            raise ValueError(f"unknown method id {m!r}")
+    methods = check_methods(methods)
     if trials < 1:
         raise ValueError("need at least one trial")
     n_train, n_val, _ = split_sizes(split, instance.n)

@@ -101,7 +101,6 @@ class MilpConfig:
     box: float = 1.0
     lambda_reg: float = 0.0
     coverage_beta: Optional[float] = None
-    fairness_groups: Optional[np.ndarray] = None
     time_limit_s: Optional[float] = None
     abs_gap: Optional[float] = None
     node_limit: Optional[int] = None
@@ -396,8 +395,6 @@ def build_milp(dataset: DeferDataset, config: MilpConfig) -> MilpProblem:
     )
     if config.coverage_beta is not None:
         problem = add_coverage_constraint(problem, config.coverage_beta)
-    if config.fairness_groups is not None:
-        problem = add_fairness_constraint(problem, config.fairness_groups)
     return problem
 
 

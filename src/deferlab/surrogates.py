@@ -1,54 +1,29 @@
 """Surrogate losses for deferral and their analytic gradients.
 
-Every loss consumes a score vector ``g`` of length C+1, laid out as the C
-class scores followed by the deferral score, plus the true class id and a
-flag for whether the recorded human prediction was correct. The induced
-decisions are ``label = argmax of the class scores`` and ``defer iff the
-deferral score reaches the class max``.
+Every loss consumes, per sample, a score vector ``g`` of length C+1, laid
+out as the C class scores followed by the deferral score, plus the true
+class id and a flag for whether the recorded human prediction was correct.
+The induced decisions are ``label = argmax of the class scores`` and
+``defer iff the deferral score reaches the class max``.
 
 Log bases are fixed deliberately: the realizable-surrogate family uses base
 2, the baseline losses use the natural log. The base only rescales values
 and gradients, but the frozen test values depend on it.
 
-Batch variants (suffix ``_batch``) operate on an (n, C+1) score matrix and
-return per-sample values plus per-sample score gradients; the scalar API
-wraps them. All softmax-style computations subtract the row max before
-exponentiation and stay finite for scores up to about +-700.
+``surrogate_loss`` is the one checked entry point: it takes an (n, C+1)
+score matrix, one row per sample, and returns per-sample values plus
+per-sample score gradients. All softmax-style computations subtract the
+row max before exponentiation and stay finite for scores up to about +-700.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "LossEval",
-    "loss_rs",
-    "loss_rs_alpha",
-    "loss_rs2",
-    "loss_ce_alpha",
-    "loss_ova",
-    "loss_moe",
-    "loss_rs_batch",
-    "loss_rs_alpha_batch",
-    "loss_rs2_batch",
-    "loss_ce_alpha_batch",
-    "loss_ova_batch",
-    "loss_moe_batch",
-    "LOSSES",
-]
+__all__ = ["surrogate_loss", "LOSSES"]
 
 LN2 = float(np.log(2.0))
 MOE_HUMAN_FLOOR = 1e-6  # keeps log I{h=y} finite when the human is wrong
-
-
-@dataclass(frozen=True)
-class LossEval:
-    """A loss value together with its gradient in the C+1 scores."""
-
-    value: float
-    grad: np.ndarray
 
 
 def _check_batch(scores, y, human_correct):
@@ -161,19 +136,37 @@ def _check_alpha(alpha, n):
     return a
 
 
-# Each public ``loss_*_batch`` validates its inputs with _check_batch (and
-# _check_alpha) and then runs an unchecked body: ``g`` a finite float
-# (n, C+1) array, ``y`` int64 class ids in [0, C), ``hc`` bool, and ``a`` a
-# float array holding a scalar or one alpha per row. The trainer calls the
-# bodies through LOSSES; its inputs are checked once per fit.
+def surrogate_loss(method, scores, y, human_correct, alpha=None):
+    """Per-row values and score gradients of a method's surrogate loss.
+
+    ``method`` is a ``LOSSES`` id, which is also its ``train_method`` id.
+    ``scores`` is an (n, C+1) matrix, one row per sample, ``y`` holds n
+    class ids in [0, C) and ``human_correct`` n flags. rs and ce need
+    ``alpha``, a scalar or one weight per row, each in [0, 1]; rs at alpha
+    1 is the pure realizable surrogate. rs2, ova and moe take no alpha.
+    Returns the (n,) values and the (n, C+1) gradients.
+    """
+    if method not in LOSSES:
+        raise ValueError(f"unknown method id {method!r}")
+    g, y, hc = _check_batch(scores, y, human_correct)
+    if method in ("rs", "ce"):
+        if alpha is None:
+            raise ValueError(f"method={method} needs an alpha in [0, 1]")
+        alpha = _check_alpha(alpha, g.shape[0])
+    elif alpha is not None:
+        raise ValueError(f"alpha does not apply to method={method}")
+    return LOSSES[method](g, y, hc, alpha)
 
 
-def loss_rs_batch(scores, y, human_correct):
-    """Realizable surrogate: -2*log2((e^g_y + I{h=y} e^g_bot) / sum over all)."""
-    return _rs(*_check_batch(scores, y, human_correct))
+# The loss bodies are unchecked: ``g`` a finite float (n, C+1) array, ``y``
+# int64 class ids in [0, C), ``hc`` bool, and ``a`` a float array holding a
+# scalar or one alpha per row. surrogate_loss checks its inputs before it
+# calls them; the trainer calls them through LOSSES and checks its inputs
+# once per fit.
 
 
 def _rs(g, y, hc):
+    """Realizable surrogate: -2*log2((e^g_y + I{h=y} e^g_bot) / sum over all)."""
     n = g.shape[0]
     rows = np.arange(n)
     e = np.exp(g - _class_max(g)[:, None])
@@ -189,16 +182,9 @@ def _rs(g, y, hc):
     return vals, grads
 
 
-def loss_rs_alpha_batch(scores, y, human_correct, alpha):
-    """Convex mix of the realizable surrogate with plain class log-loss (base 2).
-
-    ``alpha`` is a scalar or one weight per row, each in [0, 1].
-    """
-    g, y, hc = _check_batch(scores, y, human_correct)
-    return _rs_alpha(g, y, hc, _check_alpha(alpha, g.shape[0]))
-
-
 def _rs_alpha(g, y, hc, a):
+    """Convex mix of the realizable surrogate with plain class log-loss
+    (base 2), weight ``a`` on the surrogate."""
     n = g.shape[0]
     rows = np.arange(n)
     rs_vals, rs_grads = _rs(g, y, hc)
@@ -211,12 +197,8 @@ def _rs_alpha(g, y, hc, a):
     return a * rs_vals + (1 - a) * ce_vals, ag * rs_grads + (1 - ag) * ce_grads
 
 
-def loss_rs2_batch(scores, y, human_correct):
-    """Halfspace-rejector variant: -log(softmax_Y(g)_y * sig(-g_bot) + I{h=y} sig(g_bot))."""
-    return _rs2(*_check_batch(scores, y, human_correct))
-
-
 def _rs2(g, y, hc):
+    """Halfspace-rejector variant: -log(softmax_Y(g)_y * sig(-g_bot) + I{h=y} sig(g_bot))."""
     n = g.shape[0]
     rows = np.arange(n)
     p = _softmax(g[:, :-1])
@@ -233,16 +215,9 @@ def _rs2(g, y, hc):
     return vals, grads
 
 
-def loss_ce_alpha_batch(scores, y, human_correct, alpha):
-    """Cross-entropy deferral surrogate with target weight alpha on human-correct points.
-
-    ``alpha`` is a scalar or one weight per row, each in [0, 1].
-    """
-    g, y, hc = _check_batch(scores, y, human_correct)
-    return _ce_alpha(g, y, hc, _check_alpha(alpha, g.shape[0]))
-
-
 def _ce_alpha(g, y, hc, a):
+    """Cross-entropy deferral surrogate with target weight ``a`` on the true
+    class of human-correct points."""
     rows = np.arange(g.shape[0])
     logq = _log_softmax(g)
     q = np.exp(logq)
@@ -255,12 +230,8 @@ def _ce_alpha(g, y, hc, a):
     return vals, grads
 
 
-def loss_ova_batch(scores, y, human_correct):
-    """One-vs-all deferral surrogate built from logistic links."""
-    return _ova(*_check_batch(scores, y, human_correct))
-
-
 def _ova(g, y, hc):
+    """One-vs-all deferral surrogate built from logistic links."""
     rows = np.arange(g.shape[0])
     gc = g[:, :-1]
     gy = g[rows, y]
@@ -284,12 +255,8 @@ def _ova(g, y, hc):
     return vals, grads
 
 
-def loss_moe_batch(scores, y, human_correct):
-    """Mixture-of-experts surrogate with a sigmoid gate on the deferral score."""
-    return _moe(*_check_batch(scores, y, human_correct))
-
-
 def _moe(g, y, hc):
+    """Mixture-of-experts surrogate with a sigmoid gate on the deferral score."""
     rows = np.arange(g.shape[0])
     p, logp = _softmax_log_softmax(g[:, :-1])
     logp = logp[rows, y]
@@ -301,44 +268,6 @@ def _moe(g, y, hc):
     grads[rows, y] -= s_neg
     grads[:, -1] = s_pos * s_neg * (logp - human_ll)
     return vals, grads
-
-
-def _scalar(batch_fn, scores, y, human_correct, *args):
-    g = np.asarray(scores, dtype=float)
-    if g.ndim != 1:
-        raise ValueError("scores must be a vector of length C+1")
-    vals, grads = batch_fn(g[None, :], [int(y)], [bool(human_correct)], *args)
-    return LossEval(value=float(vals[0]), grad=grads[0])
-
-
-def loss_rs(scores, y, human_correct) -> LossEval:
-    """RealizableSurrogate loss at one sample."""
-    return _scalar(loss_rs_batch, scores, y, human_correct)
-
-
-def loss_rs_alpha(scores, y, human_correct, alpha) -> LossEval:
-    """alpha-blend of the realizable surrogate and class-only log loss."""
-    return _scalar(loss_rs_alpha_batch, scores, y, human_correct, alpha)
-
-
-def loss_rs2(scores, y, human_correct) -> LossEval:
-    """Realizable surrogate variant whose rejector is a single halfspace score."""
-    return _scalar(loss_rs2_batch, scores, y, human_correct)
-
-
-def loss_ce_alpha(scores, y, human_correct, alpha) -> LossEval:
-    """CrossEntropySurrogate baseline."""
-    return _scalar(loss_ce_alpha_batch, scores, y, human_correct, alpha)
-
-
-def loss_ova(scores, y, human_correct) -> LossEval:
-    """One-vs-all baseline."""
-    return _scalar(loss_ova_batch, scores, y, human_correct)
-
-
-def loss_moe(scores, y, human_correct) -> LossEval:
-    """Mixture-of-experts baseline."""
-    return _scalar(loss_moe_batch, scores, y, human_correct)
 
 
 # id -> unchecked batch body taking (scores, y, human_correct, alpha), inputs

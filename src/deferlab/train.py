@@ -43,9 +43,6 @@ __all__ = [
     "TrainedSystem",
     "TrainingDiverged",
     "fit_tau",
-    "train_compare_confidence",
-    "train_selective_prediction",
-    "train_differentiable_triage",
     "train_method",
     "METHODS",
 ]
@@ -180,18 +177,14 @@ class TrainConfig:
     hidden_units: int = 0
 
     def __post_init__(self):
-        # every test is written so that NaN fails it
-        if not self.epochs >= 1:
-            raise ValueError("epochs must be >= 1")
-        if not isinstance(self.batch_size, (int, np.integer)) or self.batch_size < 0:
-            raise ValueError("batch_size must be an int >= 0 (0 means full batch)")
+        # every test is written so that NaN fails it; the int fields must be
+        # ints, since a float count or seed fails only later, inside training
+        for name, low in (("epochs", 1), ("batch_size", 0), ("seed", 0), ("hidden_units", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name}={value!r}: must be an int >= {low}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
-        if not self.hidden_units >= 0:
-            raise ValueError(f"hidden_units={self.hidden_units}: use 0 for a linear model "
-                             "or at least 1")
         if self.alpha_grid is not None:
             if len(self.alpha_grid) == 0:
                 raise ValueError("alpha_grid must be nonempty")
@@ -523,7 +516,7 @@ def _with_val_accuracy(system, val_dataset):
     return replace(system, best_val_accuracy=system_accuracy(defer, labels, val_dataset))
 
 
-def train_compare_confidence(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
+def _train_compare_confidence(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
     """Classifier on all data plus a human-correctness model; defer when the
     predicted human-correctness probability beats the classifier's max
     softmax probability."""
@@ -536,7 +529,7 @@ def train_compare_confidence(dataset, val_dataset, config: TrainConfig) -> Train
     return _with_val_accuracy(system, val_dataset)
 
 
-def train_selective_prediction(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
+def _train_selective_prediction(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
     """Classifier on all data; defer when its confidence falls below a
     threshold line-searched on the validation set."""
     clf = _train_classifier(dataset, val_dataset, config)
@@ -545,7 +538,7 @@ def train_selective_prediction(dataset, val_dataset, config: TrainConfig) -> Tra
     return _with_val_accuracy(system.with_tau(fit_tau(system, val_dataset)), val_dataset)
 
 
-def train_differentiable_triage(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
+def _train_differentiable_triage(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
     """Two-stage triage: each epoch updates the classifier only on points
     where its current 0-1 loss is no worse than the human's, then fits a
     rejector to predict which of the two errs less per point (ties keep the
@@ -589,9 +582,9 @@ def train_method(method: str, dataset, val_dataset, config: TrainConfig) -> Trai
     if method in ("rs2", "ova", "moe"):
         return _fit_surrogates(dataset, val_dataset, config, method)[0]
     if method == "confidence":
-        return train_compare_confidence(dataset, val_dataset, config)
+        return _train_compare_confidence(dataset, val_dataset, config)
     if method == "selective":
-        return train_selective_prediction(dataset, val_dataset, config)
+        return _train_selective_prediction(dataset, val_dataset, config)
     if method == "triage":
-        return train_differentiable_triage(dataset, val_dataset, config)
+        return _train_differentiable_triage(dataset, val_dataset, config)
     raise ValueError(f"unknown method id {method!r}")

@@ -20,14 +20,7 @@ from deferlab.milp import (
     build_binary_milp,
     solve_milp,
 )
-from deferlab.surrogates import (
-    loss_ce_alpha_batch,
-    loss_moe_batch,
-    loss_ova_batch,
-    loss_rs2_batch,
-    loss_rs_alpha_batch,
-    loss_rs_batch,
-)
+from deferlab.surrogates import surrogate_loss
 from deferlab.train import TrainConfig, train_method, system_accuracy
 from oracles import brute_force_deferral_optimum
 
@@ -154,7 +147,7 @@ class TestCriterion4Theorem2Bound:
             g = rng.normal(scale=4.0, size=(n, c + 1))
             y = rng.integers(0, c, n)
             hc = rng.integers(0, 2, n).astype(bool)
-            vals, _ = loss_rs_batch(g, y, hc)
+            vals, _ = surrogate_loss("rs", g, y, hc, 1.0)
             labels = np.argmax(g[:, :c], axis=1)
             defer = g[:, -1] >= g[:, :c].max(axis=1)
             zero_one = np.where(defer, ~hc, labels != y).astype(float)
@@ -166,12 +159,12 @@ class TestCriterion4Theorem2Bound:
 
 class TestCriterion5GradientSuite:
     LOSSES = [
-        ("rs", lambda g, y, hc: loss_rs_batch(g, y, hc)),
-        ("rs_alpha", lambda g, y, hc: loss_rs_alpha_batch(g, y, hc, 0.4)),
-        ("rs2", lambda g, y, hc: loss_rs2_batch(g, y, hc)),
-        ("ce_alpha", lambda g, y, hc: loss_ce_alpha_batch(g, y, hc, 0.7)),
-        ("ova", lambda g, y, hc: loss_ova_batch(g, y, hc)),
-        ("moe", lambda g, y, hc: loss_moe_batch(g, y, hc)),
+        ("rs", lambda g, y, hc: surrogate_loss("rs", g, y, hc, 1.0)),
+        ("rs_alpha", lambda g, y, hc: surrogate_loss("rs", g, y, hc, 0.4)),
+        ("rs2", lambda g, y, hc: surrogate_loss("rs2", g, y, hc)),
+        ("ce_alpha", lambda g, y, hc: surrogate_loss("ce", g, y, hc, 0.7)),
+        ("ova", lambda g, y, hc: surrogate_loss("ova", g, y, hc)),
+        ("moe", lambda g, y, hc: surrogate_loss("moe", g, y, hc)),
     ]
 
     def test_all_six_losses_match_central_differences(self):
@@ -212,8 +205,8 @@ class TestCriterion6Theorem3Check:
         for c in (0.5, 1.0, 2.0):
             f_star = self._region_scores(c, (2, 1, 3, 0))  # zero system error
             f_hat = self._region_scores(c, (0, 1, 3, 0))  # deviates on the class-0 head
-            v_star, _ = loss_ce_alpha_batch(f_star, labels, human_correct, 1.0)
-            v_hat, _ = loss_ce_alpha_batch(f_hat, labels, human_correct, 1.0)
+            v_star, _ = surrogate_loss("ce", f_star, labels, human_correct, 1.0)
+            v_hat, _ = surrogate_loss("ce", f_hat, labels, human_correct, 1.0)
             assert masses @ v_hat < masses @ v_star, f"c={c}"
 
             def system_err(scores):

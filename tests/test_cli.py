@@ -407,6 +407,19 @@ class TestBench:
         assert "[eval] split: split (" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("methods,message", [
+        ("bogus", "unknown method id 'bogus'"),
+        ("rs,rs", "method id 'rs' is given more than once"),
+        ("rs,milp,selective,milp", "method id 'milp' is given more than once"),
+    ])
+    def test_bad_methods_are_usage_errors(self, tmp_path, capsys, methods, message):
+        out = tmp_path / "run"
+        argv = ["bench", "--d", "2", "--n", "30", "--trials", "1", "--epochs", "2",
+                "--methods", methods, "--out-dir", str(out)]
+        assert run_cli(*argv) == 1
+        assert f"error: [method] methods: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reproducible_from_resolved_config(self, tmp_path):
         # each run replays from its own resolved config: same results and
         # curves, and the replay resolves to the same config (a fixed point)

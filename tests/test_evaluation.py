@@ -282,6 +282,14 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(self._instance(), ["svm"], trials=1, seed=0)
 
+    @pytest.mark.parametrize("methods", [["selective", "selective"], ["rs", "milp", "rs"]])
+    def test_repeated_method_named_before_any_work(self, methods, monkeypatch):
+        # the copies used to train again and pool as if independent trials,
+        # shrinking the standard error
+        monkeypatch.setattr(evaluation_module, "generate_instance", None)  # never reached
+        with pytest.raises(ValueError, match=f"method id '{methods[0]}' is given more than once"):
+            run_benchmark(self._instance(), methods, trials=3, seed=0)
+
     @pytest.mark.parametrize("split", [
         (0.5, 0.1, 0.1),  # fractions short of 1: the test part was the rest
         (0.7, 0.3),  # two entries

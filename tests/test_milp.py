@@ -1,7 +1,7 @@
 import copy
 import hashlib
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -41,6 +41,12 @@ class TestConfig:
         assert problem.k_m == problem.k_r == 1.0 + 1e-5
         problem = build_binary_milp(ds, MilpConfig(gamma=0.01, box=2.0))
         assert problem.k_m == problem.k_r == 2.0 + 0.01
+
+    def test_fields(self):
+        # fairness rows come from add_fairness_constraint, not from the config
+        assert [f.name for f in fields(MilpConfig)] == [
+            "gamma", "box", "lambda_reg", "coverage_beta", "time_limit_s", "abs_gap",
+            "node_limit"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -1498,9 +1504,11 @@ class TestFamilyStream:
     @staticmethod
     def _fresh(problem):
         cfg = MilpConfig(gamma=problem.gamma, box=problem.box, lambda_reg=problem.lambda_reg,
-                         coverage_beta=problem.coverage_beta,
-                         fairness_groups=problem.fairness_groups)
-        return build_milp(problem.dataset, cfg)
+                         coverage_beta=problem.coverage_beta)
+        fresh = build_milp(problem.dataset, cfg)
+        if problem.fairness_groups is None:
+            return fresh
+        return add_fairness_constraint(fresh, problem.fairness_groups)
 
     def _assert_variants_equal_fresh_builds(self, variants, config=None):
         for problem in variants:

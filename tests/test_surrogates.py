@@ -1,22 +1,12 @@
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from deferlab import surrogates
 from deferlab.surrogates import (
-    loss_ce_alpha,
-    loss_ce_alpha_batch,
-    loss_moe,
-    loss_moe_batch,
-    loss_ova,
-    loss_ova_batch,
-    loss_rs,
-    loss_rs2,
-    loss_rs2_batch,
-    loss_rs_alpha,
-    loss_rs_alpha_batch,
-    loss_rs_batch,
     LOSSES,
     _ce_alpha,
     _class_argmax,
@@ -31,6 +21,7 @@ from deferlab.surrogates import (
     _softmax,
     _softmax_log_softmax,
     _softplus,
+    surrogate_loss,
 )
 from deferlab.train import _ce_batch, _logistic_batch
 
@@ -38,101 +29,113 @@ import reference_numerics as ref
 
 LOG2 = math.log(2.0)
 
+# Some parametrized ids name the per-loss functions that surrogate_loss
+# replaced (loss_rs_batch, loss_rs_alpha, ...), so each case keeps its id.
+
+
+def one_row(method, scores, y, human_correct, alpha=None):
+    """The value and score gradient at one sample, passed as a one-row batch."""
+    vals, grads = surrogate_loss(method, [scores], [y], [human_correct], alpha)
+    return float(vals[0]), grads[0]
+
+
+def value(method, scores, y, human_correct, alpha=None):
+    return one_row(method, scores, y, human_correct, alpha)[0]
+
 
 class TestClosedForms:
     def test_rs_human_correct(self):
-        out = loss_rs([0.0, 0.0, 0.0], 1, True)
-        assert out.value == pytest.approx(-2 * math.log2(2 / 3), abs=1e-5)
-        assert out.value == pytest.approx(1.16993, abs=1e-5)
+        out = value("rs", [0.0, 0.0, 0.0], 1, True, 1.0)
+        assert out == pytest.approx(-2 * math.log2(2 / 3), abs=1e-5)
+        assert out == pytest.approx(1.16993, abs=1e-5)
 
     def test_rs_human_wrong(self):
-        out = loss_rs([0.0, 0.0, 0.0], 1, False)
-        assert out.value == pytest.approx(-2 * math.log2(1 / 3), abs=1e-5)
-        assert out.value == pytest.approx(3.16993, abs=1e-5)
+        out = value("rs", [0.0, 0.0, 0.0], 1, False, 1.0)
+        assert out == pytest.approx(-2 * math.log2(1 / 3), abs=1e-5)
+        assert out == pytest.approx(3.16993, abs=1e-5)
 
     def test_rs_confident_correct_class(self):
-        out = loss_rs([0.0, 20.0, 0.0], 1, False)
-        assert out.value < 1e-4
+        assert value("rs", [0.0, 20.0, 0.0], 1, False, 1.0) < 1e-4
 
     def test_rs_alpha_identities(self):
         g = np.array([0.3, -0.2, 0.5])
-        a1 = loss_rs_alpha(g, 0, True, 1.0)
-        assert a1.value == pytest.approx(loss_rs(g, 0, True).value)
-        np.testing.assert_allclose(a1.grad, loss_rs(g, 0, True).grad)
-        a0 = loss_rs_alpha(g, 0, True, 0.0)
+        # alpha=1 is the realizable surrogate alone
+        a1 = one_row("rs", g, 0, True, 1.0)
+        pure = ref.rs(g[None, :], np.array([0]), np.array([True]))
+        assert a1[0] == pytest.approx(pure[0][0])
+        np.testing.assert_allclose(a1[1], pure[1][0])
         # alpha=0 is plain class cross-entropy over Y only, base 2
         p = math.exp(0.3) / (math.exp(0.3) + math.exp(-0.2))
-        assert a0.value == pytest.approx(-math.log2(p))
+        assert value("rs", g, 0, True, 0.0) == pytest.approx(-math.log2(p))
 
     def test_rs_alpha_midpoint(self):
-        out = loss_rs_alpha([0.0, 0.0, 0.0], 1, True, 0.5)
-        assert out.value == pytest.approx(0.5 * 1.16993 + 0.5 * 1.0, abs=1e-5)
+        out = value("rs", [0.0, 0.0, 0.0], 1, True, 0.5)
+        assert out == pytest.approx(0.5 * 1.16993 + 0.5 * 1.0, abs=1e-5)
 
     def test_rs_alpha_range_check(self):
         with pytest.raises(ValueError):
-            loss_rs_alpha([0.0, 0.0, 0.0], 1, True, 1.5)
+            value("rs", [0.0, 0.0, 0.0], 1, True, 1.5)
 
     def test_rs2_closed_form(self):
-        out = loss_rs2([0.0, 0.0, 0.0], 0, True)
-        assert out.value == pytest.approx(-math.log(0.75), abs=1e-5)
-        assert out.value == pytest.approx(0.28768, abs=1e-5)
+        out = value("rs2", [0.0, 0.0, 0.0], 0, True)
+        assert out == pytest.approx(-math.log(0.75), abs=1e-5)
+        assert out == pytest.approx(0.28768, abs=1e-5)
 
     def test_rs2_limits(self):
         # g_bot -> -inf reduces to class cross-entropy
-        out = loss_rs2([0.4, -0.1, -40.0], 0, False)
+        out = value("rs2", [0.4, -0.1, -40.0], 0, False)
         p = math.exp(0.4) / (math.exp(0.4) + math.exp(-0.1))
-        assert out.value == pytest.approx(-math.log(p), abs=1e-6)
+        assert out == pytest.approx(-math.log(p), abs=1e-6)
         # g_bot -> +inf with correct human drives the loss to zero
-        assert loss_rs2([0.4, -0.1, 40.0], 0, True).value == pytest.approx(0.0, abs=1e-6)
+        assert value("rs2", [0.4, -0.1, 40.0], 0, True) == pytest.approx(0.0, abs=1e-6)
 
     def test_ce_human_wrong_reduces(self):
         g = np.array([0.2, -0.3, 0.7])
-        out = loss_ce_alpha(g, 0, False, 0.3)
+        out = value("ce", g, 0, False, 0.3)
         e = np.exp(g - g.max())
         q0 = e[0] / e.sum()
-        assert out.value == pytest.approx(-math.log(q0))
+        assert out == pytest.approx(-math.log(q0))
 
     def test_ce_alpha_zero(self):
-        out = loss_ce_alpha([0.0, 0.0, 0.0], 0, True, 0.0)
-        assert out.value == pytest.approx(-math.log(1 / 3), abs=1e-5)
-        assert out.value == pytest.approx(1.09861, abs=1e-5)
+        out = value("ce", [0.0, 0.0, 0.0], 0, True, 0.0)
+        assert out == pytest.approx(-math.log(1 / 3), abs=1e-5)
+        assert out == pytest.approx(1.09861, abs=1e-5)
 
     def test_ce_alpha_one(self):
-        out = loss_ce_alpha([0.0, 0.0, 0.0], 0, True, 1.0)
-        assert out.value == pytest.approx(-2 * math.log(1 / 3), abs=1e-5)
-        assert out.value == pytest.approx(2.19722, abs=1e-5)
+        out = value("ce", [0.0, 0.0, 0.0], 0, True, 1.0)
+        assert out == pytest.approx(-2 * math.log(1 / 3), abs=1e-5)
+        assert out == pytest.approx(2.19722, abs=1e-5)
 
     def test_ova_zero_scores(self):
-        wrong = loss_ova([0.0, 0.0, 0.0], 0, False)
-        assert wrong.value == pytest.approx(3 * LOG2, abs=1e-5)
-        right = loss_ova([0.0, 0.0, 0.0], 0, True)
-        assert right.value == pytest.approx(3 * LOG2, abs=1e-5)
+        wrong = value("ova", [0.0, 0.0, 0.0], 0, False)
+        assert wrong == pytest.approx(3 * LOG2, abs=1e-5)
+        right = value("ova", [0.0, 0.0, 0.0], 0, True)
+        assert right == pytest.approx(3 * LOG2, abs=1e-5)
 
     def test_ova_limit(self):
-        out = loss_ova([40.0, -40.0, -40.0], 0, False)
-        assert out.value == pytest.approx(0.0, abs=1e-6)
+        assert value("ova", [40.0, -40.0, -40.0], 0, False) == pytest.approx(0.0, abs=1e-6)
 
     def test_moe_closed_form(self):
-        out = loss_moe([0.0, 0.0, 0.0], 0, True)
-        assert out.value == pytest.approx(0.5 * LOG2, abs=1e-5)
-        assert out.value == pytest.approx(0.34657, abs=1e-5)
+        out = value("moe", [0.0, 0.0, 0.0], 0, True)
+        assert out == pytest.approx(0.5 * LOG2, abs=1e-5)
+        assert out == pytest.approx(0.34657, abs=1e-5)
 
     def test_moe_limits(self):
         # gate closed: class cross-entropy
-        out = loss_moe([0.3, -0.3, -40.0], 0, False)
+        out = value("moe", [0.3, -0.3, -40.0], 0, False)
         p = math.exp(0.3) / (math.exp(0.3) + math.exp(-0.3))
-        assert out.value == pytest.approx(-math.log(p), abs=1e-6)
+        assert out == pytest.approx(-math.log(p), abs=1e-6)
         # gate open with correct human: zero
-        assert loss_moe([0.3, -0.3, 40.0], 0, True).value == pytest.approx(0.0, abs=1e-6)
+        assert value("moe", [0.3, -0.3, 40.0], 0, True) == pytest.approx(0.0, abs=1e-6)
 
 
 ALL_BATCH = [
-    ("rs", lambda g, y, hc: loss_rs_batch(g, y, hc)),
-    ("rs_alpha", lambda g, y, hc: loss_rs_alpha_batch(g, y, hc, 0.35)),
-    ("rs2", lambda g, y, hc: loss_rs2_batch(g, y, hc)),
-    ("ce_alpha", lambda g, y, hc: loss_ce_alpha_batch(g, y, hc, 0.6)),
-    ("ova", lambda g, y, hc: loss_ova_batch(g, y, hc)),
-    ("moe", lambda g, y, hc: loss_moe_batch(g, y, hc)),
+    ("rs", lambda g, y, hc: surrogate_loss("rs", g, y, hc, 1.0)),
+    ("rs_alpha", lambda g, y, hc: surrogate_loss("rs", g, y, hc, 0.35)),
+    ("rs2", lambda g, y, hc: surrogate_loss("rs2", g, y, hc)),
+    ("ce_alpha", lambda g, y, hc: surrogate_loss("ce", g, y, hc, 0.6)),
+    ("ova", lambda g, y, hc: surrogate_loss("ova", g, y, hc)),
+    ("moe", lambda g, y, hc: surrogate_loss("moe", g, y, hc)),
 ]
 
 
@@ -196,7 +199,7 @@ class TestUpperBound:
             g = rng.normal(scale=4.0, size=(n, c + 1))
             y = rng.integers(0, c, n)
             hc = rng.integers(0, 2, n).astype(bool)
-            vals, _ = loss_rs_batch(g, y, hc)
+            vals, _ = surrogate_loss("rs", g, y, hc, 1.0)
             zero_one = np.array([induced_01_loss(g[i], y[i], hc[i]) for i in range(n)])
             assert np.all(zero_one <= vals + 1e-12)
 
@@ -225,17 +228,17 @@ class TestCoordinateConvexity:
             a, b = sorted(rng.normal(scale=3.0, size=2))
             ga, gb, gm = g.copy(), g.copy(), g.copy()
             ga[j], gb[j], gm[j] = a, b, 0.5 * (a + b)
-            va = loss_rs(ga, y, hc).value
-            vb = loss_rs(gb, y, hc).value
-            vm = loss_rs(gm, y, hc).value
+            va = value("rs", ga, y, hc, 1.0)
+            vb = value("rs", gb, y, hc, 1.0)
+            vm = value("rs", gm, y, hc, 1.0)
             assert vm <= 0.5 * (va + vb) + 1e-9
         assert checked > 300
 
     def test_rs_known_nonconvex_segment(self):
         # human correct, another class dominates: midpoint lies above the chord
-        va = loss_rs(np.array([-1.0, 5.0, 0.0]), 0, True).value
-        vb = loss_rs(np.array([1.0, 5.0, 0.0]), 0, True).value
-        vm = loss_rs(np.array([0.0, 5.0, 0.0]), 0, True).value
+        va = value("rs", [-1.0, 5.0, 0.0], 0, True, 1.0)
+        vb = value("rs", [1.0, 5.0, 0.0], 0, True, 1.0)
+        vm = value("rs", [0.0, 5.0, 0.0], 0, True, 1.0)
         assert vm > 0.5 * (va + vb) + 0.1
 
 
@@ -262,8 +265,8 @@ class TestTheorem3Construction:
         human_correct = np.array([True, False, False, False])
         star = self.region_scores(c, (2, 1, 3, 0))  # zero system error
         hat = self.region_scores(c, (0, 1, 3, 0))  # deviates on class-0 score
-        v_star, _ = loss_ce_alpha_batch(star, labels, human_correct, 1.0)
-        v_hat, _ = loss_ce_alpha_batch(hat, labels, human_correct, 1.0)
+        v_star, _ = surrogate_loss("ce", star, labels, human_correct, 1.0)
+        v_hat, _ = surrogate_loss("ce", hat, labels, human_correct, 1.0)
         assert float(masses @ v_hat) < float(masses @ v_star)
         # and the deviating solution has strictly higher 0-1 system loss
         err_star = sum(
@@ -284,20 +287,21 @@ def _random_batch(rng, n, c, scale=3.0):
 class TestValidation:
     def test_rejects_nonfinite_scores(self):
         with pytest.raises(ValueError):
-            loss_rs([np.inf, 0.0, 0.0], 0, True)
+            value("rs", [np.inf, 0.0, 0.0], 0, True, 1.0)
 
     def test_rejects_bad_class(self):
         with pytest.raises(ValueError):
-            loss_rs([0.0, 0.0, 0.0], 2, True)
+            value("rs", [0.0, 0.0, 0.0], 2, True, 1.0)
 
-    PUBLIC = [loss_rs_batch, loss_rs2_batch, loss_ova_batch, loss_moe_batch,
-              lambda g, y, hc: loss_rs_alpha_batch(g, y, hc, 0.5),
-              lambda g, y, hc: loss_ce_alpha_batch(g, y, hc, 0.5)]
+    # id -> (method, alpha)
+    PUBLIC = {"loss_rs_batch": ("rs", 1.0), "loss_rs2_batch": ("rs2", None),
+              "loss_ova_batch": ("ova", None), "loss_moe_batch": ("moe", None),
+              "<lambda>0": ("rs", 0.5), "<lambda>1": ("ce", 0.5)}
 
-    @pytest.mark.parametrize("fn", PUBLIC)
+    @pytest.mark.parametrize("method,alpha", list(PUBLIC.values()), ids=list(PUBLIC))
     @pytest.mark.parametrize("bad", ["nan", "inf", "vector", "one_column", "two_columns",
                                      "short_y", "short_hc", "negative_y", "y_is_C"])
-    def test_public_batch_functions_reject(self, fn, bad):
+    def test_public_batch_functions_reject(self, method, alpha, bad):
         g, y, hc = _random_batch(np.random.default_rng(1), 6, 3)
         if bad in ("nan", "inf"):
             g[2, 1] = np.nan if bad == "nan" else -np.inf
@@ -316,30 +320,36 @@ class TestValidation:
         else:
             y[3] = 3
         with pytest.raises(ValueError):
-            fn(g, y, hc)
+            surrogate_loss(method, g, y, hc, alpha)
 
-    @pytest.mark.parametrize("fn", [loss_rs_alpha_batch, loss_ce_alpha_batch])
+    @pytest.mark.parametrize("method", ["rs", "ce"],
+                             ids=["loss_rs_alpha_batch", "loss_ce_alpha_batch"])
     @pytest.mark.parametrize("alpha", [-0.1, 1.1, np.nan, [0.5, 1.5, 0.5], [[0.5] * 3]])
-    def test_public_alpha_functions_reject(self, fn, alpha):
+    def test_public_alpha_functions_reject(self, method, alpha):
         g, y, hc = _random_batch(np.random.default_rng(2), 3, 2)
         with pytest.raises(ValueError, match="alpha"):
-            fn(g, y, hc, np.asarray(alpha))
+            surrogate_loss(method, g, y, hc, np.asarray(alpha))
 
-    @pytest.mark.parametrize("fn,args", [
-        (loss_rs, ()), (loss_rs2, ()), (loss_ova, ()), (loss_moe, ()),
-        (loss_rs_alpha, (0.5,)), (loss_ce_alpha, (0.5,)),
-    ])
-    def test_public_scalar_functions_reject(self, fn, args):
+    @pytest.mark.parametrize("method,alpha", [
+        ("rs", 1.0), ("rs2", None), ("ova", None), ("moe", None), ("rs", 0.5), ("ce", 0.5),
+    ], ids=["loss_rs-args0", "loss_rs2-args1", "loss_ova-args2", "loss_moe-args3",
+            "loss_rs_alpha-args4", "loss_ce_alpha-args5"])
+    def test_public_scalar_functions_reject(self, method, alpha):
+        # a single sample is a one-row batch; a bare score vector is no batch
         for scores, y in (([0.0, np.nan, 0.0], 0), ([[0.0, 0.0, 0.0]], 0),
                           ([0.0, 0.0], 0), ([0.0, 0.0, 0.0], 2), ([0.0, 0.0, 0.0], -1)):
             with pytest.raises(ValueError):
-                fn(scores, y, True, *args)
-        if args:
+                one_row(method, scores, y, True, alpha)
+        with pytest.raises(ValueError, match=r"\(n, C\+1\)"):
+            surrogate_loss(method, [0.0, 0.0, 0.0], [0], [True], alpha)
+        if alpha is not None:
             with pytest.raises(ValueError, match="alpha"):
-                fn([0.0, 0.0, 0.0], 0, True, 1.5)
+                one_row(method, [0.0, 0.0, 0.0], 0, True, 1.5)
 
 
-ALPHA_LOSSES = [("rs_alpha", loss_rs_alpha_batch), ("ce_alpha", loss_ce_alpha_batch)]
+# (name, method) of the alpha losses; the ids name their old functions
+ALPHA_LOSSES = [pytest.param("rs_alpha", "rs", id="rs_alpha-loss_rs_alpha_batch"),
+                pytest.param("ce_alpha", "ce", id="ce_alpha-loss_ce_alpha_batch")]
 
 
 class TestPerRowAlpha:
@@ -349,39 +359,39 @@ class TestPerRowAlpha:
         rng = np.random.default_rng(seed)
         return rng.normal(size=(n, 4)) * 3, rng.integers(0, 3, n), rng.random(n) < 0.5
 
-    @pytest.mark.parametrize("name,batch_fn", ALPHA_LOSSES)
+    @pytest.mark.parametrize("name,method", ALPHA_LOSSES)
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-    def test_scalar_equals_constant_array(self, name, batch_fn, alpha):
+    def test_scalar_equals_constant_array(self, name, method, alpha):
         g, y, hc = self._batch()
-        v_s, g_s = batch_fn(g, y, hc, alpha)
-        v_a, g_a = batch_fn(g, y, hc, np.full(len(y), alpha))
+        v_s, g_s = surrogate_loss(method, g, y, hc, alpha)
+        v_a, g_a = surrogate_loss(method, g, y, hc, np.full(len(y), alpha))
         np.testing.assert_array_equal(v_s, v_a)
         np.testing.assert_array_equal(g_s, g_a)
 
-    @pytest.mark.parametrize("name,batch_fn", ALPHA_LOSSES)
-    def test_each_row_uses_its_own_alpha(self, name, batch_fn):
+    @pytest.mark.parametrize("name,method", ALPHA_LOSSES)
+    def test_each_row_uses_its_own_alpha(self, name, method):
         g, y, hc = self._batch(n=9, seed=1)
         alphas = np.repeat([0.0, 0.4, 1.0], 3)
-        vals, grads = batch_fn(g, y, hc, alphas)
+        vals, grads = surrogate_loss(method, g, y, hc, alphas)
         for a in (0.0, 0.4, 1.0):
             rows = alphas == a
-            v_s, g_s = batch_fn(g[rows], y[rows], hc[rows], a)
+            v_s, g_s = surrogate_loss(method, g[rows], y[rows], hc[rows], a)
             np.testing.assert_array_equal(vals[rows], v_s)
             np.testing.assert_array_equal(grads[rows], g_s)
 
-    @pytest.mark.parametrize("name,batch_fn", ALPHA_LOSSES)
+    @pytest.mark.parametrize("name,method", ALPHA_LOSSES)
     @pytest.mark.parametrize("alpha", [[0.2, 1.5, 0.3, 0.3], [0.2, -0.1, 0.3, 0.3],
                                        [0.2, np.nan, 0.3, 0.3]])
-    def test_out_of_range_array_raises(self, name, batch_fn, alpha):
+    def test_out_of_range_array_raises(self, name, method, alpha):
         g, y, hc = self._batch(n=4)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            batch_fn(g, y, hc, np.array(alpha))
+            surrogate_loss(method, g, y, hc, np.array(alpha))
 
-    @pytest.mark.parametrize("name,batch_fn", ALPHA_LOSSES)
-    def test_wrong_length_array_raises(self, name, batch_fn):
+    @pytest.mark.parametrize("name,method", ALPHA_LOSSES)
+    def test_wrong_length_array_raises(self, name, method):
         g, y, hc = self._batch(n=4)
         with pytest.raises(ValueError, match="one entry per row"):
-            batch_fn(g, y, hc, np.full(3, 0.5))
+            surrogate_loss(method, g, y, hc, np.full(3, 0.5))
 
 
 # softplus and the logistic head's loss as they were before both shared one
@@ -434,16 +444,6 @@ class TestBranchFreeSoftplus:
             _oracle_logistic_batch(np.array([[-1000.0]]), np.array([0]))
 
 
-def _public_equivalent(key, alpha):
-    """The checked public batch function that LOSSES[key] stands for at
-    this alpha."""
-    if key == "rs":
-        return lambda g, y, hc: loss_rs_alpha_batch(g, y, hc, alpha)
-    if key == "ce":
-        return lambda g, y, hc: loss_ce_alpha_batch(g, y, hc, alpha)
-    return {"rs2": loss_rs2_batch, "ova": loss_ova_batch, "moe": loss_moe_batch}[key]
-
-
 # a method without an alpha is passed None; rs and ce always get an alpha
 _LOSS_CASES = [(alpha, classes, key) for key in sorted(LOSSES) for classes in (2, 3)
                for alpha in (None, 0.0, 0.3, 1.0, "rows")
@@ -451,8 +451,8 @@ _LOSS_CASES = [(alpha, classes, key) for key in sorted(LOSSES) for classes in (2
 
 
 class TestUncheckedBodies:
-    """LOSSES holds the unchecked bodies the trainer calls; each equals its
-    checked public function bit for bit."""
+    """LOSSES holds the unchecked bodies the trainer calls; each equals
+    surrogate_loss, the checked door, bit for bit."""
 
     @pytest.mark.parametrize("alpha,classes,key", _LOSS_CASES)
     def test_losses_entry_equals_public_function(self, key, classes, alpha):
@@ -465,9 +465,116 @@ class TestUncheckedBodies:
             elif alpha is not None:
                 a = np.asarray(a)  # the trainer passes its alphas as an array
             got = LOSSES[key](g, y, hc, a)
-            want = _public_equivalent(key, a)(g, y, hc)
+            # the bodies without an alpha ignore theirs; the door refuses one
+            want = surrogate_loss(key, g, y, hc, a if key in ("rs", "ce") else None)
             for u, v in zip(got, want, strict=True):
                 assert u.tobytes() == v.tobytes()
+
+class TestSurrogateLoss:
+    """The one checked door: keyed by the train_method ids, alpha required
+    for rs and ce and refused elsewhere, the body looked up at call time."""
+
+    def test_keys_are_the_surrogate_method_ids(self):
+        assert sorted(LOSSES) == ["ce", "moe", "ova", "rs", "rs2"]
+        assert surrogates.__all__ == ["surrogate_loss", "LOSSES"]
+
+    @pytest.mark.parametrize("method", ["rs", "ce"])
+    def test_alpha_required(self, method):
+        g, y, hc = _random_batch(np.random.default_rng(5), 4, 2)
+        with pytest.raises(ValueError, match=f"method={method} needs an alpha"):
+            surrogate_loss(method, g, y, hc)
+
+    @pytest.mark.parametrize("method", ["rs2", "ova", "moe"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, np.full(4, 0.5)])
+    def test_alpha_refused(self, method, alpha):
+        g, y, hc = _random_batch(np.random.default_rng(6), 4, 2)
+        with pytest.raises(ValueError, match=f"alpha does not apply to method={method}"):
+            surrogate_loss(method, g, y, hc, alpha)
+
+    @pytest.mark.parametrize("method", ["hinge", "confidence", "rs_alpha", None])
+    def test_unknown_method(self, method):
+        g, y, hc = _random_batch(np.random.default_rng(7), 4, 2)
+        with pytest.raises(ValueError, match="unknown method id"):
+            surrogate_loss(method, g, y, hc, 0.5)
+
+    def test_looks_up_losses_at_call_time(self, monkeypatch):
+        # a tracer wraps the LOSSES entries in place, and the door must see it
+        g, y, hc = _random_batch(np.random.default_rng(8), 5, 3)
+        real, seen = LOSSES["ova"], []
+
+        def spy(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setitem(LOSSES, "ova", spy)
+        vals, _ = surrogate_loss("ova", g, y, hc)
+        assert len(seen) == 1 and seen[0][3] is None
+        assert vals.tobytes() == _ova(g, y, hc)[0].tobytes()
+
+
+def _parity_batches():
+    """60 seeded batches: C 2-5, n 1-64, score scales 0-50, a scalar alpha
+    and one alpha per row, a quarter of them exactly 0 or 1."""
+    rng = np.random.default_rng(2023)
+    for _ in range(60):
+        c = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 65))
+        g = rng.normal(size=(n, c + 1)) * rng.uniform(0.0, 50.0)
+        rows = np.where(rng.random(n) < 0.25, rng.integers(0, 2, n), rng.random(n))
+        yield g, rng.integers(0, c, n), rng.random(n) < 0.5, float(rng.random()), rows
+
+
+# sha256 of the values and gradients each per-loss function gave on
+# _parity_batches before surrogate_loss replaced them: the batch functions
+# over every batch (the alpha ones at the scalar, then the per-row alpha),
+# the one-sample functions at each batch's first row and scalar alpha.
+# Pure rs is rs at alpha 1 now, equal under == but not in the sign of a zero
+# value, so TestParity checks it against reference_numerics instead.
+_OLD_DIGESTS = {
+    "loss_rs_alpha_batch": ("rs", "rows",
+                            "396abea2fa9ec2952fa0b4a3a72ed12365746295061ccc2ef18d7d5c670f97f7"),
+    "loss_rs2_batch": ("rs2", "rows",
+                       "20d3db472a2e0740ee814447691bbd64fb329775b19a32b8f140596464a4a73e"),
+    "loss_ce_alpha_batch": ("ce", "rows",
+                            "4cc6a8c4c11e94e885f182b44663a3b96a4fca88c173bd863ba384fbd278892c"),
+    "loss_ova_batch": ("ova", "rows",
+                       "7ee8f2a8f0f9f20abd0f28fd1a6fe0453aff06c801eca81352c260636a92cb1b"),
+    "loss_moe_batch": ("moe", "rows",
+                       "836557d70f9287680df5c78227b54b6e5da781ebb8b43eecea5b9a36f0b91690"),
+    "loss_rs_alpha": ("rs", "one",
+                      "97285607201eefb1534101eba255b42dadeaff1cbc10b59f15bf6c15ec08b9f8"),
+    "loss_rs2": ("rs2", "one", "6ab4d2ff741523b51ddf31d5a55ef16d54809891ae34dd1bb6fe95c5aa4e367d"),
+    "loss_ce_alpha": ("ce", "one",
+                      "9d90c7ca4d8e69cbc0bb12eadc700b790edbd48a6be0b3749c951528fedcc8a7"),
+    "loss_ova": ("ova", "one", "049e54621a0390edc3050c8c742accee70cfeeeba97f51f80658dd7d44a4e871"),
+    "loss_moe": ("moe", "one", "d5cce18d228d8dfd1a3febace83fd1aabbcc471daecda7ed14f86bdbc5092aeb"),
+}
+
+
+class TestParity:
+    """surrogate_loss gives what the per-loss functions it replaced gave."""
+
+    @pytest.mark.parametrize("old", sorted(_OLD_DIGESTS))
+    def test_equals_the_old_function(self, old):
+        method, shape, digest = _OLD_DIGESTS[old]
+        has_alpha = method in ("rs", "ce")
+        h = hashlib.sha256()
+        for g, y, hc, a, rows in _parity_batches():
+            if shape == "one":
+                g, y, hc, alphas = g[:1], y[:1], hc[:1], [a]
+            else:
+                alphas = [a, rows]
+            for alpha in alphas if has_alpha else [None]:
+                for arr in surrogate_loss(method, g, y, hc, alpha):
+                    h.update(arr.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_pure_rs_is_rs_at_alpha_one(self):
+        for g, y, hc, _, _ in _parity_batches():
+            for got, want in zip(surrogate_loss("rs", g, y, hc, 1.0), ref.rs(g, y, hc),
+                                 strict=True):
+                np.testing.assert_array_equal(got, want)
+
 
 # 0.0, -0.0, the smallest and the overflowing magnitudes of exp, and NaN
 EDGES = [0.0, -0.0, 1e-300, -1e-300, 20.0, -20.0, 745.0, -745.0, 800.0, -800.0, np.nan]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from deferlab import surrogates
 from deferlab.core import DeferDataset
 from deferlab.datagen import SyntheticConfig, generate_grouped_expert, generate_synthetic
-from deferlab.surrogates import loss_rs_batch
+from deferlab.surrogates import surrogate_loss
 from deferlab.train import (
     METHODS,
     ScoreModel,
@@ -21,10 +21,7 @@ from deferlab.train import (
     _threshold_candidates,
     fit_tau,
     system_accuracy,
-    train_compare_confidence,
-    train_differentiable_triage,
     train_method,
-    train_selective_prediction,
 )
 
 import reference_numerics as ref
@@ -116,11 +113,11 @@ class TestAdamStep:
         hc = rng.integers(0, 2, 10).astype(bool)
 
         def mean_loss(params):
-            vals, _ = loss_rs_batch(replace(model, params=params).forward(x), y, hc)
+            vals, _ = surrogate_loss("rs", replace(model, params=params).forward(x), y, hc, 1.0)
             return float(np.mean(vals))
 
         scores = model.forward(x)
-        _, grads = loss_rs_batch(scores, y, hc)
+        _, grads = surrogate_loss("rs", scores, y, hc, 1.0)
         analytic = model._stack_backward(model._unpack(model.params[None]), x,
                                          (grads / len(x))[None])[0]
         fd = np.zeros_like(analytic)
@@ -277,6 +274,15 @@ class TestTrainConfig:
                 TrainConfig(**{name: nan})
         with pytest.raises(ValueError, match="alpha"):
             TrainConfig(alpha_grid=(0.5, nan))
+
+    def test_non_integer_counts_and_seed_rejected(self):
+        # each used to pass here and then fail inside training with a TypeError
+        for name, value in (("epochs", 2.5), ("epochs", 3.0), ("seed", 1.5), ("seed", "1"),
+                            ("hidden_units", 1.5), ("batch_size", 2.5)):
+            with pytest.raises(ValueError, match=f"{name}="):
+                TrainConfig(**{name: value})
+        cfg = TrainConfig(epochs=np.int64(2), seed=np.int64(1), hidden_units=np.int64(1))
+        assert cfg.epochs == 2 and cfg.seed == 1 and cfg.hidden_units == 1
 
 
 class TestClassAxisDecisions:
@@ -499,7 +505,7 @@ class TestFitTau:
 class TestCompareConfidence:
     def test_never_defers_when_human_model_is_zero(self):
         train, val, _ = planted_splits(seed=11)
-        system = train_compare_confidence(train, val, TrainConfig(epochs=10, seed=11))
+        system = train_method("confidence", train, val, TrainConfig(epochs=10, seed=11))
         # force the human-correctness model to predict huge negative logits
         system.aux_model.params = np.zeros_like(system.aux_model.params)
         system.aux_model.params[-1] = -50.0
@@ -508,7 +514,7 @@ class TestCompareConfidence:
 
     def test_always_defers_when_human_model_is_one(self):
         train, val, _ = planted_splits(seed=12)
-        system = train_compare_confidence(train, val, TrainConfig(epochs=10, seed=12))
+        system = train_method("confidence", train, val, TrainConfig(epochs=10, seed=12))
         system.aux_model.params = np.zeros_like(system.aux_model.params)
         system.aux_model.params[-1] = 50.0
         # sigmoid(50) = 1 > any softmax max below 1, so everything defers
@@ -518,7 +524,7 @@ class TestCompareConfidence:
     def test_accuracy_within_oracle_band(self):
         train, val, test = planted_splits(seed=13, n_train=500)
         cfg = TrainConfig(epochs=150, batch_size=64, seed=13)
-        system = train_compare_confidence(train, val, cfg)
+        system = train_method("confidence", train, val, cfg)
         defer, labels = system.decide(test.features)
         acc = system_accuracy(defer, labels, test)
         clf_alone = float(np.mean(system.classifier_labels(test.features) == test.labels))
@@ -531,7 +537,7 @@ class TestSelectivePrediction:
     def test_threshold_learned_on_validation(self):
         train, val, test = planted_splits(seed=14, n_train=400)
         cfg = TrainConfig(epochs=100, batch_size=64, seed=14)
-        system = train_selective_prediction(train, val, cfg)
+        system = train_method("selective", train, val, cfg)
         assert system.score_kind == "selective"
         defer, labels = system.decide(val.features)
         acc = system_accuracy(defer, labels, val)
@@ -547,7 +553,7 @@ class TestDifferentiableTriage:
         y = (x[:, 0] > 0).astype(int)
         ds = DeferDataset(x, y, 1 - y, 2)  # human always wrong
         cfg = TrainConfig(epochs=60, seed=15)
-        system = train_differentiable_triage(ds, ds, cfg)
+        system = train_method("triage", ds, ds, cfg)
         defer, labels = system.decide(ds.features)
         # with a hopeless human the filter keeps everything and the
         # rejector learns to never defer
@@ -565,7 +571,7 @@ class TestDifferentiableTriage:
         train = ds.subset(np.arange(400))
         val = ds.subset(np.arange(400, 500))
         cfg = TrainConfig(epochs=100, batch_size=64, seed=16)
-        system = train_differentiable_triage(train, val, cfg)
+        system = train_method("triage", train, val, cfg)
         pred = system.classifier_labels(train.features)
         clf01 = pred != train.labels
         hum01 = ~train.human_correct
