@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
@@ -53,15 +52,13 @@ from .evaluation import (
 from .milp import MilpConfig, build_milp, solve_milp
 from .train import (
     ALPHA_GRIDS,
-    AUX_KINDS,
-    JOINT_KINDS,
     METHODS,
-    SCORE_KINDS,
     ScoreModel,
     TrainConfig,
     TrainedSystem,
     TrainingDiverged,
     fit_tau,
+    model_outputs,
     train_method,
 )
 
@@ -315,17 +312,15 @@ def save_halfspace_pair(pair: HalfspacePair, path, num_classes=2) -> None:
 
 
 def save_score_system(system: TrainedSystem, path) -> None:
-    """Architecture header line plus one comma-joined flat weight line per
-    model. Header: ``score_model,<arch>,<d>,<out>,<hidden>,<tau>,<kind>,<C>,
-    <method>``; an auxiliary model adds an ``aux,...`` header and weights."""
+    """Header ``score_model,<method>,<C>,<d>,<hidden_units>,<tau>``, then
+    one comma-joined flat weight line per model: the model's, and the
+    auxiliary model's for the methods that have one. The method, C, d and
+    hidden units fix both models' shapes."""
     m = system.model
-    lines = [f"score_model,{m.arch},{m.input_dim},{m.output_dim},{m.hidden_units},"
-             f"{system.tau!r},{system.score_kind},{system.num_classes},{system.method}",
-             ",".join(repr(float(v)) for v in m.params)]
-    if system.aux_model is not None:
-        a = system.aux_model
-        lines += [f"aux,{a.arch},{a.input_dim},{a.output_dim},{a.hidden_units}",
-                  ",".join(repr(float(v)) for v in a.params)]
+    lines = [f"score_model,{system.method},{system.num_classes},{m.input_dim},"
+             f"{m.hidden_units},{system.tau!r}"]
+    lines += [",".join(repr(float(v)) for v in model.params)
+              for model in (m, system.aux_model) if model is not None]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -333,28 +328,11 @@ def _weights(line) -> np.ndarray:
     return np.array([float(v) for v in line.split(",")])
 
 
-def _score_model(fields, line, d, out) -> ScoreModel:
-    """A ScoreModel from its ``arch,d,out,hidden`` header fields and weight
-    line; the arch must be the one its hidden units give, and it must map d
-    inputs to out outputs."""
-    if len(fields) != 4:
-        raise ValueError("a model header needs arch,d,out,hidden")
-    shape = ScoreModel(int(fields[1]), int(fields[2]), int(fields[3]))
-    if fields[0] != shape.arch:
-        raise ValueError(f"architecture {fields[0]!r} does not match hidden_units="
-                         f"{shape.hidden_units}, which makes a {shape.arch} model")
-    model = replace(shape, params=_weights(line))
-    if (model.input_dim, model.output_dim) != (d, out):
-        raise ValueError(f"the {model.arch} model maps {model.input_dim} inputs to "
-                         f"{model.output_dim} outputs, expected {d} to {out}")
-    return model
-
-
 def _parse_model(lines):
     if not lines:
         raise ValueError("empty model file")
     head = lines[0].split(",")
-    fields = {"halfspace_pair": 3, "score_model": 9}
+    fields = {"halfspace_pair": 3, "score_model": 6}
     if head[0] not in fields:
         raise ValueError(f"unknown model file kind {head[0]!r}")
     if len(head) != fields[head[0]]:
@@ -369,24 +347,15 @@ def _parse_model(lines):
             raise ValueError(f"every weight row needs d + 1 = {d + 1} values")
         classifier = rows[0] if len(rows) == 2 else np.vstack(rows[:-1])
         return HalfspacePair(classifier, rows[-1])
-    d, tau, kind, c, method = int(head[2]), float(head[5]), head[6], int(head[7]), head[8]
-    if kind not in SCORE_KINDS.values():
-        raise ValueError(f"unknown score kind {kind!r}")
+    method = head[1]
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r} with score kind {kind!r}")
-    if kind != SCORE_KINDS[method]:
-        raise ValueError(f"score kind {kind!r} does not match method {method!r}, "
-                         f"which defers on {SCORE_KINDS[method]!r}")
-    expected = 4 if kind in AUX_KINDS else 2
-    if len(lines) != expected:
-        raise ValueError(f"score kind {kind} needs {expected} lines, got {len(lines)}")
-    model = _score_model(head[1:5], lines[1], d, c + 1 if kind in JOINT_KINDS else c)
-    aux = None
-    if kind in AUX_KINDS:
-        aux_head = lines[2].split(",")
-        if aux_head[0] != "aux":
-            raise ValueError("malformed aux header")
-        aux = _score_model(aux_head[1:], lines[3], d, 1)
+        raise ValueError(f"unknown method {method!r}")
+    c, d, hidden, tau = int(head[2]), int(head[3]), int(head[4]), float(head[5])
+    if len(lines) not in (2, 3):
+        raise ValueError(f"a score_model file has 2 or 3 lines, got {len(lines)}")
+    model = ScoreModel(d, model_outputs(method, c), hidden, _weights(lines[1]))
+    # TrainedSystem rejects an auxiliary model the method does not have, or a missing one
+    aux = ScoreModel(d, 1, hidden, _weights(lines[2])) if len(lines) == 3 else None
     return TrainedSystem(model=model, num_classes=c, tau=tau, aux_model=aux, method=method)
 
 

@@ -199,6 +199,14 @@ def predict_halfspace(pair: HalfspacePair, x, human_pred: Optional[int] = None) 
     )
 
 
+def system_correct(dataset: DeferDataset, deferred, classifier_labels) -> np.ndarray:
+    """Whether the system is right on each point: the human where deferred,
+    else the classifier label. Broadcasts over leading axes of the
+    decisions."""
+    return np.where(deferred, dataset.human_correct,
+                    np.asarray(classifier_labels) == dataset.labels)
+
+
 def system_loss_01(dataset: DeferDataset, deferred, classifier_labels) -> float:
     """Exact empirical 0-1 loss of the human-AI system.
 
@@ -209,10 +217,8 @@ def system_loss_01(dataset: DeferDataset, deferred, classifier_labels) -> float:
     labels = np.asarray(classifier_labels, dtype=np.int64)
     if deferred.shape != (dataset.n,) or labels.shape != (dataset.n,):
         raise ValueError("decisions must have one entry per dataset point")
-    human_err = dataset.human_preds != dataset.labels
-    clf_err = labels != dataset.labels
-    errs = np.where(deferred, human_err, clf_err)
-    return float(np.count_nonzero(errs)) / dataset.n
+    errors = dataset.n - np.count_nonzero(system_correct(dataset, deferred, labels))
+    return float(errors) / dataset.n
 
 
 def halfspace_system_loss(pair: HalfspacePair, dataset: DeferDataset) -> float:

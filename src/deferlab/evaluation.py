@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import DeferDataset, HalfspacePair, pair_decisions
+from .core import DeferDataset, HalfspacePair, pair_decisions, system_correct
 from .datagen import generate_instance
 from .milp import MilpConfig, build_milp, solve_milp
 from .train import (
@@ -86,19 +86,18 @@ def _decisions(system: Union[TrainedSystem, HalfspacePair], dataset: DeferDatase
     """(deferred, classifier labels, rejection scores) of a trained system or a pair."""
     if isinstance(system, HalfspacePair):
         return pair_decisions(system, dataset.features)
-    deferred, labels = system.decide(dataset.features)
-    return deferred, labels, system.rejection_scores(dataset.features)
+    scores = system.rejection_scores(dataset.features)
+    return scores >= system.tau, system.classifier_labels(dataset.features), scores
 
 
 def evaluate(system: Union[TrainedSystem, HalfspacePair], dataset: DeferDataset) -> EvalReport:
     """Exact empirical system accuracy, coverage, and per-arm accuracies."""
     deferred, labels, _ = _decisions(system, dataset)
     kept = ~deferred
-    correct = np.where(deferred, dataset.human_correct, labels == dataset.labels)
     clf_acc = float(np.mean(labels[kept] == dataset.labels[kept])) if kept.any() else None
     hum_acc = float(np.mean(dataset.human_correct[deferred])) if deferred.any() else None
     return EvalReport(
-        system_accuracy=float(np.mean(correct)),
+        system_accuracy=float(np.mean(system_correct(dataset, deferred, labels))),
         coverage=float(np.mean(kept)),
         classifier_accuracy_nondeferred=clf_acc,
         human_accuracy_deferred=hum_acc,
@@ -307,10 +306,11 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#e377c2", "#7f7f7f", "#17becf")
 
 
-def write_curves_svg(result: BenchmarkResult, path, width=640, height=480) -> None:
-    """Static accuracy-vs-coverage plot: axes, one polyline per method, and
-    an operating-point marker per method (first trial of each)."""
-    pad = 60
+def write_curves_svg(result: BenchmarkResult, path) -> None:
+    """Static 640x480 accuracy-vs-coverage plot: axes, one polyline per
+    method, and an operating-point marker per method (first trial of
+    each)."""
+    width, height, pad = 640, 480, 60
     plot_w, plot_h = width - 2 * pad, height - 2 * pad
 
     def sx(cov):

@@ -447,13 +447,12 @@ def _split_weights(problem: MilpProblem, x: np.ndarray):
 
 
 class _Incumbent:
-    __slots__ = ("objective", "m_norm", "r_norm", "train_cost", "reg")
+    __slots__ = ("objective", "m_norm", "r_norm", "reg")
 
-    def __init__(self, objective, m_norm, r_norm, train_cost, reg):
+    def __init__(self, objective, m_norm, r_norm, reg):
         self.objective = objective
         self.m_norm = m_norm
         self.r_norm = r_norm
-        self.train_cost = train_cost
         self.reg = reg
 
 
@@ -468,7 +467,7 @@ def _incumbent_from_lp_point(problem: MilpProblem, x: np.ndarray) -> _Incumbent:
     reg = 0.0
     if problem.lambda_reg > 0:
         reg = problem.lambda_reg * float(np.sum(x[lay["aux"]]))
-    return _Incumbent(train_cost + reg, *_split_weights(problem, x), train_cost, reg)
+    return _Incumbent(train_cost + reg, *_split_weights(problem, x), reg)
 
 
 def _score_candidate(problem: MilpProblem, m_norm, r_norm) -> Optional[_Incumbent]:
@@ -529,7 +528,7 @@ def _score_candidate(problem: MilpProblem, m_norm, r_norm) -> Optional[_Incumben
     reg = 0.0
     if problem.lambda_reg > 0:
         reg = problem.lambda_reg * (np.abs(m).sum() + np.abs(r).sum())
-    return _Incumbent(train_cost + reg, m, r, train_cost, float(reg))
+    return _Incumbent(train_cost + reg, m, r, float(reg))
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +845,20 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     the incumbent is within the gap of 0 (at the default gap, when it is 0)
     and ``time_limit_incumbent`` otherwise. Side-constrained problems are
     searched at every size.
+
+    The formulation comes from the problem alone: ``gamma``, ``box``,
+    ``lambda_reg`` and ``coverage_beta`` are the ones it was built with,
+    and ``config`` gives only the limits and the gap. A ``config`` whose
+    ``coverage_beta`` is set and differs from the problem's raises
+    ValueError; its ``gamma``, ``box`` and ``lambda_reg`` are not checked,
+    because their defaults cannot be told apart from unset ones.
     """
     if config is None:
         config = MilpConfig()
+    if config.coverage_beta is not None and config.coverage_beta != problem.coverage_beta:
+        raise ValueError(f"config coverage_beta={config.coverage_beta} differs from the "
+                         f"problem's coverage_beta={problem.coverage_beta}: build the "
+                         f"problem with this config or add_coverage_constraint")
     start = time.monotonic()
     deadline = start + config.time_limit_s if config.time_limit_s is not None else None
     n = problem.n
@@ -948,8 +958,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
             take()  # one proposal per node the tree is about to work on
         if nodes and prunes(node_bound):  # the root is always relaxed, for its bound
             closed_bound = min(closed_bound, node_bound)
-            heap.clear()  # best-first: every open node is at least this bound
-            break
+            break  # best-first: every open node is at least this bound
         nodes += 1
         info, iterations = _relax(lp, node)
         lp_iterations += iterations

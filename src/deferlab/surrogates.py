@@ -37,7 +37,7 @@ def _check_batch(scores, y, human_correct):
     n, cp1 = g.shape
     if y.shape != (n,) or hc.shape != (n,):
         raise ValueError("y and human_correct must have one entry per row")
-    if y.min() < 0 or y.max() >= cp1 - 1:
+    if n and (y.min() < 0 or y.max() >= cp1 - 1):
         raise ValueError("class ids must lie in [0, C)")
     return g, y, hc
 

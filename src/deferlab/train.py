@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DeferDataset
+from .core import DeferDataset, system_correct
 from .surrogates import (LOSSES, _class_argmax, _class_max, _log_softmax, _sigmoid,
                          _softmax, _softplus)
 
@@ -76,88 +76,71 @@ def _t(a):
 @dataclass
 class ScoreModel:
     """A linear (``hidden_units`` 0) or one-hidden-layer ReLU scoring
-    function with flat params."""
+    function with flat params: each layer's weights (fan_out, fan_in) then
+    its biases, layer after layer."""
 
     input_dim: int
     output_dim: int
     hidden_units: int = 0
     params: np.ndarray = field(default=None, repr=False)
+    # (fan_in, fan_out) of each layer; a linear model is the one-layer case
+    fans: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d, out, h = self.input_dim, self.output_dim, self.hidden_units
         if h < 0:
             raise ValueError(f"hidden_units={h}: use 0 for a linear model or at least 1")
-        size = (d + 1) * out if h == 0 else (d + 1) * h + (h + 1) * out
+        self.fans = ((d, out),) if h == 0 else ((d, h), (h, out))
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in self.fans)
         if self.params is not None and self.params.size != size:
-            raise ValueError(f"{self.arch} model with d={d}, out={out}, hidden_units={h} "
+            raise ValueError(f"a model with d={d}, out={out}, hidden_units={h} "
                              f"has {size} parameters, got {self.params.size}")
-
-    @property
-    def arch(self) -> str:
-        return "linear" if self.hidden_units == 0 else "one_hidden"
 
     @classmethod
     def initialize(cls, input_dim, output_dim, hidden_units, rng) -> "ScoreModel":
         """Symmetric-uniform init scaled by 1/sqrt(fan_in), layer by layer."""
         model = cls(input_dim, output_dim, hidden_units)  # checks the shape
-        b1 = 1.0 / np.sqrt(input_dim)
-        if hidden_units == 0:
-            model.params = rng.uniform(-b1, b1, size=(input_dim + 1) * output_dim)
-        else:
-            b2 = 1.0 / np.sqrt(hidden_units)
-            model.params = np.concatenate([
-                rng.uniform(-b1, b1, size=(input_dim + 1) * hidden_units),
-                rng.uniform(-b2, b2, size=(hidden_units + 1) * output_dim),
-            ])
+        model.params = np.concatenate([
+            rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in),
+                        size=(fan_in + 1) * fan_out)
+            for fan_in, fan_out in model.fans
+        ])
         return model
 
     def _unpack(self, stack):
-        """Weights (K, fan_out, fan_in) and biases (K, 1, fan_out) of each row
-        of a (K, p) parameter stack: views, so they follow in-place updates
-        of the stack."""
-        d, out, h = self.input_dim, self.output_dim, self.hidden_units
-        k = stack.shape[0]
-        if h == 0:
-            w = stack[:, : d * out].reshape(k, out, d)
-            b = stack[:, None, d * out :]
-            return w, b
-        n1 = d * h
-        w1 = stack[:, :n1].reshape(k, h, d)
-        b1 = stack[:, None, n1 : n1 + h]
-        n2 = n1 + h
-        w2 = stack[:, n2 : n2 + h * out].reshape(k, out, h)
-        b2 = stack[:, None, n2 + h * out :]
-        return w1, b1, w2, b2
+        """One (weights (K, fan_out, fan_in), biases (K, 1, fan_out)) pair
+        per layer of a (K, p) parameter stack: views, so they follow
+        in-place updates of the stack."""
+        k, start, layers = stack.shape[0], 0, []
+        for fan_in, fan_out in self.fans:
+            mid = start + fan_in * fan_out
+            layers.append((stack[:, start:mid].reshape(k, fan_out, fan_in),
+                           stack[:, None, mid : mid + fan_out]))
+            start = mid + fan_out
+        return tuple(layers)
 
     def _stack_forward(self, layers, x):
         """Scores (K, n, output_dim) of each row of a (K, p) parameter stack,
         given as its ``_unpack`` views."""
-        if self.hidden_units == 0:
-            w, b = layers
-            return x @ _t(w) + b
-        w1, b1, w2, b2 = layers
-        hidden = np.maximum(0.0, x @ _t(w1) + b1)
-        return hidden @ _t(w2) + b2
+        for w, b in layers[:-1]:
+            x = np.maximum(0.0, x @ _t(w) + b)
+        w, b = layers[-1]
+        return x @ _t(w) + b
 
     def _stack_backward(self, layers, x, dscores):
         """Gradients (K, p) of sum(dscores[k] * scores[k]) in each row of a
         parameter stack given as its ``_unpack`` views; ``dscores`` is (K, n,
         output_dim)."""
         k = dscores.shape[0]
-        if self.hidden_units == 0:
-            dw = _t(dscores) @ x
-            db = dscores.sum(axis=1)
-            return np.concatenate([dw.reshape(k, -1), db], axis=1)
-        w1, b1, w2, _ = layers
-        z1 = x @ _t(w1) + b1
-        a1 = np.maximum(0.0, z1)
-        dw2 = _t(dscores) @ a1
-        db2 = dscores.sum(axis=1)
-        da1 = dscores @ w2
-        dz1 = da1 * (z1 > 0)
-        dw1 = _t(dz1) @ x
-        db1 = dz1.sum(axis=1)
-        return np.concatenate([dw1.reshape(k, -1), db1, dw2.reshape(k, -1), db2], axis=1)
+        inputs = [x]  # each layer's input
+        for w, b in layers[:-1]:
+            inputs.append(np.maximum(0.0, inputs[-1] @ _t(w) + b))
+        grads = []  # biases then weights of each layer, last layer first
+        for i in range(len(layers) - 1, -1, -1):
+            grads += [dscores.sum(axis=1), (_t(dscores) @ inputs[i]).reshape(k, -1)]
+            if i:  # a ReLU passes the gradient where its input was positive
+                dscores = (dscores @ layers[i][0]) * (inputs[i] > 0)
+        return np.concatenate(grads[::-1], axis=1)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -195,7 +178,8 @@ class TrainConfig:
 @dataclass
 class TrainedSystem:
     """A trained deferral system: model(s), threshold, and decision rule.
-    The method decides the kind of rejection score (``SCORE_KINDS``)."""
+    The method decides the kind of rejection score (``SCORE_KINDS``) and
+    the models' shapes, which construction checks."""
 
     model: ScoreModel
     num_classes: int
@@ -210,6 +194,20 @@ class TrainedSystem:
     def __post_init__(self):
         if self.method not in SCORE_KINDS:
             raise ValueError(f"unknown method id {self.method!r}")
+        m, aux, c = self.model, self.aux_model, self.num_classes
+        out = model_outputs(self.method, c)
+        if m.output_dim != out:
+            raise ValueError(f"method={self.method} with C={c} needs a model with {out} "
+                             f"outputs, got {m.output_dim}")
+        if (aux is not None) != (self.score_kind in AUX_KINDS):
+            raise ValueError(f"method={self.method} "
+                             f"{'needs an' if aux is None else 'takes no'} auxiliary model")
+        if aux is not None and (aux.input_dim, aux.hidden_units, aux.output_dim) != \
+                (m.input_dim, m.hidden_units, 1):
+            raise ValueError(
+                f"the auxiliary model needs d={m.input_dim}, hidden_units={m.hidden_units} "
+                f"and 1 output like the model's, got d={aux.input_dim}, hidden_units="
+                f"{aux.hidden_units} and {aux.output_dim} outputs")
 
     @property
     def score_kind(self) -> str:
@@ -241,6 +239,12 @@ class TrainedSystem:
         return replace(self, tau=float(tau))
 
 
+def model_outputs(method, num_classes) -> int:
+    """The main model's output count under a method: C class scores, plus a
+    deferral head for the joint methods."""
+    return num_classes + 1 if SCORE_KINDS[method] in JOINT_KINDS else num_classes
+
+
 def _joint_rejection(scores, num_classes, score_kind):
     """Rejection scores of joint C+1-head scores, along the last axis: the
     deferral head minus the class max ("gap") or the head alone
@@ -252,9 +256,7 @@ def _joint_rejection(scores, num_classes, score_kind):
 
 def system_accuracy(deferred, clf_labels, dataset: DeferDataset) -> float:
     """Empirical accuracy of the combined system decisions on a dataset."""
-    correct = np.where(np.asarray(deferred), dataset.human_correct,
-                       np.asarray(clf_labels) == dataset.labels)
-    return float(np.mean(correct))
+    return float(np.mean(system_correct(dataset, deferred, clf_labels)))
 
 
 class _Adam:
@@ -292,18 +294,18 @@ def _fit(dataset: DeferDataset, val_dataset: DeferDataset, config: TrainConfig,
     """Build a model, train it with minibatch Adam and keep each row's
     best-epoch snapshot: the one training path of every trainer.
 
-    The model is ``linear`` when ``config.hidden_units`` is 0, else
-    ``one_hidden``, with ``out_dim`` outputs; an rng seeded with ``seed``
-    draws its weights, then the minibatch orders. ``rows`` copies of the
-    weights train as one stack, told apart only by the loss, so each row
-    follows the path of a one-row run with its loss. ``loss_fn(scores, idx)
-    -> (values, score_grads)`` gets the rows' batch scores stacked row after
-    row; the datasets checked their labels when they were built and ``_fit``
-    checks the scores, so the loss may skip its own checks. After each epoch
-    ``val_metric`` rates the stack's (rows, n, out_dim) validation scores,
-    higher better, and each row keeps its best epoch (ties go to the earlier
-    one); ``train_metric`` rates the training scores. Any row that stops
-    being finite raises TrainingDiverged.
+    The model has ``config.hidden_units`` hidden units (0: linear) and
+    ``out_dim`` outputs; an rng seeded with ``seed`` draws its weights, then
+    the minibatch orders. ``rows`` copies of the weights train as one stack,
+    told apart only by the loss, so each row follows the path of a one-row
+    run with its loss. ``loss_fn(scores, idx) -> (values, score_grads)``
+    gets the rows' batch scores stacked row after row; the datasets checked
+    their labels when they were built and ``_fit`` checks the scores, so the
+    loss may skip its own checks. After each epoch ``val_metric`` rates the
+    stack's (rows, n, out_dim) validation scores, higher better, and each
+    row keeps its best epoch (ties go to the earlier one); ``train_metric``
+    rates the training scores. Any row that stops being finite raises
+    TrainingDiverged.
 
     Returns one model per row holding its best snapshot, then each row's
     best metric, best epoch and best train metric.
@@ -387,7 +389,7 @@ def _fit_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
     def system_acc(scores, ds):
         labels = _class_argmax(scores[:, :, :c])
         defer = _joint_rejection(scores, c, score_kind) >= 0.0
-        return np.mean(np.where(defer, ds.human_correct, labels == ds.labels), axis=1)
+        return np.mean(system_correct(ds, defer, labels), axis=1)
 
     models, best_acc, best_epoch, best_train = _fit(
         dataset, val_dataset, config, c + 1, config.seed, loss_fn,

@@ -66,7 +66,7 @@ def unpack(model, stack):
     of a (K, p) parameter stack."""
     d, out, h = model.input_dim, model.output_dim, model.hidden_units
     k = stack.shape[0]
-    if model.arch == "linear":
+    if model.hidden_units == 0:
         return stack[:, : d * out].reshape(k, out, d), stack[:, None, d * out :]
     n1 = d * h
     n2 = n1 + h
@@ -76,7 +76,7 @@ def unpack(model, stack):
 
 def stack_forward(model, stack, x):
     """Scores (K, n, output_dim) of each row of a (K, p) parameter stack."""
-    if model.arch == "linear":
+    if model.hidden_units == 0:
         w, b = unpack(model, stack)
         return x @ _t(w) + b
     w1, b1, w2, b2 = unpack(model, stack)
@@ -88,7 +88,7 @@ def stack_backward(model, stack, x, dscores):
     """Gradients (K, p) of sum(dscores[k] * scores[k]) in each row of a
     (K, p) parameter stack."""
     k = stack.shape[0]
-    if model.arch == "linear":
+    if model.hidden_units == 0:
         dw = _t(dscores) @ x
         db = dscores.sum(axis=1)
         return np.concatenate([dw.reshape(k, -1), db], axis=1)

@@ -16,9 +16,10 @@ from deferlab.cli import (
     load_model_file,
     main,
     parse_config_file,
+    save_score_system,
 )
-from deferlab.core import HalfspacePair, load_dataset_csv
-from deferlab.train import TrainedSystem
+from deferlab.core import DeferDataset, HalfspacePair, load_dataset_csv
+from deferlab.train import METHODS, TrainConfig, TrainedSystem, fit_tau, train_method
 
 
 def run_cli(*argv):
@@ -236,6 +237,29 @@ class TestTrainEvalRoundTrip:
         assert system.aux_model is not None
         assert system.score_kind == "confidence"
 
+    @pytest.mark.parametrize("hidden", [0, 3])
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_every_method_saves_and_loads(self, tmp_path, classes, hidden):
+        rng = np.random.default_rng(classes + hidden)
+        ds = DeferDataset(rng.normal(size=(40, 3)), rng.integers(0, classes, 40),
+                          rng.integers(0, classes, 40), classes)
+        path = tmp_path / "model.csv"
+        for method in METHODS:
+            system = train_method(method, ds, ds, TrainConfig(epochs=2, hidden_units=hidden))
+            system = system.with_tau(fit_tau(system, ds))
+            save_score_system(system, path)
+            loaded = load_model_file(path)
+            assert (loaded.method, loaded.num_classes, loaded.tau) == \
+                (method, classes, system.tau)
+            for a, b in ((system.model, loaded.model), (system.aux_model, loaded.aux_model)):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert (a.input_dim, a.output_dim, a.hidden_units) == \
+                        (b.input_dim, b.output_dim, b.hidden_units)
+                    assert a.params.tobytes() == b.params.tobytes()
+            assert loaded.rejection_scores(ds.features).tobytes() == \
+                system.rejection_scores(ds.features).tobytes()
+
     def test_explicit_alpha_grid_is_trained(self, tmp_path):
         # ce's own grid is (0, 0.1, 0.5, 1); the rs grid given by flag must
         # be the one trained, even though it is rs's unset default
@@ -320,21 +344,24 @@ class TestModelFileValidation:
         return out
 
     @pytest.mark.parametrize("source,edit,message", [
-        ("confidence", lambda t: "\n".join(t.splitlines()[:2]) + "\n", "needs 4 lines, got 2"),
-        ("rs", lambda t: _edit_line(t, 0, "linear", "quadratic"), "architecture 'quadratic'"),
-        ("rs", lambda t: _edit_line(t, 0, "linear,3,3,0", "linear,3,3,7"), "hidden_units=7"),
-        ("rs", lambda t: _edit_line(t, 0, "linear,3,3,0", "one_hidden,3,3,0"), "hidden_units=0"),
+        ("rs", lambda t: _edit_line(t, 0, "score_model,rs,", "score_model,bogus,"),
+         "unknown method 'bogus'"),
+        ("rs", lambda t: _edit_line(t, 0, "score_model,rs,2,3,0,", "score_model,rs,2,3,0,0,"),
+         "a score_model header has 6 fields, got 7"),
+        ("rs", lambda t: _edit_line(t, 0, "score_model,rs,2,", "score_model,rs,two,"),
+         "invalid literal for int()"),
+        ("rs", lambda t: _edit_line(t, 1, ",", ",x,"), "could not convert string to float"),
+        ("rs", lambda t: _edit_line(t, 0, "rs,2,3,0,", "rs,2,3,7,"), "hidden_units=7"),
         ("rs", lambda t: _edit_line(t, 1, ",", ",1.0,"), "has 12 parameters, got 13"),
-        ("rs", lambda t: _edit_line(t, 0, ",gap,2,", ",gap,3,"), "expected 3 to 4"),
-        ("rs", lambda t: _edit_line(t, 0, ",gap,", ",margin,"), "unknown score kind"),
-        ("rs", lambda t: _edit_line(t, 0, ",gap,2,rs", ",gap,2,bogus"),
-         "unknown method 'bogus' with score kind 'gap'"),
-        ("rs", lambda t: _edit_line(t, 0, ",gap,2,rs", ",defer_head,2,rs"),
-         "score kind 'defer_head' does not match method 'rs', which defers on 'gap'"),
-        ("rs", lambda t: _edit_line(t, 0, ",gap,2,rs", ",gap,2"), "header has 9 fields"),
-        ("confidence", lambda t: _edit_line(t, 2, "aux,linear,3,1", "aux,linear,1,2"),
-         "expected 3 to 1"),
-        ("confidence", lambda t: _edit_line(t, 2, "aux,", "extra,"), "malformed aux header"),
+        ("rs", lambda t: _edit_line(t, 0, "rs,2,3,", "rs,3,3,"),
+         "d=3, out=4, hidden_units=0 has 16 parameters, got 12"),
+        ("confidence", lambda t: _edit_line(t, 2, ",", ",1.0,"),
+         "d=3, out=1, hidden_units=0 has 4 parameters, got 5"),
+        ("confidence", lambda t: "\n".join(t.splitlines()[:2]) + "\n",
+         "method=confidence needs an auxiliary model"),
+        ("rs", lambda t: t + "0.0,0.0,0.0,0.0\n", "method=rs takes no auxiliary model"),
+        ("confidence", lambda t: t + "0.0,0.0,0.0,0.0\n", "has 2 or 3 lines, got 4"),
+        ("rs", lambda t: t.splitlines()[0] + "\n", "has 2 or 3 lines, got 1"),
     ])
     def test_malformed_score_model(self, files, tmp_path, capsys, source, edit, message):
         bad = tmp_path / "bad.csv"
@@ -342,6 +369,21 @@ class TestModelFileValidation:
         assert run_cli("eval", "--data", str(files["data"]), "--model", str(bad)) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
+
+    def test_header_holds_what_the_method_does_not_imply(self, files):
+        header = files["confidence"].read_text().splitlines()[0].split(",")
+        assert header[:5] == ["score_model", "confidence", "2", "3", "0"]
+        assert float(header[5]) == load_model_file(files["confidence"]).tau
+
+    def test_older_format_is_rejected(self, files, tmp_path, capsys):
+        # the header that also spelled out the arch, outputs and score kind,
+        # and its aux header line
+        old = tmp_path / "old.csv"
+        old.write_text("score_model,linear,3,2,0,0.0,confidence,2,confidence\n"
+                       + ",".join(["0.0"] * 8) + "\naux,linear,3,1,0\n0.0,0.0,0.0,0.0\n")
+        assert run_cli("eval", "--data", str(files["data"]), "--model", str(old)) == 1
+        err = capsys.readouterr().err
+        assert str(old) in err and "a score_model header has 6 fields, got 9" in err
 
     def test_malformed_halfspace_pair(self, files, tmp_path, capsys):
         bad = tmp_path / "pair.csv"

@@ -12,6 +12,7 @@ from deferlab.core import (
     pair_decisions,
     predict_halfspace,
     save_dataset_csv,
+    system_correct,
     system_loss_01,
 )
 
@@ -85,6 +86,17 @@ class TestSystemLoss:
             for i in range(n)
         )
         assert loss == expect / n
+
+    def test_system_correct_broadcasts_over_stacked_decisions(self):
+        # two stacked rows of decisions, as the trainer rates a parameter stack
+        ds = DeferDataset(np.ones((3, 1)), [0, 1, 0], [0, 0, 0], 2)
+        deferred = np.array([[True, False, False], [False, True, True]])
+        labels = np.array([[1, 1, 0], [0, 0, 1]])
+        correct = system_correct(ds, deferred, labels)
+        assert correct.tolist() == [[True, True, True], [True, False, True]]
+        for row in range(2):
+            assert system_loss_01(ds, deferred[row], labels[row]) == \
+                pytest.approx(1.0 - correct[row].mean())
 
 
 class TestPredictHalfspace:

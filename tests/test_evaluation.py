@@ -18,7 +18,7 @@ from deferlab.evaluation import (
     write_results_csv,
     write_curves_svg,
 )
-from deferlab.train import TrainConfig
+from deferlab.train import ScoreModel, TrainConfig, TrainedSystem, system_accuracy
 
 
 def fixed_dataset():
@@ -82,6 +82,24 @@ class TestEvaluate:
                 round(rep.coverage * rep.n_points)
             )
 
+    def test_scores_pass_once(self, monkeypatch):
+        # the rejection scores are thresholded at tau, not computed again by
+        # decide: one forward pass for them and one for the class labels
+        ds = fixed_dataset()
+        system = TrainedSystem(ScoreModel.initialize(1, 3, 0, np.random.default_rng(0)), 2,
+                               tau=0.1, method="rs")
+        deferred, labels = system.decide(ds.features)
+        calls = []
+        forward = ScoreModel.forward
+        monkeypatch.setattr(ScoreModel, "forward",
+                            lambda model, x: calls.append(x) or forward(model, x))
+        rep = evaluate(system, ds)
+        assert rep.coverage == np.mean(~deferred)
+        assert rep.system_accuracy == system_accuracy(deferred, labels, ds)
+        assert len(calls) == 2
+        coverage_curve(system, ds)
+        assert len(calls) == 4
+
 
 class TestCoverageCurve:
     def test_constant_score_two_regimes(self):
@@ -133,12 +151,14 @@ class TestCoverageCurve:
 class _FixedScores:
     """A deferral system with given rejection scores and classifier labels."""
 
+    tau = 0.0
+
     def __init__(self, scores, labels):
         self.scores = np.asarray(scores, dtype=float)
         self.labels = np.asarray(labels)
 
-    def decide(self, features):
-        return self.scores >= 0.0, self.labels
+    def classifier_labels(self, features):
+        return self.labels
 
     def rejection_scores(self, features):
         return self.scores

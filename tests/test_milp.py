@@ -321,7 +321,7 @@ class TestMulticlass:
             x[lay["t"]] = t
             holds = (lp.A[clf] @ x >= lp.b[clf] - 1e-12).reshape(n, C - 1).all(axis=1)
             assert np.array_equal(holds, right | (t == 1))
-        assert cand.train_cost == pytest.approx(1.0 - right.mean())
+        assert cand.objective == pytest.approx(1.0 - right.mean())  # lambda_reg is 0
 
     def test_hard_draws_proven_within_a_node_limit(self):
         # with a binary per point and other class, 2000 nodes did not prove
@@ -373,6 +373,28 @@ class TestCoverage:
     def test_validation(self):
         with pytest.raises(ValueError):
             add_coverage_constraint(self.base, 1.2)
+
+    def test_config_beta_must_be_the_problems(self):
+        # XOR labels and 3 human errors: the plain optimum 0 defers 3 of the
+        # 8 points, and without deferring 0.25 is the best. A solve that
+        # read the problem's beta and ignored the config's would prove 0.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8, 2))
+        y = (x[:, 0] * x[:, 1] > 0).astype(int)
+        h = y.copy()
+        wrong = rng.choice(8, 3, replace=False)
+        h[wrong] = 1 - h[wrong]
+        ds = DeferDataset(x, y, h, 2)
+        cfg = MilpConfig(coverage_beta=0.0)
+        with pytest.raises(ValueError, match="config coverage_beta=0.0 differs from the "
+                                             "problem's coverage_beta=None"):
+            solve_milp(build_milp(ds, MilpConfig()), cfg)
+        with pytest.raises(ValueError, match="coverage_beta=0.5 differs"):
+            solve_milp(build_milp(ds, cfg), MilpConfig(coverage_beta=0.5))
+        for config in (cfg, None, MilpConfig()):  # the same beta, or none set
+            sol = solve_milp(build_milp(ds, cfg), config)
+            assert (sol.status, sol.objective) == ("proven_optimal", 0.25)
+            assert not pair_decisions(sol.pair, ds.features)[0].any()
 
 
 class TestFairness:

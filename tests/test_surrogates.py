@@ -491,6 +491,23 @@ class TestSurrogateLoss:
         with pytest.raises(ValueError, match=f"alpha does not apply to method={method}"):
             surrogate_loss(method, g, y, hc, alpha)
 
+    @pytest.mark.parametrize("method", ["rs", "rs2", "ce", "ova", "moe"])
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_empty_batch(self, method, classes):
+        alpha = 0.5 if method in ("rs", "ce") else None
+        vals, grads = surrogate_loss(method, np.zeros((0, classes + 1)), [], [], alpha)
+        assert (vals.shape, grads.shape) == ((0,), (0, classes + 1))
+        if alpha is None:
+            with pytest.raises(ValueError, match=f"alpha does not apply to method={method}"):
+                surrogate_loss(method, np.zeros((0, classes + 1)), [], [], 0.5)
+        else:
+            assert surrogate_loss(method, np.zeros((0, classes + 1)), [], [],
+                                  np.zeros(0))[1].shape == (0, classes + 1)
+            with pytest.raises(ValueError, match=f"method={method} needs an alpha"):
+                surrogate_loss(method, np.zeros((0, classes + 1)), [], [])
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                surrogate_loss(method, np.zeros((0, classes + 1)), [], [], 1.5)
+
     @pytest.mark.parametrize("method", ["hinge", "confidence", "rs_alpha", None])
     def test_unknown_method(self, method):
         g, y, hc = _random_batch(np.random.default_rng(7), 4, 2)

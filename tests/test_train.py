@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -66,7 +67,7 @@ class TestScoreModel:
     def test_backward_matches_fd(self, arch, hidden):
         rng = np.random.default_rng(1)
         m = ScoreModel.initialize(3, 4, hidden, rng)
-        assert m.arch == arch
+        assert len(m.fans) == {"linear": 1, "one_hidden": 2}[arch]
         x = rng.normal(size=(6, 3))
         dscores = rng.normal(size=(6, 4))
         grad = m._stack_backward(m._unpack(m.params[None]), x, dscores[None])[0]
@@ -79,10 +80,13 @@ class TestScoreModel:
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
     def test_bad_arch(self):
-        # the arch follows the hidden units, which cannot be negative
+        # the layers follow the hidden units, which cannot be negative
         with pytest.raises(ValueError, match="hidden_units=-1"):
             ScoreModel.initialize(3, 4, -1, np.random.default_rng(0))
-        assert (ScoreModel(3, 4).arch, ScoreModel(3, 4, 1).arch) == ("linear", "one_hidden")
+        assert ScoreModel(3, 4).fans == ((3, 4),)
+        assert ScoreModel(3, 4, 1).fans == ((3, 1), (1, 4))
+        with pytest.raises(ValueError, match="hidden_units=1 has 12 parameters, got 11"):
+            ScoreModel(3, 4, 1, np.zeros(11))
 
     @pytest.mark.parametrize("arch,hidden", [("linear", 0), ("one_hidden", 3)])
     @pytest.mark.parametrize("rows", [1, 3])
@@ -90,16 +94,41 @@ class TestScoreModel:
         # _fit unpacks once and lets Adam update the stack in place
         rng = np.random.default_rng(4)
         m = ScoreModel.initialize(3, 4, hidden, rng)
-        assert m.arch == arch
         stack = np.repeat(m.params[None], rows, axis=0)
         layers = m._unpack(stack)
+        assert len(layers) == {"linear": 1, "one_hidden": 2}[arch]
+        # one (weights, biases) pair per layer, in the stack's order
+        assert [(w.shape, b.shape) for w, b in layers] == \
+            [((rows, fan_out, fan_in), (rows, 1, fan_out)) for fan_in, fan_out in m.fans]
+        flat = np.concatenate([a.reshape(rows, -1) for layer in layers for a in layer], axis=1)
+        assert flat.tobytes() == stack.tobytes()
         x = rng.normal(size=(5, 3))
         stack -= rng.normal(size=stack.shape)
-        assert all(np.shares_memory(layer, stack) for layer in layers)
+        assert all(np.shares_memory(a, stack) for layer in layers for a in layer)
         for r in range(rows):
             want = replace(m, params=stack[r].copy()).forward(x)
             assert m._stack_forward(layers, x)[r].tobytes() == want.tobytes()
             assert want.tobytes() == ref.forward(replace(m, params=stack[r].copy()), x).tobytes()
+
+    def test_passes_keep_their_bits(self):
+        # SHA-256 over initialize's draws and the stacked forward and
+        # backward passes of 400 seeded shapes: d 1-11, 1-5 outputs, hidden
+        # 0/1/3/8, 1-4 stacked rows and 1-39 points. The digest was recorded
+        # with the linear and one-hidden-layer passes written out branch by
+        # branch, before one layer loop served both.
+        h = hashlib.sha256()
+        rng = np.random.default_rng(24)
+        for i in range(400):
+            d, out, rows, n = (int(v) for v in rng.integers((1, 1, 1, 1), (12, 6, 5, 40)))
+            hidden = int(rng.choice([0, 1, 3, 8]))
+            model = ScoreModel.initialize(d, out, hidden, np.random.default_rng(i))
+            stack = model.params + rng.normal(size=(rows, model.params.size))
+            x = rng.normal(size=(n, d))
+            layers = model._unpack(stack)
+            for a in (model.params, model._stack_forward(layers, x),
+                      model._stack_backward(layers, x, rng.normal(size=(rows, n, out)))):
+                h.update(a.tobytes())
+        assert h.hexdigest() == "c29d50dc03bf0cdedc26e832b7922768cc92a80d68211b49a8391d4ba2189b58"
 
 
 class TestAdamStep:
@@ -605,6 +634,53 @@ class TestTrainMethodDispatch:
             TrainedSystem(model=model, num_classes=2, method="rs", score_kind="gap")
 
 
+def _model(d=2, out=3, hidden=0):
+    return ScoreModel.initialize(d, out, hidden, np.random.default_rng(0))
+
+
+class TestTrainedSystemShapes:
+    """A system's models must have the shapes its method reads: C+1 outputs
+    for a joint method, C for a two-stage one, and an auxiliary model, with
+    the model's d and hidden units and one output, exactly for confidence
+    and triage."""
+
+    @pytest.mark.parametrize("method", ["rs", "rs2", "ce", "ova", "moe"])
+    def test_joint_methods_need_a_deferral_head(self, method):
+        # with 2 outputs, rs would read class 1's score as its deferral head
+        with pytest.raises(ValueError, match=f"method={method} with C=2 needs a model "
+                                             "with 3 outputs, got 2"):
+            TrainedSystem(_model(out=2), 2, method=method)
+        assert TrainedSystem(_model(out=3), 2, method=method).model.output_dim == 3
+
+    @pytest.mark.parametrize("method", ["confidence", "selective", "triage"])
+    def test_two_stage_methods_take_class_scores_only(self, method):
+        aux = _model(out=1) if method != "selective" else None
+        with pytest.raises(ValueError, match="needs a model with 2 outputs, got 3"):
+            TrainedSystem(_model(out=3), 2, aux_model=aux, method=method)
+        assert TrainedSystem(_model(out=2), 2, aux_model=aux, method=method).num_classes == 2
+
+    @pytest.mark.parametrize("method", ["confidence", "triage"])
+    def test_missing_auxiliary_model(self, method):
+        # it would build, then fail on None.forward at its first decision
+        with pytest.raises(ValueError, match=f"method={method} needs an auxiliary model"):
+            TrainedSystem(_model(out=2), 2, method=method)
+
+    @pytest.mark.parametrize("method,out", [("rs", 3), ("moe", 3), ("selective", 2)])
+    def test_extra_auxiliary_model(self, method, out):
+        with pytest.raises(ValueError, match=f"method={method} takes no auxiliary model"):
+            TrainedSystem(_model(out=out), 2, aux_model=_model(out=1), method=method)
+
+    @pytest.mark.parametrize("aux", [_model(d=3, out=1), _model(out=1, hidden=2),
+                                     _model(out=2)], ids=["d", "hidden_units", "outputs"])
+    def test_auxiliary_model_shaped_like_the_model(self, aux):
+        with pytest.raises(ValueError, match="the auxiliary model needs d=2, hidden_units=0 "
+                                             "and 1 output"):
+            TrainedSystem(_model(out=2), 2, aux_model=aux, method="triage")
+        with pytest.raises(ValueError, match="the auxiliary model needs"):
+            replace(TrainedSystem(_model(out=2), 2, aux_model=_model(out=1),
+                                  method="confidence"), aux_model=aux)
+
+
 # The trainers as they were before every model went through one fit path,
 # kept as the reference the trainers must equal bit for bit. They share no
 # training numerics with the code they check: the score model's passes,
@@ -855,8 +931,8 @@ def _assert_same_bytes(a, b):
     for ma, mb in ((a.model, b.model), (a.aux_model, b.aux_model)):
         assert (ma is None) == (mb is None)
         if ma is not None:
-            assert (ma.arch, ma.input_dim, ma.output_dim, ma.hidden_units) == \
-                (mb.arch, mb.input_dim, mb.output_dim, mb.hidden_units)
+            assert (ma.input_dim, ma.output_dim, ma.hidden_units) == \
+                (mb.input_dim, mb.output_dim, mb.hidden_units)
             assert ma.params.tobytes() == mb.params.tobytes()
     fields = ("method", "score_kind", "tau", "alpha", "best_epoch", "best_val_accuracy",
               "min_train_error")
