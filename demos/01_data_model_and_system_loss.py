@@ -11,8 +11,6 @@ import numpy as np
 from deferlab import (
     SyntheticConfig,
     generate_synthetic,
-    halfspace_system_loss,
-    predict_halfspace,
     system_loss_01,
 )
 
@@ -27,19 +25,21 @@ pair = instance.planted_pair
 print(f"dataset: n={dataset.n}, d={dataset.d}, classes={dataset.num_classes}")
 print(f"human accuracy: {np.mean(dataset.human_correct):.2f}")
 
-# Run the planted pair on each point. The rejector defers when its
-# activation on the bias-augmented input is >= 0.
+# Run the planted pair on every point. The rejector defers when its
+# activation on the bias-augmented input is >= 0; the final label is then the
+# human's, else the classifier's.
+deferred, clf = pair.decide(dataset.features)
+final = np.where(deferred, dataset.human_preds, clf)
 print("\n  x0      x1      y  h  defer  clf  final")
 for i in range(dataset.n):
-    p = predict_halfspace(pair, dataset.features[i], human_pred=int(dataset.human_preds[i]))
     print(f"{dataset.features[i, 0]:+7.2f} {dataset.features[i, 1]:+7.2f}  "
           f"{dataset.labels[i]}  {dataset.human_preds[i]}  "
-          f"{str(p.deferred):5s}  {p.classifier_label}    {p.final_label}")
+          f"{str(deferred[i]):5s}  {clf[i]}    {final[i]}")
 
 # The 0-1 system loss charges a point when whoever decided it was wrong.
 # The planted pair is consistent with how the labels were drawn, so its
 # training loss is exactly zero.
-loss = halfspace_system_loss(pair, dataset)
+loss = system_loss_01(dataset, deferred, clf)
 print(f"\nplanted pair system loss: {loss}")
 assert loss == 0.0
 

@@ -9,6 +9,7 @@ classifier weight vector per class.
 """
 
 from deferlab import (
+    GroupedExpertConfig,
     MilpConfig,
     SyntheticConfig,
     add_coverage_constraint,
@@ -16,7 +17,6 @@ from deferlab import (
     build_milp,
     generate_grouped_expert,
     generate_synthetic,
-    pair_decisions,
     solve_milp,
 )
 
@@ -29,7 +29,7 @@ problem = build_binary_milp(dataset, MilpConfig())
 solution = solve_milp(problem, MilpConfig())
 print(f"unconstrained: status={solution.status}  objective={solution.objective:.4f}  "
       f"train loss={solution.train_loss:.4f}  nodes={solution.nodes_explored}")
-deferred, _, _ = pair_decisions(solution.pair, dataset.features)
+deferred, _ = solution.pair.decide(dataset.features)
 print(f"deferral rate at the optimum: {deferred.mean():.2f}")
 
 # A coverage budget caps how often the system may defer. Tightening it
@@ -39,7 +39,7 @@ last = solution.objective
 for beta in (0.75, 0.5, 0.25, 0.0):
     constrained = add_coverage_constraint(problem, beta)
     sol = solve_milp(constrained, MilpConfig(time_limit_s=60))
-    deferred, _, _ = pair_decisions(sol.pair, dataset.features)
+    deferred, _ = sol.pair.decide(dataset.features)
     print(f"  beta={beta:4.2f}: objective={sol.objective:.4f}  "
           f"deferral={deferred.mean():.2f}  status={sol.status}")
     assert deferred.mean() <= beta + 1e-9
@@ -48,7 +48,8 @@ for beta in (0.75, 0.5, 0.25, 0.0):
     last = sol.objective
 
 # Three classes: the expert is perfect on class 0 and guesses on the others.
-grouped = generate_grouped_expert(d=2, n=10, C=3, K=1, seed=1, blob_std=3.0)
+grouped = generate_grouped_expert(GroupedExpertConfig(d=2, n=10, C=3, K=1, seed=1,
+                                                      blob_std=3.0))
 multi = solve_milp(build_milp(grouped, MilpConfig()))
 print(f"\n3 classes, 10 points: status={multi.status}  objective={multi.objective:.4f}  "
       f"nodes={multi.nodes_explored}")

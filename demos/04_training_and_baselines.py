@@ -15,8 +15,8 @@ from deferlab import (
     build_binary_milp,
     fit_tau,
     generate_synthetic,
-    halfspace_system_loss,
     solve_milp,
+    system_loss_01,
     train_method,
 )
 from deferlab.train import METHODS, system_accuracy
@@ -41,8 +41,10 @@ for method in METHODS:
     note = f"alpha={system.alpha}" if system.alpha is not None else ""
     print(f"{method:12s} {err:10.4f}  {note}")
 
+# the solver's pair decides the way a trained system does
 solution = solve_milp(build_binary_milp(train, MilpConfig()), MilpConfig(time_limit_s=120))
-print(f"{'milp':12s} {halfspace_system_loss(solution.pair, test):10.4f}  "
+milp_err = system_loss_01(test, *solution.pair.decide(test.features))
+print(f"{'milp':12s} {milp_err:10.4f}  "
       f"train loss {solution.train_loss:.4f}, {solution.status}")
 
 # The rejection threshold can be re-tuned on validation after training;

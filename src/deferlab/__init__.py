@@ -17,12 +17,8 @@ The package has one module per concern:
 from .core import (
     DeferDataset,
     HalfspacePair,
-    Prediction,
     augment,
-    halfspace_system_loss,
     load_dataset_csv,
-    pair_decisions,
-    predict_halfspace,
     save_dataset_csv,
     system_loss_01,
 )

@@ -302,11 +302,11 @@ def _write_text(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def save_halfspace_pair(pair: HalfspacePair, path, num_classes=2) -> None:
+def save_halfspace_pair(pair: HalfspacePair, path) -> None:
     """Line 1: ``halfspace_pair,<C>,<d>``; then the classifier row(s); last
     line is the rejector row. Values are comma-joined reprs."""
     rows = list(np.atleast_2d(pair.classifier_weights)) + [pair.rejector_weights]
-    lines = [f"halfspace_pair,{num_classes},{pair.dim}"]
+    lines = [f"halfspace_pair,{pair.num_classes},{pair.dim}"]
     lines += [",".join(repr(float(v)) for v in row) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -339,10 +339,15 @@ def _parse_model(lines):
         raise ValueError(f"a {head[0]} header has {fields[head[0]]} fields, got {len(head)}")
     if head[0] == "halfspace_pair":
         num_classes, d = int(head[1]), int(head[2])
+        if num_classes < 2 or d < 1:
+            raise ValueError(f"a halfspace_pair header needs C >= 2 and d >= 1, "
+                             f"got C={num_classes}, d={d}")
         rows = [_weights(line) for line in lines[1:]]
-        expected = (num_classes if num_classes > 2 else 1) + 1
-        if len(rows) != expected:
-            raise ValueError(f"expected {expected} weight rows, got {len(rows)}")
+        # a 2-class classifier is one sign-test row or two argmax rows
+        expected = (2, 3) if num_classes == 2 else (num_classes + 1,)
+        if len(rows) not in expected:
+            raise ValueError(f"expected {' or '.join(map(str, expected))} weight rows, "
+                             f"got {len(rows)}")
         if any(row.size != d + 1 for row in rows):
             raise ValueError(f"every weight row needs d + 1 = {d + 1} values")
         classifier = rows[0] if len(rows) == 2 else np.vstack(rows[:-1])
@@ -410,8 +415,7 @@ def cmd_milp(args):
         "config": {row.key: getattr(milp_cfg, row.field) for row in SOLVER_SETTINGS[1]},
     }
     _write_text(args.out_record, json.dumps(record, indent=2) + "\n")
-    _atomic_write(args.out_weights,
-                  lambda tmp: save_halfspace_pair(solution.pair, tmp, dataset.num_classes))
+    _atomic_write(args.out_weights, lambda tmp: save_halfspace_pair(solution.pair, tmp))
     print(f"status={solution.status} objective={solution.objective:.6f} "
           f"train_loss={solution.train_loss:.6f} bound={solution.best_bound:.6f} "
           f"gap={solution.objective - solution.best_bound:.6f} nodes={solution.nodes_explored} "
@@ -448,11 +452,7 @@ def cmd_train(args):
 def cmd_eval(args):
     dataset = load_dataset_csv(args.data)
     system = load_model_file(args.model)
-    if isinstance(system, TrainedSystem):
-        d, c = system.model.input_dim, system.num_classes
-    else:
-        w = system.classifier_weights
-        d, c = system.dim, 2 if w.ndim == 1 else w.shape[0]
+    d, c = system.dim, system.num_classes
     if d != dataset.d:
         raise UsageError(f"{args.model}: the model takes d={d}, {args.data} has d={dataset.d}")
     top = int(dataset.labels.max())

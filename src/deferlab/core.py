@@ -12,25 +12,25 @@ Conventions used throughout the package:
 * a rejector defers exactly when ``R . x_tilde >= 0`` (ties defer);
 * a binary classifier predicts 1 exactly when ``M . x_tilde > 0``;
 * multiclass argmax ties break toward the lowest class id.
+
+Every deferral system, a ``HalfspacePair`` or a ``train.TrainedSystem``,
+decides alike: ``decide(features)`` gives each row's (deferred, classifier
+label), and it defers where ``rejection_scores`` reaches ``tau``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 __all__ = [
     "DeferDataset",
     "HalfspacePair",
-    "Prediction",
     "augment",
-    "predict_halfspace",
-    "pair_decisions",
     "system_loss_01",
-    "halfspace_system_loss",
     "save_dataset_csv",
     "load_dataset_csv",
 ]
@@ -108,10 +108,12 @@ class HalfspacePair:
     the label is 1 iff its activation is positive. For multiclass it is a
     (C, d+1) matrix and the label is the argmax row. ``rejector_weights`` is
     always one length d+1 vector; the pair defers iff its activation is >= 0.
+    Its methods take (n, d) raw features.
     """
 
     classifier_weights: np.ndarray
     rejector_weights: np.ndarray
+    tau: ClassVar[float] = 0.0
 
     def __post_init__(self):
         m = np.ascontiguousarray(np.asarray(self.classifier_weights, dtype=float))
@@ -136,19 +138,31 @@ class HalfspacePair:
         """Raw feature dimension d (weights have length d+1)."""
         return self.rejector_weights.shape[0] - 1
 
+    @property
+    def num_classes(self) -> int:
+        m = self.classifier_weights
+        return 2 if m.ndim == 1 else m.shape[0]
 
-@dataclass(frozen=True)
-class Prediction:
-    """Outcome of running a halfspace pair on one input.
+    def _augmented(self, features) -> np.ndarray:
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2 or features.shape[1] != self.dim:
+            raise ValueError(f"expected (n, {self.dim}) features")
+        return augment(features)
 
-    ``final_label`` equals the human prediction when deferred (None if no
-    human prediction was supplied), otherwise the classifier label.
-    """
+    def rejection_scores(self, features) -> np.ndarray:
+        return self._augmented(features) @ self.rejector_weights
 
-    final_label: Optional[int]
-    deferred: bool
-    classifier_label: int
-    rejection_score: float
+    def classifier_labels(self, features) -> np.ndarray:
+        """The sign test for a binary pair, the lowest-index argmax (as
+        np.argmax breaks ties) for a multiclass one."""
+        activations = self._augmented(features) @ self.classifier_weights.T
+        if activations.ndim == 1:
+            return (activations > 0.0).astype(np.int64)
+        return np.argmax(activations, axis=1).astype(np.int64)
+
+    def decide(self, features):
+        """(deferred, classifier_labels) at threshold 0."""
+        return self.rejection_scores(features) >= self.tau, self.classifier_labels(features)
 
 
 def augment(x) -> np.ndarray:
@@ -157,46 +171,6 @@ def augment(x) -> np.ndarray:
     if x.ndim == 1:
         return np.concatenate([x, [1.0]])
     return np.hstack([x, np.ones((x.shape[0], 1))])
-
-
-def _classifier_labels(weights: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    if weights.ndim == 1:
-        return (xt @ weights > 0.0).astype(np.int64)
-    # np.argmax already breaks ties toward the lowest class id
-    return np.argmax(xt @ weights.T, axis=1).astype(np.int64)
-
-
-def pair_decisions(pair: HalfspacePair, features: np.ndarray):
-    """Vectorized decisions of a pair on an (n, d) feature matrix.
-
-    Returns ``(deferred, classifier_labels, rejection_scores)`` arrays.
-    """
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != pair.dim:
-        raise ValueError(f"expected (n, {pair.dim}) features")
-    xt = augment(features)
-    scores = xt @ pair.rejector_weights
-    return scores >= 0.0, _classifier_labels(pair.classifier_weights, xt), scores
-
-
-def predict_halfspace(pair: HalfspacePair, x, human_pred: Optional[int] = None) -> Prediction:
-    """Run a halfspace pair on a single raw feature vector.
-
-    Defers iff the rejector activation on the bias-augmented input is >= 0.
-    The classifier label is the sign test for binary weights and the
-    lowest-index argmax for multiclass weights.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != pair.dim:
-        raise ValueError(f"expected a feature vector of dimension {pair.dim}")
-    xt = augment(x)
-    score = float(xt @ pair.rejector_weights)
-    label = int(_classifier_labels(pair.classifier_weights, xt[None, :])[0])
-    deferred = score >= 0.0
-    final = (int(human_pred) if human_pred is not None else None) if deferred else label
-    return Prediction(
-        final_label=final, deferred=deferred, classifier_label=label, rejection_score=score
-    )
 
 
 def system_correct(dataset: DeferDataset, deferred, classifier_labels) -> np.ndarray:
@@ -219,12 +193,6 @@ def system_loss_01(dataset: DeferDataset, deferred, classifier_labels) -> float:
         raise ValueError("decisions must have one entry per dataset point")
     errors = dataset.n - np.count_nonzero(system_correct(dataset, deferred, labels))
     return float(errors) / dataset.n
-
-
-def halfspace_system_loss(pair: HalfspacePair, dataset: DeferDataset) -> float:
-    """0-1 system loss of a halfspace pair on a dataset."""
-    deferred, labels, _ = pair_decisions(pair, dataset.features)
-    return system_loss_01(dataset, deferred, labels)
 
 
 # ---------------------------------------------------------------------------

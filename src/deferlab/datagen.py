@@ -17,7 +17,7 @@ others, and dataset seeds never interact with training seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -206,21 +206,20 @@ def generate_synthetic(config: SyntheticConfig) -> PlantedInstance:
     return PlantedInstance(dataset=dataset, planted_pair=pair)
 
 
-def generate_grouped_expert(d: int, n: int, C: int, K: int, seed: int = 0, *,
-                            U: float = 10.0, blob_std: float = 1.0) -> DeferDataset:
+def generate_grouped_expert(config: GroupedExpertConfig) -> DeferDataset:
     """Multiclass blobs with a grouped expert: perfect on y < K, uniform above.
 
     Classes are balanced up to remainder; each class draws from its own
     isotropic Gaussian blob with mean Unif(0, U)^d.
     """
-    cfg = GroupedExpertConfig(d=d, n=n, C=C, K=K, U=U, blob_std=blob_std, seed=seed)
-    seq = np.random.SeedSequence(cfg.seed)
+    d, n, C, K = config.d, config.n, config.C, config.K
+    seq = np.random.SeedSequence(config.seed)
     rng_feat, rng_human = (np.random.default_rng(s) for s in seq.spawn(2))
 
     labels = np.arange(n, dtype=np.int64) % C
     labels = rng_feat.permutation(labels)
-    means = rng_feat.uniform(0.0, cfg.U, size=(C, d))
-    x = means[labels] + rng_feat.standard_normal((n, d)) * cfg.blob_std
+    means = rng_feat.uniform(0.0, config.U, size=(C, d))
+    x = means[labels] + rng_feat.standard_normal((n, d)) * config.blob_std
 
     guesses = rng_human.integers(0, C, size=n)
     human = np.where(labels < K, labels, guesses)
@@ -234,7 +233,7 @@ def generate_instance(config) -> tuple:
         instance = generate_synthetic(config)
         return instance.dataset, instance.planted_pair
     if isinstance(config, GroupedExpertConfig):
-        return generate_grouped_expert(**asdict(config)), None
+        return generate_grouped_expert(config), None
     raise ValueError("config must be a SyntheticConfig or GroupedExpertConfig")
 
 

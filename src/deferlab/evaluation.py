@@ -1,6 +1,7 @@
 """Metrics, accuracy-coverage curves, generalization bound, and benchmarks.
 
-``evaluate`` accepts either a trained score system or a raw halfspace pair.
+``evaluate`` and ``coverage_curve`` take any deferral system (a trained
+score system or a halfspace pair) by its tau, scores and labels.
 Coverage curves sweep the rejection threshold over midpoints of the sorted
 distinct rejection scores, with sentinel endpoints forcing coverage 0
 (defer everything) and 1 (never defer). Curves are swept on the evaluation
@@ -18,17 +19,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .core import DeferDataset, HalfspacePair, pair_decisions, system_correct
+from .core import DeferDataset, system_correct
 from .datagen import generate_instance
 from .milp import MilpConfig, build_milp, solve_milp
 from .train import (
     METHODS,
     TrainConfig,
-    TrainedSystem,
     _threshold_candidates,
     _threshold_counts,
     train_method,
@@ -82,15 +82,13 @@ class CoverageCurve:
         return len(self.thresholds)
 
 
-def _decisions(system: Union[TrainedSystem, HalfspacePair], dataset: DeferDataset):
-    """(deferred, classifier labels, rejection scores) of a trained system or a pair."""
-    if isinstance(system, HalfspacePair):
-        return pair_decisions(system, dataset.features)
+def _decisions(system, dataset: DeferDataset):
+    """(deferred, classifier labels, rejection scores) of a deferral system."""
     scores = system.rejection_scores(dataset.features)
     return scores >= system.tau, system.classifier_labels(dataset.features), scores
 
 
-def evaluate(system: Union[TrainedSystem, HalfspacePair], dataset: DeferDataset) -> EvalReport:
+def evaluate(system, dataset: DeferDataset) -> EvalReport:
     """Exact empirical system accuracy, coverage, and per-arm accuracies."""
     deferred, labels, _ = _decisions(system, dataset)
     kept = ~deferred
@@ -105,8 +103,7 @@ def evaluate(system: Union[TrainedSystem, HalfspacePair], dataset: DeferDataset)
     )
 
 
-def coverage_curve(system: Union[TrainedSystem, HalfspacePair], dataset: DeferDataset,
-                   grid_size: int = 50) -> CoverageCurve:
+def coverage_curve(system, dataset: DeferDataset, grid_size: int = 50) -> CoverageCurve:
     """Sweep the rejection threshold; returns strictly increasing thresholds.
 
     Interior thresholds are midpoints of the sorted distinct rejection

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DeferDataset, HalfspacePair, augment, pair_decisions, system_loss_01
+from .core import DeferDataset, HalfspacePair, augment, system_loss_01
 from .lp import LinearProgram, origin_in_hull, solve_lp
 
 __all__ = [
@@ -1023,8 +1023,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     pair, train_loss = None, np.inf
     if incumbent is not None:
         pair = _unnormalize_pair(problem, incumbent.m_norm, incumbent.r_norm)
-        deferred, labels, _ = pair_decisions(pair, problem.dataset.features)
-        train_loss = system_loss_01(problem.dataset, deferred, labels)
+        train_loss = system_loss_01(problem.dataset, *pair.decide(problem.dataset.features))
     return MilpSolution(
         pair=pair,
         objective=inc_obj(),

@@ -95,6 +95,8 @@ class ScoreModel:
         if self.params is not None and self.params.size != size:
             raise ValueError(f"a model with d={d}, out={out}, hidden_units={h} "
                              f"has {size} parameters, got {self.params.size}")
+        if self.params is not None and not np.isfinite(self.params).all():
+            raise ValueError("params contain NaN or Inf")
 
     @classmethod
     def initialize(cls, input_dim, output_dim, hidden_units, rng) -> "ScoreModel":
@@ -194,6 +196,8 @@ class TrainedSystem:
     def __post_init__(self):
         if self.method not in SCORE_KINDS:
             raise ValueError(f"unknown method id {self.method!r}")
+        if math.isnan(self.tau):  # fit_tau's sentinels are -inf and +inf
+            raise ValueError("tau is NaN")
         m, aux, c = self.model, self.aux_model, self.num_classes
         out = model_outputs(self.method, c)
         if m.output_dim != out:
@@ -212,6 +216,10 @@ class TrainedSystem:
     @property
     def score_kind(self) -> str:
         return SCORE_KINDS[self.method]
+
+    @property
+    def dim(self) -> int:
+        return self.model.input_dim
 
     def classifier_scores(self, x) -> np.ndarray:
         scores = self.model.forward(x)

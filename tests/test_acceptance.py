@@ -10,8 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from deferlab.core import DeferDataset, halfspace_system_loss, pair_decisions
-from deferlab.datagen import SyntheticConfig, generate_grouped_expert, generate_synthetic
+from deferlab.core import DeferDataset, system_loss_01
+from deferlab.datagen import (GroupedExpertConfig, SyntheticConfig, generate_grouped_expert,
+                              generate_synthetic)
 from deferlab.evaluation import generalization_bound
 from deferlab.milp import (
     MilpConfig,
@@ -61,7 +62,7 @@ class TestCriterion1RealizableReproduction:
             sol = solve_milp(build_binary_milp(train, MilpConfig()),
                              MilpConfig(time_limit_s=120.0))
             assert sol.train_loss == 0.0, f"trial {trial}: MILP train loss {sol.train_loss}"
-            milp_test.append(halfspace_system_loss(sol.pair, test))
+            milp_test.append(system_loss_01(test, *sol.pair.decide(test.features)))
 
             rs = train_method("rs", train, val, cfg)
             assert rs.min_train_error == 0.0, (
@@ -99,7 +100,7 @@ class TestCriterion2NonRealizableRegime:
             out = {}
             sol = solve_milp(build_binary_milp(train, MilpConfig()),
                              MilpConfig(time_limit_s=30.0))
-            out["milp"] = halfspace_system_loss(sol.pair, test)
+            out["milp"] = system_loss_01(test, *sol.pair.decide(test.features))
             for m in ("rs", "ce", "ova"):
                 out[m] = _test_error(train_method(m, train, val, cfg), test)
             rows.append(out)
@@ -243,7 +244,7 @@ class TestCriterion7ConstraintCompliance:
             sol = solve_milp(add_coverage_constraint(base, beta),
                              MilpConfig(time_limit_s=15.0))
             assert sol.pair is not None
-            deferred, _, _ = pair_decisions(sol.pair, ds.features)
+            deferred, _ = sol.pair.decide(ds.features)
             assert deferred.mean() <= beta + 1e-9, f"beta={beta}"
         print(f"\nPASS criterion 7a: coverage satisfied at beta in "
               f"{{0, 0.25, 0.5, 1}} ({time.time() - t0:.0f}s)")
@@ -254,7 +255,7 @@ class TestCriterion7ConstraintCompliance:
         t0 = time.time()
         sol = solve_milp(prob, MilpConfig(time_limit_s=30.0))
         assert sol.pair is not None
-        deferred, labels, _ = pair_decisions(sol.pair, ds.features)
+        deferred, labels = sol.pair.decide(ds.features)
         xt = prob.xt
         m_norm = np.array(sol.pair.classifier_weights)
         m_norm[:-1] *= prob.norm_scale
@@ -292,8 +293,8 @@ class TestCriterion9GroupedExpertSweep:
         details = []
         t0 = time.time()
         for k in (2, 4, 6, 8):
-            ds = generate_grouped_expert(d=10, n=3400, C=10, K=k, seed=100 + k,
-                                         U=5.0, blob_std=2.0)
+            ds = generate_grouped_expert(GroupedExpertConfig(d=10, n=3400, C=10, K=k,
+                                                             seed=100 + k, U=5.0, blob_std=2.0))
             train = ds.subset(np.arange(2000))
             val = ds.subset(np.arange(2000, 2400))
             test = ds.subset(np.arange(2400, 3400))

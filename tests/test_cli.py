@@ -16,6 +16,7 @@ from deferlab.cli import (
     load_model_file,
     main,
     parse_config_file,
+    save_halfspace_pair,
     save_score_system,
 )
 from deferlab.core import DeferDataset, HalfspacePair, load_dataset_csv
@@ -260,6 +261,21 @@ class TestTrainEvalRoundTrip:
             assert loaded.rejection_scores(ds.features).tobytes() == \
                 system.rejection_scores(ds.features).tobytes()
 
+    @pytest.mark.parametrize("classifier", [(4,), (2, 4), (3, 4)],
+                             ids=["binary", "two_rows", "three_class"])
+    def test_pair_saves_and_loads(self, tmp_path, classifier):
+        # the header's C and d come from the pair's own shape
+        rng = np.random.default_rng(len(classifier))
+        pair = HalfspacePair(rng.normal(size=classifier), rng.normal(size=4))
+        path = tmp_path / "pair.csv"
+        save_halfspace_pair(pair, path)
+        c = 2 if len(classifier) == 1 else classifier[0]
+        assert path.read_text().splitlines()[0] == f"halfspace_pair,{c},3"
+        loaded = load_model_file(path)
+        assert (loaded.num_classes, loaded.dim) == (c, 3)
+        assert loaded.classifier_weights.tobytes() == pair.classifier_weights.tobytes()
+        assert loaded.rejector_weights.tobytes() == pair.rejector_weights.tobytes()
+
     def test_explicit_alpha_grid_is_trained(self, tmp_path):
         # ce's own grid is (0, 0.1, 0.5, 1); the rs grid given by flag must
         # be the one trained, even though it is rs's unset default
@@ -391,6 +407,43 @@ class TestModelFileValidation:
         assert run_cli("eval", "--data", str(files["data"]), "--model", str(bad)) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and "d + 1 = 4 values" in err
+
+    @pytest.mark.parametrize("header", ["halfspace_pair,-5,2", "halfspace_pair,1,2",
+                                        "halfspace_pair,2,0", "halfspace_pair,2,-1"])
+    def test_pair_header_needs_two_classes_and_a_feature(self, files, tmp_path, capsys,
+                                                         header):
+        bad = tmp_path / "pair.csv"
+        bad.write_text(header + "\n0.0,0.0,1.0\n0.0,0.0,1.0\n")
+        assert run_cli("eval", "--data", str(files["data"]), "--model", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "a halfspace_pair header needs C >= 2 and d >= 1" in err
+
+    @pytest.mark.parametrize("source,edit,message", [
+        ("rs", lambda t: _edit_line(t, 1, t.splitlines()[1].split(",")[0], "nan"),
+         "params contain NaN or Inf"),
+        ("rs", lambda t: _edit_line(t, 1, t.splitlines()[1].split(",")[0], "-inf"),
+         "params contain NaN or Inf"),
+        ("confidence", lambda t: _edit_line(t, 2, t.splitlines()[2].split(",")[0], "nan"),
+         "params contain NaN or Inf"),
+        ("rs", lambda t: _edit_line(t, 0, "," + t.splitlines()[0].split(",")[-1], ",nan"),
+         "tau is NaN"),
+    ], ids=["weight", "inf_weight", "aux_weight", "tau"])
+    def test_non_finite_score_model(self, files, tmp_path, capsys, source, edit, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(edit(files[source].read_text()))
+        assert run_cli("eval", "--data", str(files["data"]), "--model", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
+    def test_infinite_tau_loads(self, files, tmp_path, capsys):
+        # fit_tau's sentinels: -inf defers every point, +inf none
+        text = files["rs"].read_text()
+        tau = "," + text.splitlines()[0].split(",")[-1]
+        for value, coverage in (("-inf", "0.0"), ("inf", "1.0")):
+            path = tmp_path / f"tau_{value}.csv"
+            path.write_text(_edit_line(text, 0, tau, "," + value))
+            assert run_cli("eval", "--data", str(files["data"]), "--model", str(path)) == 0
+            assert f"coverage={coverage}\n" in capsys.readouterr().out
 
     def test_model_and_data_dimensions_differ(self, files, capsys):
         assert run_cli("eval", "--data", str(files["other_d"]),

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,7 @@ from deferlab.core import (
     DeferDataset,
     HalfspacePair,
     augment,
-    halfspace_system_loss,
     load_dataset_csv,
-    pair_decisions,
-    predict_halfspace,
     save_dataset_csv,
     system_correct,
     system_loss_01,
@@ -100,34 +99,37 @@ class TestSystemLoss:
 
 
 class TestPredictHalfspace:
+    """What a pair decides on a batch of raw feature rows."""
+
     def test_zero_rejector_defers_everywhere(self):
         pair = HalfspacePair([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        for x in ([0.0, 0.0], [5.0, -3.0], [-1.0, 2.0]):
-            assert predict_halfspace(pair, x).deferred
+        xs = np.array([[0.0, 0.0], [5.0, -3.0], [-1.0, 2.0]])
+        deferred, _ = pair.decide(xs)
+        assert deferred.tolist() == [True, True, True]
+        assert pair.rejection_scores(xs).tolist() == [0.0, 0.0, 0.0]
 
     def test_binary_sign(self):
         pair = HalfspacePair([1.0, 0.0, 0.0], [0.0, 0.0, -1.0])
-        p = predict_halfspace(pair, [-2.0, 5.0])
-        assert p.classifier_label == 0
-        assert not p.deferred
-        assert p.final_label == 0
+        assert pair.tau == 0.0 and pair.num_classes == 2
+        deferred, labels = pair.decide(np.array([[-2.0, 5.0], [2.0, 5.0], [0.0, 1.0]]))
+        assert labels.tolist() == [0, 1, 0]  # an activation of 0 is not positive
+        assert labels.dtype == np.int64
+        assert not deferred.any()
 
     def test_multiclass_tie_breaks_low(self):
-        m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
         pair = HalfspacePair(m, [0.0, 0.0, -1.0])
-        p = predict_halfspace(pair, [3.0, 3.0])
-        assert p.classifier_label == 0
-
-    def test_final_label_uses_human_when_deferred(self):
-        pair = HalfspacePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        p = predict_halfspace(pair, [2.0, 0.0], human_pred=1)
-        assert p.deferred and p.final_label == 1
-        assert predict_halfspace(pair, [2.0, 0.0]).final_label is None
+        assert pair.num_classes == 3
+        labels = pair.classifier_labels(np.array([[3.0, 3.0], [1.0, 2.0], [-1.0, -1.0]]))
+        assert labels.tolist() == [0, 1, 2]
+        assert pair.classifier_labels(np.array([[0.0, 0.0]])).tolist() == [0]
 
     def test_dimension_mismatch(self):
         pair = HalfspacePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            predict_halfspace(pair, [1.0, 2.0, 3.0])
+        for method in (pair.decide, pair.rejection_scores, pair.classifier_labels):
+            for bad in ([[1.0, 2.0, 3.0]], [1.0, 2.0], [[[1.0, 2.0]]]):
+                with pytest.raises(ValueError, match=r"expected \(n, 2\) features"):
+                    method(np.array(bad))
 
     @given(
         st.floats(0.001, 1000.0),
@@ -139,35 +141,48 @@ class TestPredictHalfspace:
     def test_scale_invariance(self, u, m, r, x):
         pair = HalfspacePair(m, r)
         scaled = HalfspacePair(np.asarray(m) * u, np.asarray(r) * u)
-        a = predict_halfspace(pair, x)
-        b = predict_halfspace(scaled, x)
-        assert a.deferred == b.deferred
-        assert a.classifier_label == b.classifier_label
+        xs = np.array([x])
+        for a, b in zip(pair.decide(xs), scaled.decide(xs)):
+            np.testing.assert_array_equal(a, b)
 
     def test_pure_function(self):
-        pair = HalfspacePair([0.3, -0.7, 0.1], [0.5, 0.5, -0.2])
-        x = [1.5, -2.5]
-        assert predict_halfspace(pair, x) == predict_halfspace(pair, x)
+        pair = HalfspacePair([[0.3, -0.7, 0.1], [0.5, 0.5, -0.2]], [0.5, 0.5, -0.2])
+        xs = np.array([[1.5, -2.5], [0.0, 1.0]])
+        before = xs.copy()
+        for a, b in zip(pair.decide(xs), pair.decide(xs)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(xs, before)
 
 
 class TestBatchHelpers:
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        pair = HalfspacePair(rng.normal(size=(3, 4)), rng.normal(size=4))
-        xs = rng.normal(size=(20, 3))
-        deferred, labels, scores = pair_decisions(pair, xs)
-        for i in range(20):
-            p = predict_halfspace(pair, xs[i])
-            assert p.deferred == deferred[i]
-            assert p.classifier_label == labels[i]
-            assert p.rejection_score == pytest.approx(scores[i])
+    def test_decisions_keep_their_bits(self):
+        # SHA-256 over decide and rejection_scores on 3000 seeded pairs: d
+        # 1-11, 1-59 points, a binary (one-row) or 2-5 class classifier, half
+        # of them on small integers so that activations tie and hit 0. The
+        # digest was recorded through the pair-only helper these methods
+        # replaced.
+        h = hashlib.sha256()
+        rng = np.random.default_rng(25)
+
+        def draw(shape):
+            if rng.integers(2):
+                return rng.integers(-2, 3, size=shape).astype(float)
+            return rng.normal(size=shape)
+
+        for _ in range(3000):
+            d, n, c = (int(v) for v in rng.integers((1, 1, 1), (12, 60, 6)))
+            pair = HalfspacePair(draw(d + 1) if c == 1 else draw((c, d + 1)), draw(d + 1))
+            x = draw((n, d))
+            for a in (*pair.decide(x), pair.rejection_scores(x)):
+                h.update(a.tobytes())
+        assert h.hexdigest() == "fadac7aa8a603fd058ea5cab6e1572090aaf2cfb1944f0345c12aa27d3536ad3"
 
     def test_halfspace_system_loss(self):
         # rejector defers iff x0 >= 0; classifier always predicts 0
         pair = HalfspacePair([0.0, -1.0], [1.0, 0.0])
         ds = DeferDataset([[1.0], [-1.0]], [1, 1], [1, 0], 2)
         # point 0 deferred, human right; point 1 kept, classifier says 0, wrong
-        assert halfspace_system_loss(pair, ds) == 0.5
+        assert system_loss_01(ds, *pair.decide(ds.features)) == 0.5
 
 
 class TestAugment:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deferlab.core import halfspace_system_loss, pair_decisions
+from deferlab.core import system_loss_01
 from deferlab.datagen import (
     GroupedExpertConfig,
     SyntheticConfig,
@@ -38,8 +38,6 @@ class TestConfigValidation:
     def test_grouped_k_range(self):
         with pytest.raises(ValueError):
             GroupedExpertConfig(d=2, n=10, C=4, K=5)
-        with pytest.raises(ValueError):
-            generate_grouped_expert(d=2, n=10, C=4, K=5)
 
 
 class TestDeterminism:
@@ -60,8 +58,8 @@ class TestDeterminism:
         assert not np.array_equal(a.dataset.features, b.dataset.features)
 
     def test_grouped_deterministic(self):
-        a = generate_grouped_expert(d=3, n=100, C=5, K=2, seed=4)
-        b = generate_grouped_expert(d=3, n=100, C=5, K=2, seed=4)
+        a = generate_grouped_expert(GroupedExpertConfig(d=3, n=100, C=5, K=2, seed=4))
+        b = generate_grouped_expert(GroupedExpertConfig(d=3, n=100, C=5, K=2, seed=4))
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.human_preds, b.human_preds)
 
@@ -74,7 +72,7 @@ class TestRealizability:
             d=30, n=500, distribution=dist, p_m=0.0, p_h0=0.3, p_h1=0.0, seed=seed
         )
         inst = generate_synthetic(cfg)
-        assert halfspace_system_loss(inst.planted_pair, inst.dataset) == 0.0
+        assert system_loss_01(inst.dataset, *inst.planted_pair.decide(inst.dataset.features)) == 0.0
 
     def test_forced_human_errors(self):
         cfg = SyntheticConfig(d=3, n=400, p_m=0.0, p_h0=1.0, p_h1=1.0, seed=7)
@@ -90,16 +88,16 @@ class TestMarginals:
             d=10, n=10000, p_m=0.1, p_h0=0.4, p_h1=0.1, seed=11, distribution="gaussian_mixture"
         )
         inst = generate_synthetic(cfg)
-        deferred, _, _ = pair_decisions(inst.planted_pair, inst.dataset.features)
+        deferred, labels = inst.planted_pair.decide(inst.dataset.features)
         frac_defer = float(np.mean(deferred))
         expected = 0.05 * (1 - frac_defer) + 0.1 * frac_defer
-        loss = halfspace_system_loss(inst.planted_pair, inst.dataset)
+        loss = system_loss_01(inst.dataset, deferred, labels)
         assert loss == pytest.approx(expected, abs=0.02)
 
     def test_human_error_rates_by_region(self):
         cfg = SyntheticConfig(d=5, n=20000, p_m=0.0, p_h0=0.4, p_h1=0.1, seed=3)
         inst = generate_synthetic(cfg)
-        deferred, _, _ = pair_decisions(inst.planted_pair, inst.dataset.features)
+        deferred, _ = inst.planted_pair.decide(inst.dataset.features)
         hw = ~inst.dataset.human_correct
         err_kept = float(np.mean(hw[~deferred]))
         err_defer = float(np.mean(hw[deferred]))
@@ -111,28 +109,28 @@ class TestMarginals:
     def test_region_mass_floor(self):
         for seed in range(10):
             inst = generate_synthetic(SyntheticConfig(d=4, n=2000, seed=seed))
-            deferred, _, _ = pair_decisions(inst.planted_pair, inst.dataset.features)
+            deferred, _ = inst.planted_pair.decide(inst.dataset.features)
             frac = float(np.mean(deferred))
             assert 0.05 <= frac <= 0.95
 
 
 class TestGroupedExpert:
     def test_perfect_expert(self):
-        ds = generate_grouped_expert(d=4, n=500, C=10, K=10, seed=0)
+        ds = generate_grouped_expert(GroupedExpertConfig(d=4, n=500, C=10, K=10, seed=0))
         assert float(np.mean(ds.human_correct)) == 1.0
 
     def test_uniform_guess(self):
-        ds = generate_grouped_expert(d=4, n=20000, C=10, K=0, seed=1)
+        ds = generate_grouped_expert(GroupedExpertConfig(d=4, n=20000, C=10, K=0, seed=1))
         acc = float(np.mean(ds.human_correct))
         assert abs(acc - 0.1) < 3 * np.sqrt(0.1 * 0.9 / 20000)
 
     def test_half_expert(self):
-        ds = generate_grouped_expert(d=4, n=20000, C=10, K=5, seed=2)
+        ds = generate_grouped_expert(GroupedExpertConfig(d=4, n=20000, C=10, K=5, seed=2))
         acc = float(np.mean(ds.human_correct))
         assert abs(acc - 0.55) < 3 * np.sqrt(0.55 * 0.45 / 20000)
 
     def test_balanced_classes(self):
-        ds = generate_grouped_expert(d=3, n=1000, C=10, K=5, seed=3)
+        ds = generate_grouped_expert(GroupedExpertConfig(d=3, n=1000, C=10, K=5, seed=3))
         counts = np.bincount(ds.labels, minlength=10)
         assert counts.min() == counts.max() == 100
 
@@ -166,7 +164,7 @@ class TestMetadataSidecar:
         ds, pair = generate_instance(grouped)
         assert pair is None
         np.testing.assert_array_equal(
-            ds.features, generate_grouped_expert(3, 40, 4, 2, 9, U=3.5, blob_std=2.0).features)
+            ds.features, generate_grouped_expert(grouped).features)
         save_instance_metadata(tmp_path / "grouped.txt", grouped)
         assert (tmp_path / "grouped.txt").read_text() == (
             "kind=grouped\nseed=9\nd=3\nn=40\nC=4\nexpert_k=2\nU=3.5\nblob_std=2.0\n")

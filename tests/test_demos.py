@@ -3,9 +3,13 @@
 Demos 01, 03, 05 and 06 take about 8 s together and demo 02 (the exact
 solver's coverage sweep) about 9 s. Demo 04 (training and baselines, about
 15 s) is left out to keep the Tier-1 run short; run it by hand with
-``PYTHONPATH=src python3 demos/04_training_and_baselines.py``.
+``PYTHONPATH=src python3 demos/04_training_and_baselines.py``. Every demo,
+04 included, has the names it imports from the package checked without
+running it.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -20,6 +24,21 @@ FAST_DEMOS = (
     "05_benchmark_and_curves.py",
     "06_generalization_bound.py",
 )
+ALL_DEMOS = sorted(f for f in os.listdir(os.path.join(ROOT, "demos")) if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("demo", ALL_DEMOS)
+def test_demo_imports_exist(demo):
+    with open(os.path.join(ROOT, "demos", demo), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=demo)
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "deferlab":
+            module = importlib.import_module(node.module)
+            names += [(node.module, alias.name, hasattr(module, alias.name))
+                      for alias in node.names]
+    assert names, f"{demo} imports nothing from deferlab"
+    assert [(m, name) for m, name, found in names if not found] == []
 
 
 @pytest.mark.parametrize("demo", FAST_DEMOS)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -99,6 +100,31 @@ class TestEvaluate:
         assert len(calls) == 2
         coverage_curve(system, ds)
         assert len(calls) == 4
+
+    def test_pairs_keep_their_bits(self):
+        # SHA-256 over evaluate's report and coverage_curve's arrays on 500
+        # seeded pairs: d 1-11, 1-59 points, a binary (one-row) or 2-5 class
+        # classifier, half of them on small integers so that scores tie, and
+        # grid sizes 0, 5 and 50. The digest was recorded when both functions
+        # still took a pair through its own branch.
+        h = hashlib.sha256()
+        rng = np.random.default_rng(26)
+
+        def draw(shape):
+            if rng.integers(2):
+                return rng.integers(-2, 3, size=shape).astype(float)
+            return rng.normal(size=shape)
+
+        for _ in range(500):
+            d, n, c = (int(v) for v in rng.integers((1, 1, 1), (12, 60, 6)))
+            pair = HalfspacePair(draw(d + 1) if c == 1 else draw((c, d + 1)), draw(d + 1))
+            x, c = draw((n, d)), max(c, 2)
+            ds = DeferDataset(x, rng.integers(0, c, n), rng.integers(0, c, n), c)
+            h.update(repr(evaluate(pair, ds)).encode())
+            curve = coverage_curve(pair, ds, grid_size=int(rng.choice([0, 5, 50])))
+            for a in (curve.thresholds, curve.coverages, curve.accuracies):
+                h.update(a.tobytes())
+        assert h.hexdigest() == "b44f2b7eaa0bc4b6fb66e225504d0b14a1dcc1abac5c33692b18fbe02e5e13ce"
 
 
 class TestCoverageCurve:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import deferlab.lp as lp_module
 import deferlab.milp as milp
-from deferlab.core import DeferDataset, pair_decisions, system_loss_01
+from deferlab.core import DeferDataset, system_loss_01
 from deferlab.datagen import SyntheticConfig, generate_synthetic
 from deferlab.lp import LinearProgram, solve_lp
 from deferlab.milp import (
@@ -232,7 +232,7 @@ class TestIntegralSolutionSemantics:
         ds = random_binary_dataset(rng, 8, human_acc=0.5)
         prob = build_binary_milp(ds, MilpConfig())
         sol = solve_milp(prob, MilpConfig())
-        deferred, labels, _ = pair_decisions(sol.pair, ds.features)
+        deferred, labels = sol.pair.decide(ds.features)
         xt = prob.xt
         m_norm = np.array(sol.pair.classifier_weights, dtype=float)
         m_norm[:-1] *= prob.norm_scale
@@ -349,7 +349,7 @@ class TestCoverage:
 
     def test_beta_zero_forces_classifier(self):
         sol = solve_milp(add_coverage_constraint(self.base, 0.0), MilpConfig())
-        deferred, _, _ = pair_decisions(sol.pair, self.ds.features)
+        deferred, _ = sol.pair.decide(self.ds.features)
         assert deferred.sum() == 0
         assert sol.objective >= self.sol0.objective - 1e-12
 
@@ -363,10 +363,10 @@ class TestCoverage:
         ds = DeferDataset(x, y, y, 2)
         base = build_binary_milp(ds, MilpConfig())
         sol0 = solve_milp(base, MilpConfig())
-        deferred0, _, _ = pair_decisions(sol0.pair, ds.features)
+        deferred0, _ = sol0.pair.decide(ds.features)
         assert sol0.objective == 0.0 and deferred0.mean() > 0.5
         sol = solve_milp(add_coverage_constraint(base, 0.5), MilpConfig())
-        deferred, _, _ = pair_decisions(sol.pair, ds.features)
+        deferred, _ = sol.pair.decide(ds.features)
         assert deferred.mean() <= 0.5 + 1e-9
         assert sol.objective >= sol0.objective - 1e-12
 
@@ -394,7 +394,7 @@ class TestCoverage:
         for config in (cfg, None, MilpConfig()):  # the same beta, or none set
             sol = solve_milp(build_milp(ds, cfg), config)
             assert (sol.status, sol.objective) == ("proven_optimal", 0.25)
-            assert not pair_decisions(sol.pair, ds.features)[0].any()
+            assert not sol.pair.decide(ds.features)[0].any()
 
 
 class TestFairness:
@@ -409,7 +409,7 @@ class TestFairness:
         sol = solve_milp(prob, MilpConfig(time_limit_s=300))
         assert sol.status == "proven_optimal"
         # recompute per-group cost means from the solution's decisions
-        deferred, labels, _ = pair_decisions(sol.pair, ds.features)
+        deferred, labels = sol.pair.decide(ds.features)
         xt = prob.xt
         m_norm = np.array(sol.pair.classifier_weights)
         m_norm[:-1] *= prob.norm_scale
@@ -1341,7 +1341,7 @@ class TestObjectiveGrid:
                 stopped += 1
                 assert sol.status == "proven_optimal"
                 # the tree may prove a pair the whole stream never proposes
-                deferred, labels, _ = pair_decisions(sol.pair, problem.dataset.features)
+                deferred, labels = sol.pair.decide(problem.dataset.features)
                 assert system_loss_01(problem.dataset, deferred, labels) == \
                     pytest.approx(sol.objective, abs=1e-12)
                 if problem.coverage_beta is not None:
@@ -1447,7 +1447,7 @@ class TestExactSmallSolves:
         solves, _ = exact_small_solves
         h = hashlib.sha256()
         for problem, sol in solves:
-            deferred, labels, _ = pair_decisions(sol.pair, problem.dataset.features)
+            deferred, labels = sol.pair.decide(problem.dataset.features)
             h.update(deferred.tobytes() + labels.tobytes())
         assert h.hexdigest() == "d82dde20b28e427926d4ebc19874807d7ba31a4aa006885045016987935a5caf"
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from deferlab import surrogates
 from deferlab.core import DeferDataset
-from deferlab.datagen import SyntheticConfig, generate_grouped_expert, generate_synthetic
+from deferlab.datagen import (GroupedExpertConfig, SyntheticConfig, generate_grouped_expert,
+                              generate_synthetic)
 from deferlab.surrogates import surrogate_loss
 from deferlab.train import (
     METHODS,
@@ -319,7 +320,7 @@ class TestClassAxisDecisions:
     def test_ten_class_labels_and_rejection_scores(self, hidden_units):
         # the column-loop max and argmax give numpy's reductions on 10-class
         # grouped data, for joint and two-stage systems alike
-        ds = generate_grouped_expert(d=4, n=400, C=10, K=3, seed=2, U=3.0)
+        ds = generate_grouped_expert(GroupedExpertConfig(d=4, n=400, C=10, K=3, seed=2, U=3.0))
         train, val = ds.subset(np.arange(300)), ds.subset(np.arange(300, 400))
         cfg = TrainConfig(epochs=3, batch_size=32, hidden_units=hidden_units, seed=5)
         x = val.features
@@ -403,7 +404,7 @@ class TestStackedGrid:
 
     @pytest.mark.parametrize("loss", ["rs", "ce"])
     def test_multiclass_grid_equals_sequential_runs(self, loss):
-        ds = generate_grouped_expert(d=4, n=240, C=3, K=1, seed=3, U=3.0)
+        ds = generate_grouped_expert(GroupedExpertConfig(d=4, n=240, C=3, K=1, seed=3, U=3.0))
         train, val = ds.subset(np.arange(160)), ds.subset(np.arange(160, 240))
         cfg = TrainConfig(epochs=5, batch_size=48, seed=5, alpha_grid=self.GRIDS[loss])
         _, best, lowest = _sequential_search(loss, train, val, cfg)
@@ -680,6 +681,29 @@ class TestTrainedSystemShapes:
             replace(TrainedSystem(_model(out=2), 2, aux_model=_model(out=1),
                                   method="confidence"), aux_model=aux)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_params_must_be_finite(self, value):
+        params = _model().params.copy()
+        params[4] = value
+        with pytest.raises(ValueError, match="params contain NaN or Inf"):
+            ScoreModel(2, 3, 0, params)
+        with pytest.raises(ValueError, match="params contain NaN or Inf"):
+            replace(_model(), params=params)
+
+    def test_tau_may_be_infinite_but_not_nan(self):
+        # fit_tau returns -inf (defer everything) and +inf (never defer)
+        system = TrainedSystem(_model(), 2, method="rs")
+        for tau in (-np.inf, np.inf):
+            deferred, _ = system.with_tau(tau).decide(np.zeros((3, 2)))
+            assert deferred.tolist() == [tau < 0] * 3
+        with pytest.raises(ValueError, match="tau is NaN"):
+            TrainedSystem(_model(), 2, tau=np.nan, method="rs")
+        with pytest.raises(ValueError, match="tau is NaN"):
+            system.with_tau(float("nan"))
+
+    def test_dim_is_the_models_input_dim(self):
+        assert TrainedSystem(_model(d=5), 2, method="rs").dim == 5
+
 
 # The trainers as they were before every model went through one fit path,
 # kept as the reference the trainers must equal bit for bit. They share no
@@ -949,7 +973,7 @@ class TestOneFitPath:
         if classes == 2:
             train, val, _ = planted_splits(seed=50, n_train=120, n_val=50)
         else:
-            ds = generate_grouped_expert(d=4, n=170, C=3, K=1, seed=6, U=3.0)
+            ds = generate_grouped_expert(GroupedExpertConfig(d=4, n=170, C=3, K=1, seed=6, U=3.0))
             train, val = ds.subset(np.arange(120)), ds.subset(np.arange(120, 170))
         cfg = TrainConfig(epochs=4, batch_size=batch_size, hidden_units=hidden_units, seed=21)
         surrogates_run = {"rs": [0.0, 0.5, 1.0], "ce": [0.0, 0.1, 1.0],
