@@ -4,7 +4,7 @@ The package has one module per concern:
 
 * :mod:`deferlab.core` -- data model, prediction semantics, 0-1 system loss
 * :mod:`deferlab.datagen` -- synthetic planted-halfspace and grouped-expert data
-* :mod:`deferlab.lp` -- bounded-variable simplex solver with dual warm starts
+* :mod:`deferlab.lp` -- bounded dual simplex LP solver with warm starts
 * :mod:`deferlab.milp` -- exact big-M deferral formulation and branch-and-bound
 * :mod:`deferlab.surrogates` -- surrogate losses and analytic gradients,
   behind one checked door, ``surrogate_loss(method, scores, ...)``

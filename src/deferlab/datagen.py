@@ -34,8 +34,12 @@ __all__ = [
     "save_instance_metadata",
 ]
 
-# planted halfspaces are resampled until each side holds this much of the sample
+# planted halfspaces are resampled until each side holds this much of the
+# sample, at most HALFSPACE_TRIES times
 REGION_MASS_FLOOR = 0.1
+HALFSPACE_TRIES = 1000
+# rounds of redrawing the points inside a planted boundary's margin band
+MARGIN_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -127,14 +131,14 @@ def _draw_features(cfg: SyntheticConfig, rng_feat) -> np.ndarray:
     return means[comp] + rng_feat.standard_normal((cfg.n, cfg.d)) * stds[comp]
 
 
-def _draw_halfspace(xt: np.ndarray, rng, max_tries: int = 1000) -> np.ndarray:
+def _draw_halfspace(xt: np.ndarray, rng) -> np.ndarray:
     """Unit-norm random halfspace whose two sides each hold >= 10% of the sample.
 
     The mass floor rules out degenerate all-defer or never-defer plants.
     """
     n = xt.shape[0]
     best, best_gap = None, -1.0
-    for _ in range(max_tries):
+    for _ in range(HALFSPACE_TRIES):
         w = rng.standard_normal(xt.shape[1])
         w /= np.linalg.norm(w)
         frac = float(np.mean(xt @ w >= 0.0))
@@ -146,7 +150,7 @@ def _draw_halfspace(xt: np.ndarray, rng, max_tries: int = 1000) -> np.ndarray:
     return best  # tiny samples may not admit the floor; keep the best split
 
 
-def _carve_margin_bands(x, cfg: SyntheticConfig, pair_weights, rng, max_rounds=200):
+def _carve_margin_bands(x, cfg: SyntheticConfig, pair_weights, rng):
     """Redraw points lying inside either planted boundary's margin band.
 
     Implements the margin assumption on the sample: the final features keep
@@ -158,7 +162,7 @@ def _carve_margin_bands(x, cfg: SyntheticConfig, pair_weights, rng, max_rounds=2
     for w in pair_weights:
         mag = np.abs(xt @ w)
         eps.append(cfg.margin * float(np.median(mag)))
-    for _ in range(max_rounds):
+    for _ in range(MARGIN_ROUNDS):
         xt = augment(x)
         bad = np.zeros(len(x), dtype=bool)
         for w, e in zip(pair_weights, eps):

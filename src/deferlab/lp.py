@@ -1,22 +1,23 @@
-"""Bounded-variable linear programming by the simplex method, with warm starts.
+"""Bounded-variable linear programming by the dual simplex, with warm starts.
 
 Minimization convention throughout. Rows carry a sense in {"<=", ">=", "="}
-and every variable has a (possibly infinite) box. Each row gets a slack
-column whose box encodes the sense, so the solver works on the equality
-form [A | I] z = b.
+and every variable has a box whose bounds may be infinite, lo < +inf and
+hi > -inf. Each row gets a slack column whose box encodes the sense, so the
+solver works on the equality form [A | I] z = b.
 
-Every solve starts from a basis: the one given, typically the optimal basis
-of a branch-and-bound parent (an LP with the same c, A, senses and b but
-other variable bounds), or the slack basis when none is given or the given
-one cannot be factored. The slack basis puts every structural column at the
-finite bound its cost favours. A start that is dual feasible goes straight
-to the bounded dual simplex, which restores primal feasibility, and primal
-phase 2 cleans up. A start that is not first runs the dual simplex at zero
-cost, for which every basis is dual feasible, until the basic values are
-within their bounds (the cost-modification form of a dual phase 1;
-Koberstein, *The dual simplex method, techniques for a fast and stable
-implementation*, PhD thesis, Paderborn 2005); primal phase 2 then optimizes
-the real cost.
+``solve_lp`` accepts an LP only when each column's cost favours a finite
+bound: a positive cost needs a finite lo, a negative cost a finite hi, and a
+free column costs 0. Every LP the package builds is of this kind; any other
+is a ValueError. Such an LP is bounded, and its slack basis, which puts
+every structural column at the finite bound its cost favours, is dual
+feasible, since its reduced costs are the costs. Every solve runs the
+bounded dual simplex (Koberstein, *The dual simplex method, techniques for
+a fast and stable implementation*, PhD thesis, Paderborn 2005) until the
+basic values are within their bounds. It starts from the basis given,
+typically the optimal basis of a branch-and-bound parent (an LP with the
+same c, A, senses and b but other variable bounds), or from the slack basis
+when none is given or the given one cannot be factored or is not dual
+feasible.
 
 The solver keeps a dense explicit basis inverse. It updates the inverse
 with a product-form (rank-1) update after each pivot and recomputes it from
@@ -26,11 +27,12 @@ relaxations solved here are dense and small, so dense linear algebra and
 determinism are worth more than sparsity.
 
 Statuses: ``optimal`` (with the final basis), ``infeasible``,
-``unbounded``, ``iteration_limit``, and ``numerical`` for a basis that
-cannot be factored, where the LP's true status is unknown. Every
-``infeasible`` comes from the dual simplex's row test on a freshly computed
-inverse: a basic value outside its bounds that no nonbasic column can move
-toward them, so that row of the inverse is a Farkas certificate.
+``iteration_limit``, and ``numerical`` for a basis that cannot be factored
+or a final inverse whose reduced costs are not dual feasible, where the
+LP's true status is unknown. Every ``infeasible`` comes from the dual
+simplex's row test on a freshly computed inverse: a basic value outside its
+bounds that no nonbasic column can move toward them, so that row of the
+inverse is a Farkas certificate.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ __all__ = ["Basis", "LinearProgram", "LpSolution", "origin_in_hull", "solve_lp"]
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
-# reduced-cost slack allowed when a starting basis is checked for dual feasibility
+# reduced-cost slack allowed when a basis is checked for dual feasibility
 DUAL_TOL = 1e-9
 # a pivot element below this is taken only on a freshly computed inverse
 TINY_PIVOT = 1e-7
@@ -78,23 +80,20 @@ class LinearProgram:
         m, v = self.A.shape
         if self.c.shape != (v,) or self.b.shape != (m,):
             raise ValueError("inconsistent LP dimensions")
-        if self.lo.shape != (v,) or self.hi.shape != (v,):
-            raise ValueError("bounds must have one entry per variable")
         if len(self.senses) != m or any(s not in SENSES for s in self.senses):
             raise ValueError("senses must be one of <=, >=, = per row")
         if not (np.all(np.isfinite(self.c)) and np.all(np.isfinite(self.A))
                 and np.all(np.isfinite(self.b))):
             raise ValueError("c, A and b must be finite")
-        if not np.all(self.lo <= self.hi):
-            raise ValueError("need lo <= hi for every variable")
+        _check_box(self.lo, self.hi, v)
 
-    @property
-    def num_rows(self) -> int:
-        return self.A.shape[0]
 
-    @property
-    def num_vars(self) -> int:
-        return self.A.shape[1]
+def _check_box(lo: np.ndarray, hi: np.ndarray, v: int) -> None:
+    """Raise unless lo and hi give each of v variables a nonempty box."""
+    if lo.shape != (v,) or hi.shape != (v,):
+        raise ValueError("bounds must have one entry per variable")
+    if not np.all((lo <= hi) & (lo < np.inf) & (hi > -np.inf)):
+        raise ValueError("need lo <= hi, lo < +inf and hi > -inf for every variable")
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ class Basis:
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded | iteration_limit | numerical
+    status: str  # optimal | infeasible | iteration_limit | numerical
     x: Optional[np.ndarray]
     objective_value: Optional[float]
     iterations: int = 0
@@ -125,7 +124,7 @@ def _invert(B: np.ndarray) -> np.ndarray:
 
 
 class _Simplex:
-    """Bounded-variable simplex on the equality form [A | I] z = b."""
+    """Bounded dual simplex on the equality form [A | I] z = b."""
 
     def __init__(self, lp: LinearProgram, lo: np.ndarray, hi: np.ndarray, max_iter: int):
         m, v = lp.A.shape
@@ -195,75 +194,6 @@ class _Simplex:
             self.degenerate += 1
             if self.degenerate >= self.stall_threshold:
                 self.bland = True
-
-    # ---- primal simplex ------------------------------------------------------
-    def _primal_ratio(self, step: np.ndarray):
-        """Leaving row when the basic values move by -step * delta.
-
-        Smallest ratio within 1e-12, then the largest |step|, then the
-        lowest basic id; the lowest basic id alone under Bland's rule.
-        Returns (row, delta, leaves_at_upper), row -1 when nothing limits.
-        """
-        xb = self.x[self.basis]
-        ratio = np.full(self.m, np.inf)
-        pos = step > PIVOT_TOL
-        neg = step < -PIVOT_TOL
-        ratio[pos] = (xb[pos] - self.lo_b[pos]) / step[pos]
-        ratio[neg] = (self.hi_b[neg] - xb[neg]) / -step[neg]
-        best = ratio.min(initial=np.inf)
-        if not np.isfinite(best):
-            return -1, np.inf, False
-        ties = np.flatnonzero(ratio <= best + 1e-12)
-        if not self.bland:
-            mag = np.abs(step[ties])
-            ties = ties[mag == mag.max()]
-        r = int(ties[np.argmin(self.basis[ties])])
-        return r, max(best, 0.0), bool(neg[r])
-
-    def _primal(self, cost: np.ndarray) -> str:
-        """Primal simplex from a primal feasible basis."""
-        while True:
-            if self.iterations >= self.max_iter:
-                return "iteration_limit"
-            d = self._reduced_costs(cost)
-            st = self.state
-            # a column improves by moving up from its lower bound, down from
-            # its upper bound, or either way if free
-            up = ((st == _AT_LO) | (st == _FREE)) & (d < -PIVOT_TOL)
-            dn = ((st == _AT_HI) | (st == _FREE)) & (d > PIVOT_TOL)
-            eligible = np.flatnonzero((up | dn) & self.movable)
-            if eligible.size == 0:
-                return "optimal"
-            if self.bland:
-                q = int(eligible[0])
-            else:
-                q = int(eligible[np.argmax(np.abs(d[eligible]))])
-            direction = 1.0 if d[q] < 0 else -1.0
-
-            w = self.binv @ self.T[:, q]
-            step = direction * w
-            r, delta, to_upper = self._primal_ratio(step)
-            flip = self.hi[q] - self.lo[q]  # inf unless both bounds finite
-            if flip < delta - 1e-12:
-                # bound flip: q crosses its box without any basis change
-                self.x[self.basis] -= step * flip
-                self.x[q] = self.hi[q] if direction > 0 else self.lo[q]
-                self.state[q] = _AT_HI if direction > 0 else _AT_LO
-                self.iterations += 1
-                continue
-            if r < 0:
-                return "unbounded"
-            if abs(w[r]) < TINY_PIVOT and self.since_refactor:
-                self._refactor()
-                continue
-
-            self._count_pivot(delta)
-            leaving = self.basis[r]
-            self.x[self.basis] -= step * delta
-            self.x[q] += direction * delta
-            self.x[leaving] = self.hi[leaving] if to_upper else self.lo[leaving]
-            self.state[leaving] = _AT_HI if to_upper else _AT_LO
-            self._pivot(r, q, w)
 
     # ---- dual simplex --------------------------------------------------------
     def _dual(self, cost: np.ndarray) -> str:
@@ -340,18 +270,16 @@ class _Simplex:
 
     # ---- solve ---------------------------------------------------------------
     def optimize(self, cost: np.ndarray) -> str:
-        """Dual simplex until the basic values are within their bounds, then
-        primal phase 2, repeated until a fresh inverse confirms the optimum.
-
-        Needs a basis that is dual feasible or primal feasible (the dual
-        part then makes no pivot)."""
+        """Dual simplex from a dual feasible basis, repeated until a fresh
+        inverse confirms that the basic values are within their bounds;
+        ``optimal`` when that inverse's reduced costs are dual feasible too,
+        else ``numerical``."""
         while True:
             status = self._dual(cost)
             if status != "optimal":
                 return status
-            status = self._primal(cost)
-            if status != "optimal" or self.since_refactor == 0:
-                return status
+            if self.since_refactor == 0:
+                return "optimal" if self._dual_feasible(cost) else "numerical"
             self._refactor()
 
     def _install(self, basic: np.ndarray, at_upper: np.ndarray) -> None:
@@ -372,14 +300,11 @@ class _Simplex:
         return not np.any(wrong & self.movable)
 
     def solve(self, basis: Optional[Basis], cost: np.ndarray) -> str:
-        """Solve from ``basis``, or from the slack basis when it is None or
-        cannot be factored; a start that is not dual feasible first runs the
-        dual simplex at zero cost. Raises LinAlgError when the slack basis
-        cannot be factored either."""
-        slack = np.arange(self.nv, self.nv + self.m), cost < 0
-        if basis is None:
-            self._install(*slack)
-        else:
+        """Solve from ``basis``, or from the slack basis when it is None,
+        cannot be factored or is not dual feasible. Raises LinAlgError when
+        the slack basis cannot be factored either."""
+        warm = False
+        if basis is not None:
             basic = np.asarray(basis.basic, dtype=np.intp)
             at_upper = np.asarray(basis.at_upper, dtype=bool)
             ncols = self.nv + self.m
@@ -389,12 +314,11 @@ class _Simplex:
                 raise ValueError("basis must name m distinct column ids")
             try:
                 self._install(basic, at_upper)
+                warm = self._dual_feasible(cost)
             except np.linalg.LinAlgError:
-                self._install(*slack)
-        if not self._dual_feasible(cost):
-            status = self._dual(np.zeros_like(cost))
-            if status != "optimal":
-                return status
+                pass
+        if not warm:
+            self._install(np.arange(self.nv, self.nv + self.m), cost < 0)
         return self.optimize(cost)
 
     def result(self, status: str, c: np.ndarray) -> LpSolution:
@@ -412,22 +336,26 @@ def solve_lp(
     lo: Optional[np.ndarray] = None,
     hi: Optional[np.ndarray] = None,
 ) -> LpSolution:
-    """Solve a bounded-variable LP by the simplex method.
+    """Solve a bounded-variable LP by the bounded dual simplex.
 
-    ``lo`` and ``hi`` replace the LP's variable bounds when given. ``basis``
-    is an optional warm start, typically the ``basis`` of an earlier
-    solution of an LP with the same c, A, senses and b; without one, or when
-    it cannot be factored, the solve starts from the slack basis. From a
-    start that is not dual feasible, a zero-cost dual phase reaches primal
-    feasibility first. The solver is deterministic: re-solving the same LP
-    from the same start gives the same answer in the same number of
-    iterations.
+    ``lo`` and ``hi`` replace the LP's variable bounds when given. Raises
+    ValueError naming the first column whose cost favours an infinite bound
+    (see the module docstring). ``basis`` is an optional warm start,
+    typically the ``basis`` of an earlier solution of an LP with the same c,
+    A, senses and b; without one, or when it cannot be factored or is not
+    dual feasible, the solve starts from the slack basis. The solver is
+    deterministic: re-solving the same LP from the same start gives the same
+    answer in the same number of iterations.
     """
     lo = lp.lo if lo is None else np.asarray(lo, dtype=float)
     hi = lp.hi if hi is None else np.asarray(hi, dtype=float)
     m, v = lp.A.shape
-    if lo.shape != (v,) or hi.shape != (v,) or not np.all(lo <= hi):
-        raise ValueError("need lo <= hi with one entry per variable")
+    _check_box(lo, hi, v)
+    open_side = ((lp.c > 0) & (lo == -np.inf)) | ((lp.c < 0) & (hi == np.inf))
+    if open_side.any():
+        j = int(np.argmax(open_side))
+        raise ValueError(f"column {j} has cost {lp.c[j]:g}, which favours an infinite "
+                         "bound; solve_lp needs every cost to favour a finite bound")
     if max_iter is None:
         max_iter = 50 * (m + v)
     sx = _Simplex(lp, lo, hi, max_iter)

@@ -68,7 +68,7 @@ INT_TOL = 1e-6
 # an integer k, so a node bound lb proves ceil(n*lb - GRID_TOL)/n. GRID_TOL
 # is in points (units of 1/n) and must stay above the simplex's noise, or a
 # bound that sits on the grid would round a whole point up. The simplex stops
-# with reduced costs within PIVOT_TOL = 1e-10 and rows within FEAS_TOL = 1e-9,
+# with reduced costs within DUAL_TOL = 1e-9 and rows within FEAS_TOL = 1e-9,
 # so a column of cost 1/n moves n*lb by about 1e-9 points. Over 2104 node
 # bounds of 4- to 12-point binary and 3-class problems, those on the grid
 # were within 4e-15 points of it and the others 5e-6 points (gamma-scale)
@@ -80,8 +80,16 @@ OFF_GRID_GAP = 1e-6
 FAIRNESS_SLACK = 1e-6
 # problems without side rows whose LP has more rows are not searched
 EXACT_ROWS_MAX = 450
-# an IRLS fit ends after a Newton step this small next to the largest weight
+# an IRLS fit ends after a Newton step this small next to the largest weight,
+# or after IRLS_STEPS steps; IRLS_RIDGE damps its Hessian
 IRLS_STEP_TOL = 1e-13
+IRLS_STEPS = 25
+IRLS_RIDGE = 1e-8
+# pocket-perceptron epochs of a fit that IRLS leaves unseparated
+POCKET_EPOCHS = 60
+# heuristic starts, and the classifier/rejector fit rounds of each
+HEURISTIC_RESTARTS = 3
+HEURISTIC_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -590,7 +598,7 @@ def _pocket_perceptron(xt, targets, w0, epochs, rng, inseparable):
     return best_w
 
 
-def _irls_logistic(xt, targets, iters=25, ridge=1e-8):
+def _irls_logistic(xt, targets):
     """Newton (IRLS) steps on logistic loss for +-1 targets.
 
     The dimension is small, so exact Hessian solves are cheap; on separable
@@ -599,8 +607,8 @@ def _irls_logistic(xt, targets, iters=25, ridge=1e-8):
 
     The loop ends after a Newton step whose largest entry is at most
     ``IRLS_STEP_TOL`` times the largest weight, and returns the iterate that
-    step made: Newton has converged, and the rest of the 25 steps would only
-    move the last bits. A step that leaves the bytes of ``w`` unchanged is
+    step made: Newton has converged, and the rest of the ``IRLS_STEPS``
+    steps would only move the last bits. A step that leaves the bytes of ``w`` unchanged is
     such a step. Decisions hold because the fit is read through signs alone:
     whether it separates the rows, and otherwise the pocket's start, scaled
     by its largest entry. A relative change of 1e-12 flips a row only when
@@ -610,8 +618,8 @@ def _irls_logistic(xt, targets, iters=25, ridge=1e-8):
     and the weights diverge.
     """
     w = np.zeros(xt.shape[1])
-    damp = ridge * np.eye(xt.shape[1])
-    for _ in range(iters):
+    damp = IRLS_RIDGE * np.eye(xt.shape[1])
+    for _ in range(IRLS_STEPS):
         z = targets * (xt @ w)
         p = 1.0 / (1.0 + np.exp(np.minimum(np.maximum(z, -500.0), 500.0)))
         wt = p * (1.0 - p) + 1e-12
@@ -628,7 +636,7 @@ def _irls_logistic(xt, targets, iters=25, ridge=1e-8):
     return w
 
 
-def _fit_separator(xt, targets, rng, w, inseparable, epochs=60):
+def _fit_separator(xt, targets, rng, w, inseparable):
     """IRLS warm start, pocket-perceptron cleanup; exact on separable data.
 
     ``w`` is the IRLS fit of (xt, targets); it is neither modified nor
@@ -640,10 +648,10 @@ def _fit_separator(xt, targets, rng, w, inseparable, epochs=60):
     scale = np.max(np.abs(w))
     if scale > 0:
         w = w / scale
-    return _pocket_perceptron(xt, targets, w, epochs, rng, inseparable)
+    return _pocket_perceptron(xt, targets, w, POCKET_EPOCHS, rng, inseparable)
 
 
-def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3):
+def _heuristic_candidates(problem: MilpProblem, rng):
     """Alternating classifier/rejector fits; yields (M, R) weight proposals.
 
     A zero-loss pair must keep and correctly classify every point the human
@@ -704,7 +712,7 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3):
     # human-wrong points can never be deferred for free; anchor the classifier there
     m_hw = fit_classifier(hw)
 
-    for start in range(restarts):
+    for start in range(HEURISTIC_RESTARTS):
         if start == 0:
             m = m_hw.copy()
         elif start == 1:
@@ -712,7 +720,7 @@ def _heuristic_candidates(problem: MilpProblem, rng, rounds=8, restarts=3):
         else:
             m = m_hw + 0.3 * rng.standard_normal(m_shape)
         r = None
-        for _ in range(rounds):
+        for _ in range(HEURISTIC_ROUNDS):
             clf_wrong = (rows @ m.ravel() <= 0).reshape(n, per_point).any(axis=1)
             must_defer = clf_wrong & ~hw
             if not must_defer.any():

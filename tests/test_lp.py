@@ -53,8 +53,8 @@ def brute_force_vertex_min(lp, tol=1e-9):
 
 class TestExamples:
     def test_one_variable(self):
-        # maximize x s.t. x <= 1, x >= 0, posed as min -x
-        lp = LinearProgram(c=[-1.0], A=[[1.0]], senses=["<="], b=[1.0], lo=[0.0], hi=[np.inf])
+        # maximize x s.t. x <= 1, 0 <= x <= 2, posed as min -x
+        lp = LinearProgram(c=[-1.0], A=[[1.0]], senses=["<="], b=[1.0], lo=[0.0], hi=[2.0])
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(1.0)
@@ -69,21 +69,25 @@ class TestExamples:
         assert sol.objective_value == pytest.approx(2.0)
 
     def test_textbook_lp(self):
-        # min -3x - 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x, y >= 0
-        lp = LinearProgram(
-            c=[-3.0, -5.0],
-            A=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
-            senses=["<=", "<=", "<="],
-            b=[4.0, 12.0, 18.0],
-            lo=[0.0, 0.0],
-            hi=[np.inf, np.inf],
-        )
-        sol = solve_lp(lp)
+        sol = solve_lp(_textbook_lp())
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(2.0)
         assert sol.x[1] == pytest.approx(6.0)
         assert sol.objective_value == pytest.approx(-36.0)
-        assert sol.objective_value == pytest.approx(brute_force_vertex_min(lp), abs=1e-7)
+        assert sol.objective_value == pytest.approx(brute_force_vertex_min(_textbook_lp()),
+                                                    abs=1e-7)
+
+
+def _textbook_lp():
+    # min -3x - 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, 0 <= x <= 5, 0 <= y <= 7
+    return LinearProgram(
+        c=[-3.0, -5.0],
+        A=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
+        senses=["<=", "<=", "<="],
+        b=[4.0, 12.0, 18.0],
+        lo=[0.0, 0.0],
+        hi=[5.0, 7.0],
+    )
 
 
 class TestStatuses:
@@ -94,21 +98,16 @@ class TestStatuses:
         assert solve_lp(lp).status == "infeasible"
 
     def test_unbounded(self):
+        # the cost favours column 1's infinite upper bound: an unbounded LP,
+        # which solve_lp does not take
         lp = LinearProgram(
-            c=[-1.0], A=[[1.0]], senses=[">="], b=[0.0], lo=[0.0], hi=[np.inf]
+            c=[1.0, -1.0], A=[[1.0, 1.0]], senses=[">="], b=[0.0], lo=[0.0, 0.0], hi=[1.0, np.inf]
         )
-        assert solve_lp(lp).status == "unbounded"
+        with pytest.raises(ValueError, match="column 1 has cost -1"):
+            solve_lp(lp)
 
     def test_iteration_limit(self):
-        lp = LinearProgram(
-            c=[-3.0, -5.0],
-            A=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
-            senses=["<=", "<=", "<="],
-            b=[4.0, 12.0, 18.0],
-            lo=[0.0, 0.0],
-            hi=[np.inf, np.inf],
-        )
-        assert solve_lp(lp, max_iter=1).status == "iteration_limit"
+        assert solve_lp(_textbook_lp(), max_iter=1).status == "iteration_limit"
 
     def test_equality_rows(self):
         lp = LinearProgram(
@@ -161,6 +160,16 @@ class TestInputs:
         with pytest.raises(ValueError):
             solve_lp(lp, **{side: [np.nan]})
 
+    @pytest.mark.parametrize("bound", [np.inf, -np.inf])
+    def test_empty_infinite_box_is_rejected(self, bound):
+        # lo = hi = +inf (or -inf) passes lo <= hi but holds no point
+        data = dict(c=[1.0], A=[[1.0]], senses=["<="], b=[5.0], lo=[bound], hi=[bound])
+        with pytest.raises(ValueError, match="lo < \\+inf and hi > -inf"):
+            LinearProgram(**data)
+        lp = LinearProgram(**{**data, "lo": [0.0], "hi": [1.0]})
+        with pytest.raises(ValueError, match="lo < \\+inf and hi > -inf"):
+            solve_lp(lp, lo=[bound], hi=[bound])
+
 
 class TestWithoutRows:
     def _box(self, c, lo, hi):
@@ -182,7 +191,10 @@ class TestWithoutRows:
                                            ([1.0], [-np.inf], [0.0]),
                                            ([0.5], [-np.inf], [np.inf])])
     def test_an_open_side_the_cost_favours_is_unbounded(self, c, lo, hi):
-        assert solve_lp(self._box(c, lo, hi)).status == "unbounded"
+        # solve_lp does not take such an LP; the error names the column
+        lp = self._box([1.0, 0.0] + c, [0.0, -np.inf] + lo, [1.0, np.inf] + hi)
+        with pytest.raises(ValueError, match=f"column 2 has cost {c[0]:g}, which favours"):
+            solve_lp(lp)
 
 
 class TestAgainstVertexEnumeration:
@@ -301,14 +313,15 @@ def _assert_same_solve(warm, fresh):
         assert warm.objective_value == pytest.approx(fresh.objective_value, abs=1e-9)
 
 
-def _forbid_zero_cost_phase(monkeypatch):
-    """Make every solve fail whose start is not dual feasible: the one kind
-    of start that runs the dual simplex at zero cost first."""
+def _forbid_dual_infeasible_bases(monkeypatch):
+    """Make every solve fail that checks a basis which is not dual feasible:
+    a warm start it would replace by the slack basis, or a final inverse it
+    would call numerical."""
     real = lp_module._Simplex._dual_feasible
 
     def dual_feasible(self, cost):
         if not real(self, cost):
-            raise AssertionError("the solve ran the zero-cost phase")
+            raise AssertionError("the solve met a basis that is not dual feasible")
         return True
 
     monkeypatch.setattr(lp_module._Simplex, "_dual_feasible", dual_feasible)
@@ -360,21 +373,25 @@ class TestWarmStart:
         assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-12)
 
     def test_dual_infeasible_basis_reaches_the_same_optimum(self, monkeypatch):
+        # a warm start that is not dual feasible is replaced by the slack
+        # basis: the solve is the no-basis solve, step for step
         lp = _capped_random_lp(3, 4, 5)
         sol = solve_lp(lp)
         basis = sol.basis
-        nonbasic = np.ones(lp.num_vars + lp.num_rows, dtype=bool)
+        nonbasic = np.ones(sum(lp.A.shape), dtype=bool)
         nonbasic[basis.basic] = False
         # every nonbasic column at its other bound: not dual feasible
         flipped = lp_module.Basis(basis.basic, basis.at_upper ^ nonbasic)
         with monkeypatch.context() as patch:
-            _forbid_zero_cost_phase(patch)
-            with pytest.raises(AssertionError, match="zero-cost phase"):
+            _forbid_dual_infeasible_bases(patch)
+            with pytest.raises(AssertionError, match="not dual feasible"):
                 solve_lp(lp, basis=flipped)
         again = solve_lp(lp, basis=flipped)
         assert again.status == "optimal"
-        assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-12)
-        np.testing.assert_allclose(again.x, sol.x, atol=1e-12)
+        assert again.iterations == sol.iterations > 0
+        assert again.objective_value == sol.objective_value
+        np.testing.assert_array_equal(again.x, sol.x)
+        np.testing.assert_array_equal(again.basis.basic, sol.basis.basic)
 
     def test_unfactorable_basis_falls_back_to_the_slack_basis(self, monkeypatch):
         lp = _capped_random_lp(3, 4, 5)
@@ -390,7 +407,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(lp_module, "_invert", fail_first)
         again = solve_lp(lp, basis=sol.basis)
-        np.testing.assert_array_equal(calls[1], np.eye(lp.num_rows))
+        np.testing.assert_array_equal(calls[1], np.eye(lp.A.shape[0]))
         assert again.status == "optimal"
         assert again.objective_value == pytest.approx(sol.objective_value, abs=1e-12)
         assert again.iterations == sol.iterations  # the no-basis solve, step for step
@@ -452,8 +469,9 @@ class TestWarmStart:
 def _general_lp(rng):
     """A random LP with boxed, half-bounded and free columns, all three row
     senses, now and then a duplicated row, and now and then a row that may
-    cut off the point the rest are built around: optimal, infeasible and
-    unbounded all occur."""
+    cut off the point the rest are built around: optimal and infeasible both
+    occur. Each cost favours a finite bound, as ``solve_lp`` requires: a
+    half-bounded column's cost points at its bound, a free column costs 0."""
     v, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     kind = rng.integers(0, 4, size=v)  # boxed, lower bound only, upper bound only, free
     lo = np.where(kind <= 1, -rng.uniform(0, 2, v), -np.inf)
@@ -467,10 +485,12 @@ def _general_lp(rng):
         A[-1], b[-1], senses[-1] = A[0], b[0], senses[0]
     if rng.random() < 0.3:
         b[rng.integers(0, m)] = 3.0 * rng.normal()
-    return LinearProgram(c=rng.normal(size=v), A=A, senses=senses, b=b, lo=lo, hi=hi)
+    c = rng.normal(size=v)
+    c = np.select([kind == 1, kind == 2, kind == 3], [np.abs(c), -np.abs(c), 0.0], c)
+    return LinearProgram(c=c, A=A, senses=senses, b=b, lo=lo, hi=hi)
 
 
-def _highs(lp, cost, presolve=True):
+def _highs(lp):
     from scipy.optimize import linprog
 
     sign = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in lp.senses])
@@ -482,36 +502,32 @@ def _highs(lp, cost, presolve=True):
         kw.update(A_eq=lp.A[eq], b_eq=lp.b[eq])
     bounds = [(l if np.isfinite(l) else None, h if np.isfinite(h) else None)
               for l, h in zip(lp.lo, lp.hi)]
-    return linprog(cost, bounds=bounds, method="highs", options={"presolve": presolve}, **kw)
+    return linprog(lp.c, bounds=bounds, method="highs", **kw)
 
 
 class TestAgainstHighs:
     def test_random_general_lps(self):
         pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(12345)
-        statuses = {0: "optimal", 2: "infeasible", 3: "unbounded"}
-        seen, misreported = set(), 0
+        statuses = {0: "optimal", 2: "infeasible"}
+        seen = set()
         for draw in range(1000):
             lp = _general_lp(rng)
-            res = _highs(lp, lp.c)
-            if res.status == 2 and _highs(lp, np.zeros(lp.num_vars)).status == 0:
-                # HiGHS's presolve calls some feasible, unbounded LPs infeasible
-                misreported += 1
-                res = _highs(lp, lp.c, presolve=False)
+            res = _highs(lp)
             sol = solve_lp(lp)
             assert sol.status == statuses[res.status], draw
             if sol.status == "optimal":
                 assert sol.objective_value == pytest.approx(res.fun, rel=1e-7, abs=1e-7), draw
                 _assert_feasible(lp, sol, lp.lo, lp.hi)
             seen.add(sol.status)
-        assert seen == set(statuses.values()) and misreported >= 1
+        assert seen == set(statuses.values())
 
 
 class TestPinnedSolves:
     def test_general_lps_equal_pinned_digest(self):
         # sha256 over 3000 draws of each solve's status, iterations and
-        # objective, and each optimum's x and basis bytes, recorded before the
-        # simplex kept the basic columns' bounds beside the basis
+        # objective, and each optimum's x and basis bytes, recorded while the
+        # solver still carried a primal simplex and a zero-cost phase 1
         rng = np.random.default_rng(12345)
         h = hashlib.sha256()
         for _ in range(3000):
@@ -520,7 +536,7 @@ class TestPinnedSolves:
             if sol.status == "optimal":
                 h.update(sol.x.tobytes() + sol.basis.basic.tobytes()
                          + sol.basis.at_upper.tobytes())
-        assert h.hexdigest() == "bddde710ecb36b2ef8cfbe061473615d0f75739660bc4597c211c6c3c4622adf"
+        assert h.hexdigest() == "22f09eb5d4778e70ead6c9ff7b9843cb7ee9ada2c0a8bbbef6656b9bf4a416f6"
 
 
 def _farkas_row(sx, r, tol=lp_module.PIVOT_TOL):
@@ -579,6 +595,18 @@ class TestNumericalStatus:
         lp = _capped_random_lp(5, 3, 4)
         assert solve_lp(lp).status == "numerical"
 
+    def test_final_inverse_that_is_not_dual_feasible_is_numerical(self):
+        lp = _capped_random_lp(3, 4, 5)
+        cost = np.concatenate([lp.c, np.zeros(5)])
+        sx = lp_module._Simplex(lp, lp.lo, lp.hi, max_iter=1000)
+        assert sx.solve(None, cost) == "optimal"
+        done = sx.iterations
+        # the optimum's basic values stay within their bounds, so the dual
+        # simplex takes no pivot, but under the reversed cost the fresh
+        # inverse's reduced costs are not dual feasible
+        assert not sx._dual_feasible(-cost)
+        assert sx.optimize(-cost) == "numerical"
+        assert sx.iterations == done
 
 
 def _highs_separable(rows):
@@ -610,7 +638,7 @@ class TestOriginInHull:
 
     def test_random_sets_agree_with_highs(self, monkeypatch):
         pytest.importorskip("scipy.optimize")
-        _forbid_zero_cost_phase(monkeypatch)
+        _forbid_dual_infeasible_bases(monkeypatch)
         verdicts = []
         for rows in self._signed_sets():
             verdict = lp_module.origin_in_hull(rows)

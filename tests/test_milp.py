@@ -84,20 +84,21 @@ class TestBuildBinary:
         lp = prob.lp_relaxation
         assert len(prob.binary_var_ids) == 2  # t_1, r_1
         lay = prob._layout()
-        assert lp.num_vars == lay["total"]
-        assert len(range(lp.num_vars)[lay["phi"]]) == 1
+        assert lp.A.shape[1] == lay["total"]
+        assert len(range(lp.A.shape[1])[lay["phi"]]) == 1
         # two length-2 vectors, M then R, at the front of the layout
         assert (lay["M"], lay["R"]) == (slice(0, 2), slice(2, 4))
-        assert lp.num_rows == 4  # the four per-point constraint rows
+        assert lp.A.shape[0] == 4  # the four per-point constraint rows
 
     def test_regularization_adds_aux(self):
         ds = DeferDataset(np.ones((3, 4)), [0, 1, 0], [0, 0, 1], 2)
         plain = build_binary_milp(ds, MilpConfig())
         reg = build_binary_milp(ds, MilpConfig(lambda_reg=0.01))
         d1 = ds.d + 1
-        assert reg.lp_relaxation.num_vars - plain.lp_relaxation.num_vars == 2 * d1
+        plain_cols, reg_cols = plain.lp_relaxation.A.shape[1], reg.lp_relaxation.A.shape[1]
+        assert reg_cols - plain_cols == 2 * d1
         aux = reg._layout()["aux"]
-        assert (aux.start, aux.stop) == (plain.lp_relaxation.num_vars, reg.lp_relaxation.num_vars)
+        assert (aux.start, aux.stop) == (plain_cols, reg_cols)
         assert "aux" not in plain._layout()
 
     def test_rejects_multiclass_data(self):
@@ -304,13 +305,13 @@ class TestMulticlass:
         lp = problem.lp_relaxation
         lay = problem._layout()
         assert "c" not in lay and len(problem.binary_var_ids) == 2 * n
-        assert lp.num_rows == n * (C + 2) == problem.num_rows_estimate
+        assert lp.A.shape[0] == n * (C + 2) == problem.num_rows_estimate
         clf = np.flatnonzero((lp.A[:, lay["t"]] == problem.k_m).any(axis=1))
         assert len(clf) == n * (C - 1)
         assert np.all(lp.b[clf] == problem.gamma)
         assert all(lp.senses[k] == ">=" for k in clf)
         cand = milp._score_candidate(problem, rng.normal(size=(C, 3)), np.array([0.0, 0.0, -1.0]))
-        x = np.zeros(problem.lp_relaxation.num_vars)
+        x = np.zeros(problem.lp_relaxation.A.shape[1])
         x[lay["M"]] = cand.m_norm.ravel()
         scores = problem.xt @ cand.m_norm.T
         margins = scores[np.arange(n), ds.labels][:, None] - scores
@@ -457,7 +458,7 @@ class TestExtractPair:
     def test_identity_rescale(self):
         ds = DeferDataset([[1.0], [2.0]], [0, 1], [0, 1], 2)
         prob = build_binary_milp(ds, MilpConfig())
-        x = np.zeros(prob.lp_relaxation.num_vars)
+        x = np.zeros(prob.lp_relaxation.A.shape[1])
         lay = prob._layout()
         x[lay["M"]] = [1.0, 0.5]
         x[lay["R"]] = [0.2, -0.1]
@@ -473,7 +474,7 @@ class TestExtractPair:
         ds = DeferDataset([[10.0], [1.0]], [0, 1], [0, 1], 2)
         prob = build_binary_milp(ds, MilpConfig())
         assert prob.norm_scale == 10.0
-        x = np.zeros(prob.lp_relaxation.num_vars)
+        x = np.zeros(prob.lp_relaxation.A.shape[1])
         lay = prob._layout()
         x[lay["M"]] = [1.0, 0.5]
         pair = _extract_pair(prob, x)
@@ -481,7 +482,7 @@ class TestExtractPair:
         # three classes: one weight row per class, each rescaled the same way
         ds = DeferDataset([[10.0], [1.0], [-2.0]], [0, 1, 2], [0, 1, 2], 3)
         prob = build_milp(ds, MilpConfig())
-        x = np.zeros(prob.lp_relaxation.num_vars)
+        x = np.zeros(prob.lp_relaxation.A.shape[1])
         lay = prob._layout()
         x[lay["M"]] = [1.0, 0.5, 2.0, -0.25, -3.0, 0.75]
         x[lay["R"]] = [4.0, -1.0]
@@ -1204,6 +1205,44 @@ class TestRootLp:
             assert len(solved) == 1 and solved[0].status == "optimal"
             assert solved[0].objective_value == pytest.approx(optimum, abs=1e-9)
             assert sol.lp_iterations == solved[0].iterations > 0
+
+
+class TestTreeLps:
+    def test_every_warm_start_is_dual_feasible(self, monkeypatch):
+        # a child LP differs from its parent only in the binaries it fixes,
+        # so the parent's optimal basis stays dual feasible: no node falls
+        # back to the slack basis, and no final inverse is called numerical
+        ds = _six_point_instances(11, 3)[1]
+        plain = build_binary_milp(ds, MilpConfig())
+        three = build_milp(_oracle_instances(809, 3, 3, (6, 8))[2], MilpConfig())
+        problems = [plain, add_coverage_constraint(plain, 0.25),
+                    add_fairness_constraint(plain, np.arange(6) % 2),
+                    build_binary_milp(ds, MilpConfig(lambda_reg=0.01)), three,
+                    build_binary_milp(_criterion7_instance(), MilpConfig())]
+        configs = [MilpConfig()] * 5 + [MilpConfig(node_limit=200)]
+        dual_feasible = lp_module._Simplex._dual_feasible
+
+        def required(self, cost):
+            if not dual_feasible(self, cost):
+                raise AssertionError("a node LP met a basis that is not dual feasible")
+            return True
+
+        warm = []
+        real = milp.solve_lp
+
+        def recording(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            if kwargs["basis"] is not None:
+                warm[-1] += 1
+                assert sol.status in ("optimal", "infeasible")
+            return sol
+
+        monkeypatch.setattr(lp_module._Simplex, "_dual_feasible", required)
+        monkeypatch.setattr(milp, "solve_lp", recording)
+        for problem, config in zip(problems, configs):
+            warm.append(0)
+            solve_milp(problem, config)
+        assert min(warm) > 0 and warm[-1] == 199, warm
 
 
 class TestLargeProblemsAreNotSearched:
