@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -210,11 +210,12 @@ def save_dataset_csv(dataset: DeferDataset, path) -> None:
             writer.writerow(row + [int(dataset.labels[i]), int(dataset.human_preds[i])])
 
 
-def load_dataset_csv(path, num_classes: Optional[int] = None) -> DeferDataset:
+def load_dataset_csv(path) -> DeferDataset:
     """Load a dataset CSV, rejecting non-finite feature values.
 
-    ``num_classes`` defaults to one more than the largest label or human
-    prediction in the file. Parse failures report the offending line number.
+    The class count is one more than the largest label or human prediction
+    in the file, and at least 2. Parse failures report the offending line
+    number.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -247,6 +248,5 @@ def load_dataset_csv(path, num_classes: Optional[int] = None) -> DeferDataset:
         raise ValueError(f"{path}: no data rows")
     ys = np.asarray(ys)
     hs = np.asarray(hs)
-    if num_classes is None:
-        num_classes = max(2, int(max(ys.max(), hs.max())) + 1)
+    num_classes = max(2, int(max(ys.max(), hs.max())) + 1)
     return DeferDataset(np.asarray(feats), ys, hs, num_classes)

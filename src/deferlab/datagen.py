@@ -192,17 +192,15 @@ def generate_synthetic(config: SyntheticConfig) -> PlantedInstance:
     r_star = _draw_halfspace(xt, rng_half)
     if config.margin > 0:
         x = _carve_margin_bands(x, config, (m_star, r_star), rng_feat)
-        xt = augment(x)
     pair = HalfspacePair(m_star, r_star)
 
-    kept = xt @ r_star < 0.0
-    m_labels = (xt @ m_star > 0.0).astype(np.int64)
+    deferred, m_labels = pair.decide(x)
     labels = np.where(
-        kept & (rng_label.random(config.n) >= config.p_m),
+        ~deferred & (rng_label.random(config.n) >= config.p_m),
         m_labels,
         rng_label.integers(0, 2, size=config.n),
     )
-    p_err = np.where(kept, config.p_h0, config.p_h1)
+    p_err = np.where(deferred, config.p_h1, config.p_h0)
     human_wrong = rng_human.random(config.n) < p_err
     human = np.where(human_wrong, 1 - labels, labels)
 

@@ -33,9 +33,12 @@ trivial bound 0, as with ``node_limit=0``. Side-constrained problems are
 searched at every size, since fairness rows need the tree to find a
 feasible point.
 
-Incumbents are never trusted from relaxation values: every candidate pair
-is re-scored through the true 0-1 loss and re-checked against margins, the
-weight box, and any coverage or fairness rows before adoption.
+Heuristic proposals and the weights of node LP points are re-scored
+through the true 0-1 loss and re-checked against margins, the weight box,
+and any coverage or fairness rows before adoption. An integral LP vertex is
+adopted at its LP cost: its weights sit on the gamma margins, where
+re-scoring rejects it or charges it more. ``MilpSolution.train_loss`` is
+always recomputed from the returned pair, so ``objective`` can exceed it.
 """
 
 from __future__ import annotations
@@ -738,72 +741,22 @@ def _heuristic_candidates(problem: MilpProblem, rng):
 
 
 def _coverage_shifted(problem: MilpProblem, r):
-    """Bias-shifted rejector variants deferring at most floor(beta*n) points."""
-    acts = problem.xt @ r
+    """``r`` with its bias shifted to defer at most floor(beta*n) points; None
+    when the budget covers every point or ties leave no gap to shift into."""
     budget = int(np.floor(problem.coverage_beta * problem.n + 1e-9))
-    ordered = np.sort(acts)[::-1]
-    out = []
     if budget >= problem.n:
-        return out
+        return None
+    ordered = np.sort(problem.xt @ r)[::-1]
     if budget == 0:
         delta = ordered[0] + max(1.0, abs(ordered[0]))
     else:
         hi, lo = ordered[budget - 1], ordered[budget]
         if hi - lo <= 1e-12:
-            return out
+            return None
         delta = 0.5 * (hi + lo)
     shifted = r.copy()
     shifted[-1] -= delta
-    out.append(shifted)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# node relaxations
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Node:
-    fixed: dict  # var id -> 0.0 or 1.0
-    bound: float
-    basis: object = None  # the parent's optimal LP basis; None (the slack basis) at the root
-
-
-@dataclass
-class _NodeInfo:
-    """A node's LP relaxation: its bound, the LP vertex (None when the LP
-    was unresolved) and the basis its children start from."""
-
-    bound: float
-    point: Optional[np.ndarray]
-    basis: object
-
-
-def _relax(lp: LinearProgram, node: _Node) -> tuple[Optional[_NodeInfo], int]:
-    """Solve a node's LP relaxation. Returns its ``_NodeInfo``, None when
-    the node is infeasible, and the simplex iterations the solve took.
-
-    A node LP differs from its parent's only in the bounds of the binaries
-    fixed on the way down, so it is re-solved from the parent's optimal
-    basis with the dual simplex. The root passes no basis, so ``solve_lp``
-    starts from the slack basis, which the builders' nonnegative costs and
-    finite lower bounds make dual feasible.
-    """
-    lo = lp.lo.copy()
-    hi = lp.hi.copy()
-    for vid, val in node.fixed.items():
-        lo[vid] = hi[vid] = val
-    sol = solve_lp(lp, basis=node.basis, lo=lo, hi=hi)
-    if sol.status == "infeasible":
-        info = None
-    elif sol.status != "optimal":
-        # unresolved relaxation (iteration limit or numerical failure):
-        # fall back to the parent bound and basis
-        info = _NodeInfo(node.bound, None, node.basis)
-    else:
-        info = _NodeInfo(max(node.bound, sol.objective_value), sol.x, sol.basis)
-    return info, sol.iterations
+    return shifted
 
 
 # ---------------------------------------------------------------------------
@@ -821,10 +774,10 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
     """Best-bound branch-and-bound over the problem's binary variables.
 
     Branches on the binary with fractional part closest to 0.5 (ties toward
-    the lowest variable id). Incumbents are seeded by rounding node
-    relaxations into weight candidates and re-scoring them through the true
-    0-1 loss, plus the proposals of the alternating-fit primal heuristics,
-    each distinct proposal of which is scored once. With
+    the lowest variable id). Incumbents are seeded by re-scoring the weights
+    of node relaxations through the true 0-1 loss, by adopting integral LP
+    vertices at their LP cost, and by the proposals of the alternating-fit
+    primal heuristics, each distinct proposal of which is scored once. With
     lambda_reg = 0 an incumbent of objective 0 is proven optimal outright
     since every objective term is nonnegative. A node or time limit that
     stops the search once the least open bound meets the incumbent within
@@ -879,7 +832,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         return deadline is not None and time.monotonic() > deadline
 
     incumbent: Optional[_Incumbent] = None
-    bound_history: list = []
+    bound_history = [0.0]  # the root's bound: every objective term is nonnegative
     incumbent_history: list = []
 
     def consider(cand: Optional[_Incumbent]):
@@ -902,9 +855,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
 
     searched = problem.has_side_constraints or problem.num_rows_estimate <= EXACT_ROWS_MAX
     node_limit = config.node_limit if searched else 0
-    root = _Node(fixed={}, bound=0.0)  # every objective term is nonnegative
-    if node_limit is None or node_limit > 0:
-        lp = problem.lp_relaxation
+    lp = problem.lp_relaxation if node_limit is None or node_limit > 0 else None
     nodes = lp_iterations = 0
 
     stream = problem._proposals.start(problem)
@@ -932,7 +883,8 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
                 consider(_score_candidate(problem, m_cand, r_cand))
                 if problem.coverage_beta is not None:
                     # shift the rejector bias so the deferral budget holds exactly
-                    for shifted in _coverage_shifted(problem, r_cand):
+                    shifted = _coverage_shifted(problem, r_cand)
+                    if shifted is not None:
                         consider(_score_candidate(problem, m_cand, shifted))
             if not rest and incumbent is not None:
                 break
@@ -948,19 +900,20 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
                 bound_history.append(value)
 
     binary_ids = problem.binary_var_ids
-    heap = [(root.bound, 0, root)]
+    # a node is a heap entry (bound, seq, lo, hi, basis): the box its LP is
+    # solved over and its parent's optimal basis (None, the slack basis, at
+    # the root). seq keeps ties in push order and the arrays out of
+    # comparisons. An unsearched problem never pops its root.
+    heap = [(0.0, 0, *((lp.lo, lp.hi) if lp is not None else (None, None)), None)]
     seq = 1
-    global_bound = root.bound
-    bound_history.append(global_bound)
+    global_bound = 0.0
     closed_bound = np.inf  # the least bound of a node the prune test closed
-    limited = False
     dropped_unresolved = False
 
     while heap:
         if out_of_time() or (node_limit is not None and nodes >= node_limit):
-            limited = True
             break
-        node_bound, _, node = heapq.heappop(heap)
+        node_bound, _, lo, hi, basis = heapq.heappop(heap)
         raise_bound(min(node_bound, closed_bound, inc_obj()))  # no open or closed node is lower
         if not prunes(node_bound):
             take()  # one proposal per node the tree is about to work on
@@ -968,55 +921,55 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
             closed_bound = min(closed_bound, node_bound)
             break  # best-first: every open node is at least this bound
         nodes += 1
-        info, iterations = _relax(lp, node)
-        lp_iterations += iterations
-        if info is None:
-            continue  # infeasible node
-        node_lb = grid(info.bound)
-        x = info.point
+        # a child's LP differs from its parent's only in the binary it fixed,
+        # so the dual simplex re-solves it from the parent's optimal basis
+        sol = solve_lp(lp, basis=basis, lo=lo, hi=hi)
+        lp_iterations += sol.iterations
+        if sol.status == "infeasible":
+            continue
+        # an unresolved LP (iteration limit or numerical failure) has no x:
+        # the node keeps its bound, and its children the parent's basis
+        x = sol.x
+        if x is not None:
+            node_bound, basis = max(node_bound, sol.objective_value), sol.basis
+        node_lb = grid(node_bound)
         if x is not None and not prunes(node_lb):
             consider(_score_candidate(problem, *_split_weights(problem, x)))
         if prunes(node_lb):
             closed_bound = min(closed_bound, node_lb)
             continue
 
-        free_mask = np.array([vid not in node.fixed for vid in binary_ids])
-        vid = None
+        free = lo[binary_ids] < hi[binary_ids]
         if x is not None:
             frac = x[binary_ids]
-            dist = np.abs(frac - np.round(frac))
-            fractional = (dist > INT_TOL) & free_mask
-            if fractional.any():
-                # most fractional: fractional part closest to 0.5, ties to lowest id
-                half_dist = np.where(fractional, np.abs(frac - 0.5), np.inf)
-                vid = int(binary_ids[int(np.argmin(half_dist))])
-            else:
+            fractional = (np.abs(frac - np.round(frac)) > INT_TOL) & free
+            if not fractional.any():
                 # integral LP vertex: this node is solved exactly
                 consider(_incumbent_from_lp_point(problem, x))
                 continue
-        if vid is None:
+            # most fractional: fractional part closest to 0.5, ties to lowest id
+            vid = binary_ids[np.argmin(np.where(fractional, np.abs(frac - 0.5), np.inf))]
+        elif free.any():
             # unresolved relaxation: never close the node silently, branch
             # on the lowest free binary instead
-            free_ids = binary_ids[free_mask]
-            if free_ids.size == 0:
-                dropped_unresolved = True
-                continue
-            vid = int(free_ids[0])
+            vid = binary_ids[np.argmax(free)]
+        else:
+            dropped_unresolved = True
+            continue
         for val in (0.0, 1.0):
-            child_fixed = dict(node.fixed)
-            child_fixed[vid] = val
-            child = _Node(fixed=child_fixed, bound=node_lb, basis=info.basis)
-            heapq.heappush(heap, (node_lb, seq, child))
+            child_lo, child_hi = lo.copy(), hi.copy()
+            child_lo[vid] = child_hi[vid] = val
+            heapq.heappush(heap, (node_lb, seq, child_lo, child_hi, basis))
             seq += 1
 
-    def stopped_short():  # a limit left the least open bound below the gap
-        return limited and not prunes(heap[0][0])
-
+    # the least bound of a node left open by a limit or closed by the prune
+    # test, which keeps closing it as the incumbent falls
+    least = min(closed_bound, heap[0][0]) if heap else closed_bound
     # the rest of the stream can only matter to a solve the tree did not prove
-    if incumbent is None or dropped_unresolved or stopped_short():
+    if incumbent is None or dropped_unresolved or not prunes(least):
         take(rest=True)
     wall = time.monotonic() - start
-    if stopped_short():
+    if not prunes(least):  # a limit left the least open bound outside the gap
         status = "time_limit_incumbent"
     elif incumbent is None:
         status = "infeasible"
@@ -1024,9 +977,7 @@ def solve_milp(problem: MilpProblem, config: Optional[MilpConfig] = None) -> Mil
         status = "time_limit_incumbent"  # a node was abandoned unresolved
     else:
         status = "proven_optimal"
-        if limited:
-            closed_bound = min(closed_bound, heap[0][0])
-        raise_bound(min(incumbent.objective, closed_bound))  # within abs_gap of the incumbent
+        raise_bound(min(incumbent.objective, least))  # within abs_gap of the incumbent
 
     pair, train_loss = None, np.inf
     if incumbent is not None:

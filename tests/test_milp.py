@@ -224,6 +224,44 @@ class TestNumericalFailures:
         assert sol.status != "proven_optimal"
         assert sol.objective >= sound.objective - 1e-12
 
+    def test_unresolved_node_branches_from_its_parent(self, monkeypatch):
+        # the root's first child is made numerical: it branches on its lowest
+        # free binary, and its children start from the root's basis and carry
+        # the root's grid bound
+        ds = random_binary_dataset(np.random.default_rng(1), 14, human_acc=0.4)
+        problem = build_binary_milp(ds, MilpConfig())
+        lp = problem.lp_relaxation
+        events = []  # ("lp", basis, {fixed id: value}, solution) and ("push", bound)
+        real_solve, real_push = milp.solve_lp, milp.heapq.heappush
+
+        def solving(*args, **kwargs):
+            sol = real_solve(*args, **kwargs)
+            if sum(e[0] == "lp" for e in events) == 1:
+                sol = lp_module.LpSolution("numerical", None, None, sol.iterations)
+            lo, hi = kwargs["lo"], kwargs["hi"]
+            fixed = np.flatnonzero((lo != lp.lo) | (hi != lp.hi))
+            events.append(("lp", kwargs["basis"], {int(v): lo[v] for v in fixed}, sol))
+            return sol
+
+        def pushing(heap, item):
+            events.append(("push", item[0]))
+            real_push(heap, item)
+
+        monkeypatch.setattr(milp, "solve_lp", solving)
+        monkeypatch.setattr(milp.heapq, "heappush", pushing)
+        assert solve_milp(problem, MilpConfig()).status == "proven_optimal"
+        lps = [i for i, e in enumerate(events) if e[0] == "lp"]
+        root, (_, basis, fixed, sol) = events[lps[0]][3], events[lps[1]]
+        assert basis is root.basis and sol.status == "numerical"
+        assert len(fixed) == 1 and 0.0 in fixed.values()
+        low = min(set(problem.binary_var_ids.tolist()) - set(fixed))
+        children = [e for e in events if e[0] == "lp" and e[2].keys() == fixed.keys() | {low}
+                    and e[2].items() >= fixed.items()]
+        assert [e[2][low] for e in children] == [0.0, 1.0]
+        assert all(e[1] is root.basis for e in children)
+        pushes = [e[1] for e in events[lps[1] + 1:lps[2]]]
+        assert pushes == [milp._grid_bound(root.objective_value, problem.n)] * 2
+
 
 class TestIntegralSolutionSemantics:
     def test_constraint_roles_at_integral_solution(self):
@@ -639,9 +677,9 @@ def _best_of_every_candidate(problem):
     for m, r in milp._heuristic_candidates(problem, rng):
         variants = [r]
         if problem.coverage_beta is not None:
-            variants += milp._coverage_shifted(problem, r)
+            variants.append(milp._coverage_shifted(problem, r))
         for rv in variants:
-            cand = milp._score_candidate(problem, m, rv)
+            cand = None if rv is None else milp._score_candidate(problem, m, rv)
             if cand is not None and (best is None or cand.objective < best.objective - 1e-12):
                 best = cand
                 history.append(cand.objective)
