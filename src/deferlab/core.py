@@ -41,6 +41,17 @@ def _readonly(a):
     return a
 
 
+def _class_ids(name, values):
+    """Class ids (or a class count) as int64, refusing a value that the cast
+    would truncate, such as 1.9."""
+    v = np.asarray(values)
+    if v.dtype.kind == "f":
+        bad = v[~(np.isfinite(v) & (v == np.trunc(v)))]
+        if bad.size:
+            raise ValueError(f"{name} must be integral, got {bad.flat[0].item()!r}")
+    return np.asarray(v, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class DeferDataset:
     """Features, ground-truth labels, and human predictions for one task.
@@ -64,11 +75,11 @@ class DeferDataset:
             raise ValueError("need n >= 1 samples and d >= 1 features")
         if not np.all(np.isfinite(x)):
             raise ValueError("features contain NaN or Inf")
-        y = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
-        h = np.ascontiguousarray(np.asarray(self.human_preds, dtype=np.int64))
+        y = np.ascontiguousarray(_class_ids("labels", self.labels))
+        h = np.ascontiguousarray(_class_ids("human_preds", self.human_preds))
         if y.shape != (n,) or h.shape != (n,):
             raise ValueError("labels and human_preds must have shape (n,)")
-        c = int(self.num_classes)
+        c = int(_class_ids("num_classes", self.num_classes))
         if c < 2:
             raise ValueError("num_classes must be >= 2")
         for name, v in (("labels", y), ("human_preds", h)):

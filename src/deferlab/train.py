@@ -166,7 +166,8 @@ class TrainConfig:
         # ints, since a float count or seed fails only later, inside training
         for name, low in (("epochs", 1), ("batch_size", 0), ("seed", 0), ("hidden_units", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
+            # a bool is an int to Python, but epochs=True is no count
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
                 raise ValueError(f"{name}={value!r}: must be an int >= {low}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
@@ -507,6 +508,32 @@ def _train_classifier(dataset, val_dataset, config, keep=None):
                 class_accuracy)[0][0]
 
 
+# the last plain classifier fit: (key, ScoreModel), or None
+_plain_memo = None
+
+
+def _plain_classifier(dataset, val_dataset, config):
+    """``_train_classifier`` without a weighting, fit once per content of the
+    data and settings: compare-confidence and selective prediction fit this
+    same classifier. The key hashes the arrays' bytes, as a dataset may share
+    its caller's array, which can still change it; a fit that raises leaves
+    no entry. Each call gets its own copy of the params."""
+    import hashlib  # here, as its import would slow ``import deferlab``
+
+    global _plain_memo
+    digest = hashlib.blake2b()
+    for a in (dataset.features, dataset.labels, val_dataset.features, val_dataset.labels):
+        digest.update(repr(a.shape).encode())
+        digest.update(a)
+    # the classifier reads no alpha grid, and a grid given as an array
+    # would not compare
+    key = (digest.digest(), dataset.num_classes, replace(config, alpha_grid=None))
+    if _plain_memo is None or _plain_memo[0] != key:
+        _plain_memo = (key, _train_classifier(dataset, val_dataset, config))
+    model = _plain_memo[1]
+    return replace(model, params=model.params.copy())
+
+
 def _train_binary_head(dataset, targets01, val_dataset, val_targets01, config):
     """Single-logit head with logistic loss; tracks validation accuracy. Its
     rng is seeded one above the classifier's."""
@@ -530,7 +557,7 @@ def _train_compare_confidence(dataset, val_dataset, config: TrainConfig) -> Trai
     """Classifier on all data plus a human-correctness model; defer when the
     predicted human-correctness probability beats the classifier's max
     softmax probability."""
-    clf = _train_classifier(dataset, val_dataset, config)
+    clf = _plain_classifier(dataset, val_dataset, config)
     hum = _train_binary_head(
         dataset, dataset.human_correct, val_dataset, val_dataset.human_correct, config
     )
@@ -542,7 +569,7 @@ def _train_compare_confidence(dataset, val_dataset, config: TrainConfig) -> Trai
 def _train_selective_prediction(dataset, val_dataset, config: TrainConfig) -> TrainedSystem:
     """Classifier on all data; defer when its confidence falls below a
     threshold line-searched on the validation set."""
-    clf = _train_classifier(dataset, val_dataset, config)
+    clf = _plain_classifier(dataset, val_dataset, config)
     system = TrainedSystem(model=clf, num_classes=dataset.num_classes, tau=0.0,
                            method="selective")
     return _with_val_accuracy(system.with_tau(fit_tau(system, val_dataset)), val_dataset)

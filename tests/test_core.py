@@ -34,6 +34,24 @@ class TestDeferDataset:
         with pytest.raises(ValueError):
             DeferDataset([[1.0], [1.0]], [0], [0, 1], 2)
 
+    @pytest.mark.parametrize("field,args,value", [
+        ("labels", ([0.7, 1.9], [0, 1], 2), "0.7"),
+        ("human_preds", ([0, 1], [0.0, 1.5], 2), "1.5"),
+        ("labels", ([0, np.nan], [0, 1], 2), "nan"),
+        ("human_preds", ([0, 1], [np.inf, 0], 2), "inf"),
+        ("num_classes", ([0, 1], [0, 1], 2.7), "2.7"),
+    ])
+    def test_non_integral_class_data_rejected(self, field, args, value):
+        # each used to be cut to an int: labels [0.7, 1.9] loaded as [0, 1]
+        with pytest.raises(ValueError, match=f"{field} must be integral, got {value}"):
+            DeferDataset(np.zeros((2, 2)), *args)
+
+    def test_integral_floats_load(self):
+        ds = DeferDataset(np.zeros((2, 2)), [1.0, 0.0], np.array([0.0, 2.0]), 3.0)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+        assert ds.human_preds.tolist() == [0, 2]
+        assert ds.num_classes == 3 and type(ds.num_classes) is int
+
     def test_immutable(self):
         ds = small_dataset()
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deferlab.train as train_module
 from deferlab import surrogates
 from deferlab.core import DeferDataset
 from deferlab.datagen import (GroupedExpertConfig, SyntheticConfig, generate_grouped_expert,
@@ -314,6 +315,13 @@ class TestTrainConfig:
         cfg = TrainConfig(epochs=np.int64(2), seed=np.int64(1), hidden_units=np.int64(1))
         assert cfg.epochs == 2 and cfg.seed == 1 and cfg.hidden_units == 1
 
+    @pytest.mark.parametrize("name", ["epochs", "batch_size", "seed", "hidden_units"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_rejected(self, name, value):
+        # epochs=True used to train one epoch, hidden_units=False a linear model
+        with pytest.raises(ValueError, match=f"{name}={value!r}: must be an int"):
+            TrainConfig(**{name: value})
+
 
 class TestClassAxisDecisions:
     @pytest.mark.parametrize("hidden_units", [0, 4])
@@ -609,6 +617,94 @@ class TestDifferentiableTriage:
         defer, _ = system.decide(train.features)
         agreement = float(np.mean(defer == target_defer))
         assert agreement >= 0.9
+
+
+class TestSharedClassifier:
+    """Compare-confidence and selective prediction share one plain
+    classifier fit, remembered by the content of the data and settings."""
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """Counts ``_fit`` calls, from an empty memo."""
+        calls = []
+        real = train_module._fit
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "_fit", counting)
+        monkeypatch.setattr(train_module, "_plain_memo", None)
+        return calls
+
+    CONFIG = TrainConfig(epochs=3, batch_size=25, seed=31)
+
+    def test_the_second_baseline_reuses_the_fit(self, fits, monkeypatch):
+        train, val, _ = planted_splits(seed=31, n_train=100, n_val=40)
+        confidence = train_method("confidence", train, val, self.CONFIG)
+        assert len(fits) == 2  # the classifier and the human-correctness head
+        selective = train_method("selective", train, val, self.CONFIG)
+        assert len(fits) == 2
+        assert confidence.model.params.tobytes() == selective.model.params.tobytes()
+        monkeypatch.setattr(train_module, "_plain_memo", None)
+        fresh = train_method("selective", train, val, self.CONFIG)
+        assert len(fits) == 3
+        _assert_same_bytes(fresh, selective)
+
+    @pytest.mark.parametrize("change", ["train_label", "val_feature", "seed", "epochs"])
+    def test_a_change_refits(self, fits, change):
+        train, val, _ = planted_splits(seed=32, n_train=100, n_val=40)
+        # the dataset keeps this view of the caller's array, whose base can
+        # still change it
+        base = val.features.copy()
+        val = DeferDataset(base[:], val.labels, val.human_preds, 2)
+        assert val.features.base is base
+        cfg = self.CONFIG
+        train_method("selective", train, val, cfg)
+        assert len(fits) == 1
+        if change == "train_label":
+            labels = train.labels.copy()
+            labels[0] = 1 - labels[0]
+            train = DeferDataset(train.features, labels, train.human_preds, 2)
+        elif change == "val_feature":
+            base[3, 1] += 1.0
+        else:
+            cfg = replace(cfg, **{change: getattr(cfg, change) + 1})
+        train_method("selective", train, val, cfg)
+        assert len(fits) == 2
+        # the memo now holds the changed fit: only the human-correctness
+        # head is new
+        train_method("confidence", train, val, cfg)
+        assert len(fits) == 3
+
+    def test_an_equal_copy_reuses_the_fit(self, fits):
+        train, val, _ = planted_splits(seed=33, n_train=100, n_val=40)
+        first = train_method("selective", train, val, self.CONFIG)
+        copies = [DeferDataset(ds.features.copy(), ds.labels.copy(), ds.human_preds.copy(), 2)
+                  for ds in (train, val)]
+        # an equal config, and an alpha grid the classifier does not read
+        second = train_method("selective", *copies,
+                              replace(self.CONFIG, alpha_grid=np.array([0.2, 0.5])))
+        assert len(fits) == 1
+        _assert_same_bytes(first, second)
+
+    def test_each_system_owns_its_params(self, fits):
+        train, val, _ = planted_splits(seed=34, n_train=100, n_val=40)
+        first = train_method("selective", train, val, self.CONFIG)
+        second = train_method("confidence", train, val, self.CONFIG)
+        before = second.model.params.tobytes()
+        first.model.params[:] = 0.0
+        assert second.model.params.tobytes() == before
+        assert train_method("selective", train, val, self.CONFIG).model.params.tobytes() == before
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_a_diverging_fit_is_not_remembered(self, fits):
+        train, val, _ = planted_splits(seed=35, n_train=100, n_val=40)
+        cfg = replace(self.CONFIG, learning_rate=1e307)
+        for _ in range(2):
+            with pytest.raises(TrainingDiverged):
+                train_method("selective", train, val, cfg)
+        assert len(fits) == 2
 
 
 class TestTrainMethodDispatch:
