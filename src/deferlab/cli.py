@@ -31,7 +31,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import HalfspacePair, load_dataset_csv, save_dataset_csv
+from .core import DeferDataset, HalfspacePair, load_dataset_csv, save_dataset_csv
 from .datagen import (
     GroupedExpertConfig,
     SyntheticConfig,
@@ -433,6 +433,12 @@ def cmd_train(args):
         raise UsageError(f"alpha_grid does not apply to method={args.method}")
     if args.val_data:
         val = load_dataset_csv(args.val_data)
+        c, top = dataset.num_classes, int(max(val.labels.max(), val.human_preds.max()))
+        if val.d != dataset.d or top >= c:
+            raise UsageError(f"{args.val_data}: the training data has d={dataset.d} and C={c} "
+                             f"classes, {args.val_data} has d={val.d} and class labels up to {top}")
+        # the file's own class count is one more than its largest label
+        val = DeferDataset(val.features, val.labels, val.human_preds, c)
         train = dataset
     else:
         n_val = max(1, int(round(VAL_FRACTION * dataset.n)))
@@ -460,6 +466,8 @@ def cmd_eval(args):
         raise UsageError(f"{args.model}: the model predicts C={c} classes, "
                          f"{args.data} has class labels up to {top}")
     report = evaluate(system, dataset)
+    # before any output, so that a grid it refuses prints no report
+    curve = coverage_curve(system, dataset, grid_size=args.curve_grid) if args.curve_out else None
     print(f"system_accuracy={report.system_accuracy!r}")
     print(f"coverage={report.coverage!r}")
     print(f"classifier_accuracy_nondeferred="
@@ -467,8 +475,7 @@ def cmd_eval(args):
     print(f"human_accuracy_deferred="
           f"{'' if report.human_accuracy_deferred is None else repr(report.human_accuracy_deferred)}")
     print(f"n_points={report.n_points}")
-    if args.curve_out:
-        curve = coverage_curve(system, dataset, grid_size=args.curve_grid)
+    if curve is not None:
         _atomic_write(args.curve_out, lambda tmp: write_curve_csv(curve, tmp))
     return 0
 

@@ -107,14 +107,18 @@ def coverage_curve(system, dataset: DeferDataset, grid_size: int = 50) -> Covera
     """Sweep the rejection threshold; returns strictly increasing thresholds.
 
     Interior thresholds are midpoints of the sorted distinct rejection
-    scores, subsampled to ``grid_size`` if larger; the -inf and +inf
-    endpoints always remain, forcing coverage 0 and 1.
+    scores, subsampled to ``grid_size`` points in all if there are more; the
+    -inf and +inf endpoints always remain, forcing coverage 0 and 1.
+    ``grid_size`` 0 keeps every midpoint; any other value below 2 is a
+    ValueError, since the endpoints alone are 2 points.
     """
+    if grid_size < 0 or grid_size == 1:
+        raise ValueError(f"grid_size must be 0 (every midpoint) or at least 2, got {grid_size}")
     _, labels, scores = _decisions(system, dataset)
     candidates = _threshold_candidates(scores)
     mids = candidates[1:-1]
-    if grid_size and mids.size > max(0, grid_size - 2):
-        pick = np.linspace(0, mids.size - 1, max(0, grid_size - 2)).round().astype(int)
+    if grid_size and mids.size > grid_size - 2:
+        pick = np.linspace(0, mids.size - 1, grid_size - 2).round().astype(int)
         mids = mids[np.unique(pick)]
     thresholds = np.concatenate([candidates[:1], mids, candidates[-1:]])
     kept, correct = _threshold_counts(scores, dataset.human_correct,

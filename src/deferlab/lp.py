@@ -5,19 +5,19 @@ and every variable has a box whose bounds may be infinite, lo < +inf and
 hi > -inf. Each row gets a slack column whose box encodes the sense, so the
 solver works on the equality form [A | I] z = b.
 
-``solve_lp`` accepts an LP only when each column's cost favours a finite
-bound: a positive cost needs a finite lo, a negative cost a finite hi, and a
-free column costs 0. Every LP the package builds is of this kind; any other
-is a ValueError. Such an LP is bounded, and its slack basis, which puts
-every structural column at the finite bound its cost favours, is dual
-feasible, since its reduced costs are the costs. Every solve runs the
-bounded dual simplex (Koberstein, *The dual simplex method, techniques for
-a fast and stable implementation*, PhD thesis, Paderborn 2005) until the
-basic values are within their bounds. It starts from the basis given,
-typically the optimal basis of a branch-and-bound parent (an LP with the
-same c, A, senses and b but other variable bounds), or from the slack basis
-when none is given or the given one cannot be factored or is not dual
-feasible.
+``solve_lp`` accepts an LP only when each column has a finite bound and its
+cost favours one: a positive cost needs a finite lo, a negative cost a
+finite hi. Every LP the package builds is of this kind; any other is a
+ValueError. Such an LP is bounded, every nonbasic column sits at one of its
+bounds, and the slack basis, which puts every structural column at the
+finite bound its cost favours, is dual feasible, since its reduced costs are
+the costs. Every solve runs the bounded dual simplex (Koberstein, *The dual
+simplex method, techniques for a fast and stable implementation*, PhD
+thesis, Paderborn 2005) until the basic values are within their bounds. It
+starts from the basis given, typically the optimal basis of a
+branch-and-bound parent (an LP with the same c, A, senses and b but other
+variable bounds), or from the slack basis when none is given or the given
+one cannot be factored or is not dual feasible.
 
 The solver keeps a dense explicit basis inverse. It updates the inverse
 with a product-form (rank-1) update after each pivot and recomputes it from
@@ -53,9 +53,6 @@ TINY_PIVOT = 1e-7
 # product-form updates between two inverses computed from scratch
 REFACTOR_EVERY = 32
 SENSES = ("<=", ">=", "=")
-
-# variable states
-_BASIC, _AT_LO, _AT_HI, _FREE = 0, 1, 2, 3
 
 
 @dataclass
@@ -102,7 +99,7 @@ class Basis:
 
     ``basic`` holds the m basic column ids in row order. ``at_upper`` has one
     flag per column; it marks the nonbasic columns that sit at their upper
-    bound, the others sit at their lower bound (or at zero when free).
+    bound, the others sit at their lower bound.
     """
 
     basic: np.ndarray
@@ -149,14 +146,13 @@ class _Simplex:
     # ---- basis bookkeeping ---------------------------------------------------
     def _place_nonbasic(self, upper: np.ndarray) -> None:
         """Put every column at a finite bound: the upper one where ``upper``
-        asks for it or the lower one is infinite, else the lower one, else
-        zero (free). Basic columns are then marked as such."""
-        lo, hi = self.lo, self.hi
-        up = np.isfinite(hi) & (upper | ~np.isfinite(lo))
-        down = ~up & np.isfinite(lo)
-        self.x = np.where(up, hi, np.where(down, lo, 0.0))
-        self.state = np.where(up, _AT_HI, np.where(down, _AT_LO, _FREE)).astype(np.int8)
-        self.state[self.basis] = _BASIC
+        asks for it or the lower one is infinite, else the lower one. The
+        flags then leave out the basic columns: ``at_hi`` marks the nonbasic
+        columns at their upper bound, ``enter`` the movable nonbasic ones."""
+        up = np.isfinite(self.hi) & (upper | ~np.isfinite(self.lo))
+        self.x = np.where(up, self.hi, self.lo)
+        self.at_hi, self.enter = up, self.movable.copy()
+        self.at_hi[self.basis] = self.enter[self.basis] = False
 
     def _basic_values(self) -> None:
         x_n = self.x.copy()
@@ -177,13 +173,13 @@ class _Simplex:
 
     def _pivot(self, r: int, q: int, w: np.ndarray) -> None:
         """Column q enters the basis in row r, given w = B^-1 a_q; the values
-        and the leaving column's state are already updated."""
+        and the leaving column's flags are already updated."""
         row = self.binv[r] / w[r]
         self.binv -= w[:, None] * row
         self.binv[r] = row
         self.basis[r] = q
         self.lo_b[r], self.hi_b[r] = self.lo[q], self.hi[q]
-        self.state[q] = _BASIC
+        self.at_hi[q] = self.enter[q] = False
         self.since_refactor += 1
         if self.since_refactor >= REFACTOR_EVERY:
             self._refactor()
@@ -219,18 +215,12 @@ class _Simplex:
             below = self.x[p] < self.lo[p]
 
             # row r of B^-1 [A | I]; the entering column must push x_p
-            # toward the violated bound from the side its state allows
+            # toward the violated bound, rising from its lower bound or
+            # falling from its upper one
             alpha = self.binv[r] @ self.T
-            mag = np.abs(alpha)
             toward = alpha if below else -alpha
-            st = self.state
-            at_hi, free = st == _AT_HI, st == _FREE
-            cand = self.movable & (
-                ((st == _AT_LO) & (toward < -PIVOT_TOL))
-                | (at_hi & (toward > PIVOT_TOL))
-                | (free & (mag > PIVOT_TOL))
-            )
-            idx = np.flatnonzero(cand)
+            at_hi = self.at_hi
+            idx = np.flatnonzero(self.enter & (np.where(at_hi, -toward, toward) < -PIVOT_TOL))
             if idx.size == 0:
                 if self.since_refactor:
                     self._refactor()
@@ -239,9 +229,8 @@ class _Simplex:
                 return "infeasible"  # row r is a Farkas certificate
 
             # dual ratio test: the reduced cost that first reaches zero
-            d_idx, mag_idx = d[idx], mag[idx]
-            slack = np.where(at_hi[idx], -d_idx, np.where(free[idx], 0.0, d_idx))
-            ratio = np.maximum(slack, 0.0) / mag_idx
+            d_idx, mag_idx = d[idx], np.abs(alpha[idx])
+            ratio = np.maximum(np.where(at_hi[idx], -d_idx, d_idx), 0.0) / mag_idx
             best = ratio.min()
             tied = ratio <= best + 1e-12
             ties = idx[tied]
@@ -262,7 +251,7 @@ class _Simplex:
             self.x[self.basis] -= w * delta
             self.x[q] += delta
             self.x[p] = target
-            self.state[p] = _AT_LO if below else _AT_HI
+            self.at_hi[p], self.enter[p] = not below, self.movable[p]
             d -= (d[q] / alpha[q]) * alpha
             self._pivot(r, q, w)
             if self.since_refactor == 0:
@@ -291,13 +280,7 @@ class _Simplex:
 
     def _dual_feasible(self, cost: np.ndarray) -> bool:
         d = self._reduced_costs(cost)
-        st = self.state
-        wrong = (
-            ((st == _AT_LO) & (d < -DUAL_TOL))
-            | ((st == _AT_HI) & (d > DUAL_TOL))
-            | ((st == _FREE) & (np.abs(d) > DUAL_TOL))
-        )
-        return not np.any(wrong & self.movable)
+        return not np.any(self.enter & (np.where(self.at_hi, -d, d) < -DUAL_TOL))
 
     def solve(self, basis: Optional[Basis], cost: np.ndarray) -> str:
         """Solve from ``basis``, or from the slack basis when it is None,
@@ -325,7 +308,7 @@ class _Simplex:
         if status != "optimal":
             return LpSolution(status, None, None, self.iterations)
         x = self.x[: self.nv].copy()
-        basis = Basis(self.basis.copy(), self.state == _AT_HI)
+        basis = Basis(self.basis.copy(), self.at_hi)
         return LpSolution("optimal", x, float(c @ x), self.iterations, basis)
 
 
@@ -339,13 +322,14 @@ def solve_lp(
     """Solve a bounded-variable LP by the bounded dual simplex.
 
     ``lo`` and ``hi`` replace the LP's variable bounds when given. Raises
-    ValueError naming the first column whose cost favours an infinite bound
-    (see the module docstring). ``basis`` is an optional warm start,
-    typically the ``basis`` of an earlier solution of an LP with the same c,
-    A, senses and b; without one, or when it cannot be factored or is not
-    dual feasible, the solve starts from the slack basis. The solver is
-    deterministic: re-solving the same LP from the same start gives the same
-    answer in the same number of iterations.
+    ValueError naming the first column whose cost favours an infinite bound,
+    or else the first column with no finite bound (see the module
+    docstring). ``basis`` is an optional warm start, typically the ``basis``
+    of an earlier solution of an LP with the same c, A, senses and b;
+    without one, or when it cannot be factored or is not dual feasible, the
+    solve starts from the slack basis. The solver is deterministic:
+    re-solving the same LP from the same start gives the same answer in the
+    same number of iterations.
     """
     lo = lp.lo if lo is None else np.asarray(lo, dtype=float)
     hi = lp.hi if hi is None else np.asarray(hi, dtype=float)
@@ -356,6 +340,10 @@ def solve_lp(
         j = int(np.argmax(open_side))
         raise ValueError(f"column {j} has cost {lp.c[j]:g}, which favours an infinite "
                          "bound; solve_lp needs every cost to favour a finite bound")
+    free = (lo == -np.inf) & (hi == np.inf)
+    if free.any():
+        j = int(np.argmax(free))
+        raise ValueError(f"column {j} is free; solve_lp needs a finite bound on every column")
     if max_iter is None:
         max_iter = 50 * (m + v)
     sx = _Simplex(lp, lo, hi, max_iter)

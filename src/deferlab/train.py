@@ -372,8 +372,6 @@ def _fit_surrogates(dataset: DeferDataset, val_dataset: DeferDataset,
     same minibatch order, so each equals a lone run with its alpha. The loss
     gets one alpha per score row (None for a method without an alpha).
     """
-    if dataset.d != val_dataset.d or dataset.num_classes != val_dataset.num_classes:
-        raise ValueError("train and validation datasets must share d and C")
     c = dataset.num_classes
     k = len(alphas)
     batch_loss = LOSSES[method]
@@ -609,8 +607,11 @@ def train_method(method: str, dataset, val_dataset, config: TrainConfig) -> Trai
     rs and ce train the sorted ``config.alpha_grid`` (``ALPHA_GRIDS[method]``
     when None) as one stacked pass and keep the best validation system
     accuracy, ties resolving to the smaller alpha; ``min_train_error`` is
-    the lowest over the grid. The other methods ignore the grid.
+    the lowest over the grid. The other methods ignore the grid. Every method
+    refuses validation data whose d or C differs from the training data's.
     """
+    if dataset.d != val_dataset.d or dataset.num_classes != val_dataset.num_classes:
+        raise ValueError("train and validation datasets must share d and C")
     if method in ALPHA_GRIDS:
         grid = sorted(ALPHA_GRIDS[method] if config.alpha_grid is None else config.alpha_grid)
         systems = _fit_surrogates(dataset, val_dataset, config, method, grid)

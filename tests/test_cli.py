@@ -19,7 +19,7 @@ from deferlab.cli import (
     save_halfspace_pair,
     save_score_system,
 )
-from deferlab.core import DeferDataset, HalfspacePair, load_dataset_csv
+from deferlab.core import DeferDataset, HalfspacePair, load_dataset_csv, save_dataset_csv
 from deferlab.train import METHODS, TrainConfig, TrainedSystem, fit_tau, train_method
 
 
@@ -464,6 +464,15 @@ class TestModelFileValidation:
         err = capsys.readouterr().err
         assert str(pair) in err and str(grouped) in err and "C=2" in err
 
+    @pytest.mark.parametrize("grid", ["1", "-3"])
+    def test_curve_grid_below_the_endpoints(self, files, tmp_path, capsys, grid):
+        curve = tmp_path / "curve.csv"
+        assert run_cli("eval", "--data", str(files["data"]), "--model", str(files["rs"]),
+                       "--curve-out", str(curve), "--curve-grid", grid) == 1
+        out, err = capsys.readouterr()
+        assert "grid_size" in err and out == ""
+        assert not curve.exists()
+
     def test_valid_files_still_load(self, files):
         for method in ("rs", "confidence"):
             assert run_cli("eval", "--data", str(files["data"]),
@@ -815,6 +824,41 @@ class TestTrainSettingChecks:
             assert not out.exists()
         assert self._train(data, out, "--method", method, "--alpha-grid", "0.5") == 0
         assert self._train(data, out, "--method", method, "--alpha-grid", "0.0,1.0") == 0
+
+
+class TestValidationFile:
+    """train --val-data reads the file with the training data's d and C."""
+
+    def _files(self, tmp_path, d, classes):
+        rng = np.random.default_rng(4)
+        train, val = tmp_path / "train.csv", tmp_path / "val.csv"
+        save_dataset_csv(DeferDataset(rng.normal(size=(40, 2)), np.arange(40) % 3,
+                                      rng.integers(0, 3, 40), 3), train)
+        save_dataset_csv(DeferDataset(rng.normal(size=(20, d)), np.arange(20) % classes,
+                                      rng.integers(0, 2, 20), classes), val)
+        return train, val
+
+    def _train(self, train, val, out, method):
+        return run_cli("train", "--data", str(train), "--val-data", str(val), "--method",
+                       method, "--epochs", "3", "--seed", "0", "--out", str(out))
+
+    @pytest.mark.parametrize("method", ["rs", "confidence"])
+    def test_a_file_without_the_top_class_loads(self, tmp_path, method):
+        # the file alone would load as 2 classes
+        train, val = self._files(tmp_path, 2, 2)
+        out = tmp_path / "m.csv"
+        assert self._train(train, val, out, method) == 0
+        assert load_model_file(out).num_classes == 3
+
+    @pytest.mark.parametrize("d, classes, message", [(3, 3, "has d=3"),
+                                                     (2, 4, "class labels up to 3")])
+    def test_a_file_of_another_shape_is_refused(self, tmp_path, capsys, d, classes, message):
+        train, val = self._files(tmp_path, d, classes)
+        out = tmp_path / "m.csv"
+        assert self._train(train, val, out, "rs") == 1
+        err = capsys.readouterr().err
+        assert str(val) in err and message in err
+        assert not out.exists()
 
 
 class TestConfigParsing:

@@ -173,6 +173,14 @@ class TestCoverageCurve:
         assert curve.thresholds[0] == -np.inf and curve.thresholds[-1] == np.inf
         assert curve.coverages[0] == 0.0 and curve.coverages[-1] == 1.0
 
+    @pytest.mark.parametrize("grid_size", [1, -1, -3])
+    def test_grid_sizes_below_the_endpoints_are_rejected(self, grid_size):
+        # 0 keeps every midpoint, 2 keeps the endpoints alone; 1 or a
+        # negative size names no curve
+        ds, pair = fixed_dataset(), defer_iff_positive_pair()
+        with pytest.raises(ValueError, match="grid_size"):
+            coverage_curve(pair, ds, grid_size=grid_size)
+
 
 class _FixedScores:
     """A deferral system with given rejection scores and classifier labels."""

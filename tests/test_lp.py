@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import deferlab.lp as lp_module
 from deferlab.core import DeferDataset
 from deferlab.lp import LinearProgram, LpSolution, solve_lp
-from deferlab.milp import INT_TOL, MilpConfig, add_coverage_constraint, build_binary_milp
+from deferlab.milp import (INT_TOL, MilpConfig, add_coverage_constraint, add_fairness_constraint,
+                           build_binary_milp, build_milp)
 
 
 def brute_force_vertex_min(lp, tol=1e-9):
@@ -178,12 +179,12 @@ class TestWithoutRows:
 
     def test_every_column_at_a_finite_bound_in_its_box(self):
         inf = np.inf
-        lp = self._box(c=[0.0, 0.0, 0.0, 2.0, -1.0, 1.0, -1.0],
-                       lo=[-inf, 1.0, -inf, -3.0, -inf, -1.0, -2.0],
-                       hi=[-1.0, 2.0, inf, 3.0, 4.0, inf, 5.0])
+        lp = self._box(c=[0.0, 0.0, 2.0, -1.0, 1.0, -1.0],
+                       lo=[-inf, 1.0, -3.0, -inf, -1.0, -2.0],
+                       hi=[-1.0, 2.0, 3.0, 4.0, inf, 5.0])
         sol = solve_lp(lp)
         assert sol.status == "optimal"
-        np.testing.assert_array_equal(sol.x, [-1.0, 1.0, 0.0, -3.0, 4.0, -1.0, 5.0])
+        np.testing.assert_array_equal(sol.x, [-1.0, 1.0, -3.0, 4.0, -1.0, 5.0])
         assert sol.objective_value == -6.0 - 4.0 - 1.0 - 5.0
         assert sol.iterations == 0
 
@@ -195,6 +196,53 @@ class TestWithoutRows:
         lp = self._box([1.0, 0.0] + c, [0.0, -np.inf] + lo, [1.0, np.inf] + hi)
         with pytest.raises(ValueError, match=f"column 2 has cost {c[0]:g}, which favours"):
             solve_lp(lp)
+
+    def test_a_free_column_is_rejected_by_name(self):
+        inf = np.inf
+        lp = self._box([0.0, 1.0, 0.0], [0.0, 0.0, -inf], [inf, 1.0, inf])
+        with pytest.raises(ValueError, match="column 2 is free"):
+            solve_lp(lp)
+        with pytest.raises(ValueError, match="column 0 is free"):
+            solve_lp(lp, lo=[-inf, 0.0, 0.0], hi=[inf, 1.0, 1.0])
+        # an open side the cost favours is named first, even past a free column
+        open_side = self._box([0.0, 1.0, -1.0], [-inf, 0.0, 0.0], [inf, 1.0, inf])
+        with pytest.raises(ValueError, match="column 2 has cost -1, which favours"):
+            solve_lp(open_side)
+
+
+def _assert_in_the_class(lp):
+    """Each column of ``lp`` has a finite bound and its cost favours one."""
+    assert np.all(np.isfinite(lp.lo) | np.isfinite(lp.hi))
+    assert np.all(np.isfinite(lp.lo[lp.c > 0]))
+    assert np.all(np.isfinite(lp.hi[lp.c < 0]))
+
+
+class TestBuiltLpsAreInTheClass:
+    """Every LP the package builds is of the class ``solve_lp`` accepts."""
+
+    @pytest.mark.parametrize("kind", ["binary", "three_class", "lambda_reg", "coverage",
+                                      "fairness"])
+    def test_milp_relaxations(self, kind):
+        classes = 3 if kind == "three_class" else 2
+        rng = np.random.default_rng(29)
+        y = np.arange(8) % classes
+        h = np.where(rng.random(8) < 0.5, y, (y + 1) % classes)
+        config = MilpConfig(lambda_reg=0.1 if kind == "lambda_reg" else 0.0)
+        problem = build_milp(DeferDataset(rng.normal(size=(8, 2)), y, h, classes), config)
+        if kind == "coverage":
+            problem = add_coverage_constraint(problem, 0.25)
+        elif kind == "fairness":
+            problem = add_fairness_constraint(problem, np.arange(8) % 2)
+        lp = problem.lp_relaxation
+        _assert_in_the_class(lp)
+        assert solve_lp(lp).status == "optimal"
+
+    def test_hull_lp(self, monkeypatch):
+        built, real = [], lp_module.solve_lp
+        monkeypatch.setattr(lp_module, "solve_lp", lambda lp: built.append(lp) or real(lp))
+        lp_module.origin_in_hull(np.random.default_rng(31).normal(size=(5, 3)))
+        (lp,) = built
+        _assert_in_the_class(lp)
 
 
 class TestAgainstVertexEnumeration:
@@ -467,13 +515,13 @@ class TestWarmStart:
 
 
 def _general_lp(rng):
-    """A random LP with boxed, half-bounded and free columns, all three row
-    senses, now and then a duplicated row, and now and then a row that may
-    cut off the point the rest are built around: optimal and infeasible both
-    occur. Each cost favours a finite bound, as ``solve_lp`` requires: a
-    half-bounded column's cost points at its bound, a free column costs 0."""
+    """A random LP with boxed and half-bounded columns, all three row senses,
+    now and then a duplicated row, and now and then a row that may cut off
+    the point the rest are built around: optimal and infeasible both occur.
+    Each cost favours a finite bound, as ``solve_lp`` requires: a
+    half-bounded column's cost points at its bound."""
     v, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-    kind = rng.integers(0, 4, size=v)  # boxed, lower bound only, upper bound only, free
+    kind = rng.integers(0, 3, size=v)  # boxed, lower bound only, upper bound only
     lo = np.where(kind <= 1, -rng.uniform(0, 2, v), -np.inf)
     hi = np.where((kind == 0) | (kind == 2), rng.uniform(0, 2, v), np.inf)
     x0 = np.clip(rng.normal(size=v), lo, hi)
@@ -486,7 +534,7 @@ def _general_lp(rng):
     if rng.random() < 0.3:
         b[rng.integers(0, m)] = 3.0 * rng.normal()
     c = rng.normal(size=v)
-    c = np.select([kind == 1, kind == 2, kind == 3], [np.abs(c), -np.abs(c), 0.0], c)
+    c = np.select([kind == 1, kind == 2], [np.abs(c), -np.abs(c)], c)
     return LinearProgram(c=c, A=A, senses=senses, b=b, lo=lo, hi=hi)
 
 
@@ -526,8 +574,8 @@ class TestAgainstHighs:
 class TestPinnedSolves:
     def test_general_lps_equal_pinned_digest(self):
         # sha256 over 3000 draws of each solve's status, iterations and
-        # objective, and each optimum's x and basis bytes, recorded while the
-        # solver still carried a primal simplex and a zero-cost phase 1
+        # objective, and each optimum's x and basis bytes (2685 optimal, 315
+        # infeasible), recorded while the solver still took free columns
         rng = np.random.default_rng(12345)
         h = hashlib.sha256()
         for _ in range(3000):
@@ -536,7 +584,7 @@ class TestPinnedSolves:
             if sol.status == "optimal":
                 h.update(sol.x.tobytes() + sol.basis.basic.tobytes()
                          + sol.basis.at_upper.tobytes())
-        assert h.hexdigest() == "22f09eb5d4778e70ead6c9ff7b9843cb7ee9ada2c0a8bbbef6656b9bf4a416f6"
+        assert h.hexdigest() == "bbed8b753b188471d093bd20a6ef563dfa709b7edf507cab3366a249b2330d4d"
 
 
 def _farkas_row(sx, r, tol=lp_module.PIVOT_TOL):

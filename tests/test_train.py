@@ -717,6 +717,18 @@ class TestTrainMethodDispatch:
         defer, labels = system.decide(test.features)
         assert 0.0 <= system_accuracy(defer, labels, test) <= 1.0
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("mismatch", ["d", "C"])
+    def test_every_method_refuses_a_validation_split_of_another_shape(self, method, mismatch):
+        rng = np.random.default_rng(3)
+        train = DeferDataset(rng.normal(size=(30, 2)), rng.integers(0, 3, 30),
+                             rng.integers(0, 3, 30), 3)
+        d, c = (3, 3) if mismatch == "d" else (2, 4)
+        val = DeferDataset(rng.normal(size=(10, d)), rng.integers(0, 3, 10),
+                           rng.integers(0, 3, 10), c)
+        with pytest.raises(ValueError, match="must share d and C"):
+            train_method(method, train, val, TrainConfig(epochs=1))
+
     def test_unknown_method(self):
         train, val, _ = planted_splits(seed=18)
         with pytest.raises(ValueError):
